@@ -3,8 +3,7 @@
 Vertices are integers 0..n-1.  Edge weights are stored positive with the
 sign carried separately, so the signed adjacency entry is sign * weight.
 Optional per-vertex data: fixed-length bit-string labels (used by the
-hypercube machinery), +/-1 markings (used by corona products) and real
-local potentials.
+hypercube machinery) and +/-1 markings (used by corona products).
 
 All graph values are immutable after construction; every operation here
 is a pure function returning a new graph.
@@ -43,7 +42,6 @@ class SignedWeightedGraph:
     edges: tuple[Edge, ...]
     labels: Optional[tuple[str, ...]] = None
     markings: Optional[tuple[int, ...]] = None
-    potentials: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         n = self.vertex_count
@@ -82,11 +80,6 @@ class SignedWeightedGraph:
             if len(marks) != n or any(m not in (-1, 1) for m in marks):
                 raise ValueError("markings must be one of +1/-1 per vertex")
             object.__setattr__(self, "markings", marks)
-        if self.potentials is not None:
-            pots = tuple(float(b) for b in self.potentials)
-            if len(pots) != n:
-                raise ValueError("potentials must cover every vertex")
-            object.__setattr__(self, "potentials", pots)
 
     @property
     def edge_count(self) -> int:
@@ -108,8 +101,8 @@ class SignedWeightedGraph:
             raise KeyError(f"no vertex labeled {label!r}") from None
 
 
-def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None,
-               potentials=None) -> SignedWeightedGraph:
+def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None
+               ) -> SignedWeightedGraph:
     """Build a graph from loose edge specs (u,v), (u,v,w) or (u,v,w,sign)."""
     norm = []
     for spec in edges:
@@ -117,8 +110,7 @@ def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None,
         w = spec[2] if len(spec) > 2 else 1.0
         s = spec[3] if len(spec) > 3 else 1
         norm.append(Edge(int(u), int(v), float(w), int(s)))
-    return SignedWeightedGraph(n, tuple(norm), labels=labels, markings=markings,
-                               potentials=potentials)
+    return SignedWeightedGraph(n, tuple(norm), labels=labels, markings=markings)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +229,8 @@ def disjoint_union(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeig
     markings = None
     if g.markings is not None and h.markings is not None:
         markings = g.markings + h.markings
-    potentials = None
-    if g.potentials is not None or h.potentials is not None:
-        pg = g.potentials or (0.0,) * g.vertex_count
-        ph = h.potentials or (0.0,) * h.vertex_count
-        potentials = pg + ph
     return SignedWeightedGraph(g.vertex_count + h.vertex_count, tuple(edges),
-                               labels=labels, markings=markings,
-                               potentials=potentials)
+                               labels=labels, markings=markings)
 
 
 def add_isolated(g: SignedWeightedGraph, count: int) -> SignedWeightedGraph:
@@ -252,9 +238,7 @@ def add_isolated(g: SignedWeightedGraph, count: int) -> SignedWeightedGraph:
     if count < 0:
         raise ValueError("count must be non-negative")
     markings = g.markings + (1,) * count if g.markings is not None else None
-    potentials = g.potentials + (0.0,) * count if g.potentials is not None else None
-    return SignedWeightedGraph(g.vertex_count + count, g.edges,
-                               markings=markings, potentials=potentials)
+    return SignedWeightedGraph(g.vertex_count + count, g.edges, markings=markings)
 
 
 def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedWeightedGraph:
@@ -273,8 +257,7 @@ def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedW
              if u in pos and v in pos]
     sub = lambda t: tuple(t[v] for v in keep) if t is not None else None
     return SignedWeightedGraph(len(keep), tuple(edges), labels=sub(g.labels),
-                               markings=sub(g.markings),
-                               potentials=sub(g.potentials))
+                               markings=sub(g.markings))
 
 
 # ---------------------------------------------------------------------------

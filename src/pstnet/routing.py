@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Edge, SignedWeightedGraph, hypercube
-from .spectral import TransferReport
+from .graphs import Edge, SignedWeightedGraph, adjacency, hypercube
+from .spectral import Spectrum, TransferReport
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
 
@@ -297,16 +297,6 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
     return HopPlan(hops, 2 * t0, intermediate=x)
 
 
-def hop_adjacency(network: SignedWeightedGraph, plan: SwitchPlan) -> np.ndarray:
-    """Adjacency of the hop's active subgraph embedded in the full space."""
-    a = np.zeros((network.vertex_count, network.vertex_count))
-    off = set(plan.off_edges)
-    for e in network.edges:
-        if (e.u, e.v) not in off:
-            a[e.u, e.v] = a[e.v, e.u] = e.sign * e.weight
-    return a
-
-
 def execute_route(network: SignedWeightedGraph, plan: HopPlan,
                   input_state: np.ndarray, switch_lag: float = 0.0
                   ) -> tuple[np.ndarray, TransferReport]:
@@ -314,9 +304,10 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
 
     Each hop's adjacency acts only on its kept sub-hypercube; switched-off
     vertices are isolated and evolve trivially, so the evolution is applied
-    exactly on the kept block.  A positive switch_lag models the off-time
-    between hops (all couplings open, A = 0), which parks the state and
-    only adds to the reported transfer time.
+    exactly on the kept block of the network's adjacency.  A positive
+    switch_lag models the off-time between hops (all couplings open,
+    A = 0), which parks the state and only adds to the reported transfer
+    time.
     """
     state = np.asarray(input_state, dtype=complex).copy()
     if state.shape != (network.vertex_count,):
@@ -331,12 +322,12 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
     source = plan.hops[0].source
     if abs(abs(state[source]) - 1.0) > 1e-9:
         raise ValueError("input state must be concentrated on the hop source")
+    a = adjacency(network)
     total = 0.0
     for i, hop in enumerate(plan.hops):
         keep = list(hop.plan.keep_vertices)
-        sub = hop_adjacency(network, hop.plan)[np.ix_(keep, keep)]
-        w, vecs = np.linalg.eigh(sub)
-        state[keep] = (vecs * np.exp(-1j * hop.duration * w)) @ (vecs.T @ state[keep])
+        spec = Spectrum(*np.linalg.eigh(a[np.ix_(keep, keep)]))
+        state[keep] = spec.apply(hop.duration, state[keep])
         total += hop.duration
         if i < len(plan.hops) - 1:
             total += switch_lag

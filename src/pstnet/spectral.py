@@ -2,6 +2,11 @@
 
 Everything runs through an eigendecomposition of the (real symmetric)
 graph matrix, never a series or Pade exponential: U(t) = V e^{-i t diag(w)} V^T.
+`Spectrum` is the one place that turns eigenpairs into dynamics, with two
+kernels: `Spectrum.apply` evolves a vector to one time, and
+`Spectrum.amplitude` gives <v|U(t)|u> of one pair at one time or over a
+grid of times (`Spectrum.propagator` is the full matrix at one time).
+Dense solves are refused above DENSE_MAX_DIM vertices.
 Transfer amplitudes, fidelities, spectral PST conditions, symmetry
 operators, bipartite phase classes and the full-spin XY oracle live here.
 
@@ -26,6 +31,8 @@ DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
 DEFAULT_MAX_DENOMINATOR = 10 ** 6
 SPIN_ORACLE_MAX_VERTICES = 12
+# largest dense eigensolve: 8192^2 doubles are 512 MiB per matrix copy
+DENSE_MAX_DIM = 8192
 
 
 @dataclass
@@ -34,21 +41,22 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source: str = "adjacency"
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, source: str = "adjacency") -> "Spectrum":
+    def from_matrix(cls, m: np.ndarray) -> "Spectrum":
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        _check_dense_dim(m.shape[0])
         if not np.allclose(m, m.T, atol=1e-12):
             raise ValueError("matrix must be symmetric to 1e-12")
         w, v = np.linalg.eigh(m)
-        return cls(w, v, source)
+        return cls(w, v)
 
     @classmethod
     def from_graph(cls, g: SignedWeightedGraph, kind: str = "adjacency") -> "Spectrum":
-        return cls.from_matrix(graph_matrix(g, kind), source=kind)
+        _check_dense_dim(g.vertex_count)
+        return cls.from_matrix(graph_matrix(g, kind))
 
     @property
     def dimension(self) -> int:
@@ -57,6 +65,24 @@ class Spectrum:
     def propagator(self, t: float) -> np.ndarray:
         v = self.eigenvectors
         return (v * np.exp(-1j * t * self.eigenvalues)) @ v.T
+
+    def apply(self, t: float, state: np.ndarray) -> np.ndarray:
+        """U(t) @ state at one time; the caller vouches for the state."""
+        v = self.eigenvectors
+        return (v * np.exp(-1j * t * self.eigenvalues)) @ (v.T @ state)
+
+    def amplitude(self, u: int, v: int, t):
+        """<v|U(t)|u>: a complex for a scalar t, an array for an array of times."""
+        coeffs = self.eigenvectors[v] * self.eigenvectors[u]
+        if np.ndim(t) == 0:
+            return complex(np.sum(coeffs * np.exp(-1j * t * self.eigenvalues)))
+        return np.exp(-1j * np.outer(t, self.eigenvalues)) @ coeffs
+
+
+def _check_dense_dim(dim: int) -> None:
+    if dim > DENSE_MAX_DIM:
+        raise ValueError(f"dense eigensolve of dimension {dim} exceeds the "
+                         f"limit of {DENSE_MAX_DIM}")
 
 
 @dataclass
@@ -100,18 +126,7 @@ def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
         raise ValueError("state dimension does not match spectrum")
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("state must be normalized to 1e-9")
-    v = spectrum.eigenvectors
-    return (v * np.exp(-1j * t * spectrum.eigenvalues)) @ (v.T @ state)
-
-
-def _amplitude(spectrum: Spectrum, u: int, v: int, t: float) -> complex:
-    coeffs = spectrum.eigenvectors[v] * spectrum.eigenvectors[u]
-    return complex(np.sum(coeffs * np.exp(-1j * t * spectrum.eigenvalues)))
-
-
-def _amplitude_grid(spectrum: Spectrum, u: int, v: int, ts: np.ndarray) -> np.ndarray:
-    coeffs = spectrum.eigenvectors[v] * spectrum.eigenvectors[u]
-    return np.exp(-1j * np.outer(ts, spectrum.eigenvalues)) @ coeffs
+    return spectrum.apply(t, state)
 
 
 def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
@@ -119,7 +134,7 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
                        tol: float = DEFAULT_PST_TOL) -> TransferReport:
     """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix."""
     spec = Spectrum.from_graph(g, matrix_kind)
-    amp = _amplitude(spec, u, v, t)
+    amp = spec.amplitude(u, v, t)
     mag = abs(amp)
     phase = math.atan2(amp.imag, amp.real) if mag > 0 else 0.0
     return TransferReport(mag, phase, t, mag >= 1.0 - tol, (u, v))
@@ -129,7 +144,7 @@ def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
                     matrix_kind: str = "adjacency") -> list[tuple[float, float, float]]:
     """Rows (t, magnitude, phase) for CSV emission."""
     spec = Spectrum.from_graph(g, matrix_kind)
-    amps = _amplitude_grid(spec, u, v, np.asarray(ts, dtype=float))
+    amps = spec.amplitude(u, v, np.asarray(ts, dtype=float))
     return [(float(t), float(abs(a)), float(np.angle(a))) for t, a in zip(ts, amps)]
 
 
@@ -268,7 +283,7 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
         period = _candidate_period(support, DEFAULT_PST_TOL, max_denominator)
         if period is not None and np.isfinite(period):
             ts = np.linspace(0.0, period, max(4096, 64 * len(support)))
-            mags = np.abs(_amplitude_grid(spec, u, v, ts))
+            mags = np.abs(spec.amplitude(u, v, ts))
             k = int(np.argmax(mags))
             dt = ts[1] - ts[0]
             t_best, m_best = _refine_peak(spec, u, v, ts[k], dt)
@@ -281,7 +296,7 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
 def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float
                  ) -> tuple[float, float]:
     lo, hi = max(0.0, t0 - dt), t0 + dt
-    res = minimize_scalar(lambda t: -abs(_amplitude(spec, u, v, t)),
+    res = minimize_scalar(lambda t: -abs(spec.amplitude(u, v, t)),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
     return float(res.x), float(-res.fun)
@@ -304,7 +319,7 @@ def max_fidelity_scan(g: SignedWeightedGraph, u: int, v: int, t_max: float,
 def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
                                dt: float) -> tuple[float, float]:
     ts = np.arange(0.0, t_max + dt, dt)
-    mags = np.abs(_amplitude_grid(spec, u, v, ts))
+    mags = np.abs(spec.amplitude(u, v, ts))
     top = float(np.max(mags))
     # refine every peak the grid cannot distinguish from the best one, then
     # report the earliest among refined ties so periodic transfers give
@@ -346,7 +361,7 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
             "eigenvector magnitude condition fails for this pair; "
             "no diagonal symmetry maps u to v and PST is impossible by this route")
     m = graph_matrix(g, matrix_kind)
-    spec = Spectrum.from_matrix(m, matrix_kind)
+    spec = Spectrum.from_matrix(m)
     n = spec.dimension
     s = np.zeros((n, n), dtype=complex)
     eu, ev = np.eye(n)[u], np.eye(n)[v]
@@ -483,13 +498,10 @@ def spin_oracle_check(g: SignedWeightedGraph, t: float, excitation_vertex: int
     n = g.vertex_count
     if not 0 <= excitation_vertex < n:
         raise ValueError("excitation vertex out of range")
-    h = xy_spin_hamiltonian(g)
-    w, vecs = np.linalg.eigh(h)
     start = np.zeros(1 << n)
     start[1 << excitation_vertex] = 1.0
-    full = (vecs * np.exp(-1j * t * w)) @ (vecs.T @ start)
-    spec = Spectrum.from_graph(g, "adjacency")
-    small = evolve(spec, t, np.eye(n)[excitation_vertex].astype(complex))
+    full = evolve(Spectrum.from_matrix(xy_spin_hamiltonian(g)), t, start)
+    small = evolve(Spectrum.from_graph(g), t, np.eye(n)[excitation_vertex])
     embedded = np.zeros(1 << n, dtype=complex)
     for j in range(n):
         embedded[1 << j] = small[j]

@@ -198,6 +198,16 @@ class ThreeBodyResult:
     dispersive: bool
 
 
+def three_body_hamiltonian(cfg: CouplerConfig) -> np.ndarray:
+    """Single-excitation matrix of the qubit-coupler-qubit trio."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = coupling_report(cfg)
+    return np.array([[cfg.omega_i, rep.g_i, rep.g_ij],
+                     [rep.g_i, cfg.omega_c, rep.g_j],
+                     [rep.g_ij, rep.g_j, cfg.omega_j]])
+
+
 def three_body_oracle(cfg: CouplerConfig) -> ThreeBodyResult:
     """Exact single-excitation diagnostics of the qubit-coupler-qubit trio.
 
@@ -212,10 +222,7 @@ def three_body_oracle(cfg: CouplerConfig) -> ThreeBodyResult:
     if not rep.dispersive:
         warnings.warn("three-body oracle outside the dispersive regime; "
                       "result computed anyway", stacklevel=2)
-    m = np.array([[cfg.omega_i, rep.g_i, rep.g_ij],
-                  [rep.g_i, cfg.omega_c, rep.g_j],
-                  [rep.g_ij, rep.g_j, cfg.omega_j]])
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(three_body_hamiltonian(cfg))
     coupler_weight = np.abs(v[1]) ** 2
     qubit_like = np.argsort(coupler_weight)[:2]
     numeric = 0.5 * abs(w[qubit_like[0]] - w[qubit_like[1]])
@@ -223,15 +230,6 @@ def three_body_oracle(cfg: CouplerConfig) -> ThreeBodyResult:
     rel = abs(numeric - analytic) / analytic if analytic else math.inf
     return ThreeBodyResult(float(numeric), float(analytic), float(rel),
                            rep.dispersive)
-
-
-def three_body_hamiltonian(cfg: CouplerConfig) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = coupling_report(cfg)
-    return np.array([[cfg.omega_i, rep.g_i, rep.g_ij],
-                     [rep.g_i, cfg.omega_c, rep.g_j],
-                     [rep.g_ij, rep.g_j, cfg.omega_j]])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pstnet import spectral
 from pstnet.cli import run
 from pstnet.fileio import (GraphFormatError, emit_csv, fmt, parse_graph_text,
                            read_csv, serialize_graph)
@@ -149,6 +150,13 @@ def test_malformed_file_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert run(["pst", "--graph", "zz9", "--from", "0", "--to", "1"]) == 2
+
+
+def test_dense_limit_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
+    assert run(["pst", "--graph", "q4", "--from", "0", "--to", "15"]) == 2
+    err = capsys.readouterr().err
+    assert err == "dense eigensolve of dimension 16 exceeds the limit of 8\n"
 
 
 def test_unknown_flag_exit_code(capsys):

@@ -11,6 +11,7 @@ from pstnet.corona_lab import (TheoremHypothesisError,
 from pstnet.graphs import (SignedWeightedGraph, adjacency, complete_graph,
                            corona, cycle_graph, laplacian, make_graph,
                            path_graph)
+from pstnet.spectral import Spectrum, max_fidelity_scan_spectrum
 
 GOLDEN = math.sqrt(5.0)
 
@@ -148,7 +149,16 @@ def test_signed_square_scan(signed_square):
     assert m0.f_star == pytest.approx(1.0, abs=1e-9)
     assert m0.t_star == pytest.approx(math.pi / 2, abs=1e-6)
     assert m1.f_star < m0.f_star
-    assert m1.provenance == "theorem"
+    assert [r.provenance for r in table.rows] == ["direct", "direct"]
+    # the paper's closed-form eigenpairs give the same dynamics as the
+    # directly solved product
+    pairs = sorted(corona_adjacency_eigenpairs(signed_square, signed_square),
+                   key=lambda p: p.value)
+    theorem = Spectrum(np.array([p.value for p in pairs]),
+                       np.column_stack([p.vector for p in pairs]))
+    t_star, f_star = max_fidelity_scan_spectrum(theorem, 0, 2, 20.0, 0.005)
+    assert m1.f_star == pytest.approx(f_star, abs=1e-9)
+    assert m1.t_star == pytest.approx(t_star, abs=1e-9)
 
 
 def test_scan_other_pair(signed_square):
@@ -156,8 +166,9 @@ def test_scan_other_pair(signed_square):
     assert table.rows[0].f_star == pytest.approx(1.0, abs=1e-9)
 
 
-def test_scan_falls_back_without_hypotheses():
+def test_scan_of_seed_outside_theorem_hypotheses():
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert net_regularity(star) is None
     table = fidelity_vs_m(star, (1, 2), 1, t_max=5.0)
     assert [r.provenance for r in table.rows] == ["direct", "direct"]
 

@@ -265,3 +265,8 @@ def test_rejects_nonpositive_weight():
 def test_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         SignedWeightedGraph(2, (Edge(0, 1, 1.0, 1),), labels=("0", "0"))
+
+
+def test_rejects_unknown_vertex_data():
+    with pytest.raises(TypeError):
+        make_graph(2, [(0, 1)], potentials=(5.0, 0.0))

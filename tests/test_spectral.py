@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pstnet import spectral
 from pstnet.graphs import (adjacency, complete_graph, cycle_graph, hypercube,
                            make_graph, path_graph)
 from pstnet.spectral import (Spectrum, balanced_equivalent_amplitude,
@@ -57,6 +58,17 @@ def test_evolve_rejects_dimension_mismatch():
     spec = Spectrum.from_graph(complete_graph(2))
     with pytest.raises(ValueError):
         evolve(spec, 1.0, np.array([1.0, 0, 0], dtype=complex))
+
+
+def test_dense_limit_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
+    assert Spectrum.from_graph(hypercube(3)).dimension == 8
+    with pytest.raises(ValueError, match="16 exceeds the limit of 8"):
+        Spectrum.from_matrix(np.eye(16))
+    monkeypatch.setattr(spectral, "graph_matrix", lambda g, kind: pytest.fail(
+        "the graph matrix was built before the size check"))
+    with pytest.raises(ValueError, match="16 exceeds the limit of 8"):
+        Spectrum.from_graph(hypercube(4))
 
 
 def test_spectrum_eigen_residual():
