@@ -12,18 +12,24 @@ Networks of arbitrary order n are labeled with (k+1)-bit strings where
 0..n-1, which realizes the residual-hypercube construction (the leading
 2^k labels form Q_k with prefix 0, the next blocks are the smaller cubes)
 and the one-qubit growth rule "binary-increment the last added label".
+
+Planning works on the labels' integer codes: a hop's kept vertices are the
+2^d codes that share the fixed bits of its endpoints, found by lookup.
+Execution checks in one pass over the network's edges that each kept block
+is exactly a uniform Q_d and then applies the exact hypercube evolution
+`spectral.hypercube_apply`; no hop solves an eigenproblem or builds a matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .graphs import Edge, SignedWeightedGraph, adjacency, hypercube
-from .spectral import Spectrum, TransferReport
+from .graphs import Edge, SignedWeightedGraph, hypercube
+from .spectral import TransferReport, hypercube_apply
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
 
@@ -73,14 +79,27 @@ class HopPlan:
 
 @dataclass(frozen=True)
 class NetworkLabeling:
-    """Binary labels plus the residual-hypercube membership map."""
+    """Binary labels plus the residual-hypercube membership map.
+
+    `codes[v]` is the integer whose binary digits are label v (string
+    position j is integer bit width-1-j) and `vertex_of` inverts it.
+    """
 
     labels: tuple[str, ...]
     blocks: tuple[tuple[int, int], ...]   # (start, size) per constituent cube
+    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    vertex_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
+        if len({len(lab) for lab in self.labels}) > 1:
+            raise ValueError("labels must have equal length")
+        if any(set(lab) - {"0", "1"} for lab in self.labels):
+            raise ValueError("labels must be binary strings")
+        codes = tuple(int(lab, 2) if lab else 0 for lab in self.labels)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "vertex_of", {c: v for v, c in enumerate(codes)})
         covered = 0
         for start, size in self.blocks:
             if start != covered:
@@ -190,21 +209,32 @@ def widen_labels(network: SignedWeightedGraph, labeling: NetworkLabeling
 # ---------------------------------------------------------------------------
 # sub-hypercube selection
 
-def _subcube_plan(labels: tuple[str, ...], edges: tuple[Edge, ...],
+def _subcube_plan(labeling: NetworkLabeling, edges: tuple[Edge, ...],
                   u: int, v: int) -> SwitchPlan:
     """Switch plan keeping the induced sub-hypercube where u, v are antipodal.
 
     Keep exactly the existing vertices that agree with u on every position
-    where u and v agree; verifies the kept set is a complete hypercube.
+    where u and v agree, in code order, and check only that all 2^d of them
+    exist; `execute_route` verifies the block's edges.
     """
-    lu, lv = labels[u], labels[v]
-    if lu == lv:
+    cu, cv = labeling.codes[u], labeling.codes[v]
+    if cu == cv:
         raise ValueError("endpoints must differ")
-    m = tuple(j for j, (a, b) in enumerate(zip(lu, lv)) if a == b)
-    bits = tuple(int(lu[j]) for j in m)
-    dim = len(lu) - len(m)
-    keep = tuple(i for i, lab in enumerate(labels)
-                 if all(lab[j] == lu[j] for j in m))
+    width, free = labeling.width, cu ^ cv
+    m = tuple(j for j in range(width) if not free >> (width - 1 - j) & 1)
+    bits = tuple(cu >> (width - 1 - j) & 1 for j in m)
+    dim = free.bit_count()
+    base = cu & ~free
+    keep = []
+    sub = 0
+    while True:     # the submasks of free in ascending order
+        i = labeling.vertex_of.get(base | sub)
+        if i is not None:
+            keep.append(i)
+        sub = (sub - free) & free
+        if sub == 0:
+            break
+    keep = tuple(keep)
     if len(keep) != 1 << dim:
         raise ValueError(
             f"vertices matching the fixed bits form {len(keep)} vertices, "
@@ -226,9 +256,9 @@ def find_subhypercube(k: int, u: str, v: str) -> SwitchPlan:
         raise ValueError(f"labels must have length {k}")
     if u == v:
         raise ValueError("endpoints must differ")
-    host = hypercube(k)
-    assert host.labels is not None
-    return _subcube_plan(host.labels, host.edges, host.index_of(u), host.index_of(v))
+    labeling = hypercube_labeling(k)
+    return _subcube_plan(labeling, hypercube(k).edges,
+                         labeling.index_of(u), labeling.index_of(v))
 
 
 def switch_off_count(k: int, i: int) -> int:
@@ -243,13 +273,14 @@ def switch_off_count(k: int, i: int) -> int:
 
 def _bridge_partner(labeling: NetworkLabeling, vertex: int, block: int) -> int:
     """The unique Hamming-1 mirror of a smaller-cube vertex inside a larger cube."""
-    label = labeling.labels[vertex]
+    code = labeling.codes[vertex]
     start, size = labeling.blocks[block]
-    partners = [i for i in range(start, start + size)
-                if hamming(labeling.labels[i], label) == 1]
+    partners = [i for i in (labeling.vertex_of.get(code ^ (1 << b))
+                            for b in range(labeling.width))
+                if i is not None and start <= i < start + size]
     if not partners:
-        raise ValueError(f"no bridge from {label} into block {block}")
-    return min(partners, key=lambda i: labeling.labels[i])
+        raise ValueError(f"no bridge from {labeling.labels[vertex]} into block {block}")
+    return min(partners, key=lambda i: labeling.codes[i])
 
 
 def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
@@ -272,10 +303,10 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
     t0 = HOP_TIME_UNIT_WEIGHT / weight
     if u == w:
         return HopPlan((), 0.0)
-    labels, edges = labeling.labels, network.edges
+    edges = network.edges
     bu, bw = labeling.block_of(u), labeling.block_of(w)
     if bu == bw:
-        plan = _subcube_plan(labels, edges, u, w)
+        plan = _subcube_plan(labeling, edges, u, w)
         return HopPlan((Hop(plan, u, w, t0),), t0)
     # smaller cube's endpoint crosses the bridge into the larger cube
     if labeling.blocks[bu][1] < labeling.blocks[bw][1]:
@@ -285,11 +316,11 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
         small, big, big_block = w, u, bu
         source_in_small = False
     x = _bridge_partner(labeling, small, big_block)
-    bridge = _subcube_plan(labels, edges, small, x)
+    bridge = _subcube_plan(labeling, edges, small, x)
     if x == big:
         hop = Hop(bridge, u, w, t0)
         return HopPlan((hop,), t0)
-    cube = _subcube_plan(labels, edges, x, big)
+    cube = _subcube_plan(labeling, edges, x, big)
     if source_in_small:
         hops = (Hop(bridge, u, x, t0), Hop(cube, x, w, t0))
     else:
@@ -300,14 +331,16 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
 def execute_route(network: SignedWeightedGraph, plan: HopPlan,
                   input_state: np.ndarray, switch_lag: float = 0.0
                   ) -> tuple[np.ndarray, TransferReport]:
-    """Run the step-function evolution exp(-i A_2 t0) exp(-i A_1 t0).
+    """Run the step-function evolution exp(-i A_2 t_2) exp(-i A_1 t_1).
 
     Each hop's adjacency acts only on its kept sub-hypercube; switched-off
-    vertices are isolated and evolve trivially, so the evolution is applied
-    exactly on the kept block of the network's adjacency.  A positive
-    switch_lag models the off-time between hops (all couplings open,
-    A = 0), which parks the state and only adds to the reported transfer
-    time.
+    vertices are isolated and evolve trivially.  The kept block must be
+    exactly a uniform Q_d on the positions of keep_vertices (see
+    `_kept_cube_weight`, which raises ValueError otherwise), so the hop is
+    the exact product evolution `hypercube_apply` for the hop's duration.
+    A positive switch_lag models the off-time between hops (all couplings
+    open, A = 0), which parks the state and only adds to the reported
+    transfer time.
     """
     state = np.asarray(input_state, dtype=complex).copy()
     if state.shape != (network.vertex_count,):
@@ -322,12 +355,12 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
     source = plan.hops[0].source
     if abs(abs(state[source]) - 1.0) > 1e-9:
         raise ValueError("input state must be concentrated on the hop source")
-    a = adjacency(network)
     total = 0.0
     for i, hop in enumerate(plan.hops):
+        weight = _kept_cube_weight(network, hop.plan)
         keep = list(hop.plan.keep_vertices)
-        spec = Spectrum(*np.linalg.eigh(a[np.ix_(keep, keep)]))
-        state[keep] = spec.apply(hop.duration, state[keep])
+        state[keep] = hypercube_apply(hop.plan.sub_dimension, weight,
+                                      hop.duration, state[keep])
         total += hop.duration
         if i < len(plan.hops) - 1:
             total += switch_lag
@@ -337,6 +370,36 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
     return state, TransferReport(mag, float(np.angle(amp)), total,
                                  mag >= 1.0 - 1e-9,
                                  (plan.hops[0].source, target))
+
+
+def _kept_cube_weight(network: SignedWeightedGraph, plan: SwitchPlan) -> float:
+    """The common weight of a hop's kept block, checked to be a uniform Q_d.
+
+    One pass over the network's edges: every edge with both ends kept must
+    join positions of keep_vertices that differ in one bit, with sign +1 and
+    the weight of the first such edge, and there must be d 2^(d-1) of them.
+    """
+    dim, keep = plan.sub_dimension, plan.keep_vertices
+    if len(keep) != 1 << dim:
+        raise ValueError(f"{len(keep)} kept vertices cannot form Q_{dim}")
+    position = {v: p for p, v in enumerate(keep)}
+    weight = None
+    count = 0
+    for e in network.edges:
+        p, q = position.get(e.u), position.get(e.v)
+        if p is None or q is None:
+            continue
+        if weight is None:
+            weight = e.weight
+        if (p ^ q).bit_count() != 1 or e.sign != 1 or e.weight != weight:
+            raise ValueError(
+                f"kept edge ({e.u},{e.v}) with weight {e.weight} and sign "
+                f"{e.sign:+d} breaks the uniform Q_{dim} block of the hop")
+        count += 1
+    expected = dim * (1 << dim) // 2
+    if count != expected:
+        raise ValueError(f"kept block has {count} edges; Q_{dim} needs {expected}")
+    return 0.0 if weight is None else weight   # Q_0 has no coupling
 
 
 # ---------------------------------------------------------------------------

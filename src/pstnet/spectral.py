@@ -1,12 +1,19 @@
 """Quantum-walk evolution and perfect state transfer condition checks.
 
-Everything runs through an eigendecomposition of the (real symmetric)
+Evolution runs through an eigendecomposition of the (real symmetric)
 graph matrix, never a series or Pade exponential: U(t) = V e^{-i t diag(w)} V^T.
 `Spectrum` is the one place that turns eigenpairs into dynamics, with two
 kernels: `Spectrum.apply` evolves a vector to one time, and
 `Spectrum.amplitude` gives <v|U(t)|u> of one pair at one time or over a
 grid of times (`Spectrum.propagator` is the full matrix at one time).
 Dense solves are refused above DENSE_MAX_DIM vertices.
+
+The one non-eigenpair kernel is `hypercube_apply`: the uniform-weight
+hypercube Q_d has A = sum_b X_b over its d bit positions, so
+exp(-i w t A) is the tensor product of d single-bit rotations
+cos(wt) I - i sin(wt) X, applied one axis at a time in O(d 2^d) with no
+solve.  Routing hops use it; `Spectrum` is its oracle in the tests.
+
 Transfer amplitudes, fidelities, spectral PST conditions, symmetry
 operators, bipartite phase classes and the full-spin XY oracle live here.
 
@@ -23,7 +30,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .graphs import SignedWeightedGraph, graph_matrix, is_balanced
 
@@ -77,6 +83,26 @@ class Spectrum:
         if np.ndim(t) == 0:
             return complex(np.sum(coeffs * np.exp(-1j * t * self.eigenvalues)))
         return np.exp(-1j * np.outer(t, self.eigenvalues)) @ coeffs
+
+
+def hypercube_apply(dimension: int, weight: float, t: float,
+                    state: np.ndarray) -> np.ndarray:
+    """exp(-i t w A(Q_d)) @ state for the uniform-weight hypercube Q_d.
+
+    Position p of the state is the hypercube vertex whose d bits are the
+    bits of p, so positions differing in one bit are adjacent.  Each pass
+    applies [[cos(wt), -i sin(wt)], [-i sin(wt), cos(wt)]] to the leading
+    bit of the (2, 2^(d-1)) view and rotates that bit to the end; after d
+    passes every bit is rotated once and back in place.
+    """
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (1 << dimension,):
+        raise ValueError(f"state of shape {state.shape} does not fit Q_{dimension}")
+    c, s = math.cos(weight * t), -1j * math.sin(weight * t)
+    gate = np.array([[c, s], [s, c]])
+    for _ in range(dimension):
+        state = (gate @ state.reshape(2, -1)).T
+    return state.reshape(-1)
 
 
 def _check_dense_dim(dim: int) -> None:
@@ -295,6 +321,8 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
 
 def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float
                  ) -> tuple[float, float]:
+    # imported here: scipy.optimize alone costs most of `import pstnet`
+    from scipy.optimize import minimize_scalar
     lo, hi = max(0.0, t0 - dt), t0 + dt
     res = minimize_scalar(lambda t: -abs(spec.amplitude(u, v, t)),
                           bounds=(lo, hi), method="bounded",

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pstnet
 from pstnet import spectral
 from pstnet.cli import run
 from pstnet.fileio import (GraphFormatError, emit_csv, fmt, parse_graph_text,
@@ -127,6 +133,40 @@ def test_route_worked_example(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [h["target"] for h in payload["hops"]] == ["00100", "01011"]
     assert payload["magnitude"] == pytest.approx(1.0, abs=1e-9)
+
+
+def _python_m_pstnet(*args, memory_limit=None):
+    """Run `python -m pstnet` in a child, optionally under an address-space cap."""
+    src = str(Path(pstnet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
+    return subprocess.run([sys.executable, "-m", "pstnet", *args],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=cap if memory_limit else None)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python_m_pstnet("route", "--n", "31", "--from", "10100", "--to", "01011")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[:2] == [
+        "hop 1: 10100 -> 00100 (Q_1, t=1.57079632679, 74 edges off)",
+        "hop 2: 00100 -> 01011 (Q_4, t=1.57079632679, 43 edges off)"]
+
+
+def test_route_on_a_network_beyond_dense_reach():
+    # a 20000 x 20000 adjacency alone would take 3 GiB, over the 2 GB cap;
+    # the hops only touch a Q_8 and a Q_1
+    done = _python_m_pstnet("route", "--n", "20000", "--from", "000000000000000",
+                            "--to", "100111000011111", "--json",
+                            memory_limit=2_000_000_000)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert [h["sub_dimension"] for h in payload["hops"]] == [8, 1]
+    assert payload["magnitude"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_route_state_csv(tmp_path, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from pstnet import graphs
 from pstnet.graphs import SignedWeightedGraph, adjacency, hypercube
-from pstnet.routing import (CapacityError, antipodal, build_network,
-                            classify_neighborhood, execute_route,
-                            find_subhypercube, grow, hamming,
+from pstnet.routing import (CapacityError, Hop, HopPlan, NetworkLabeling,
+                            antipodal, build_network, classify_neighborhood,
+                            execute_route, find_subhypercube, grow, hamming,
                             hypercube_labeling, network_edge_count, plan_route,
                             swap_baseline, switch_off_count, widen_labels)
 
@@ -90,6 +92,16 @@ def test_edge_count_formula_exhaustive():
     for n in range(2, 65):
         g, _ = build_network(n)
         assert g.edge_count == network_edge_count(n)
+
+
+def test_labeling_codes_and_label_checks():
+    _, lab = build_network(11)
+    assert lab.codes == tuple(range(11))
+    assert lab.vertex_of[0b1010] == 10
+    with pytest.raises(ValueError, match="equal length"):
+        NetworkLabeling(("0", "01"), ((0, 2),))
+    with pytest.raises(ValueError, match="binary"):
+        NetworkLabeling(("01", "0b"), ((0, 2),))
 
 
 def test_network_rejects_tiny_order():
@@ -288,6 +300,98 @@ def test_switch_lag_only_adds_time():
     final_b, rep_b = execute_route(g, plan, state, switch_lag=0.3)
     np.testing.assert_allclose(final_a, final_b, atol=1e-12)
     assert rep_b.time == pytest.approx(rep_a.time + 0.3)
+
+
+def test_execute_route_matches_expm_for_all_pairs():
+    """Every ordered pair of the networks up to 16 vertices, with random
+    hop durations and switch lag, against expm of each hop's switched matrix."""
+    for n in range(2, 17):
+        g, lab = build_network(n)
+        for u in range(n):
+            for w in range(n):
+                if u == w:
+                    continue
+                route = plan_route(g, lab, u, w)
+                hops = tuple(Hop(h.plan, h.source, h.target, RNG.uniform(0.0, 4.0))
+                             for h in route.hops)
+                lag = RNG.uniform(0.0, 1.0)
+                state = np.zeros(n, dtype=complex)
+                state[u] = 1.0
+                final, rep = execute_route(g, HopPlan(hops, 0.0), state,
+                                           switch_lag=lag)
+                expect = state
+                for h in hops:
+                    expect = expm(-1j * h.duration
+                                  * _hop_matrix(g, h.plan.keep_vertices)) @ expect
+                np.testing.assert_allclose(final, expect, atol=1e-12, rtol=0)
+                assert rep.time == pytest.approx(
+                    sum(h.duration for h in hops) + lag * (len(hops) - 1))
+
+
+def _with_edge(g, index, weight, sign):
+    edges = list(g.edges)
+    e = edges[index]
+    edges[index] = type(e)(e.u, e.v, weight, sign)
+    return SignedWeightedGraph(g.vertex_count, tuple(edges), labels=g.labels)
+
+
+def test_execution_refuses_a_kept_edge_that_is_not_uniform():
+    g, lab = build_network(31)
+    u, w = lab.index_of("10100"), lab.index_of("01011")
+    plan = plan_route(g, lab, u, w)
+    keep = set(plan.hops[1].plan.keep_vertices)
+    # the block's last edge, so the weight of an earlier one sets the norm
+    kept = max(i for i, e in enumerate(g.edges) if e.u in keep and e.v in keep)
+    e = g.edges[kept]
+    state = np.zeros(31, dtype=complex)
+    state[u] = 1.0
+    for weight, sign in ((1.0, -1), (1.5, 1)):
+        bad = _with_edge(g, kept, weight, sign)
+        with pytest.raises(ValueError, match=rf"kept edge \({e.u},{e.v}\)"):
+            execute_route(bad, plan, state)
+
+
+def test_execution_refuses_a_block_that_is_not_a_hypercube():
+    g, lab = build_network(8)
+    plan = plan_route(g, lab, 0, 7)
+    state = np.zeros(8, dtype=complex)
+    state[0] = 1.0
+    missing = SignedWeightedGraph(8, g.edges[1:], labels=g.labels)
+    with pytest.raises(ValueError, match="Q_3 needs 12"):
+        execute_route(missing, plan, state)
+    extra = SignedWeightedGraph(8, g.edges + ((0, 3, 1.0, 1),), labels=g.labels)
+    with pytest.raises(ValueError, match=r"kept edge \(0,3\)"):
+        execute_route(extra, plan, state)
+
+
+def test_negative_sign_on_a_switched_off_edge_is_harmless():
+    g, lab = build_network(31)
+    u, w = lab.index_of("10100"), lab.index_of("01011")
+    plan = plan_route(g, lab, u, w)
+    off = set(plan.hops[0].plan.off_edges) & set(plan.hops[1].plan.off_edges)
+    index = next(i for i, e in enumerate(g.edges) if (e.u, e.v) in off)
+    signed = _with_edge(g, index, 1.0, -1)
+    plan = plan_route(signed, lab, u, w)
+    state = np.zeros(31, dtype=complex)
+    state[u] = 1.0
+    _, rep = execute_route(signed, plan, state)
+    assert abs(rep.magnitude - 1.0) <= 1e-12
+
+
+def test_routing_builds_no_matrix_and_solves_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix or eigensolve on the routing path")
+
+    monkeypatch.setattr(graphs, "adjacency", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for n in range(2, 21):
+        g, lab = build_network(n)
+        for u in range(n):
+            state = np.zeros(n, dtype=complex)
+            state[u] = 1.0
+            for w in range(n):
+                _, rep = execute_route(g, plan_route(g, lab, u, w), state)
+                assert rep.magnitude >= 1 - 1e-12
 
 
 # --- neighborhood classification -----------------------------------------------------

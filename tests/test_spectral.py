@@ -9,7 +9,8 @@ from pstnet.graphs import (adjacency, complete_graph, cycle_graph, hypercube,
                            make_graph, path_graph)
 from pstnet.spectral import (Spectrum, balanced_equivalent_amplitude,
                              bipartite_phase_audit, check_pst_conditions,
-                             evolve, graph_distance, max_fidelity_scan,
+                             evolve, graph_distance, hypercube_apply,
+                             max_fidelity_scan,
                              periodicity_check, rationality_check,
                              spin_oracle_check, symmetry_operator,
                              transfer_amplitude, transfer_series)
@@ -38,6 +39,30 @@ def test_k2_full_swap_at_half_pi():
     assert abs(abs(out[1]) - 1.0) < 1e-12
     # transfer phase is -i for the odd-distance pair
     np.testing.assert_allclose(out[1], -1j, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_hypercube_kernel_matches_spectrum(d):
+    n = 1 << d
+    for _ in range(3):
+        w, t = RNG.uniform(0.1, 3.0), RNG.uniform(-5.0, 5.0)
+        host = hypercube(d)
+        weighted = make_graph(n, [(e.u, e.v, w) for e in host.edges])
+        state = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+        state /= np.linalg.norm(state)
+        np.testing.assert_allclose(hypercube_apply(d, w, t, state),
+                                   Spectrum.from_graph(weighted).apply(t, state),
+                                   atol=1e-12, rtol=0)
+
+
+def test_hypercube_kernel_antipodal_phase_and_shape_check():
+    for d in range(0, 7):
+        start = np.zeros(1 << d, dtype=complex)
+        start[0] = 1.0
+        out = hypercube_apply(d, 2.0, math.pi / 4, start)
+        np.testing.assert_allclose(out[-1], (-1j) ** d, atol=1e-15)
+    with pytest.raises(ValueError, match="Q_3"):
+        hypercube_apply(3, 1.0, 1.0, np.ones(6))
 
 
 def test_p3_end_to_end_closed_form():
