@@ -25,17 +25,13 @@ COLUMN_PROJECT_MAX_DIM = 16
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Mirror-symmetric chain: couplings J_1..J_{n-1}, optional fields B_1..B_n."""
+    """Mirror-symmetric chain: couplings J_1..J_{n-1}."""
 
     couplings: tuple[float, ...]
-    fields: tuple[float, ...]
 
     def __post_init__(self):
-        n = self.length
-        if n < 2:
+        if self.length < 2:
             raise ValueError("chain needs at least 2 sites")
-        if len(self.fields) != n:
-            raise ValueError("fields must cover every site")
         js = self.couplings
         for i in range(len(js)):
             if js[i] <= 0:
@@ -48,34 +44,19 @@ class ChainSpec:
         return len(self.couplings) + 1
 
 
-def chain_matrix(spec: ChainSpec, include_fields: bool = False) -> np.ndarray:
+def chain_matrix(spec: ChainSpec) -> np.ndarray:
     n = spec.length
     m = np.zeros((n, n))
     for i, j in enumerate(spec.couplings):
         m[i, i + 1] = m[i + 1, i] = j
-    if include_fields:
-        m += np.diag(spec.fields)
     return m
 
 
 def pst_chain(n_c: int) -> ChainSpec:
-    """Perfect-transfer chain of length n_c: J_i = sqrt(i (n_c - i)).
-
-    The Heisenberg-variant fields B_j = (J_{j-1}+J_j)/2 - sum_k J_k/(2(n_c-2))
-    cancel the diagonal for n_c >= 3; the two-site chain needs no fields
-    since its XY and Heisenberg single-excitation dynamics already agree up
-    to a global phase.
-    """
+    """Perfect-transfer chain of length n_c: J_i = sqrt(i (n_c - i))."""
     if n_c < 2:
         raise ValueError("chain needs at least 2 sites")
-    js = tuple(math.sqrt(i * (n_c - i)) for i in range(1, n_c))
-    if n_c == 2:
-        return ChainSpec(js, (0.0, 0.0))
-    total = sum(js)
-    padded = (0.0,) + js + (0.0,)
-    fields = tuple(0.5 * (padded[j - 1] + padded[j]) - total / (2 * (n_c - 2))
-                   for j in range(1, n_c + 1))
-    return ChainSpec(js, fields)
+    return ChainSpec(tuple(math.sqrt(i * (n_c - i)) for i in range(1, n_c)))
 
 
 def _column_vectors(k: int) -> list[np.ndarray]:
@@ -120,7 +101,7 @@ def column_project(k: int) -> ChainSpec:
             image = image - js[i] * cols[i + 1]
         if np.max(np.abs(image)) > 1e-9:
             raise AssertionError("column space is not closed under the adjacency")
-    return ChainSpec(tuple(js), (0.0,) * n_c)
+    return ChainSpec(tuple(js))
 
 
 def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
@@ -150,6 +131,6 @@ def unmodulated_no_pst_scan(n: int, t_max: float,
         raise ValueError("chain needs at least 2 sites")
     if dt is None:
         dt = min(0.01, t_max / 1e5)
-    spec = ChainSpec((1.0,) * (n - 1), (0.0,) * n)
+    spec = ChainSpec((1.0,) * (n - 1))
     spectrum = Spectrum.from_matrix(chain_matrix(spec))
     return max_fidelity_scan_spectrum(spectrum, 0, n - 1, t_max, dt)

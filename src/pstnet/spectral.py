@@ -17,6 +17,14 @@ solve.  Routing hops use it; `Spectrum` is its oracle in the tests.
 Transfer amplitudes, fidelities, spectral PST conditions, symmetry
 operators, bipartite phase classes and the full-spin XY oracle live here.
 
+`check_pst_conditions` decides PST exactly, with no time search.  Let
+l_0 < ... < l_max be the eigenvalues whose eigenspaces E_r do not
+annihilate e_u, and sigma_r = +-1 the sign with E_r e_u = sigma_r E_r e_v.
+The gap ratios (l_r - l_0)/(l_max - l_0) are recognised as fractions, so
+the gaps are l_r - l_0 = n_r Delta with integers n_r, gcd(n_r) = 1.  PST
+from u to v holds iff every sigma_r exists and n_r is odd exactly where
+sigma_r != sigma_0; the first PST time is then pi/Delta.
+
 Conventions: hbar = 1, edge weight = single-excitation matrix element
 (so the XY exchange constant is J_ij = weight/2), fidelity of a pure pair
 is the amplitude magnitude |<v|U(t)|u>|.
@@ -135,7 +143,6 @@ class PSTConditionReport:
     support_eigenvalues: np.ndarray
     best_time: Optional[float]
     best_magnitude: float
-    rationality_witness: list
 
 
 @dataclass
@@ -159,6 +166,7 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
                        matrix_kind: str = "adjacency",
                        tol: float = DEFAULT_PST_TOL) -> TransferReport:
     """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix."""
+    _check_vertices(g.vertex_count, u, v)
     spec = Spectrum.from_graph(g, matrix_kind)
     amp = spec.amplitude(u, v, t)
     mag = abs(amp)
@@ -169,6 +177,7 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
 def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
                     matrix_kind: str = "adjacency") -> list[tuple[float, float, float]]:
     """Rows (t, magnitude, phase) for CSV emission."""
+    _check_vertices(g.vertex_count, u, v)
     spec = Spectrum.from_graph(g, matrix_kind)
     amps = spec.amplitude(u, v, np.asarray(ts, dtype=float))
     return [(float(t), float(abs(a)), float(np.angle(a))) for t, a in zip(ts, amps)]
@@ -178,28 +187,16 @@ def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
 # eigenvalue rationality
 
 def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[Fraction]:
-    """Rational recognition via continued-fraction termination.
+    """The best p/q with q <= max_denominator, if |x - p/q| <= max(tol/q^2, 1e-13).
 
-    A value is accepted as p/q only when its continued fraction terminates
-    (fractional part below tol) before the convergent denominator exceeds
-    max_denominator.  Quadratic surds keep producing bounded partial
-    quotients, so their denominators blow past the bound and they are
-    rejected even though some convergent approximates them closely.
+    The tol/q^2 term accepts small denominators with room for noise; the
+    1e-13 floor, about a thousand ulps of a ratio in [0, 1], accepts the
+    larger ones that float eigenvalues still pin down.  Quadratic surds
+    stay outside both: their best approximations miss by about
+    1/q^2 >= 1e-12.
     """
-    a = math.floor(x)
-    p0, q0 = 1, 0
-    p1, q1 = a, 1
-    frac = x - a
-    for _ in range(128):
-        if q1 > max_denominator:
-            return None
-        if abs(frac) < tol:
-            return Fraction(p1, q1)
-        x = 1.0 / frac
-        a = math.floor(x)
-        frac = x - a
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-    return None
+    frac = Fraction(x).limit_denominator(max_denominator)
+    return frac if abs(x - frac) <= max(tol / frac.denominator ** 2, 1e-13) else None
 
 
 def rationality_check(eigs: Sequence[float], tol: float = DEFAULT_PST_TOL,
@@ -207,24 +204,19 @@ def rationality_check(eigs: Sequence[float], tol: float = DEFAULT_PST_TOL,
                       ) -> tuple[bool, list]:
     """Check that all ratios of eigenvalue differences are rational.
 
-    Ratios are taken against the largest gap; if each (e_j - e_l)/ref is
-    rational then so is any ratio of differences.  Returns (flag, witness)
-    where the witness lists (ratio, Fraction-or-None) per pair.
+    Ratios are taken from the lowest distinct value e_0 over the spread
+    e_max - e_0; any difference e_j - e_l is the difference of two such
+    gaps, so every ratio of differences is rational exactly when these
+    are.  Returns (flag, witness) where the witness lists
+    (ratio, Fraction-or-None) per value above e_0, in ascending order.
     """
     vals = np.unique(np.asarray(eigs, dtype=float))
-    if len(vals) < 3:
+    if len(vals) < 2:
         return True, []
     ref = vals[-1] - vals[0]
-    witness = []
-    ok = True
-    for j in range(len(vals)):
-        for l in range(j):
-            ratio = (vals[j] - vals[l]) / ref
-            frac = _recognize_rational(ratio, tol, max_denominator)
-            witness.append((float(ratio), frac))
-            if frac is None:
-                ok = False
-    return ok, witness
+    witness = [(r, _recognize_rational(r, tol, max_denominator))
+               for r in ((vals[1:] - vals[0]) / ref).tolist()]
+    return all(frac is not None for _, frac in witness), witness
 
 
 def _eigen_groups(eigenvalues: np.ndarray, rel_tol: float = 1e-8) -> list[np.ndarray]:
@@ -240,83 +232,85 @@ def _eigen_groups(eigenvalues: np.ndarray, rel_tol: float = 1e-8) -> list[np.nda
     return groups
 
 
-def _candidate_period(support: np.ndarray, tol: float,
-                      max_denominator: int) -> Optional[float]:
-    """Recurrence period of the support phases from the rational gap lattice."""
-    diffs = support - support[0]
-    ref = diffs[-1]
-    if ref <= 0:
-        return None
-    lcm = 1
-    fracs = []
-    for d in diffs[1:]:
-        f = _recognize_rational(d / ref, tol, max_denominator)
-        if f is None:
-            return None
-        fracs.append(f)
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    delta = ref / lcm
-    ints = [round(d / delta) for d in diffs[1:]]
-    g = 0
-    for m in ints:
-        g = math.gcd(g, m)
-    if g == 0:
-        return None
-    return 2.0 * math.pi / (delta * g)
+def _pair_eigenspaces(spec: Spectrum, u: int, v: int, tol: float
+                      ) -> tuple[bool, list[tuple[np.ndarray, bool, int]]]:
+    """Per eigenspace E of spec: (indices, E e_u != 0, sign of <u|E|v> or 1).
+
+    The flag is the vector condition: in every eigenspace the projections
+    of |u> and |v> have equal norm and are parallel, so E e_u = sigma E e_v
+    with sigma the returned sign (degeneracy-safe via eigenprojectors).
+    """
+    vecs = spec.eigenvectors
+    vec_ok = True
+    spaces = []
+    for idx in _eigen_groups(spec.eigenvalues):
+        pu, pv = vecs[u, idx], vecs[v, idx]
+        nu, nv = np.linalg.norm(pu), np.linalg.norm(pv)
+        overlap = float(pu @ pv)
+        if abs(nu - nv) > tol or (nu > tol and nv > tol and
+                                  abs(abs(overlap) - nu * nv) > tol * max(1.0, nu * nv)):
+            vec_ok = False
+        spaces.append((idx, bool(nu > tol), -1 if nu > tol and overlap < 0 else 1))
+    return vec_ok, spaces
+
+
+def _check_vertices(n: int, *vertices: int) -> None:
+    for x in vertices:
+        if not 0 <= x < n:
+            raise ValueError(f"vertex {x} is outside 0..{n - 1}")
 
 
 def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
                          matrix_kind: str = "adjacency",
-                         tol: float = DEFAULT_CONDITION_TOL,
-                         max_denominator: int = DEFAULT_MAX_DENOMINATOR
-                         ) -> PSTConditionReport:
-    """Spectral PST conditions for the pair (u, v).
+                         tol: float = DEFAULT_CONDITION_TOL) -> PSTConditionReport:
+    """Exact spectral PST test for the pair (u, v): no time search.
 
-    vector_condition: per eigenspace the projections of |u> and |v> have
-    equal norm and are parallel (degeneracy-safe via eigenprojectors).
-    rationality: ratios of eigenvalue differences over the support of u.
-    eigenvalue_condition: |sum_j e^{-i l_j t} <v|P_j|u>| reaches 1 at some
-    t inside one recurrence period of the rational eigenvalue lattice.
+    vector_condition: E_r e_u = sigma_r E_r e_v with sigma_r = +-1 for every
+    eigenspace E_r (see `_pair_eigenspaces`).
+    rationality: every support gap ratio (l_r - l_0)/(l_max - l_0) is
+    recognised as a fraction, l_0 < ... < l_max being the eigenvalues
+    whose eigenspaces do not annihilate e_u.
+    eigenvalue_condition: with the gaps written exactly as l_r - l_0 =
+    n_r Delta, gcd(n_r) = 1, the parity rule n_r = [sigma_r != sigma_0]
+    (mod 2) holds for every r.  It is only asked once the vector
+    condition holds, so it is the PST verdict (Godsil, Discrete Math. 312,
+    2012; Kay, IJQI 8, 2010).
+
+    Why t0 = pi/Delta is the first PST time: <v|U(t)|u> =
+    sum_r sigma_r e^{-i l_r t} |E_r e_u|^2 has modulus 1 iff every
+    e^{-i n_r Delta t} equals sigma_r sigma_0.  That needs each n_r Delta t
+    in pi Z, so t = s pi/Delta with s an integer (as gcd(n_r) = 1), and
+    then n_r s = [sigma_r != sigma_0] (mod 2); u != v makes some sigma_r
+    differ from sigma_0, so s is odd, the parity rule holds, and s = 1 works.
+
+    best_time is t0 and best_magnitude |<v|U(t0)|u>|, a health number
+    that reads 1 up to rounding.  Without PST they are None and 0.0; for
+    u == v they are 0.0 and 1.0.
     """
+    _check_vertices(g.vertex_count, u, v)
     spec = Spectrum.from_graph(g, matrix_kind)
-    groups = _eigen_groups(spec.eigenvalues)
-    vecs = spec.eigenvectors
-    vec_ok = True
-    support_vals = []
-    for idx in groups:
-        pu = vecs[:, idx].T @ np.eye(spec.dimension)[u]
-        pv = vecs[:, idx].T @ np.eye(spec.dimension)[v]
-        nu, nv = np.linalg.norm(pu), np.linalg.norm(pv)
-        if abs(nu - nv) > tol:
-            vec_ok = False
-        if nu > tol and nv > tol:
-            # projections must be parallel within the eigenspace
-            if abs(abs(pu @ pv) - nu * nv) > tol * max(1.0, nu * nv):
-                vec_ok = False
-        if nu > tol:
-            support_vals.append(float(np.mean(spec.eigenvalues[idx])))
-    support = np.array(support_vals)
-    if len(support) < 2:
-        # state is (nearly) stationary; trivially periodic
-        return PSTConditionReport(vec_ok, u == v, True, support, 0.0,
-                                  1.0 if u == v else 0.0, [])
-
-    rational, witness = rationality_check(support, tol=DEFAULT_PST_TOL,
-                                          max_denominator=max_denominator)
-    best_t: Optional[float] = None
-    best_mag = 0.0
-    if rational:
-        period = _candidate_period(support, DEFAULT_PST_TOL, max_denominator)
-        if period is not None and np.isfinite(period):
-            ts = np.linspace(0.0, period, max(4096, 64 * len(support)))
-            mags = np.abs(spec.amplitude(u, v, ts))
-            k = int(np.argmax(mags))
-            dt = ts[1] - ts[0]
-            t_best, m_best = _refine_peak(spec, u, v, ts[k], dt)
-            best_t, best_mag = t_best, m_best
-    eig_ok = rational and best_mag >= 1.0 - tol
-    return PSTConditionReport(vec_ok, eig_ok, rational, support,
-                              best_t, best_mag, witness)
+    vec_ok, spaces = _pair_eigenspaces(spec, u, v, tol)
+    supported = [(idx, sign) for idx, in_support, sign in spaces if in_support]
+    support = np.array([float(np.mean(spec.eigenvalues[idx])) for idx, _ in supported])
+    rational, witness = rationality_check(support)
+    if u == v:
+        return PSTConditionReport(vec_ok, True, rational, support, 0.0, 1.0)
+    # u != v and the vector condition leave at least two support eigenvalues
+    eig_ok = vec_ok and rational
+    if eig_ok:
+        fracs = [frac for _, frac in witness]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        lattice = [f.numerator * (scale // f.denominator) for f in fracs]
+        common = math.gcd(*lattice)
+        steps = [k // common for k in lattice]
+        signs = [sign for _, sign in supported]
+        eig_ok = all(n_r % 2 == (s_r != signs[0]) for n_r, s_r in zip(steps, signs[1:]))
+    if not eig_ok:
+        return PSTConditionReport(vec_ok, False, rational, support, None, 0.0)
+    # Delta = (l_max - l_0) / n_max, the last fraction being exactly 1
+    t0 = math.pi * steps[-1] / float(support[-1] - support[0])
+    return PSTConditionReport(vec_ok, True, rational, support, t0,
+                              abs(spec.amplitude(u, v, t0)))
 
 
 def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float
@@ -383,25 +377,20 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
     magnitude condition fails, since then no such diagonal symmetry exists
     and PST between u and v is impossible by this route.
     """
-    report = check_pst_conditions(g, u, v, matrix_kind=matrix_kind, tol=tol)
-    if not report.vector_condition:
+    _check_vertices(g.vertex_count, u, v)
+    m = graph_matrix(g, matrix_kind)
+    spec = Spectrum.from_matrix(m)
+    vec_ok, spaces = _pair_eigenspaces(spec, u, v, tol)
+    if not vec_ok:
         raise ValueError(
             "eigenvector magnitude condition fails for this pair; "
             "no diagonal symmetry maps u to v and PST is impossible by this route")
-    m = graph_matrix(g, matrix_kind)
-    spec = Spectrum.from_matrix(m)
     n = spec.dimension
     s = np.zeros((n, n), dtype=complex)
-    eu, ev = np.eye(n)[u], np.eye(n)[v]
-    for idx in _eigen_groups(spec.eigenvalues):
+    for idx, _, sign in spaces:
         block = spec.eigenvectors[:, idx]
-        proj = block @ block.T
-        overlap = eu @ proj @ ev
-        if np.linalg.norm(proj @ eu) > tol:
-            phase = 0.0 if overlap >= 0 else math.pi
-            s += np.exp(1j * phase) * proj
-        else:
-            s += proj
+        s += sign * (block @ block.T)
+    eu, ev = np.eye(n)[u], np.eye(n)[v]
     commutes = np.max(np.abs(s @ m - m @ s)) <= 1e-8
     maps_pair = np.linalg.norm(s @ eu - ev) <= 1e-8
     return SymmetryReport(s, commutes, maps_pair)

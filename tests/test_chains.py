@@ -14,7 +14,6 @@ from pstnet.graphs import make_graph
 def test_two_site_chain():
     spec = pst_chain(2)
     assert spec.couplings == (1.0,)
-    assert spec.fields == (0.0, 0.0)
 
 
 def test_four_site_couplings():
@@ -28,17 +27,9 @@ def test_mirror_symmetry():
         np.testing.assert_allclose(js, js[::-1])
 
 
-def test_heisenberg_fields_formula():
-    spec = pst_chain(3)
-    js = (0.0, math.sqrt(2), math.sqrt(2), 0.0)
-    total = 2 * math.sqrt(2)
-    expected = [0.5 * (js[j - 1] + js[j]) - total / 2 for j in (1, 2, 3)]
-    np.testing.assert_allclose(spec.fields, expected)
-
-
 def test_chain_spec_rejects_asymmetric():
     with pytest.raises(ValueError):
-        ChainSpec((1.0, 2.0), (0.0, 0.0, 0.0))
+        ChainSpec((1.0, 2.0))
 
 
 def test_rejects_single_site():
@@ -122,8 +113,7 @@ def test_pst_conditions_hold_for_engineered_chains(n):
 
 def test_uniform_spectrum_closed_form():
     for n in (4, 6, 9):
-        got = np.linalg.eigvalsh(chain_matrix(ChainSpec((1.0,) * (n - 1),
-                                                        (0.0,) * n)))
+        got = np.linalg.eigvalsh(chain_matrix(ChainSpec((1.0,) * (n - 1))))
         np.testing.assert_allclose(got, unmodulated_chain_spectrum(n), atol=1e-9)
 
 

@@ -199,6 +199,14 @@ def test_dense_limit_is_an_input_error(monkeypatch, capsys):
     assert err == "dense eigensolve of dimension 16 exceeds the limit of 8\n"
 
 
+@pytest.mark.parametrize("src,dst,bad", [("-1", "1", "-1"), ("0", "5", "5")])
+def test_pst_vertex_outside_graph_is_an_input_error(src, dst, bad, capsys):
+    assert run(["pst", "--graph", "k2", "--from", src, "--to", dst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"vertex {bad} is outside 0..1\n"
+
+
 def test_unknown_flag_exit_code(capsys):
     assert run(["pst", "--graph", "k2", "--from", "0", "--to", "1",
                 "--bogus"]) == 2

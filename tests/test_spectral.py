@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from pstnet import spectral
-from pstnet.graphs import (adjacency, complete_graph, cycle_graph, hypercube,
-                           make_graph, path_graph)
+from pstnet.graphs import (adjacency, cartesian, complete_graph, cycle_graph,
+                           graph_matrix, hypercube, make_graph, path_graph)
 from pstnet.spectral import (Spectrum, balanced_equivalent_amplitude,
                              bipartite_phase_audit, check_pst_conditions,
                              evolve, graph_distance, hypercube_apply,
@@ -165,6 +166,48 @@ def test_condition_fails_for_non_cospectral_pair():
     assert not rep.vector_condition
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+@pytest.mark.parametrize("q", [99, 999, 9999])
+def test_k2_box_weak_k2_has_pst_at_q_half_pi(q, kind):
+    # K2(1) box K2(1/q): both factors swap at odd multiples of q pi/2 and
+    # pi/2, so 0 -> 3 first transfers at q pi/2 (q odd)
+    g = cartesian(make_graph(2, [(0, 1, 1.0)]), make_graph(2, [(0, 1, 1.0 / q)]))
+    rep = check_pst_conditions(g, 0, 3, matrix_kind=kind)
+    assert rep.vector_condition and rep.rationality and rep.eigenvalue_condition
+    assert rep.best_time == pytest.approx(q * math.pi / 2, rel=1e-9)
+    assert rep.best_magnitude == pytest.approx(1.0, abs=1e-9)
+    oracle = expm(-1j * rep.best_time * graph_matrix(g, kind))
+    assert abs(oracle[3, 0]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("g", [complete_graph(2), path_graph(4), cycle_graph(6)])
+def test_pair_with_itself_transfers_at_time_zero(g):
+    rep = check_pst_conditions(g, 1, 1)
+    assert rep.vector_condition and rep.eigenvalue_condition
+    assert rep.best_time == 0.0 and rep.best_magnitude == 1.0
+
+
+@pytest.mark.parametrize("g,u,v", [(cycle_graph(6), 0, 3), (path_graph(3), 0, 1)])
+def test_rational_pair_without_pst_reports_no_time(g, u, v):
+    # C6 0 -> 3 is strongly cospectral but fails the parity rule; P3 0 -> 1
+    # fails the vector condition
+    rep = check_pst_conditions(g, u, v)
+    assert rep.rationality and not rep.eigenvalue_condition
+    assert rep.best_time is None and rep.best_magnitude == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: check_pst_conditions(g, -1, 1),
+    lambda g: check_pst_conditions(g, 0, 2),
+    lambda g: transfer_amplitude(g, 0, 2, 1.0),
+    lambda g: transfer_series(g, -1, 0, [0.0, 1.0]),
+    lambda g: symmetry_operator(g, 2, 0),
+], ids=["pst-negative", "pst-high", "transfer", "series", "symmetry"])
+def test_vertices_outside_the_graph_are_refused(call):
+    with pytest.raises(ValueError, match="outside 0..1"):
+        call(complete_graph(2))
+
+
 # --- rationality ---------------------------------------------------------------
 
 def test_rationality_trivial_single_gap():
@@ -178,11 +221,18 @@ def test_rationality_integer_spectrum():
     assert all(frac is not None for _, frac in witness)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", range(4, 12))
 def test_rationality_rejects_surd_spectra(n):
     eigs = np.linalg.eigvalsh(adjacency(path_graph(n)))
     flag, _ = rationality_check(eigs, tol=1e-9, max_denominator=10 ** 6)
     assert not flag
+
+
+@pytest.mark.parametrize("q", [9999, 99999])
+def test_rationality_accepts_large_denominators(q):
+    flag, witness = rationality_check([-1 - 1 / q, -1 + 1 / q, 1 - 1 / q, 1 + 1 / q])
+    assert flag
+    assert [frac for _, frac in witness] == [Fraction(1, q + 1), Fraction(q, q + 1), 1]
 
 
 def test_rationality_accepts_noisy_rationals():
@@ -237,6 +287,14 @@ def test_symmetry_squares_to_identity_for_real_hamiltonians(g, u, v):
     rep = symmetry_operator(g, u, v)
     n = g.vertex_count
     np.testing.assert_allclose(rep.operator @ rep.operator, np.eye(n), atol=1e-8)
+
+
+def test_symmetry_operator_solves_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    symmetry_operator(hypercube(3), 0, 7)
+    assert calls == [(8, 8)]
 
 
 def test_symmetry_refuses_without_vector_condition():
