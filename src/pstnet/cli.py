@@ -74,6 +74,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_pst(args) -> int:
+    if not (math.isfinite(args.tmax) and args.tmax >= 0):
+        raise ValueError(f"--tmax must be finite and >= 0, got {args.tmax}")
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ValueError(f"--dt must be finite and > 0, got {args.dt}")
     g = _load_graph(args.graph)
     rep = check_pst_conditions(g, args.src, args.dst, matrix_kind=args.matrix)
     payload = {

@@ -58,11 +58,11 @@ def net_regularity(g: SignedWeightedGraph) -> Optional[int]:
     """d+ - d- when constant across vertices, else None."""
     if g.vertex_count == 0:
         return None
-    net = [0] * g.vertex_count
-    for u, v, _, s in g.edges:
-        net[u] += s
-        net[v] += s
-    return net[0] if len(set(net)) == 1 else None
+    u, v, sw = g.edge_arrays
+    signs = np.sign(sw)
+    net = np.bincount(np.concatenate((u, v)), weights=np.concatenate((signs, signs)),
+                      minlength=g.vertex_count)
+    return int(net[0]) if np.all(net == net[0]) else None
 
 
 def _validated(pairs: list[EigenPair], matrix: np.ndarray) -> list[EigenPair]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -85,6 +86,18 @@ class SignedWeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (u, v, sign * weight) per edge in edge order, built on first use."""
+        m = len(self.edges)
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=float,
+                           count=4 * m).reshape(m, 4)
+        arrays = (flat[:, 0].astype(np.intp), flat[:, 1].astype(np.intp),
+                  flat[:, 3] * flat[:, 2])
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in (e.u, e.v))
 
@@ -118,18 +131,24 @@ def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None
 
 def adjacency(g: SignedWeightedGraph) -> np.ndarray:
     """Signed weighted adjacency matrix, A[u,v] = sign * weight."""
+    u, v, sw = g.edge_arrays
     a = np.zeros((g.vertex_count, g.vertex_count))
-    for u, v, w, s in g.edges:
-        a[u, v] = a[v, u] = s * w
+    a[u, v] = sw
+    a[v, u] = sw
     return a
 
 
+def _weighted_degrees(g: SignedWeightedGraph) -> np.ndarray:
+    # bincount adds in input order, so interleaving the endpoints sums each
+    # vertex's weights edge by edge, u before v, the order of a Python loop
+    u, v, sw = g.edge_arrays
+    ends = np.column_stack((u, v)).reshape(-1)
+    return np.bincount(ends, weights=np.repeat(np.abs(sw), 2),
+                       minlength=g.vertex_count)
+
+
 def degree_matrix(g: SignedWeightedGraph) -> np.ndarray:
-    d = np.zeros(g.vertex_count)
-    for u, v, w, _ in g.edges:
-        d[u] += w
-        d[v] += w
-    return np.diag(d)
+    return np.diag(_weighted_degrees(g))
 
 
 def laplacian(g: SignedWeightedGraph) -> np.ndarray:
@@ -150,6 +169,25 @@ def graph_matrix(g: SignedWeightedGraph, kind: str) -> np.ndarray:
     if kind == "signless_laplacian":
         return signless_laplacian(g)
     raise ValueError(f"unknown matrix kind {kind!r}")
+
+
+def _csr_matrix(g: SignedWeightedGraph, kind: str):
+    """`graph_matrix(g, kind)` as a scipy CSR array, from the edge arrays."""
+    if kind not in ("adjacency", "laplacian", "signless_laplacian"):
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    # imported here: `import pstnet` loads no scipy
+    from scipy.sparse import csr_array
+    n = g.vertex_count
+    u, v, sw = g.edge_arrays
+    off = -sw if kind == "laplacian" else sw
+    rows, cols, data = [u, v], [v, u], [off, off]
+    if kind != "adjacency":
+        diag = np.arange(n)
+        rows.append(diag)
+        cols.append(diag)
+        data.append(_weighted_degrees(g))
+    return csr_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                     shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +301,15 @@ def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedW
 # ---------------------------------------------------------------------------
 # signed-graph structure
 
+def adjacency_lists(g: SignedWeightedGraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, (neighbour, edge sign) for each incident edge, in edge order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for u, v, _, s in g.edges:
+        adj[u].append((v, s))
+        adj[v].append((u, s))
+    return adj
+
+
 def is_balanced(g: SignedWeightedGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Detect balance by spanning-tree sign propagation plus a full edge audit.
 
@@ -270,10 +317,7 @@ def is_balanced(g: SignedWeightedGraph) -> tuple[bool, Optional[tuple[int, ...]]
     sign(u,v) = theta(u) * theta(v) on every edge, or (False, None).
     """
     n = g.vertex_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, _, s in g.edges:
-        adj[u].append((v, s))
-        adj[v].append((u, s))
+    adj = adjacency_lists(g)
     theta = [0] * n
     for root in range(n):
         if theta[root]:

@@ -1,18 +1,33 @@
 """Quantum-walk evolution and perfect state transfer condition checks.
 
-Evolution runs through an eigendecomposition of the (real symmetric)
-graph matrix, never a series or Pade exponential: U(t) = V e^{-i t diag(w)} V^T.
-`Spectrum` is the one place that turns eigenpairs into dynamics, with two
-kernels: `Spectrum.apply` evolves a vector to one time, and
-`Spectrum.amplitude` gives <v|U(t)|u> of one pair at one time or over a
-grid of times (`Spectrum.propagator` is the full matrix at one time).
-Dense solves are refused above DENSE_MAX_DIM vertices.
+Evolution mostly runs through an eigendecomposition of the (real
+symmetric) graph matrix: U(t) = V e^{-i t diag(w)} V^T.  `Spectrum` is the
+one place that turns eigenpairs into dynamics, with two kernels:
+`Spectrum.apply` evolves a vector to one time, and `Spectrum.amplitude`
+gives <v|U(t)|u> of one pair at one time or over a grid of times
+(`Spectrum.propagator` is the full matrix at one time).  Dense solves are
+refused above DENSE_MAX_DIM vertices.
 
-The one non-eigenpair kernel is `hypercube_apply`: the uniform-weight
-hypercube Q_d has A = sum_b X_b over its d bit positions, so
-exp(-i w t A) is the tensor product of d single-bit rotations
-cos(wt) I - i sin(wt) X, applied one axis at a time in O(d 2^d) with no
-solve.  Routing hops use it; `Spectrum` is its oracle in the tests.
+Two kernels need no eigenpairs:
+
+- `hypercube_apply`: the uniform-weight hypercube Q_d has A = sum_b X_b
+  over its d bit positions, so exp(-i w t A) is the tensor product of d
+  single-bit rotations cos(wt) I - i sin(wt) X, applied one axis at a time
+  in O(d 2^d) with no solve.  Routing hops use it; `Spectrum` is its oracle
+  in the tests.
+- `krylov_amplitude`: one column exp(-i t M) e_u by
+  `scipy.sparse.linalg.expm_multiply` (Al-Mohy & Higham, SIAM J. Sci.
+  Comput. 33, 2011) on the sparse graph matrix, with no dense limit.  A
+  column whose norm is off 1 by more than KRYLOV_NORM_TOL is refused.
+
+`transfer_amplitude`, one pair at one time, picks between a dense solve
+and the Krylov column by their estimated costs (`_prefers_krylov`):
+about 3e-10 n^3 s for the solve against
+1.5e-3 + (1 + ||tM||_1)(1.5e-4 + 2e-8 (nnz + n)) s for the column, whose
+number of products grows with the 1-norm of tM.  Above DENSE_MAX_DIM it
+always takes the column.  Everything that needs many times or a spectrum
+(`transfer_series`, the PST verdict, symmetry operators, scans) stays on
+`Spectrum`.
 
 Transfer amplitudes, fidelities, spectral PST conditions, symmetry
 operators, bipartite phase classes and the full-spin XY oracle live here.
@@ -39,7 +54,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import SignedWeightedGraph, graph_matrix, is_balanced
+from .graphs import (SignedWeightedGraph, _csr_matrix, _weighted_degrees,
+                     adjacency_lists, graph_matrix, is_balanced)
 
 DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
@@ -47,6 +63,17 @@ DEFAULT_MAX_DENOMINATOR = 10 ** 6
 SPIN_ORACLE_MAX_VERTICES = 12
 # largest dense eigensolve: 8192^2 doubles are 512 MiB per matrix copy
 DENSE_MAX_DIM = 8192
+KRYLOV_NORM_TOL = 1e-8
+# Cost model of `_prefers_krylov`, in seconds, fitted to single-thread
+# timings (2-CPU x86-64 box, numpy 2.4, scipy 1.17): a dense solve plus one
+# amplitude took 0.1-0.4 ms up to n = 64, 8 ms at n = 256, 40 ms at 512,
+# 0.27 s at 1024 and 1.9 s at 2048; a Krylov column took 1-1.5 ms at
+# ||tM||_1 < 1, then about 0.15 ms per unit of ||tM||_1 on small graphs and
+# 0.38 / 0.47 ms per unit on Q_10 / Q_11 (nnz 10240 / 22528).
+DENSE_S_PER_N3 = 3e-10
+KRYLOV_S_FIXED = 1.5e-3
+KRYLOV_S_PER_PRODUCT = 1.5e-4
+KRYLOV_S_PER_ENTRY = 2e-8
 
 
 @dataclass
@@ -113,6 +140,53 @@ def hypercube_apply(dimension: int, weight: float, t: float,
     return state.reshape(-1)
 
 
+def krylov_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
+                     matrix_kind: str = "adjacency") -> complex:
+    """<v| exp(-i t M) |u> from one Krylov column on the sparse graph matrix.
+
+    No dense matrix and no eigensolve, so it has no size limit.  The column
+    of a unitary has norm 1; a drift past KRYLOV_NORM_TOL raises ValueError
+    rather than returning a wrong amplitude.
+    """
+    _check_vertices(g.vertex_count, u, v)
+    _check_times(t)
+    # imported here: `import pstnet` loads no scipy
+    from scipy.sparse.linalg import expm_multiply
+    start = np.zeros(g.vertex_count, dtype=complex)
+    start[u] = 1.0
+    column = expm_multiply(-1j * t * _csr_matrix(g, matrix_kind), start)
+    drift = abs(float(np.linalg.norm(column)) - 1.0)
+    if drift > KRYLOV_NORM_TOL:
+        raise ValueError(f"Krylov column at t = {t} has norm drift {drift:.3g}, "
+                         f"above {KRYLOV_NORM_TOL}")
+    return complex(column[v])
+
+
+def _prefers_krylov(g: SignedWeightedGraph, t: float, matrix_kind: str) -> bool:
+    """True when one Krylov column is estimated cheaper than a dense solve."""
+    n = g.vertex_count
+    if n > DENSE_MAX_DIM:
+        return True
+    dense_s = DENSE_S_PER_N3 * n ** 3
+    if dense_s <= KRYLOV_S_FIXED:
+        return False
+    # ||M||_1 is the largest column sum: d_max for A, 2 d_max for L and L+
+    degrees = _weighted_degrees(g)
+    norm = abs(t) * float(degrees.max()) * (1 if matrix_kind == "adjacency" else 2)
+    products = 1.0 + norm
+    krylov_s = KRYLOV_S_FIXED + products * (
+        KRYLOV_S_PER_PRODUCT + KRYLOV_S_PER_ENTRY * (2 * g.edge_count + n))
+    return krylov_s < dense_s
+
+
+def _check_times(ts) -> None:
+    """Raise ValueError naming the first time that is NaN or infinite."""
+    times = np.asarray(ts, dtype=float)
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"time {bad[0]} is not finite")
+
+
 def _check_dense_dim(dim: int) -> None:
     if dim > DENSE_MAX_DIM:
         raise ValueError(f"dense eigensolve of dimension {dim} exceeds the "
@@ -165,10 +239,17 @@ def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
 def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
                        matrix_kind: str = "adjacency",
                        tol: float = DEFAULT_PST_TOL) -> TransferReport:
-    """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix."""
+    """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix.
+
+    A dense solve or one Krylov column, whichever `_prefers_krylov`
+    estimates cheaper; graphs above DENSE_MAX_DIM always take the column.
+    """
     _check_vertices(g.vertex_count, u, v)
-    spec = Spectrum.from_graph(g, matrix_kind)
-    amp = spec.amplitude(u, v, t)
+    _check_times(t)
+    if _prefers_krylov(g, t, matrix_kind):
+        amp = krylov_amplitude(g, u, v, t, matrix_kind)
+    else:
+        amp = Spectrum.from_graph(g, matrix_kind).amplitude(u, v, t)
     mag = abs(amp)
     phase = math.atan2(amp.imag, amp.real) if mag > 0 else 0.0
     return TransferReport(mag, phase, t, mag >= 1.0 - tol, (u, v))
@@ -178,6 +259,7 @@ def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
                     matrix_kind: str = "adjacency") -> list[tuple[float, float, float]]:
     """Rows (t, magnitude, phase) for CSV emission."""
     _check_vertices(g.vertex_count, u, v)
+    _check_times(ts)
     spec = Spectrum.from_graph(g, matrix_kind)
     amps = spec.amplitude(u, v, np.asarray(ts, dtype=float))
     return [(float(t), float(abs(a)), float(np.angle(a))) for t, a in zip(ts, amps)]
@@ -398,10 +480,7 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
 
 def _two_coloring(g: SignedWeightedGraph) -> Optional[list[int]]:
     color = [0] * g.vertex_count
-    adj = [[] for _ in range(g.vertex_count)]
-    for u, v, _, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = adjacency_lists(g)
     for root in range(g.vertex_count):
         if color[root]:
             continue
@@ -409,7 +488,7 @@ def _two_coloring(g: SignedWeightedGraph) -> Optional[list[int]]:
         stack = [root]
         while stack:
             a = stack.pop()
-            for b in adj[a]:
+            for b, _ in adj[a]:
                 if color[b] == 0:
                     color[b] = -color[a]
                     stack.append(b)
@@ -422,16 +501,13 @@ def graph_distance(g: SignedWeightedGraph, u: int, v: int) -> int:
     """BFS edge distance, ignoring weights and signs."""
     if u == v:
         return 0
-    adj = [[] for _ in range(g.vertex_count)]
-    for a, b, _, _ in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = adjacency_lists(g)
     dist = {u: 0}
     frontier = [u]
     while frontier:
         nxt = []
         for a in frontier:
-            for b in adj[a]:
+            for b, _ in adj[a]:
                 if b not in dist:
                     dist[b] = dist[a] + 1
                     if b == v:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class CouplerConfig:
     omega_i: float
     omega_j: float
     omega_c: float
-    alpha_i: float = 0.0      # anharmonicities are carried for bookkeeping
-    alpha_j: float = 0.0      # only; the two-level formulas do not use them
-    alpha_c: float = 0.0
 
     def __post_init__(self):
         for name in ("c_i", "c_j", "c_c", "c_ic", "c_jc", "c_ij"):
@@ -47,9 +44,7 @@ class CouplerConfig:
                 raise ValueError(f"{name} must be positive")
 
     def with_coupler_frequency(self, omega_c: float) -> "CouplerConfig":
-        return CouplerConfig(self.c_i, self.c_j, self.c_c, self.c_ic,
-                             self.c_jc, self.c_ij, self.omega_i, self.omega_j,
-                             omega_c, self.alpha_i, self.alpha_j, self.alpha_c)
+        return replace(self, omega_c=omega_c)
 
 
 @dataclass(frozen=True)
@@ -239,12 +234,15 @@ CONFIG_KEYS = {
     "C_i": "c_i", "C_j": "c_j", "C_c": "c_c", "C_ic": "c_ic",
     "C_jc": "c_jc", "C_ij": "c_ij",
     "omega_i": "omega_i", "omega_j": "omega_j", "omega_c": "omega_c",
-    "alpha_i": "alpha_i", "alpha_j": "alpha_j", "alpha_c": "alpha_c",
 }
 
 
 def parse_coupler_config(path: str) -> CouplerConfig:
-    """Read a `key = value` config: capacitances in fF, frequencies in GHz."""
+    """Read a `key = value` config: capacitances in fF, frequencies in GHz.
+
+    Every key of CONFIG_KEYS is required and any other key, such as an
+    anharmonicity `alpha_i`, is refused with its line number.
+    """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -261,8 +259,7 @@ def parse_coupler_config(path: str) -> CouplerConfig:
                 values[CONFIG_KEYS[key]] = float(val.strip())
             except ValueError:
                 raise ValueError(f"line {lineno}: bad number {val.strip()!r}") from None
-    missing = [k for k in ("c_i", "c_j", "c_c", "c_ic", "c_jc", "c_ij",
-                           "omega_i", "omega_j", "omega_c") if k not in values]
+    missing = [k for k in CONFIG_KEYS.values() if k not in values]
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")
     return CouplerConfig(**values)

@@ -135,8 +135,8 @@ def test_route_worked_example(capsys):
     assert payload["magnitude"] == pytest.approx(1.0, abs=1e-9)
 
 
-def _python_m_pstnet(*args, memory_limit=None):
-    """Run `python -m pstnet` in a child, optionally under an address-space cap."""
+def _python(*args, memory_limit=None):
+    """Run python with this pstnet importable, optionally under an address-space cap."""
     src = str(Path(pstnet.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -144,9 +144,20 @@ def _python_m_pstnet(*args, memory_limit=None):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
 
-    return subprocess.run([sys.executable, "-m", "pstnet", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120,
                           preexec_fn=cap if memory_limit else None)
+
+
+def _python_m_pstnet(*args, memory_limit=None):
+    return _python("-m", "pstnet", *args, memory_limit=memory_limit)
+
+
+def test_import_loads_no_scipy():
+    done = _python("-c", "import sys, pstnet; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -205,6 +216,23 @@ def test_pst_vertex_outside_graph_is_an_input_error(src, dst, bad, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"vertex {bad} is outside 0..1\n"
+
+
+@pytest.mark.parametrize("flags,bad", [
+    (["--tmax", "inf"], "--tmax must be finite and >= 0, got inf"),
+    (["--tmax", "nan"], "--tmax must be finite and >= 0, got nan"),
+    (["--tmax", "-1"], "--tmax must be finite and >= 0, got -1.0"),
+    (["--dt", "0"], "--dt must be finite and > 0, got 0.0"),
+    (["--dt", "-1"], "--dt must be finite and > 0, got -1.0"),
+    (["--dt", "inf"], "--dt must be finite and > 0, got inf"),
+])
+def test_pst_bad_scan_grid_is_an_input_error(flags, bad, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run(["pst", "--graph", "k2", "--from", "0", "--to", "1",
+                "--csv", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", bad + "\n")
+    assert not out.exists()
 
 
 def test_unknown_flag_exit_code(capsys):
@@ -280,6 +308,16 @@ def test_transmon_sweep(tmp_path, capsys):
     assert header == ["omega_c", "delta_i", "g_rwa", "g_brwa", "t_pst_ns"]
     signs = {math.copysign(1, float(r[3])) for r in rows}
     assert signs == {-1.0, 1.0}
+
+
+def test_transmon_refuses_deleted_anharmonicity_keys(tmp_path, capsys):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\nalpha_i = -0.2\n", encoding="utf-8")
+    assert run(["transmon", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "line 10: unknown key 'alpha_i'\n")
 
 
 def test_graph_summary(capsys):

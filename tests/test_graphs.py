@@ -1,15 +1,17 @@
+import importlib.resources
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, adjacency,
-                           add_isolated, canonical_marking, cartesian,
-                           complete_graph, corona, cycle_graph, disjoint_union,
-                           hypercube, induced_subgraph, is_balanced, laplacian,
-                           make_graph, path_graph, plurality_marking,
-                           signless_laplacian)
+from pstnet.fileio import parse_graph_text
+from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, _csr_matrix,
+                           adjacency, adjacency_lists, add_isolated,
+                           canonical_marking, cartesian, complete_graph, corona,
+                           cycle_graph, disjoint_union, graph_matrix, hypercube,
+                           induced_subgraph, is_balanced, laplacian, make_graph,
+                           path_graph, plurality_marking, signless_laplacian)
 
 
 def test_k2_adjacency():
@@ -270,3 +272,58 @@ def test_rejects_duplicate_labels():
 def test_rejects_unknown_vertex_data():
     with pytest.raises(TypeError):
         make_graph(2, [(0, 1)], potentials=(5.0, 0.0))
+
+
+# --- array assembly ----------------------------------------------------------
+
+def _loop_matrices(g):
+    """The per-edge Python loops the array assembly replaced, kept as reference."""
+    a = np.zeros((g.vertex_count, g.vertex_count))
+    d = np.zeros(g.vertex_count)
+    for u, v, w, s in g.edges:
+        a[u, v] = a[v, u] = s * w
+        d[u] += w
+        d[v] += w
+    return {"adjacency": a, "laplacian": np.diag(d) - a,
+            "signless_laplacian": np.diag(d) + a}
+
+
+def _assembly_inputs():
+    examples = importlib.resources.files("pstnet") / "data" / "corona_examples"
+    seeds = [parse_graph_text((examples / f"example0{i}.graph").read_text(encoding="utf-8"))
+             for i in range(1, 5)]
+    rng = np.random.default_rng(4242)
+    randoms = []
+    for n in (2, 7, 30, 90):
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(iu.size) < 0.4
+        randoms.append(make_graph(n, zip(iu[keep].tolist(), ju[keep].tolist(),
+                                         rng.uniform(1e-3, 7.0, keep.sum()).tolist(),
+                                         rng.choice([-1, 1], keep.sum()).tolist())))
+    coronas = [corona(seeds[0], seeds[1]), corona(seeds[3], seeds[2]),
+               corona(corona(seeds[0], seeds[0]), seeds[0])]
+    return seeds + coronas + randoms + [make_graph(3, [])]
+
+
+@pytest.mark.parametrize("g", _assembly_inputs())
+def test_array_assembly_equals_the_edge_loop(g):
+    for kind, want in _loop_matrices(g).items():
+        assert np.array_equal(graph_matrix(g, kind), want)
+        assert np.array_equal(_csr_matrix(g, kind).toarray(), want)
+
+
+def test_edge_arrays_are_read_only_and_cached():
+    g = make_graph(3, [(0, 1, 2.0, -1), (1, 2, 0.5)])
+    u, v, sw = g.edge_arrays
+    assert u.tolist() == [0, 1] and v.tolist() == [1, 2] and sw.tolist() == [-2.0, 0.5]
+    assert g.edge_arrays is g.edge_arrays
+    with pytest.raises(ValueError):
+        sw[0] = 1.0
+    with pytest.raises(ValueError):
+        _csr_matrix(g, "bogus")
+
+
+def test_adjacency_lists_follow_edge_order():
+    g = make_graph(4, [(2, 0, 1.0, -1), (0, 1), (3, 2)])
+    assert adjacency_lists(g) == [[(1, 1), (2, -1)], [(0, 1)], [(0, -1), (3, 1)], [(2, 1)]]
+

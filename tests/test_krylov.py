@@ -1,0 +1,111 @@
+"""The Krylov single-time kernel and the cost rule that picks it."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg
+from scipy.linalg import expm
+
+from pstnet import spectral
+from pstnet.chains import chain_pst_verify, pst_chain
+from pstnet.graphs import graph_matrix, hypercube, make_graph
+from pstnet.spectral import DENSE_MAX_DIM, krylov_amplitude, transfer_amplitude
+
+RNG = np.random.default_rng(7207)
+KINDS = ("adjacency", "laplacian", "signless_laplacian")
+
+
+def random_signed_graph(n, degree=6.0):
+    """Erdos-Renyi signed graph with weights in [0.2, 2] and mean degree `degree`."""
+    iu, ju = np.triu_indices(n, 1)
+    keep = RNG.random(iu.size) < degree / (n - 1)
+    weights = RNG.uniform(0.2, 2.0, keep.sum())
+    signs = RNG.choice([-1, 1], keep.sum())
+    return make_graph(n, zip(iu[keep].tolist(), ju[keep].tolist(),
+                             weights.tolist(), signs.tolist()))
+
+
+def cube_amplitude(k, u, v, t):
+    """<v|exp(-i t A(Q_k))|u> = cos(t)^(k-d) (-i sin t)^d, d the Hamming distance."""
+    d = (u ^ v).bit_count()
+    return math.cos(t) ** (k - d) * (-1j * math.sin(t)) ** d
+
+
+@pytest.mark.parametrize("n", [300, 450, 600])
+def test_krylov_matches_expm(n):
+    g = random_signed_graph(n)
+    times = RNG.permutation([RNG.uniform(0.0, 3.0), RNG.uniform(3.0, 15.0),
+                             RNG.uniform(15.0, 30.0)])
+    for kind, t in zip(KINDS, times.tolist()):
+        u = int(RNG.integers(n))
+        column = expm(-1j * t * graph_matrix(g, kind))[:, u]
+        for v in [u, *RNG.integers(n, size=4).tolist()]:
+            assert abs(krylov_amplitude(g, u, v, t, kind) - column[v]) <= 1e-10
+
+
+def test_q14_beyond_the_dense_limit_matches_the_closed_form():
+    k = 14
+    g = hypercube(k)
+    assert g.vertex_count > DENSE_MAX_DIM
+    n = g.vertex_count
+    pairs = [(0, n - 1, math.pi / 2)]
+    pairs += [(int(u), int(v), float(t)) for u, v, t in
+              zip(RNG.integers(n, size=3), RNG.integers(n, size=3),
+                  RNG.uniform(0.0, math.pi, size=3))]
+    for u, v, t in pairs:
+        rep = transfer_amplitude(g, u, v, t)
+        want = cube_amplitude(k, u, v, t)
+        assert abs(rep.magnitude - abs(want)) <= 1e-10
+        assert abs(krylov_amplitude(g, u, v, t) - want) <= 1e-10
+    assert transfer_amplitude(g, 0, n - 1, math.pi / 2).passed
+
+
+def test_large_cubes_at_short_times_need_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for k in (9, 10, 11):
+        n = 1 << k
+        for u, v, t in [(0, n - 1, math.pi / 2), (3, n // 3, math.pi),
+                        (5, 6, 0.25)]:
+            rep = transfer_amplitude(hypercube(k), u, v, t)
+            assert abs(rep.magnitude - abs(cube_amplitude(k, u, v, t))) <= 1e-10
+
+
+def test_small_graphs_chains_and_long_times_stay_dense(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Krylov kernel called")
+    monkeypatch.setattr(spectral, "krylov_amplitude", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+    for k in range(1, 7):
+        n = 1 << k
+        for t in (0.3, math.pi / 2, 30.0):
+            rep = transfer_amplitude(hypercube(k), 0, n - 1, t)
+            assert abs(rep.magnitude - abs(cube_amplitude(k, 0, n - 1, t))) <= 1e-10
+    for n in range(2, 41):
+        assert chain_pst_verify(pst_chain(n), math.pi / 2).passed
+    # a long time makes the column dearer than a mid-sized solve
+    rep = transfer_amplitude(hypercube(9), 0, 511, 1000.0)
+    assert abs(rep.magnitude - abs(cube_amplitude(9, 0, 511, 1000.0))) <= 1e-9
+
+
+def test_norm_drift_is_refused(monkeypatch):
+    g = hypercube(4)
+    real = scipy.sparse.linalg.expm_multiply
+    assert abs(krylov_amplitude(g, 0, 15, math.pi / 2)) == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        lambda a, b: (1.0 + 1e-6) * real(a, b))
+    with pytest.raises(ValueError, match="norm drift"):
+        krylov_amplitude(g, 0, 15, math.pi / 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: transfer_amplitude(g, 0, 1, math.nan),
+    lambda g: transfer_amplitude(g, 0, 1, -math.inf),
+    lambda g: krylov_amplitude(g, 0, 1, math.inf),
+    lambda g: spectral.transfer_series(g, 0, 1, [0.0, math.inf, 1.0]),
+])
+def test_non_finite_times_are_refused(call):
+    with pytest.raises(ValueError, match=r"time (nan|inf|-inf) is not finite"):
+        call(make_graph(2, [(0, 1)]))

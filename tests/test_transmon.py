@@ -185,6 +185,18 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_coupler_config(str(path))
 
 
+@pytest.mark.parametrize("key", ["alpha_i", "alpha_j", "alpha_c"])
+def test_parse_config_refuses_anharmonicities(key, tmp_path):
+    # nothing uses them, so a file that sets one is refused rather than dropped
+    path = tmp_path / "edge.cfg"
+    path.write_text("C_i = 70\n# anharmonicity\n" f"{key} = -0.2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^line 3: unknown key '{key}'$"):
+        parse_coupler_config(str(path))
+    with pytest.raises(TypeError):
+        CouplerConfig(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=4.0, c_jc=4.2, c_ij=0.1,
+                      omega_i=4.0, omega_j=4.0, omega_c=5.0, **{key: -0.2})
+
+
 def test_parse_config_reports_missing(tmp_path):
     path = tmp_path / "edge.cfg"
     path.write_text("C_i = 70\n", encoding="utf-8")
