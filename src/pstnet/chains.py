@@ -18,7 +18,7 @@ import numpy as np
 
 from .spectral import (Spectrum, TransferReport, max_fidelity_scan_spectrum,
                        transfer_amplitude)
-from .graphs import make_graph
+from .graphs import make_graph, path_graph
 
 COLUMN_PROJECT_MAX_DIM = 16
 
@@ -131,6 +131,6 @@ def unmodulated_no_pst_scan(n: int, t_max: float,
         raise ValueError("chain needs at least 2 sites")
     if dt is None:
         dt = min(0.01, t_max / 1e5)
-    spec = ChainSpec((1.0,) * (n - 1))
-    spectrum = Spectrum.from_matrix(chain_matrix(spec))
+    # from_graph refuses an n above DENSE_MAX_DIM before building the matrix
+    spectrum = Spectrum.from_graph(path_graph(n))
     return max_fidelity_scan_spectrum(spectrum, 0, n - 1, t_max, dt)

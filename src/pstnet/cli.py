@@ -211,33 +211,48 @@ def _parse_family(spec: str):
 
 
 def _parse_family_file(path: str):
+    """`family <n> <d>`, `couplings <J_0> .. <J_d>`, then for k = 0..d a line
+    `matrix <k>` and n rows of n numbers; `#` starts a comment.  A malformed
+    file raises ValueError("line N: ...")."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line.split())
-    if not tokens or tokens[0][0] != "family":
-        raise ValueError("family file must start with: family <n> <d>")
-    n, d = int(tokens[0][1]), int(tokens[0][2])
-    if tokens[1][0] != "couplings" or len(tokens[1]) != d + 2:
-        raise ValueError("expected: couplings <J_0> ... <J_d>")
-    couplings = [float(x) for x in tokens[1][1:]]
+        text = fh.readlines()
+    lines = [(no, toks) for no, raw in enumerate(text, start=1)
+             if (toks := raw.split("#", 1)[0].split())]
+    pending = iter(lines)
+
+    def take(expected: str, head: str | None, count: int, kind=float):
+        """The next line's number and its values after `head`, or ValueError."""
+        no, toks = next(pending, (len(text) + 1, None))
+        if toks is None:
+            raise ValueError(f"line {no}: file ends, expected {expected}")
+        if len(toks) != count or (head is not None and toks[0] != head):
+            raise ValueError(f"line {no}: expected {expected}")
+        try:
+            return no, [kind(x) for x in toks[0 if head is None else 1:]]
+        except ValueError:
+            raise ValueError(f"line {no}: expected {expected}") from None
+
+    no, (n, d) = take("family <n> <d>", "family", 3, int)
+    if n < 1 or d < 0:
+        raise ValueError(f"line {no}: family needs n >= 1 and d >= 0")
+    _, couplings = take(f"couplings <J_0> .. <J_{d}>", "couplings", d + 2)
     mats = []
-    i = 2
     for k in range(d + 1):
-        if tokens[i][0] != "matrix" or int(tokens[i][1]) != k:
-            raise ValueError(f"expected: matrix {k}")
-        i += 1
-        rows = []
-        for _ in range(n):
-            rows.append([float(x) for x in tokens[i]])
-            i += 1
-        mats.append(np.array(rows))
+        no, index = take(f"matrix {k}", "matrix", 2, int)
+        if index != [k]:
+            raise ValueError(f"line {no}: expected matrix {k}")
+        mats.append(np.array([take(f"row {r} of matrix {k}: {n} numbers", None, n)[1]
+                              for r in range(n)]))
+    extra = next(pending, None)
+    if extra is not None:
+        raise ValueError(f"line {extra[0]}: unexpected content after matrix {d}")
     return commuting_family(mats, couplings)
 
 
 def _cmd_qudit(args) -> int:
+    for flag, value in (("--t", args.t), ("--tmax", args.tmax)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     family = _parse_family(args.family)
     f = transfer_amplitude_qudit(family, args.target, args.t)
     condition = abs(abs(f) - 1.0) <= 1e-8
@@ -281,7 +296,11 @@ def _cmd_transmon(args) -> int:
                 rep = coupling_report(cfg.with_coupler_frequency(wc))
             t = pst_time(rep.g_brwa, hops=1) if rep.g_brwa else math.inf
             rows.append((wc, rep.delta_i, rep.g_rwa, rep.g_brwa, t))
-            wc = round(wc + step, 12)
+            advanced = round(wc + step, 12)
+            if advanced <= wc:
+                raise ValueError(f"sweep step {step} does not advance omega_c "
+                                 f"past {wc} at 12 decimals")
+            wc = advanced
         if args.csv:
             emit_csv(rows, args.csv, ["omega_c", "delta_i", "g_rwa", "g_brwa",
                                       "t_pst_ns"], VERSION_COMMENT)

@@ -1,4 +1,4 @@
-"""Signed corona products: closed-form eigenpairs, iterated self-products,
+"""Signed corona products: closed-form spectra, iterated self-products,
 and the fidelity-versus-order scan harness.
 
 The corona G1 o G2 keeps G1's vertices first, then groups the copies by
@@ -7,12 +7,23 @@ G2 node, matching the block adjacency
     [[A(G1),              mu[V2] kron diag(mu[V1])],
      [mu[V2]^T kron diag(mu[V1]), A(G2) kron I_n  ]].
 
-When G2 is net-regular and its marking vector is an eigenvector of the
-corresponding matrix, the product's full spectrum assembles from the seed
-spectra (the paper's theorems, reproduced by the eigenpair functions here).
+`corona_spectrum` assembles the product's full adjacency or signed
+Laplacian spectrum from the seed spectra (Barik, Pati & Sarma, SIAM J.
+Discrete Math. 21, 2007, signed as in the paper).  The two theorems differ
+only in constants.  Let k = |V2|, lift = 0 for A and 1 for L = D - A (a
+corona edge adds 1 to the degree of each copy vertex and k in all to each
+G1 vertex), and target the eigenvalue that G2's marking mu2 must have:
+d = d+ - d- for A (G2 net-regular), 2 d- for L (constant negative degree).
+With s = target + lift, each eigenpair (l_i, x_i) of G1 gives the two
+roots l of
+
+    (l - l_i - lift k)(l - s) = k,
+
+each with the eigenvector [x_i; (-1)^lift mu2 kron diag(mu1) x_i / (l - s)],
+and each eigenpair (eta, y) of G2 with y orthogonal to mu2 gives eta + lift
+with the n eigenvectors [0; y kron e_i]: n(1 + k) pairs in all.
 The fidelity scans do not use them: at every order they solve the
-directly built product, which is faster than assembling and validating
-the theorem eigenpairs.
+directly built product.
 """
 
 from __future__ import annotations
@@ -22,22 +33,19 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import (MarkingScheme, SignedWeightedGraph, adjacency, corona,
-                     laplacian, markings_under)
-from .spectral import Spectrum, max_fidelity_scan_spectrum
+from .graphs import (MarkingScheme, SignedWeightedGraph, _csr_matrix, corona,
+                     graph_matrix, markings_under)
+from .spectral import (Spectrum, _check_dense_dim, _eigen_groups,
+                       max_fidelity_scan_spectrum)
 
 CORONA_SIZE_GUARD = 5000
 EIGENPAIR_RESIDUAL_TOL = 1e-8
+# columns per block of the residual check, so its temporaries stay small
+RESIDUAL_COLUMNS = 256
 
 
 class TheoremHypothesisError(ValueError):
     """The closed-form eigenpair construction does not apply to these graphs."""
-
-
-@dataclass
-class EigenPair:
-    value: float
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,143 +73,100 @@ def net_regularity(g: SignedWeightedGraph) -> Optional[int]:
     return int(net[0]) if np.all(net == net[0]) else None
 
 
-def _validated(pairs: list[EigenPair], matrix: np.ndarray) -> list[EigenPair]:
-    for p in pairs:
-        norm = np.linalg.norm(p.vector)
-        if norm == 0:
-            raise TheoremHypothesisError("constructed eigenvector vanished")
-        p.vector = p.vector / norm
-        residual = np.max(np.abs(matrix @ p.vector - p.value * p.vector))
-        if residual > EIGENPAIR_RESIDUAL_TOL:
-            raise TheoremHypothesisError(
-                f"eigenpair residual {residual:.3e} exceeds "
-                f"{EIGENPAIR_RESIDUAL_TOL}; hypotheses likely unmet")
-    return pairs
-
-
-def _marking_eigenvector_check(matrix: np.ndarray, mu: np.ndarray,
-                               value: float) -> bool:
-    return bool(np.max(np.abs(matrix @ mu - value * mu)) <= 1e-9)
-
-
 def _basis_orthogonal_to_marking(matrix: np.ndarray, mu: np.ndarray
-                                 ) -> list[tuple[float, np.ndarray]]:
+                                 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix restricted to the complement of mu.
 
     mu must be an eigenvector; its direction is deflated out of the matching
-    (possibly degenerate) eigenspace so exactly dim-1 pairs come back, each
-    orthogonal to mu.
+    (possibly degenerate) eigenspace, so exactly dim-1 pairs come back: the
+    eigenvalues and, as columns, orthonormal eigenvectors orthogonal to mu.
     """
-    k = matrix.shape[0]
     mu_dir = mu / np.linalg.norm(mu)
     w, v = np.linalg.eigh(matrix)
-    out: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for i in range(1, k + 1):
-        if i == k or w[i] - w[i - 1] > 1e-9 * max(1.0, abs(w[i])):
-            block = v[:, start:i]
-            overlap = block.T @ mu_dir
-            if np.linalg.norm(overlap) > 1e-8:
-                deflated = block - np.outer(mu_dir, overlap)
-                q, r = np.linalg.qr(deflated)
-                keep = [c for c in range(q.shape[1])
-                        if abs(r[c, c]) > 1e-10]
-                block = q[:, keep]
-            val = float(np.mean(w[start:i]))
-            for c in range(block.shape[1]):
-                out.append((val, block[:, c]))
-            start = i
-    if len(out) != k - 1:
+    values: list[float] = []
+    blocks = []
+    for idx in _eigen_groups(w, rel_tol=1e-9):
+        block = v[:, idx]
+        overlap = block.T @ mu_dir
+        if np.linalg.norm(overlap) > 1e-8:
+            q, r = np.linalg.qr(block - np.outer(mu_dir, overlap))
+            block = q[:, np.abs(np.diagonal(r)) > 1e-10]
+        values += [float(np.mean(w[idx]))] * block.shape[1]
+        blocks.append(block)
+    if len(values) != len(w) - 1:
         raise TheoremHypothesisError(
             "marking direction could not be deflated from the g2 spectrum")
-    return out
+    return np.array(values), np.hstack(blocks)
 
 
-def corona_adjacency_eigenpairs(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
-                                scheme: MarkingScheme = MarkingScheme.CANONICAL
-                                ) -> list[EigenPair]:
-    """Adjacency eigenpairs of corona(g1, g2) from the seeds' spectra.
+def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
+                    matrix_kind: str = "adjacency",
+                    scheme: MarkingScheme = MarkingScheme.CANONICAL) -> Spectrum:
+    """Adjacency or signed Laplacian spectrum of corona(g1, g2) from the seeds'.
 
-    Requires g2 net-regular with regularity d and its marking vector an
-    eigenvector of A(g2) for d.  Each seed pair (l_i, X_i) yields the two
-    roots of (l - l_i)(l - d) = k with the stacked vectors
-    [X_i; mu2(v_j)/(l - d) diag(mu1) X_i]; with uniformly marked g2 the
-    remaining eigenvectors of A(g2) lift to (eta_j, [0; Y_j kron e_i]).
-    Every returned pair is validated against the directly built product.
+    The adjacency form requires g2 net-regular with regularity d and its
+    marking an eigenvector of A(g2) for d; the Laplacian form requires every
+    g2 vertex to have the same negative degree d- and L(g2) mu2 = 2 d- mu2.
+    The n(1 + k) eigenpairs of the module docstring are normalised, sorted
+    and checked together: TheoremHypothesisError is raised when
+    max |M V - V diag(w)| exceeds EIGENPAIR_RESIDUAL_TOL, with M the sparse
+    product matrix.  No dense product matrix is built.
     """
+    if matrix_kind not in ("adjacency", "laplacian"):
+        raise ValueError(f"corona spectra cover 'adjacency' and 'laplacian', "
+                         f"not {matrix_kind!r}")
     n, k = g1.vertex_count, g2.vertex_count
-    d = net_regularity(g2)
-    if d is None:
-        raise TheoremHypothesisError("g2 is not net-regular")
+    _check_dense_dim(n * (1 + k))
+    lift = int(matrix_kind == "laplacian")
+    if lift:
+        u, v, sw = g2.edge_arrays
+        neg = sw < 0
+        dneg = set(np.bincount(np.concatenate((u[neg], v[neg])), minlength=k).tolist())
+        if len(dneg) != 1:
+            raise TheoremHypothesisError("g2 negative degree is not constant")
+        target, eigen_of = 2.0 * dneg.pop(), "a Laplacian eigenvector for 2 d-"
+    else:
+        d = net_regularity(g2)
+        if d is None:
+            raise TheoremHypothesisError("g2 is not net-regular")
+        target, eigen_of = float(d), "an adjacency eigenvector for the net-regularity"
     mu1 = np.array(markings_under(g1, scheme), dtype=float)
     mu2 = np.array(markings_under(g2, scheme), dtype=float)
-    a2 = adjacency(g2)
-    if not _marking_eigenvector_check(a2, mu2, float(d)):
+    m2 = graph_matrix(g2, matrix_kind)
+    if np.max(np.abs(m2 @ mu2 - target * mu2)) > 1e-9:
+        raise TheoremHypothesisError(f"marking vector of g2 is not {eigen_of}")
+    w1, x = np.linalg.eigh(graph_matrix(g1, matrix_kind))
+    s = target + lift
+    disc = np.sqrt((s - w1 - lift * k) ** 2 + 4 * k)
+    centre = s + w1 + lift * k
+    # the two roots of each seed pair, larger first, in adjacent columns
+    roots = np.column_stack((centre + disc, centre - disc)).ravel() / 2.0
+    seeds = np.repeat(x, 2, axis=1)
+    eta, y = _basis_orthogonal_to_marking(m2, mu2)
+    values = np.concatenate((roots, np.repeat(eta + lift, n)))
+    vectors = np.zeros((len(values), len(values)))
+    vectors[:n, :2 * n] = seeds
+    vectors[n:, :2 * n] = (np.kron(mu2[:, None], mu1[:, None] * seeds)
+                           * ((-1) ** lift / (roots - s)))
+    for i in range(n):   # y kron e_i: node j of copy i is row n + j n + i
+        vectors[n + i::n, 2 * n + i::n] = y
+    norms = np.linalg.norm(vectors, axis=0)
+    if np.any(norms == 0):
+        raise TheoremHypothesisError("constructed eigenvector vanished")
+    vectors /= norms
+    order = np.argsort(values, kind="stable")
+    values, vectors = values[order], vectors[:, order]
+    product = _csr_matrix(corona(g1, g2, scheme), matrix_kind)
+    residual = 0.0
+    for c in range(0, len(values), RESIDUAL_COLUMNS):
+        cols = slice(c, c + RESIDUAL_COLUMNS)
+        r = product @ vectors[:, cols] - vectors[:, cols] * values[cols]
+        residual = np.maximum(residual, np.max(np.abs(r)))
+    if not residual <= EIGENPAIR_RESIDUAL_TOL:
         raise TheoremHypothesisError(
-            "marking vector of g2 is not an adjacency eigenvector "
-            "for the net-regularity")
-    w1, v1 = np.linalg.eigh(adjacency(g1))
-    product = adjacency(corona(g1, g2, scheme))
-    pairs: list[EigenPair] = []
-    for i in range(n):
-        li, xi = w1[i], v1[:, i]
-        theta_x = mu1 * xi
-        disc = np.sqrt((d - li) ** 2 + 4 * k)
-        for lam in ((d + li + disc) / 2.0, (d + li - disc) / 2.0):
-            tail = [mu2[j] / (lam - d) * theta_x for j in range(k)]
-            pairs.append(EigenPair(float(lam), np.concatenate([xi, *tail])))
-    if np.all(mu2 == mu2[0]):
-        for eta, yj in _basis_orthogonal_to_marking(a2, mu2):
-            for i in range(n):
-                vec = np.zeros(n * (1 + k))
-                vec[n:] = np.kron(yj, np.eye(n)[i])
-                pairs.append(EigenPair(eta, vec))
-    return _validated(pairs, product)
-
-
-def corona_laplacian_eigenpairs(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
-                                scheme: MarkingScheme = MarkingScheme.CANONICAL
-                                ) -> list[EigenPair]:
-    """Signed Laplacian eigenpairs of corona(g1, g2) from the seeds' spectra.
-
-    Requires every g2 vertex to have the same negative degree d- and the
-    marking vector to satisfy L(g2) mu = 2 d- mu.  Seed pairs yield the two
-    roots of (l - l_i - k)(l - s) = k with s = 2 d- + 1; uniformly marked
-    g2 lifts its remaining Laplacian eigenvectors shifted by one.
-    """
-    n, k = g1.vertex_count, g2.vertex_count
-    dneg = [0] * k
-    for u, v, _, s in g2.edges:
-        if s < 0:
-            dneg[u] += 1
-            dneg[v] += 1
-    if len(set(dneg)) != 1:
-        raise TheoremHypothesisError("g2 negative degree is not constant")
-    dm = dneg[0]
-    shift = 2 * dm + 1
-    mu1 = np.array(markings_under(g1, scheme), dtype=float)
-    mu2 = np.array(markings_under(g2, scheme), dtype=float)
-    l2 = laplacian(g2)
-    if not _marking_eigenvector_check(l2, mu2, 2.0 * dm):
-        raise TheoremHypothesisError(
-            "marking vector of g2 is not a Laplacian eigenvector for 2 d-")
-    w1, v1 = np.linalg.eigh(laplacian(g1))
-    product = laplacian(corona(g1, g2, scheme))
-    pairs: list[EigenPair] = []
-    for i in range(n):
-        li, xi = w1[i], v1[:, i]
-        theta_x = mu1 * xi
-        disc = np.sqrt((shift - li - k) ** 2 + 4 * k)
-        for lam in ((shift + li + k + disc) / 2.0, (shift + li + k - disc) / 2.0):
-            tail = [-mu2[j] / (lam - shift) * theta_x for j in range(k)]
-            pairs.append(EigenPair(float(lam), np.concatenate([xi, *tail])))
-    if np.all(mu2 == mu2[0]):
-        for eta, yj in _basis_orthogonal_to_marking(l2, mu2):
-            for i in range(n):
-                vec = np.zeros(n * (1 + k))
-                vec[n:] = np.kron(yj, np.eye(n)[i])
-                pairs.append(EigenPair(eta + 1.0, vec))
-    return _validated(pairs, product)
+            f"eigenpair residual {residual:.3e} exceeds "
+            f"{EIGENPAIR_RESIDUAL_TOL}; hypotheses likely unmet")
+    return Spectrum(values, vectors)
 
 
 def iterate_corona(seed: SignedWeightedGraph, m: int,

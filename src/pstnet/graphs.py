@@ -98,13 +98,6 @@ class SignedWeightedGraph:
             a.flags.writeable = False
         return arrays
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in (e.u, e.v))
-
-    def neighbors(self, v: int) -> list[int]:
-        out = [e.v if e.u == v else e.u for e in self.edges if v in (e.u, e.v)]
-        return sorted(out)
-
     def index_of(self, label: str) -> int:
         if self.labels is None:
             raise ValueError("graph has no labels")

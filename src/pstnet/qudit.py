@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .spectral import _eigen_groups
+
 MAX_GENERATOR_DIM = 8
 
 
@@ -119,22 +121,17 @@ def _joint_eigenbasis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> np.ndarr
     """
     n = mats[0].shape[0]
     basis = np.eye(n)
-    groups: list[list[int]] = [list(range(n))]
+    groups = [np.arange(n)]
     for a in mats:
-        refined: list[list[int]] = []
-        for cols in groups:
-            idx = np.array(cols)
+        refined = []
+        for idx in groups:
             if len(idx) == 1:
-                refined.append(cols)
+                refined.append(idx)
                 continue
             block = basis[:, idx]
             w, q = np.linalg.eigh(block.T @ a @ block)
             basis[:, idx] = block @ q
-            start = 0
-            for i in range(1, len(w) + 1):
-                if i == len(w) or w[i] - w[i - 1] > max(tol, tol * abs(w[i])):
-                    refined.append(list(idx[start:i]))
-                    start = i
+            refined += [idx[g] for g in _eigen_groups(w, rel_tol=tol)]
         groups = refined
     return basis
 

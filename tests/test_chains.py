@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pstnet import chains, spectral
 from pstnet.chains import (ChainSpec, chain_matrix, chain_pst_verify,
                            column_project, pst_chain,
                            unmodulated_chain_spectrum, unmodulated_no_pst_scan)
-from pstnet.graphs import hypercube
+from pstnet.graphs import adjacency, hypercube, path_graph
 from pstnet.spectral import Spectrum, check_pst_conditions, evolve
 from pstnet.graphs import make_graph
 
@@ -132,3 +133,18 @@ def test_uniform_no_perfect_transfer(n):
 def test_scan_rejects_single_site():
     with pytest.raises(ValueError):
         unmodulated_no_pst_scan(1, 10.0)
+
+
+def test_uniform_scan_refuses_before_building_the_matrix(monkeypatch):
+    for n in (2, 5, 64):
+        assert np.array_equal(adjacency(path_graph(n)),
+                              chain_matrix(ChainSpec((1.0,) * (n - 1))))
+    monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
+
+    def built(*args):
+        pytest.fail("the chain matrix was built before the size check")
+
+    monkeypatch.setattr(spectral, "graph_matrix", built)
+    monkeypatch.setattr(chains, "chain_matrix", built)
+    with pytest.raises(ValueError, match="9 exceeds the limit of 8"):
+        unmodulated_no_pst_scan(9, 10.0)

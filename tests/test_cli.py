@@ -135,7 +135,7 @@ def test_route_worked_example(capsys):
     assert payload["magnitude"] == pytest.approx(1.0, abs=1e-9)
 
 
-def _python(*args, memory_limit=None):
+def _python(*args, memory_limit=None, timeout=120):
     """Run python with this pstnet importable, optionally under an address-space cap."""
     src = str(Path(pstnet.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -145,12 +145,12 @@ def _python(*args, memory_limit=None):
         resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
 
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120,
+                          capture_output=True, text=True, env=env, timeout=timeout,
                           preexec_fn=cap if memory_limit else None)
 
 
-def _python_m_pstnet(*args, memory_limit=None):
-    return _python("-m", "pstnet", *args, memory_limit=memory_limit)
+def _python_m_pstnet(*args, memory_limit=None, timeout=120):
+    return _python("-m", "pstnet", *args, memory_limit=memory_limit, timeout=timeout)
 
 
 def test_import_loads_no_scipy():
@@ -253,6 +253,15 @@ def test_chain_unmodulated(capsys):
     assert float(out.strip().split(",")[-1]) < 0.999
 
 
+def test_unmodulated_chain_beyond_dense_reach_is_refused():
+    # the 20000 x 20000 chain matrix alone would take 3 GiB, over the 2 GB cap
+    done = _python_m_pstnet("chain", "--n", "20000", "--unmodulated",
+                            memory_limit=2_000_000_000)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("dense eigensolve of dimension 20000 exceeds the "
+                           "limit of 8192\n")
+
+
 def test_corona_command(tmp_path, capsys):
     seed = tmp_path / "seed.graph"
     seed.write_text(SQUARE_TEXT, encoding="utf-8")
@@ -276,14 +285,50 @@ def test_qudit_command(tmp_path, capsys):
         assert float(row[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+FAMILY_TEXT = ("family 2 1\n"
+               "couplings 0 1\n"
+               "matrix 0\n1 0\n0 1\n"
+               "matrix 1\n0 1\n1 0\n")
+
+
 def test_qudit_family_file(tmp_path, capsys):
     fam = tmp_path / "family.txt"
-    fam.write_text(
-        "family 2 1\n"
-        "couplings 0 1\n"
-        "matrix 0\n1 0\n0 1\n"
-        "matrix 1\n0 1\n1 0\n", encoding="utf-8")
+    fam.write_text(FAMILY_TEXT, encoding="utf-8")
     assert run(["qudit", "--family", str(fam), "--target", "1"]) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: file ends, expected family <n> <d>"),
+    ("family\n", "line 1: expected family <n> <d>"),
+    ("family 3 1\n", "line 2: file ends, expected couplings <J_0> .. <J_1>"),
+    ("family 2 x\n", "line 1: expected family <n> <d>"),
+    ("family 2 -1\n", "line 1: family needs n >= 1 and d >= 0"),
+    ("# two sites\nfamily 2 1\n\ncouplings 0\n",
+     "line 4: expected couplings <J_0> .. <J_1>"),
+    ("family 2 1\ncouplings 0 1\n", "line 3: file ends, expected matrix 0"),
+    ("family 2 1\ncouplings 0 1\nmatrix 1\n", "line 3: expected matrix 0"),
+    ("family 2 1\ncouplings 0 1\nmatrix 0\n1 0\nmatrix 1\n0 1\n1 0\n",
+     "line 5: expected row 1 of matrix 0: 2 numbers"),
+    ("family 2 1\ncouplings 0 1\nmatrix 0\n1 0\n0 1\nmatrix 1\n0 1\n",
+     "line 8: file ends, expected row 1 of matrix 1: 2 numbers"),
+    ("family 2 1\ncouplings 0 1\nmatrix 0\n1 0 0\n",
+     "line 4: expected row 0 of matrix 0: 2 numbers"),
+    (FAMILY_TEXT + "matrix 2\n", "line 9: unexpected content after matrix 1"),
+])
+def test_qudit_refuses_malformed_family_file(tmp_path, capsys, text, message):
+    fam = tmp_path / "family.txt"
+    fam.write_text(text, encoding="utf-8")
+    assert run(["qudit", "--family", str(fam), "--target", "1"]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"),
+                                         ("--tmax", "nan"), ("--tmax", "-inf")])
+def test_qudit_refuses_non_finite_times(tmp_path, capsys, flag, value):
+    # the family path does not exist: the times are checked before it is read
+    assert run(["qudit", "--family", str(tmp_path / "absent.txt"), "--target", "1",
+                f"{flag}={value}", "--json"]) == 2
+    assert capsys.readouterr() == ("", f"{flag} must be finite, got {float(value)}\n")
 
 
 def test_transmon_cutoff(tmp_path, capsys):
@@ -308,6 +353,25 @@ def test_transmon_sweep(tmp_path, capsys):
     assert header == ["omega_c", "delta_i", "g_rwa", "g_brwa", "t_pst_ns"]
     signs = {math.copysign(1, float(r[3])) for r in rows}
     assert signs == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("sweep, stuck_at", [
+    ("wc:4.5:9:0", "4.5"),
+    ("wc:4.5:9:0.0000000000004", "4.5"),
+    # advances once onto the 12-decimal grid, then stops there
+    ("wc:4.5000000000003:9:0.0000000000003", "4.500000000001"),
+])
+def test_transmon_refuses_a_sweep_step_that_does_not_advance(tmp_path, sweep, stuck_at):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\n", encoding="utf-8")
+    done = _python_m_pstnet("transmon", "--config", str(cfg), "--sweep", sweep,
+                            memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    step = float(sweep.rsplit(":", 1)[1])
+    assert done.stderr == (f"sweep step {step} does not advance omega_c past "
+                           f"{stuck_at} at 12 decimals\n")
 
 
 def test_transmon_refuses_deleted_anharmonicity_keys(tmp_path, capsys):

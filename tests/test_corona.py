@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pstnet.corona_lab import (TheoremHypothesisError,
-                               corona_adjacency_eigenpairs, corona_edge_count,
-                               corona_laplacian_eigenpairs,
-                               corona_vertex_count, fidelity_vs_m,
-                               iterate_corona, net_regularity)
-from pstnet.graphs import (SignedWeightedGraph, adjacency, complete_graph,
-                           corona, cycle_graph, laplacian, make_graph,
-                           path_graph)
-from pstnet.spectral import Spectrum, max_fidelity_scan_spectrum
+from pstnet import corona_lab, spectral
+from pstnet.corona_lab import (TheoremHypothesisError, corona_edge_count,
+                               corona_spectrum, corona_vertex_count,
+                               fidelity_vs_m, iterate_corona, net_regularity)
+from pstnet.graphs import (MarkingScheme, SignedWeightedGraph, adjacency,
+                           complete_graph, corona, cycle_graph, laplacian,
+                           make_graph, path_graph)
+from pstnet.spectral import max_fidelity_scan_spectrum
 
 GOLDEN = math.sqrt(5.0)
 
@@ -40,8 +39,7 @@ def test_k2_pendant_eigenvalues():
     # K2 with one pendant per vertex is the 4-path; spectrum +-(1 +- sqrt5)/2
     k2 = complete_graph(2)
     k1 = SignedWeightedGraph(1, ())
-    pairs = corona_adjacency_eigenpairs(k2, k1)
-    got = sorted(p.value for p in pairs)
+    got = sorted(corona_spectrum(k2, k1).eigenvalues)
     want = sorted([(1 + GOLDEN) / 2, (1 - GOLDEN) / 2,
                    (-1 + GOLDEN) / 2, (-1 - GOLDEN) / 2])
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -50,42 +48,40 @@ def test_k2_pendant_eigenvalues():
 
 
 def test_adjacency_pairs_complete_and_validated(signed_square):
-    pairs = corona_adjacency_eigenpairs(signed_square, signed_square)
-    assert len(pairs) == 4 * (1 + 4)
+    spec = corona_spectrum(signed_square, signed_square)
+    assert spec.dimension == 4 * (1 + 4)
     product = adjacency(corona(signed_square, signed_square))
-    for p in pairs:
-        residual = np.max(np.abs(product @ p.vector - p.value * p.vector))
+    for value, vector in zip(spec.eigenvalues, spec.eigenvectors.T):
+        residual = np.max(np.abs(product @ vector - value * vector))
         assert residual <= 1e-8
     direct = np.linalg.eigvalsh(product)
-    np.testing.assert_allclose(np.sort([p.value for p in pairs]), direct,
-                               atol=1e-8)
+    np.testing.assert_allclose(np.sort(spec.eigenvalues), direct, atol=1e-8)
 
 
 def test_adjacency_pairs_unbalanced_seed(unbalanced_k4):
-    pairs = corona_adjacency_eigenpairs(unbalanced_k4, unbalanced_k4)
+    spec = corona_spectrum(unbalanced_k4, unbalanced_k4)
     direct = np.linalg.eigvalsh(adjacency(corona(unbalanced_k4, unbalanced_k4)))
-    np.testing.assert_allclose(np.sort([p.value for p in pairs]), direct,
-                               atol=1e-8)
+    np.testing.assert_allclose(np.sort(spec.eigenvalues), direct, atol=1e-8)
 
 
 def test_adjacency_refusal_for_irregular_g2():
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(TheoremHypothesisError):
-        corona_adjacency_eigenpairs(complete_graph(2), star)
+        corona_spectrum(complete_graph(2), star)
 
 
 # --- laplacian eigenpairs ------------------------------------------------------
 
 def test_laplacian_unsigned_formula():
     g1, g2 = complete_graph(2), path_graph(3)
-    pairs = corona_laplacian_eigenpairs(g1, g2)
+    spec = corona_spectrum(g1, g2, "laplacian")
     w1 = np.linalg.eigvalsh(laplacian(g1))
     k = 3
     explicit = []
     for li in w1:
         disc = math.sqrt((1 - li - k) ** 2 + 4 * k)
         explicit += [(1 + li + k + disc) / 2, (1 + li + k - disc) / 2]
-    got = sorted(p.value for p in pairs)
+    got = sorted(spec.eigenvalues)
     for val in explicit:
         assert any(abs(val - g) < 1e-9 for g in got)
     direct = np.linalg.eigvalsh(laplacian(corona(g1, g2)))
@@ -94,23 +90,93 @@ def test_laplacian_unsigned_formula():
 
 def test_laplacian_k3_self_corona():
     k3 = complete_graph(3)
-    pairs = corona_laplacian_eigenpairs(k3, k3)
+    spec = corona_spectrum(k3, k3, "laplacian")
     direct = np.linalg.eigvalsh(laplacian(corona(k3, k3)))
-    np.testing.assert_allclose(np.sort([p.value for p in pairs]), direct,
-                               atol=1e-8)
+    np.testing.assert_allclose(np.sort(spec.eigenvalues), direct, atol=1e-8)
 
 
 def test_laplacian_signed_square(signed_square):
-    pairs = corona_laplacian_eigenpairs(signed_square, signed_square)
+    spec = corona_spectrum(signed_square, signed_square, "laplacian")
     direct = np.linalg.eigvalsh(laplacian(corona(signed_square, signed_square)))
-    np.testing.assert_allclose(np.sort([p.value for p in pairs]), direct,
-                               atol=1e-8)
+    np.testing.assert_allclose(np.sort(spec.eigenvalues), direct, atol=1e-8)
 
 
 def test_laplacian_refusal_for_uneven_negative_degree():
     g2 = make_graph(3, [(0, 1, 1.0, -1), (1, 2, 1.0, 1)])
     with pytest.raises(TheoremHypothesisError):
-        corona_laplacian_eigenpairs(complete_graph(2), g2)
+        corona_spectrum(complete_graph(2), g2, "laplacian")
+
+
+# --- one builder: shape, validation, limits -------------------------------------
+
+def _criterion_7_instances(signed_square):
+    return [
+        (complete_graph(2), SignedWeightedGraph(1, ())),
+        (complete_graph(2), complete_graph(2)),
+        (path_graph(3), complete_graph(3)),
+        (complete_graph(3), cycle_graph(4)),
+        (signed_square, signed_square),
+        (cycle_graph(5), complete_graph(2)),
+        (signed_square, complete_graph(3)),
+        (complete_graph(2), cycle_graph(5)),
+        (path_graph(4), cycle_graph(6)),
+        (complete_graph(4), complete_graph(4)),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_corona_spectrum_is_sorted_and_orthonormal(signed_square, kind):
+    for g1, g2 in _criterion_7_instances(signed_square):
+        spec = corona_spectrum(g1, g2, kind)
+        n = g1.vertex_count * (1 + g2.vertex_count)
+        assert spec.eigenvectors.shape == (n, n)
+        assert np.all(np.diff(spec.eigenvalues) >= 0)
+        np.testing.assert_allclose(spec.eigenvectors.T @ spec.eigenvectors,
+                                   np.eye(n), rtol=0, atol=1e-12)
+
+
+def test_non_uniform_marking_gives_the_full_spectrum():
+    # mu2 = (+, +, -, -) on two disjoint K2s is an eigenvector of A(g2) for
+    # d = 1 and of L(g2) for 2 d- = 0 without being uniform; the lifted
+    # eigenvectors need only be orthogonal to mu2
+    g1 = make_graph(2, [(0, 1)], markings=(1, -1))
+    g2 = make_graph(4, [(0, 1), (2, 3)], markings=(1, 1, -1, -1))
+    product = corona(g1, g2, MarkingScheme.EXPLICIT)
+    for kind, matrix in (("adjacency", adjacency), ("laplacian", laplacian)):
+        spec = corona_spectrum(g1, g2, kind, MarkingScheme.EXPLICIT)
+        assert spec.dimension == 2 * (1 + 4)
+        np.testing.assert_allclose(spec.eigenvalues,
+                                   np.linalg.eigvalsh(matrix(product)), atol=1e-8)
+
+
+def test_perturbed_lifted_eigenvalue_is_refused(signed_square, monkeypatch):
+    honest = corona_lab._basis_orthogonal_to_marking
+
+    def perturbed(matrix, mu):
+        values, vectors = honest(matrix, mu)
+        values[0] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(corona_lab, "_basis_orthogonal_to_marking", perturbed)
+    with pytest.raises(TheoremHypothesisError, match="eigenpair residual 5.000e-07 exceeds"):
+        corona_spectrum(signed_square, signed_square)
+
+
+def test_dense_limit_refuses_before_building_the_product(signed_square, monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 19)
+
+    def built(*args, **kwargs):
+        pytest.fail("the product was built before the size check")
+
+    monkeypatch.setattr(corona_lab, "corona", built)
+    monkeypatch.setattr(corona_lab, "_csr_matrix", built)
+    with pytest.raises(ValueError, match="20 exceeds the limit of 19"):
+        corona_spectrum(signed_square, signed_square)
+
+
+def test_unknown_matrix_kind_is_refused(signed_square):
+    with pytest.raises(ValueError, match="signless_laplacian"):
+        corona_spectrum(signed_square, signed_square, "signless_laplacian")
 
 
 # --- iterated corona -------------------------------------------------------------
@@ -152,10 +218,7 @@ def test_signed_square_scan(signed_square):
     assert [r.provenance for r in table.rows] == ["direct", "direct"]
     # the paper's closed-form eigenpairs give the same dynamics as the
     # directly solved product
-    pairs = sorted(corona_adjacency_eigenpairs(signed_square, signed_square),
-                   key=lambda p: p.value)
-    theorem = Spectrum(np.array([p.value for p in pairs]),
-                       np.column_stack([p.vector for p in pairs]))
+    theorem = corona_spectrum(signed_square, signed_square)
     t_star, f_star = max_fidelity_scan_spectrum(theorem, 0, 2, 20.0, 0.005)
     assert m1.f_star == pytest.approx(f_star, abs=1e-9)
     assert m1.t_star == pytest.approx(t_star, abs=1e-9)

@@ -115,7 +115,7 @@ def test_grow_q2_once():
     g, lab = build_network(4)
     g2, lab2 = grow(g, lab)
     assert lab2.labels[-1] == "100"
-    assert g2.neighbors(4) == [0]
+    assert graphs.adjacency_lists(g2)[4] == [(0, 1)]
 
 
 def test_growing_completes_next_hypercube():
