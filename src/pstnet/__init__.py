@@ -17,8 +17,8 @@ from .routing import (HopPlan, NetworkLabeling, SwitchPlan, antipodal,
                       widen_labels)
 from .chains import (ChainSpec, chain_matrix, chain_pst_verify, column_project,
                      pst_chain, unmodulated_no_pst_scan)
-from .corona_lab import (ScanTable, corona_spectrum, fidelity_vs_m,
-                         iterate_corona, net_regularity)
+from .corona_lab import (ScanTable, corona_seed_spectrum, corona_spectrum,
+                         fidelity_vs_m, iterate_corona, net_regularity)
 from .qudit import (CommutingFamily, GeneratorSet, QuditState, commuting_family,
                     cycle_family, complete_family, effective_couplings,
                     qudit_chain_hamiltonian, qudit_transfer, su_d_generators,

@@ -35,6 +35,8 @@ VERSION_COMMENT = f"pstnet {__version__}"
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
+# most rows a time grid (pst --csv) or a coupler sweep (transmon --sweep) may ask for
+MAX_GRID_POINTS = 1_000_000
 
 
 def _load_graph(spec: str) -> SignedWeightedGraph:
@@ -78,6 +80,9 @@ def _cmd_pst(args) -> int:
         raise ValueError(f"--tmax must be finite and >= 0, got {args.tmax}")
     if not (math.isfinite(args.dt) and args.dt > 0):
         raise ValueError(f"--dt must be finite and > 0, got {args.dt}")
+    if args.csv and args.tmax / args.dt >= MAX_GRID_POINTS:
+        raise ValueError(f"--tmax {args.tmax} and --dt {args.dt} ask for more than "
+                         f"{MAX_GRID_POINTS} time points")
     g = _load_graph(args.graph)
     rep = check_pst_conditions(g, args.src, args.dst, matrix_kind=args.matrix)
     payload = {
@@ -280,6 +285,24 @@ def _cmd_qudit(args) -> int:
     return EXIT_OK
 
 
+def _sweep_points(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, .. up to hi, each rounded to 12 decimals; ValueError for
+    a step that does not advance there or for more than MAX_GRID_POINTS."""
+    points = []
+    wc = lo
+    while wc <= hi + 1e-12:
+        if len(points) == MAX_GRID_POINTS:
+            raise ValueError(f"sweep step {step} from {lo} to {hi} asks for more "
+                             f"than {MAX_GRID_POINTS} points")
+        points.append(wc)
+        advanced = round(wc + step, 12)
+        if advanced <= wc:
+            raise ValueError(f"sweep step {step} does not advance omega_c "
+                             f"past {wc} at 12 decimals")
+        wc = advanced
+    return points
+
+
 def _cmd_transmon(args) -> int:
     cfg = parse_coupler_config(args.config)
     if args.sweep:
@@ -288,19 +311,13 @@ def _cmd_transmon(args) -> int:
             raise ValueError("sweep must look like wc:4.5:9:0.01")
         lo, hi, step = (float(x) for x in m.groups())
         rows = []
-        wc = lo
         import warnings
-        while wc <= hi + 1e-12:
+        for wc in _sweep_points(lo, hi, step):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 rep = coupling_report(cfg.with_coupler_frequency(wc))
             t = pst_time(rep.g_brwa, hops=1) if rep.g_brwa else math.inf
             rows.append((wc, rep.delta_i, rep.g_rwa, rep.g_brwa, t))
-            advanced = round(wc + step, 12)
-            if advanced <= wc:
-                raise ValueError(f"sweep step {step} does not advance omega_c "
-                                 f"past {wc} at 12 decimals")
-            wc = advanced
         if args.csv:
             emit_csv(rows, args.csv, ["omega_c", "delta_i", "g_rwa", "g_brwa",
                                       "t_pst_ns"], VERSION_COMMENT)

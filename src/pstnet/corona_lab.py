@@ -22,8 +22,13 @@ roots l of
 each with the eigenvector [x_i; (-1)^lift mu2 kron diag(mu1) x_i / (l - s)],
 and each eigenpair (eta, y) of G2 with y orthogonal to mu2 gives eta + lift
 with the n eigenvectors [0; y kron e_i]: n(1 + k) pairs in all.
-The fidelity scans do not use them: at every order they solve the
-directly built product.
+
+Applied to G^(m) = G^(m-1) o G level by level, the formula gives the seed
+rows of G^(m)'s spectrum as n 2^m terms without building G^(m)
+(`corona_seed_spectrum`), at O(n 2^m) per time instead of a dense solve of
+n(n + 1)^m vertices.  `fidelity_vs_m` scans these terms at every order
+m >= 1 of a seed that meets the hypotheses, and solves the directly built
+product otherwise.
 """
 
 from __future__ import annotations
@@ -33,12 +38,19 @@ from typing import Optional
 
 import numpy as np
 
+from . import spectral
 from .graphs import (MarkingScheme, SignedWeightedGraph, _csr_matrix, corona,
                      graph_matrix, markings_under)
-from .spectral import (Spectrum, _check_dense_dim, _eigen_groups,
-                       max_fidelity_scan_spectrum)
+from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
+                       _eigen_groups, max_fidelity_scan_spectrum)
 
+CORONA_KINDS = ("adjacency", "laplacian")
+# largest product a direct row solves (vertices of G^(m))
 CORONA_SIZE_GUARD = 5000
+# most terms n 2^m a recursion row scans; each term holds n seed entries
+RECURSION_MAX_TERMS = 1 << 20
+# times per phase block of all_pairs_max_fidelity
+ALL_PAIRS_TIME_BLOCK = 512
 EIGENPAIR_RESIDUAL_TOL = 1e-8
 # columns per block of the residual check, so its temporaries stay small
 RESIDUAL_COLUMNS = 256
@@ -54,7 +66,7 @@ class ScanRow:
     pair: tuple[int, int]
     t_star: float
     f_star: float
-    provenance: str      # always 'direct': the product is solved directly
+    provenance: str      # 'direct': G^(m) solved; 'recursion': corona_seed_spectrum
 
 
 @dataclass(frozen=True)
@@ -99,24 +111,19 @@ def _basis_orthogonal_to_marking(matrix: np.ndarray, mu: np.ndarray
     return np.array(values), np.hstack(blocks)
 
 
-def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
-                    matrix_kind: str = "adjacency",
-                    scheme: MarkingScheme = MarkingScheme.CANONICAL) -> Spectrum:
-    """Adjacency or signed Laplacian spectrum of corona(g1, g2) from the seeds'.
+def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingScheme
+                  ) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """(lift, s, mu2, M(g2)) of the module formula, once g2 meets the hypotheses.
 
     The adjacency form requires g2 net-regular with regularity d and its
     marking an eigenvector of A(g2) for d; the Laplacian form requires every
     g2 vertex to have the same negative degree d- and L(g2) mu2 = 2 d- mu2.
-    The n(1 + k) eigenpairs of the module docstring are normalised, sorted
-    and checked together: TheoremHypothesisError is raised when
-    max |M V - V diag(w)| exceeds EIGENPAIR_RESIDUAL_TOL, with M the sparse
-    product matrix.  No dense product matrix is built.
+    Unmet hypotheses raise TheoremHypothesisError; other kinds, ValueError.
     """
-    if matrix_kind not in ("adjacency", "laplacian"):
+    if matrix_kind not in CORONA_KINDS:
         raise ValueError(f"corona spectra cover 'adjacency' and 'laplacian', "
                          f"not {matrix_kind!r}")
-    n, k = g1.vertex_count, g2.vertex_count
-    _check_dense_dim(n * (1 + k))
+    k = g2.vertex_count
     lift = int(matrix_kind == "laplacian")
     if lift:
         u, v, sw = g2.edge_arrays
@@ -130,17 +137,38 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
         if d is None:
             raise TheoremHypothesisError("g2 is not net-regular")
         target, eigen_of = float(d), "an adjacency eigenvector for the net-regularity"
-    mu1 = np.array(markings_under(g1, scheme), dtype=float)
     mu2 = np.array(markings_under(g2, scheme), dtype=float)
     m2 = graph_matrix(g2, matrix_kind)
     if np.max(np.abs(m2 @ mu2 - target * mu2)) > 1e-9:
         raise TheoremHypothesisError(f"marking vector of g2 is not {eigen_of}")
-    w1, x = np.linalg.eigh(graph_matrix(g1, matrix_kind))
-    s = target + lift
+    return lift, target + lift, mu2, m2
+
+
+def _corona_roots(w1: np.ndarray, lift: int, k: int, s: float) -> np.ndarray:
+    """Both roots l of (l - l_i - lift k)(l - s) = k for each l_i in w1,
+    larger first, the two roots of l_i at positions 2i and 2i + 1."""
     disc = np.sqrt((s - w1 - lift * k) ** 2 + 4 * k)
     centre = s + w1 + lift * k
-    # the two roots of each seed pair, larger first, in adjacent columns
-    roots = np.column_stack((centre + disc, centre - disc)).ravel() / 2.0
+    return np.column_stack((centre + disc, centre - disc)).ravel() / 2.0
+
+
+def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
+                    matrix_kind: str = "adjacency",
+                    scheme: MarkingScheme = MarkingScheme.CANONICAL) -> Spectrum:
+    """Adjacency or signed Laplacian spectrum of corona(g1, g2) from the seeds'.
+
+    g2 must meet the hypotheses of `_g2_constants`.  The n(1 + k) eigenpairs
+    of the module docstring are normalised, sorted and checked together:
+    TheoremHypothesisError is raised when max |M V - V diag(w)| exceeds
+    EIGENPAIR_RESIDUAL_TOL, with M the sparse product matrix.  No dense
+    product matrix is built.
+    """
+    n, k = g1.vertex_count, g2.vertex_count
+    _check_dense_dim(n * (1 + k))
+    lift, s, mu2, m2 = _g2_constants(g2, matrix_kind, scheme)
+    mu1 = np.array(markings_under(g1, scheme), dtype=float)
+    w1, x = np.linalg.eigh(graph_matrix(g1, matrix_kind))
+    roots = _corona_roots(w1, lift, k, s)
     seeds = np.repeat(x, 2, axis=1)
     eta, y = _basis_orthogonal_to_marking(m2, mu2)
     values = np.concatenate((roots, np.repeat(eta + lift, n)))
@@ -169,6 +197,59 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     return Spectrum(values, vectors)
 
 
+def _check_recursion_terms(n: int, m: int) -> None:
+    if m > RECURSION_MAX_TERMS.bit_length() or n << m > RECURSION_MAX_TERMS:
+        raise ValueError(f"corona order {m} needs {n} * 2^{m} recursion terms, "
+                         f"above the limit of {RECURSION_MAX_TERMS}")
+
+
+def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
+                         matrix_kind: str = "adjacency",
+                         scheme: MarkingScheme = MarkingScheme.CANONICAL) -> Spectrum:
+    """The seed rows of the spectrum of G^(m) = iterate_corona(seed, m).
+
+    Returns a `Spectrum` of n 2^m terms (l_j, z_j), z_j the n seed entries
+    of an eigenvector, such that the seed block of exp(-i t M(G^(m))) is
+    sum_j e^{-i l_j t} z_j z_j^T.  It never builds G^(m): level 0 is the
+    eigendecomposition of M(seed), and each level maps a term (l_i, z_i)
+    to the two roots l of (l - l_i - lift k)(l - s) = k, with k = n, each
+    with rows z_i sqrt(a^2 / (a^2 + k)), a = l - s.  The seed must meet the
+    hypotheses of `_g2_constants` (TheoremHypothesisError otherwise), and
+    n 2^m may not exceed RECURSION_MAX_TERMS (ValueError).
+
+    Proof, for A (lift = 0) and L (lift = 1) alike.  G^(m) is the corona of
+    g1 = G^(m-1) with g2 = the seed, so the hypotheses, which are on g2
+    alone, hold at every level once they hold for the seed; of g1 the
+    formula only uses mu1(i)^2 = 1, true of every marking.  By the module
+    formula each eigenpair (l_i, x_i) of M(G^(m-1)) gives, for both roots
+    l, the eigenvector [x_i; (-1)^lift mu2 kron diag(mu1) x_i / a] of
+    M(G^(m)).  Its tail has norm^2 |mu2|^2 |diag(mu1) x_i|^2 / a^2 =
+    k |x_i|^2 / a^2 whatever the signs of mu1 and of (-1)^lift, so
+    normalised, its first block is x_i sqrt(a^2 / (a^2 + k)).  G^(m-1)
+    comes first in G^(m) and the seed first in G^(m-1), so the seed rows
+    of the two children are those of the parent times these factors.  (The
+    roots satisfy a+ a- = -k, so the two weights sum to 1.)  The other
+    eigenvectors of this complete orthonormal basis are the lifted
+    [0; y kron e_i] at eta + lift, zero on G^(m-1), and at later levels the
+    children of any eigenvector already zero on the seed, whose first
+    block is that eigenvector: all of them keep a zero seed block, so
+    leaving them out of the sum loses nothing.  By induction the terms
+    descending from the seed's n eigenpairs give the whole seed block.
+    """
+    if m < 0:
+        raise ValueError("order must be non-negative")
+    n = seed.vertex_count
+    _check_recursion_terms(n, m)
+    lift, s, _, matrix = _g2_constants(seed, matrix_kind, scheme)
+    values, rows = np.linalg.eigh(matrix)
+    for _ in range(m):
+        values = _corona_roots(values, lift, n, s)
+        a2 = (values - s) ** 2
+        rows = np.repeat(rows, 2, axis=1) * np.sqrt(a2 / (a2 + n))
+    order = np.argsort(values, kind="stable")
+    return Spectrum(values[order], rows[:, order])
+
+
 def iterate_corona(seed: SignedWeightedGraph, m: int,
                    scheme: MarkingScheme = MarkingScheme.CANONICAL
                    ) -> SignedWeightedGraph:
@@ -193,6 +274,19 @@ def corona_edge_count(n: int, k: int, m: int) -> int:
     return k + (k + n) * ((n + 1) ** m - 1)
 
 
+def _meets_theorem(seed: SignedWeightedGraph, matrix_kind: str,
+                   scheme: MarkingScheme) -> bool:
+    """True when corona_spectrum(seed, seed) holds: hypotheses and residual."""
+    n = seed.vertex_count
+    if matrix_kind not in CORONA_KINDS or n * (n + 1) > spectral.DENSE_MAX_DIM:
+        return False
+    try:
+        corona_spectrum(seed, seed, matrix_kind, scheme)
+    except TheoremHypothesisError:
+        return False
+    return True
+
+
 def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
                   matrix_kind: str = "adjacency", t_max: float = 20.0,
                   scheme: MarkingScheme = MarkingScheme.CANONICAL,
@@ -200,25 +294,59 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     """Best transfer fidelity between two seed vertices at each corona order.
 
     Seed vertices keep their indices in every product, so the pair persists.
-    Each order m builds G^(m) with iterate_corona and scans the spectrum of
-    its chosen matrix; the provenance column records this direct route.
+    Order 0 scans the seed's own spectrum.  Whether the seed meets the
+    corona theorem is decided once, by corona_spectrum(seed, seed), which
+    checks the hypotheses and the residual on the one-level product.  If it
+    does, every order m >= 1 scans corona_seed_spectrum(seed, m), with no
+    product built, up to RECURSION_MAX_TERMS terms (ValueError above, before
+    any scan); its rows have provenance 'recursion'.  If not, each order
+    builds G^(m) with iterate_corona, up to CORONA_SIZE_GUARD vertices, and
+    scans the spectrum of its chosen matrix; those rows are 'direct'.
     """
     u, v = pair
     if not (0 <= u < seed.vertex_count and 0 <= v < seed.vertex_count):
         raise ValueError("pair must index seed vertices")
+    recursion = m_max >= 1 and _meets_theorem(seed, matrix_kind, scheme)
+    if recursion:
+        _check_recursion_terms(seed.vertex_count, m_max)
     rows = []
     for m in range(m_max + 1):
-        spectrum = Spectrum.from_graph(iterate_corona(seed, m, scheme), matrix_kind)
+        if m == 0:
+            spectrum = Spectrum.from_graph(seed, matrix_kind)
+        elif recursion:
+            spectrum = corona_seed_spectrum(seed, m, matrix_kind, scheme)
+        else:
+            spectrum = Spectrum.from_graph(iterate_corona(seed, m, scheme), matrix_kind)
         t_star, f_star = max_fidelity_scan_spectrum(spectrum, u, v, t_max, dt)
-        rows.append(ScanRow(m, (u, v), t_star, f_star, "direct"))
+        rows.append(ScanRow(m, (u, v), t_star, f_star,
+                            "recursion" if recursion and m else "direct"))
     return ScanTable(tuple(rows))
 
 
 def all_pairs_max_fidelity(matrix: np.ndarray, t_max: float, dt: float
                            ) -> np.ndarray:
-    """Grid maximum of |U(t)[v,u]| per pair, vectorized over the full matrix."""
+    """Grid maximum of |U(t)[a, b]| over t = 0, dt, .., t_max for every pair.
+
+    The coefficients V[a] V[b] of the pairs a <= b are built once, in blocks
+    of at most AMPLITUDE_BLOCK_ENTRIES entries.  Each block meets the phases
+    of ALL_PAIRS_TIME_BLOCK times in one product, split into cos and sin so
+    that both products stay real, and keeps the running maximum of the
+    magnitudes, which is mirrored into the symmetric result.
+    """
     spec = Spectrum.from_matrix(matrix)
-    best = np.zeros((spec.dimension, spec.dimension))
-    for t in np.arange(0.0, t_max + dt, dt):
-        np.maximum(best, np.abs(spec.propagator(t)), out=best)
+    n = spec.dimension
+    ts = np.arange(0.0, t_max + dt, dt)
+    first, second = np.triu_indices(n)
+    best = np.zeros((n, n))
+    pair_block = max(1, AMPLITUDE_BLOCK_ENTRIES // max(1, n))
+    for p in range(0, len(first), pair_block):
+        a, b = first[p:p + pair_block], second[p:p + pair_block]
+        coeffs = (spec.eigenvectors[a] * spec.eigenvectors[b]).T
+        top = np.zeros(len(a))
+        for c in range(0, len(ts), ALL_PAIRS_TIME_BLOCK):
+            angles = np.outer(ts[c:c + ALL_PAIRS_TIME_BLOCK], spec.eigenvalues)
+            mags = np.hypot(np.cos(angles) @ coeffs, np.sin(angles) @ coeffs)
+            np.maximum(top, mags.max(axis=0), out=top)
+        best[a, b] = top
+        best[b, a] = top
     return best

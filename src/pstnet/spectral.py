@@ -63,6 +63,8 @@ DEFAULT_MAX_DENOMINATOR = 10 ** 6
 SPIN_ORACLE_MAX_VERTICES = 12
 # largest dense eigensolve: 8192^2 doubles are 512 MiB per matrix copy
 DENSE_MAX_DIM = 8192
+# complex entries per block of a time-grid amplitude (4 MiB of temporaries)
+AMPLITUDE_BLOCK_ENTRIES = 1 << 18
 KRYLOV_NORM_TOL = 1e-8
 # Cost model of `_prefers_krylov`, in seconds, fitted to single-thread
 # timings (2-CPU x86-64 box, numpy 2.4, scipy 1.17): a dense solve plus one
@@ -78,7 +80,12 @@ KRYLOV_S_PER_ENTRY = 2e-8
 
 @dataclass
 class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
+
+    The eigenvectors may also be a block of rows of them, with one column
+    per term: `amplitude` and `propagator` then give that block of U(t), as
+    for the seed rows of an iterated corona (`corona_lab.corona_seed_spectrum`).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -117,7 +124,14 @@ class Spectrum:
         coeffs = self.eigenvectors[v] * self.eigenvectors[u]
         if np.ndim(t) == 0:
             return complex(np.sum(coeffs * np.exp(-1j * t * self.eigenvalues)))
-        return np.exp(-1j * np.outer(t, self.eigenvalues)) @ coeffs
+        times = np.asarray(t, dtype=float)
+        out = np.empty(len(times), dtype=complex)
+        # time blocks keep the phase matrix within AMPLITUDE_BLOCK_ENTRIES
+        step = max(1, AMPLITUDE_BLOCK_ENTRIES // max(1, len(coeffs)))
+        for c in range(0, len(times), step):
+            phases = np.exp(-1j * np.outer(times[c:c + step], self.eigenvalues))
+            out[c:c + step] = phases @ coeffs
+        return out
 
 
 def hypercube_apply(dimension: int, weight: float, t: float,
@@ -422,13 +436,22 @@ def max_fidelity_scan(g: SignedWeightedGraph, u: int, v: int, t_max: float,
 
 def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
                                dt: float) -> tuple[float, float]:
+    """Grid scan of |<v|U(t)|u>| on [0, t_max] at step dt, peaks refined.
+
+    The grid error bound uses the spread S of the support, the eigenvalues
+    whose term c_j = <v|j><j|u> is not zero: turning the amplitude by a
+    phase centred in the support leaves a real part whose second derivative
+    is at most sum |c_j| (S/2)^2 <= (S/2)^2, so no peak hides more than
+    (S dt/2)^2 / 2 below its nearest grid point.
+    """
     ts = np.arange(0.0, t_max + dt, dt)
     mags = np.abs(spec.amplitude(u, v, ts))
     top = float(np.max(mags))
     # refine every peak the grid cannot distinguish from the best one, then
     # report the earliest among refined ties so periodic transfers give
     # their minimal time
-    spread = float(spec.eigenvalues[-1] - spec.eigenvalues[0]) if spec.dimension > 1 else 0.0
+    support = spec.eigenvalues[spec.eigenvectors[u] * spec.eigenvectors[v] != 0]
+    spread = float(np.ptp(support)) if len(support) else 0.0
     grid_err = 0.5 * (0.5 * spread * dt) ** 2 + 1e-12
     candidates = np.flatnonzero(mags >= top - grid_err)
     seeds = []

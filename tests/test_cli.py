@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pstnet
-from pstnet import spectral
+from pstnet import cli, spectral
 from pstnet.cli import run
 from pstnet.fileio import (GraphFormatError, emit_csv, fmt, parse_graph_text,
                            read_csv, serialize_graph)
@@ -274,6 +274,25 @@ def test_corona_command(tmp_path, capsys):
     assert float(rows[1][4]) < 1.0
 
 
+def test_corona_command_past_the_size_guard(tmp_path, capsys):
+    # G^(10) of the signed square has 39 M vertices; its seed rows are 4096 terms
+    seed = tmp_path / "seed.graph"
+    seed.write_text(SQUARE_TEXT, encoding="utf-8")
+    assert run(["corona", "--seed", str(seed), "--pairs", "0,2", "--m", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == [str(m) for m in range(11)]
+    assert [line.split(",")[-1] for line in lines] == ["direct"] + ["recursion"] * 10
+
+
+def test_corona_refuses_orders_above_the_recursion_cap(tmp_path, capsys):
+    seed = tmp_path / "seed.graph"
+    seed.write_text(SQUARE_TEXT, encoding="utf-8")
+    assert run(["corona", "--seed", str(seed), "--pairs", "0,2", "--m", "19"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "corona order 19 needs 4 * 2^19 recursion terms, above the limit of 1048576\n")
+
+
 def test_qudit_command(tmp_path, capsys):
     out = tmp_path / "prob.csv"
     assert run(["qudit", "--family", "cycle:2:0,1", "--target", "1",
@@ -372,6 +391,43 @@ def test_transmon_refuses_a_sweep_step_that_does_not_advance(tmp_path, sweep, st
     step = float(sweep.rsplit(":", 1)[1])
     assert done.stderr == (f"sweep step {step} does not advance omega_c past "
                            f"{stuck_at} at 12 decimals\n")
+
+
+def test_transmon_refuses_a_sweep_of_too_many_points(tmp_path):
+    # 4.5e12 points: about two years of coupler reports before the cap
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    done = _python_m_pstnet("transmon", "--config", str(cfg), "--sweep",
+                            "wc:4.5:9:0.000000000001", "--csv", str(out),
+                            memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("sweep step 1e-12 from 4.5 to 9.0 asks for more than "
+                           "1000000 points\n")
+    assert not out.exists()
+
+
+def test_pst_refuses_a_csv_grid_of_too_many_points(tmp_path):
+    # 10^12 + 1 rows used to end in a MemoryError traceback with exit 1
+    out = tmp_path / "o.csv"
+    done = _python_m_pstnet("pst", "--graph", "k2", "--from", "0", "--to", "1",
+                            "--csv", str(out), "--tmax", "1e9", "--dt", "1e-3",
+                            memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("--tmax 1000000000.0 and --dt 0.001 ask for more than "
+                           "1000000 time points\n")
+    assert not out.exists()
+
+
+def test_pst_csv_grid_at_the_cap_is_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
+    out = tmp_path / "o.csv"
+    args = ["pst", "--graph", "k2", "--from", "0", "--to", "1", "--csv", str(out)]
+    assert run(args + ["--tmax", "1", "--dt", "0.1"]) == 0
+    assert len(read_csv(str(out))[1]) == 11
+    assert run(args + ["--tmax", "1.1", "--dt", "0.1"]) == 2
 
 
 def test_transmon_refuses_deleted_anharmonicity_keys(tmp_path, capsys):

@@ -1,16 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pstnet
 from pstnet import corona_lab, spectral
-from pstnet.corona_lab import (TheoremHypothesisError, corona_edge_count,
+from pstnet.corona_lab import (CORONA_SIZE_GUARD, RECURSION_MAX_TERMS,
+                               TheoremHypothesisError, all_pairs_max_fidelity,
+                               corona_edge_count, corona_seed_spectrum,
                                corona_spectrum, corona_vertex_count,
                                fidelity_vs_m, iterate_corona, net_regularity)
+from pstnet.fileio import parse_graph_file
 from pstnet.graphs import (MarkingScheme, SignedWeightedGraph, adjacency,
                            complete_graph, corona, cycle_graph, laplacian,
                            make_graph, path_graph)
-from pstnet.spectral import max_fidelity_scan_spectrum
+from pstnet.spectral import Spectrum, krylov_amplitude, max_fidelity_scan_spectrum
+
+EXAMPLES = Path(pstnet.__file__).resolve().parent / "data" / "corona_examples"
 
 GOLDEN = math.sqrt(5.0)
 
@@ -215,9 +222,9 @@ def test_signed_square_scan(signed_square):
     assert m0.f_star == pytest.approx(1.0, abs=1e-9)
     assert m0.t_star == pytest.approx(math.pi / 2, abs=1e-6)
     assert m1.f_star < m0.f_star
-    assert [r.provenance for r in table.rows] == ["direct", "direct"]
-    # the paper's closed-form eigenpairs give the same dynamics as the
-    # directly solved product
+    assert [r.provenance for r in table.rows] == ["direct", "recursion"]
+    # the paper's closed-form eigenpairs of the one-level product give the
+    # same dynamics as the recursion's seed rows
     theorem = corona_spectrum(signed_square, signed_square)
     t_star, f_star = max_fidelity_scan_spectrum(theorem, 0, 2, 20.0, 0.005)
     assert m1.f_star == pytest.approx(f_star, abs=1e-9)
@@ -236,12 +243,143 @@ def test_scan_of_seed_outside_theorem_hypotheses():
     assert [r.provenance for r in table.rows] == ["direct", "direct"]
 
 
+def test_path_adjacency_scans_directly():
+    table = fidelity_vs_m(path_graph(3), (0, 2), 2)
+    assert [r.provenance for r in table.rows] == ["direct"] * 3
+
+
 def test_laplacian_corona_below_unity():
     g = path_graph(3)
     table = fidelity_vs_m(g, (0, 2), 1, matrix_kind="laplacian", t_max=20.0)
     assert table.rows[1].f_star < 1 - 1e-6
+    # an unsigned seed has d- = 0 and L 1 = 0, so it meets the Laplacian
+    # hypotheses: its coronas scan through the recursion
+    assert [r.provenance for r in table.rows] == ["direct", "recursion"]
 
 
 def test_scan_rejects_foreign_pair(signed_square):
     with pytest.raises(ValueError):
         fidelity_vs_m(signed_square, (0, 5), 1)
+
+
+# --- seed-block recursion ----------------------------------------------------------
+
+SEEDS = {
+    "k3": lambda: complete_graph(3),
+    "c4": lambda: cycle_graph(4),
+    "p3": lambda: path_graph(3),
+    "star": lambda: make_graph(4, [(0, 1), (0, 2), (0, 3)]),
+    **{name: (lambda name=name: parse_graph_file(str(EXAMPLES / f"{name}.graph")))
+       for name in ("example01", "example02", "example03", "example04")},
+}
+RECURSION_CASES = [(name, kind) for name in ("k3", "c4", "example01", "example02",
+                                             "example03", "example04")
+                   for kind in ("adjacency", "laplacian")]
+# unsigned seeds meet the Laplacian hypotheses whatever their degrees
+RECURSION_CASES += [("p3", "laplacian"), ("star", "laplacian")]
+
+
+@pytest.mark.parametrize("name, kind", RECURSION_CASES)
+def test_recursion_matches_the_direct_solve(name, kind):
+    """Seed blocks of U(t) and scan rows (0, v) against G^(m) solved densely, m <= 3."""
+    seed = SEEDS[name]()
+    n = seed.vertex_count
+    m_max = max(m for m in range(4) if corona_vertex_count(n, m) <= CORONA_SIZE_GUARD)
+    tables = {v: fidelity_vs_m(seed, (0, v), m_max, kind).rows for v in range(1, n)}
+    rng = np.random.default_rng(n * 10 + m_max)
+    for m in range(m_max + 1):
+        direct = Spectrum.from_graph(iterate_corona(seed, m), kind)
+        recursion = corona_seed_spectrum(seed, m, kind)
+        assert recursion.dimension == n * 2 ** m
+        assert np.all(np.diff(recursion.eigenvalues) >= 0)
+        rows = direct.eigenvectors[:n]
+        for t in rng.uniform(0.0, 20.0, 4):
+            block = (rows * np.exp(-1j * t * direct.eigenvalues)) @ rows.T
+            np.testing.assert_allclose(recursion.propagator(t), block, rtol=0, atol=1e-12)
+        for v, table in tables.items():
+            row = table[m]
+            assert row.provenance == ("recursion" if m else "direct")
+            t_star, f_star = max_fidelity_scan_spectrum(direct, 0, v, 20.0, 0.005)
+            assert abs(row.f_star - f_star) <= 1e-12
+            if f_star > 1e-6:   # where the amplitude vanishes t* means nothing
+                assert abs(row.t_star - t_star) <= 1e-8
+
+
+def test_recursion_builds_no_product_and_solves_only_the_seed(signed_square, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("iterate_corona called for a seed that meets the theorem")
+
+    dims = []
+    honest = np.linalg.eigh
+
+    def recorded(matrix, *args, **kwargs):
+        dims.append(np.shape(matrix)[0])
+        return honest(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(corona_lab, "iterate_corona", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    for kind in ("adjacency", "laplacian"):
+        table = fidelity_vs_m(signed_square, (0, 2), 6, kind)
+        assert [r.provenance for r in table.rows] == ["direct"] + ["recursion"] * 6
+        assert [r.m for r in table.rows] == list(range(7))
+    assert max(dims) == signed_square.vertex_count
+
+
+def test_recursion_weights_keep_the_seed_block_unitary(unbalanced_k4):
+    for kind in ("adjacency", "laplacian"):
+        spec = corona_seed_spectrum(unbalanced_k4, 8, kind)
+        np.testing.assert_allclose(spec.eigenvectors @ spec.eigenvectors.T,
+                                   np.eye(4), rtol=0, atol=1e-12)
+
+
+def test_recursion_past_the_size_guard_matches_krylov(signed_square):
+    g = signed_square
+    for _ in range(5):
+        g = corona(g, signed_square)
+    assert g.vertex_count == 12500 > CORONA_SIZE_GUARD
+    table = fidelity_vs_m(signed_square, (0, 2), 5)
+    row = table.rows[5]
+    assert row.provenance == "recursion"
+    assert abs(abs(krylov_amplitude(g, 0, 2, row.t_star)) - row.f_star) <= 1e-9
+
+
+def test_recursion_refuses_above_its_term_cap(signed_square, monkeypatch):
+    def scanned(*args, **kwargs):
+        pytest.fail("an order was scanned before the cap was checked")
+
+    monkeypatch.setattr(corona_lab, "max_fidelity_scan_spectrum", scanned)
+    m = RECURSION_MAX_TERMS.bit_length() - 2   # 4 * 2^m = 2 * RECURSION_MAX_TERMS
+    for order in (m, 10 ** 9):
+        with pytest.raises(ValueError, match=f"above the limit of {RECURSION_MAX_TERMS}"):
+            fidelity_vs_m(signed_square, (0, 2), order)
+        with pytest.raises(ValueError, match=f"above the limit of {RECURSION_MAX_TERMS}"):
+            corona_seed_spectrum(signed_square, order)
+
+
+def test_recursion_refuses_a_seed_outside_the_hypotheses():
+    with pytest.raises(TheoremHypothesisError, match="not net-regular"):
+        corona_seed_spectrum(path_graph(3), 2)
+
+
+# --- all-pairs grid maxima ---------------------------------------------------------
+
+def test_all_pairs_matches_the_per_time_loop(signed_square, monkeypatch):
+    rng = np.random.default_rng(7)
+    matrices = [laplacian(corona(signed_square, signed_square)),
+                adjacency(cycle_graph(7))]
+    for n in (3, 5):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        seed = make_graph(n, edges + [(i, i + 1) for i in range(n - 1)
+                                      if (i, i + 1) not in edges])
+        matrices.append(laplacian(corona(seed, seed)))
+    for matrix in matrices:
+        spec = Spectrum.from_matrix(matrix)
+        want = np.zeros(matrix.shape)
+        for t in np.arange(0.0, 50.0 + 0.005, 0.005):
+            np.maximum(want, np.abs(spec.propagator(t)), out=want)
+        # one block of pairs, then blocks of a few pairs each
+        for block_entries in (spectral.AMPLITUDE_BLOCK_ENTRIES, 256):
+            monkeypatch.setattr(corona_lab, "AMPLITUDE_BLOCK_ENTRIES", block_entries)
+            best = all_pairs_max_fidelity(matrix, 50.0, 0.005)
+            np.testing.assert_allclose(best, want, rtol=0, atol=1e-12)
+            assert np.array_equal(best, best.T)

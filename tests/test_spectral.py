@@ -430,3 +430,16 @@ def test_transfer_series_rows():
     rows = transfer_series(complete_graph(2), 0, 1, [0.0, math.pi / 2])
     assert rows[0][1] == pytest.approx(0.0, abs=1e-12)
     assert rows[1][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_amplitudes_are_the_same_in_time_blocks(monkeypatch):
+    spec = Spectrum.from_matrix(random_symmetric(40))
+    ts = np.linspace(0.0, 30.0, 1001)
+    whole = np.exp(-1j * np.outer(ts, spec.eigenvalues)) @ (spec.eigenvectors[5]
+                                                            * spec.eigenvectors[2])
+    # 7 times per block: 143 blocks, the last one short
+    monkeypatch.setattr(spectral, "AMPLITUDE_BLOCK_ENTRIES", 40 * 7)
+    np.testing.assert_array_equal(spec.amplitude(2, 5, ts), whole)
+    rows = transfer_series(cycle_graph(40), 2, 5, ts)
+    whole = np.abs(Spectrum.from_graph(cycle_graph(40)).amplitude(2, 5, ts))
+    np.testing.assert_allclose([r[1] for r in rows], whole, rtol=0, atol=1e-15)
