@@ -42,15 +42,14 @@ from . import spectral
 from .graphs import (MarkingScheme, SignedWeightedGraph, _csr_matrix, corona,
                      graph_matrix, markings_under)
 from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
-                       _eigen_groups, max_fidelity_scan_spectrum)
+                       _eigen_groups, _grid_magnitudes, _scan_points,
+                       max_fidelity_scan_spectrum)
 
 CORONA_KINDS = ("adjacency", "laplacian")
 # largest product a direct row solves (vertices of G^(m))
 CORONA_SIZE_GUARD = 5000
 # most terms n 2^m a recursion row scans; each term holds n seed entries
 RECURSION_MAX_TERMS = 1 << 20
-# times per phase block of all_pairs_max_fidelity
-ALL_PAIRS_TIME_BLOCK = 512
 EIGENPAIR_RESIDUAL_TOL = 1e-8
 # columns per block of the residual check, so its temporaries stay small
 RESIDUAL_COLUMNS = 256
@@ -327,26 +326,24 @@ def all_pairs_max_fidelity(matrix: np.ndarray, t_max: float, dt: float
                            ) -> np.ndarray:
     """Grid maximum of |U(t)[a, b]| over t = 0, dt, .., t_max for every pair.
 
-    The coefficients V[a] V[b] of the pairs a <= b are built once, in blocks
-    of at most AMPLITUDE_BLOCK_ENTRIES entries.  Each block meets the phases
-    of ALL_PAIRS_TIME_BLOCK times in one product, split into cos and sin so
-    that both products stay real, and keeps the running maximum of the
-    magnitudes, which is mirrored into the symmetric result.
+    The coefficients V[a] V[b] of the pairs a <= b are built in blocks of
+    at most AMPLITUDE_BLOCK_ENTRIES entries, and each block goes through
+    the factored-phase grid kernel `spectral._grid_magnitudes`, which
+    merges degenerate eigenvalues (summing the pairs' coefficients into
+    eigenprojector entries) and keeps only the running maximum of each
+    pair.  The maxima are mirrored into the symmetric result.  A bad grid
+    raises ValueError before the solve.
     """
+    count = _scan_points(t_max, dt)
     spec = Spectrum.from_matrix(matrix)
     n = spec.dimension
-    ts = np.arange(0.0, t_max + dt, dt)
     first, second = np.triu_indices(n)
     best = np.zeros((n, n))
     pair_block = max(1, AMPLITUDE_BLOCK_ENTRIES // max(1, n))
     for p in range(0, len(first), pair_block):
         a, b = first[p:p + pair_block], second[p:p + pair_block]
         coeffs = (spec.eigenvectors[a] * spec.eigenvectors[b]).T
-        top = np.zeros(len(a))
-        for c in range(0, len(ts), ALL_PAIRS_TIME_BLOCK):
-            angles = np.outer(ts[c:c + ALL_PAIRS_TIME_BLOCK], spec.eigenvalues)
-            mags = np.hypot(np.cos(angles) @ coeffs, np.sin(angles) @ coeffs)
-            np.maximum(top, mags.max(axis=0), out=top)
+        top = _grid_magnitudes(spec.eigenvalues, coeffs, dt, count, running_max=True)
         best[a, b] = top
         best[b, a] = top
     return best

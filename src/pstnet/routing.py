@@ -420,10 +420,10 @@ class NeighborhoodReport:
 def classify_neighborhood(labeling: NetworkLabeling, u: int) -> NeighborhoodReport:
     """Existing vertices at Hamming distance 1..4 from u (reachable in at
     most two one-link/two-link jumps).  Counts are bounded by C(width, d)."""
-    lu = labeling.labels[u]
+    cu = labeling.codes[u]
     sets: dict[int, list[int]] = {1: [], 2: [], 3: [], 4: []}
-    for v, lab in enumerate(labeling.labels):
-        d = hamming(lu, lab)
+    for v, cv in enumerate(labeling.codes):
+        d = (cu ^ cv).bit_count()
         if 1 <= d <= 4:
             sets[d].append(v)
     return NeighborhoodReport(tuple(sets[1]), tuple(sets[2]),

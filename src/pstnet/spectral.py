@@ -25,9 +25,19 @@ and the Krylov column by their estimated costs (`_prefers_krylov`):
 about 3e-10 n^3 s for the solve against
 1.5e-3 + (1 + ||tM||_1)(1.5e-4 + 2e-8 (nnz + n)) s for the column, whose
 number of products grows with the 1-norm of tM.  Above DENSE_MAX_DIM it
-always takes the column.  Everything that needs many times or a spectrum
-(`transfer_series`, the PST verdict, symmetry operators, scans) stays on
+always takes the column.  The PST verdict, symmetry operators and
+`transfer_series` (whose CSV bytes come from `Spectrum.amplitude`) stay on
 `Spectrum`.
+
+Every magnitude scan over a time grid, `max_fidelity_scan_spectrum` for
+one pair and `corona_lab.all_pairs_max_fidelity` for all of them, runs
+one kernel, `_grid_magnitudes`.  It drops terms with zero coefficients,
+merges runs of eigenvalues spanning delta with delta t_max <= 1e-12 (so
+no amplitude moves by more than 1e-12), and factors each phase over
+blocks of B times as e^{-i l (bB + s) dt} = e^{-i l s dt} e^{-i l bB dt}:
+(B + points/B) complex exponentials per term instead of one per time
+point, then two real products per block.  `_scan_points` checks the grid
+first: finite t_max >= 0, finite dt > 0, at most SCAN_MAX_POINTS points.
 
 Transfer amplitudes, fidelities, spectral PST conditions, symmetry
 operators, bipartite phase classes and the full-spin XY oracle live here.
@@ -66,6 +76,12 @@ DENSE_MAX_DIM = 8192
 # complex entries per block of a time-grid amplitude (4 MiB of temporaries)
 AMPLITUDE_BLOCK_ENTRIES = 1 << 18
 KRYLOV_NORM_TOL = 1e-8
+# most points of one grid scan: 10^7 magnitudes are 80 MB
+SCAN_MAX_POINTS = 10 ** 7
+# terms whose eigenvalues spread by delta with delta t_max <= this merge
+SCAN_MERGE_TOL = 1e-12
+# times per block of `_grid_magnitudes`: this many times sqrt(points)
+SCAN_BLOCK_SCALE = 8
 # Cost model of `_prefers_krylov`, in seconds, fitted to single-thread
 # timings (2-CPU x86-64 box, numpy 2.4, scipy 1.17): a dense solve plus one
 # amplitude took 0.1-0.4 ms up to n = 64, 8 ms at n = 256, 40 ms at 512,
@@ -420,6 +436,89 @@ def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float
     return float(res.x), float(-res.fun)
 
 
+def _scan_points(t_max: float, dt: float) -> int:
+    """Length of the grid np.arange(0, t_max + dt, dt), counted before any
+    allocation: the entry check of every grid scan.
+
+    ValueError names a t_max that is not finite or is negative, a dt that
+    is not finite or not positive, or a grid of more than SCAN_MAX_POINTS
+    points.
+    """
+    t_max, dt = float(t_max), float(dt)
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"scan t_max must be finite and >= 0, got {t_max}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"scan dt must be finite and > 0, got {dt}")
+    # numpy's arange length, ceil((stop - start) / step), in the same doubles
+    points = (t_max + dt) / dt
+    if not points <= SCAN_MAX_POINTS:
+        raise ValueError(f"scan of [0, {t_max}] at dt = {dt} asks for more than "
+                         f"{SCAN_MAX_POINTS} time points")
+    return math.ceil(points)
+
+
+def _run_starts(values: np.ndarray, width: float) -> np.ndarray:
+    """Starts of the greedy runs of the sorted values, each spanning at most width."""
+    starts, lo = [], 0
+    while lo < len(values):
+        starts.append(lo)
+        lo = int(np.searchsorted(values, values[lo] + width, side="right"))
+    return np.array(starts, dtype=int)
+
+
+def _grid_magnitudes(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float,
+                     count: int, running_max: bool = False) -> np.ndarray:
+    """|a_p(k dt)|, a_p(t) = sum_j C[j, p] e^{-i l_j t}, on the grid k = 0..count-1.
+
+    Returns a (count, pairs) array, or with running_max only the maximum
+    over k of each column, shape (pairs,).  The grid comes from
+    `_scan_points`.
+
+    Terms: rows of C that are exactly 0 are dropped, and each greedy run of
+    sorted eigenvalues spanning delta with delta t_max <= SCAN_MERGE_TOL,
+    t_max = (count - 1) dt, becomes one term at its lowest eigenvalue with
+    the summed rows.  Each merged phase moves by at most delta t, so an
+    amplitude moves by at most SCAN_MERGE_TOL sum_j |C[j, p]|, which is
+    1e-12 for the coefficients V[a] V[b] of an orthonormal basis (or of a
+    block of its rows); wider runs stay separate terms.
+
+    Factored phases: with k = b B + s and a block of B times,
+    e^{-i l k dt} = e^{-i l s dt} e^{-i l b B dt}.  The inner table (B x J)
+    is built once and each block's outer row (J) on its turn, so the J
+    terms cost (B + count/B) J complex exponentials instead of count J.
+    Each block's phase matrix is the inner table times its outer row, kept
+    as real and imaginary parts so that both products with C are real;
+    only the returned values take a square root.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    keep = np.any(coeffs != 0, axis=1)
+    lam, coeffs = np.asarray(eigenvalues, dtype=float)[keep], coeffs[keep]
+    order = np.argsort(lam, kind="stable")
+    lam, coeffs = lam[order], coeffs[order]
+    horizon = (count - 1) * dt
+    if len(lam):
+        width = SCAN_MERGE_TOL / horizon if horizon > 0 else math.inf
+        starts = _run_starts(lam, width)
+        lam, coeffs = lam[starts], np.add.reduceat(coeffs, starts, axis=0)
+    terms, pairs = coeffs.shape
+    block = max(1, min(count, math.isqrt(count) * SCAN_BLOCK_SCALE,
+                       AMPLITUDE_BLOCK_ENTRIES // max(1, terms, pairs)))
+    inner = np.exp(-1j * np.outer(np.arange(block) * dt, lam))
+    out = np.zeros(pairs) if running_max else np.empty((count, pairs))
+    for start in range(0, count, block):
+        rows = min(block, count - start)
+        outer = np.exp(-1j * (start * dt) * lam)
+        ir, ii = inner.real[:rows], inner.imag[:rows]
+        re = (ir * outer.real - ii * outer.imag) @ coeffs
+        im = (ir * outer.imag + ii * outer.real) @ coeffs
+        square = re * re + im * im
+        if running_max:
+            np.maximum(out, square.max(axis=0), out=out)
+        else:
+            out[start:start + rows] = square
+    return np.sqrt(out)
+
+
 def max_fidelity_scan(g: SignedWeightedGraph, u: int, v: int, t_max: float,
                       dt: float, matrix_kind: str = "adjacency"
                       ) -> tuple[float, float]:
@@ -428,8 +527,6 @@ def max_fidelity_scan(g: SignedWeightedGraph, u: int, v: int, t_max: float,
     Returns (t*, F*) where F is the pure-state fidelity, i.e. the amplitude
     magnitude at the best time found.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     spec = Spectrum.from_graph(g, matrix_kind)
     return max_fidelity_scan_spectrum(spec, u, v, t_max, dt)
 
@@ -438,19 +535,27 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
                                dt: float) -> tuple[float, float]:
     """Grid scan of |<v|U(t)|u>| on [0, t_max] at step dt, peaks refined.
 
+    The grid magnitudes come from the factored-phase kernel
+    `_grid_magnitudes` (off `Spectrum.amplitude` by its 1e-12 merge bound
+    plus rounding); every candidate peak is refined on `Spectrum.amplitude`
+    itself.  A bad grid (see `_scan_points`) raises ValueError before any
+    allocation.
+
     The grid error bound uses the spread S of the support, the eigenvalues
     whose term c_j = <v|j><j|u> is not zero: turning the amplitude by a
     phase centred in the support leaves a real part whose second derivative
     is at most sum |c_j| (S/2)^2 <= (S/2)^2, so no peak hides more than
     (S dt/2)^2 / 2 below its nearest grid point.
     """
+    count = _scan_points(t_max, dt)
     ts = np.arange(0.0, t_max + dt, dt)
-    mags = np.abs(spec.amplitude(u, v, ts))
+    coeffs = spec.eigenvectors[v] * spec.eigenvectors[u]
+    mags = _grid_magnitudes(spec.eigenvalues, coeffs[:, None], dt, count)[:, 0]
     top = float(np.max(mags))
     # refine every peak the grid cannot distinguish from the best one, then
     # report the earliest among refined ties so periodic transfers give
     # their minimal time
-    support = spec.eigenvalues[spec.eigenvectors[u] * spec.eigenvectors[v] != 0]
+    support = spec.eigenvalues[coeffs != 0]
     spread = float(np.ptp(support)) if len(support) else 0.0
     grid_err = 0.5 * (0.5 * spread * dt) ** 2 + 1e-12
     candidates = np.flatnonzero(mags >= top - grid_err)

@@ -1,7 +1,9 @@
 import importlib.resources
 
+import numpy as np
 import pytest
 
+from pstnet import spectral
 from pstnet.fileio import parse_graph_text
 
 
@@ -20,3 +22,26 @@ def signed_square():
 def unbalanced_k4():
     """Unbalanced net-regular K4 with a negative perfect matching."""
     return parse_graph_text(_example("example04.graph"))
+
+
+def _direct_grid_scan(spec, u, v, t_max, dt):
+    """`max_fidelity_scan_spectrum` with every grid magnitude from
+    `Spectrum.amplitude`, one complex exponential per time and term."""
+    ts = np.arange(0.0, t_max + dt, dt)
+    mags = np.abs(spec.amplitude(u, v, ts))
+    support = spec.eigenvalues[spec.eigenvectors[u] * spec.eigenvectors[v] != 0]
+    grid_err = 0.5 * (0.5 * float(np.ptp(support)) * dt) ** 2 + 1e-12
+    candidates = np.flatnonzero(mags >= float(np.max(mags)) - grid_err)
+    best_t, best_f = 0.0, -1.0
+    for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
+        k = int(run[np.argmax(mags[run])])
+        t_ref, f_ref = spectral._refine_peak(spec, u, v, float(ts[k]), dt)
+        if f_ref > best_f + 1e-12:
+            best_t, best_f = t_ref, f_ref
+    return best_t, best_f
+
+
+@pytest.fixture(scope="session")
+def direct_grid_scan():
+    """The grid scan of the factored-phase kernel, with direct magnitudes."""
+    return _direct_grid_scan

@@ -262,6 +262,22 @@ def test_unmodulated_chain_beyond_dense_reach_is_refused():
                            "limit of 8192\n")
 
 
+def test_unmodulated_chain_refuses_an_unbounded_grid():
+    # 10^11 points at dt = 0.01 used to end in a 745 GiB allocation traceback
+    done = _python_m_pstnet("chain", "--n", "6", "--unmodulated", "--tmax", "1e9",
+                            memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("scan of [0, 1000000000.0] at dt = 0.01 asks for more "
+                           "than 10000000 time points\n")
+
+
+@pytest.mark.parametrize("tmax", ["-1", "nan"])
+def test_unmodulated_chain_refuses_a_bad_horizon(capsys, tmax):
+    assert run(["chain", "--n", "6", "--unmodulated", "--tmax", tmax]) == 2
+    assert capsys.readouterr().err == (f"scan t_max must be finite and >= 0, "
+                                       f"got {float(tmax)}\n")
+
+
 def test_corona_command(tmp_path, capsys):
     seed = tmp_path / "seed.graph"
     seed.write_text(SQUARE_TEXT, encoding="utf-8")

@@ -13,8 +13,8 @@ from pstnet.corona_lab import (CORONA_SIZE_GUARD, RECURSION_MAX_TERMS,
                                fidelity_vs_m, iterate_corona, net_regularity)
 from pstnet.fileio import parse_graph_file
 from pstnet.graphs import (MarkingScheme, SignedWeightedGraph, adjacency,
-                           complete_graph, corona, cycle_graph, laplacian,
-                           make_graph, path_graph)
+                           complete_graph, corona, cycle_graph, hypercube,
+                           laplacian, make_graph, path_graph)
 from pstnet.spectral import Spectrum, krylov_amplitude, max_fidelity_scan_spectrum
 
 EXAMPLES = Path(pstnet.__file__).resolve().parent / "data" / "corona_examples"
@@ -366,20 +366,57 @@ def test_recursion_refuses_a_seed_outside_the_hypotheses():
 def test_all_pairs_matches_the_per_time_loop(signed_square, monkeypatch):
     rng = np.random.default_rng(7)
     matrices = [laplacian(corona(signed_square, signed_square)),
-                adjacency(cycle_graph(7))]
+                adjacency(cycle_graph(7)), adjacency(hypercube(3))]
     for n in (3, 5):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
         seed = make_graph(n, edges + [(i, i + 1) for i in range(n - 1)
                                       if (i, i + 1) not in edges])
         matrices.append(laplacian(corona(seed, seed)))
     for matrix in matrices:
-        spec = Spectrum.from_matrix(matrix)
+        w, vecs = np.linalg.eigh(matrix)
         want = np.zeros(matrix.shape)
         for t in np.arange(0.0, 50.0 + 0.005, 0.005):
-            np.maximum(want, np.abs(spec.propagator(t)), out=want)
-        # one block of pairs, then blocks of a few pairs each
-        for block_entries in (spectral.AMPLITUDE_BLOCK_ENTRIES, 256):
+            np.maximum(want, np.abs((vecs * np.exp(-1j * t * w)) @ vecs.T), out=want)
+        # one block of pairs, then blocks of a few pairs each; the 10001
+        # times are no multiple of the time block at either scale
+        for block_entries, scale in ((spectral.AMPLITUDE_BLOCK_ENTRIES,
+                                      spectral.SCAN_BLOCK_SCALE), (256, 1)):
             monkeypatch.setattr(corona_lab, "AMPLITUDE_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(spectral, "SCAN_BLOCK_SCALE", scale)
             best = all_pairs_max_fidelity(matrix, 50.0, 0.005)
             np.testing.assert_allclose(best, want, rtol=0, atol=1e-12)
             assert np.array_equal(best, best.T)
+
+
+def test_all_pairs_scans_through_the_grid_kernel(monkeypatch):
+    calls = []
+    honest = corona_lab._grid_magnitudes
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(corona_lab, "_grid_magnitudes", recorded)
+    monkeypatch.setattr(corona_lab, "AMPLITUDE_BLOCK_ENTRIES", 20)
+    best = all_pairs_max_fidelity(adjacency(cycle_graph(5)), 3.0, 0.01)
+    # 15 pairs a <= b in blocks of 20 // 5 = 4
+    assert calls == [{"running_max": True}] * 4
+    np.testing.assert_allclose(np.diag(best), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["example01", "example02", "example03", "example04"])
+def test_fidelity_rows_equal_the_direct_grid(name, direct_grid_scan):
+    seed = SEEDS[name]()
+    n = seed.vertex_count
+    for kind in ("adjacency", "laplacian"):
+        spectra = [Spectrum.from_graph(seed, kind)]
+        spectra += [corona_seed_spectrum(seed, m, kind) for m in (1, 2, 3)]
+        for v in range(1, n):
+            table = fidelity_vs_m(seed, (0, v), 3, kind)
+            assert [row.provenance for row in table.rows] == ["direct"] + ["recursion"] * 3
+            for row, spec in zip(table.rows, spectra):
+                want = direct_grid_scan(spec, 0, v, 20.0, 0.005)
+                if want[1] > 1e-12:
+                    assert (row.t_star, row.f_star) == want
+                else:   # an amplitude that vanishes: its t* is rounding noise
+                    assert row.f_star <= 1e-12

@@ -432,3 +432,17 @@ def test_swap_baseline_antipodal():
     for d in (2, 3, 4):
         g = hypercube(d)
         assert swap_baseline(g, 0, (1 << d) - 1) == d
+
+
+def test_neighborhood_on_codes_matches_the_label_strings():
+    for n in range(2, 65):
+        _, lab = build_network(n)
+        for u in range(n):
+            sets = {1: [], 2: [], 3: [], 4: []}
+            for v, other in enumerate(lab.labels):
+                d = hamming(lab.labels[u], other)
+                if 1 <= d <= 4:
+                    sets[d].append(v)
+            rep = classify_neighborhood(lab, u)
+            assert (rep.alpha, rep.beta, rep.gamma, rep.delta) == tuple(
+                tuple(sets[d]) for d in range(1, 5))

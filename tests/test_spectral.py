@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from scipy.linalg import expm
 
 from pstnet import spectral
-from pstnet.graphs import (adjacency, cartesian, complete_graph, cycle_graph,
-                           graph_matrix, hypercube, make_graph, path_graph)
+from pstnet.chains import unmodulated_no_pst_scan
+from pstnet.corona_lab import all_pairs_max_fidelity
+from pstnet.graphs import (adjacency, cartesian, complete_graph, corona, cycle_graph,
+                           graph_matrix, hypercube, laplacian, make_graph, path_graph)
 from pstnet.spectral import (Spectrum, balanced_equivalent_amplitude,
                              bipartite_phase_audit, check_pst_conditions,
                              evolve, graph_distance, hypercube_apply,
-                             max_fidelity_scan,
+                             max_fidelity_scan, max_fidelity_scan_spectrum,
                              periodicity_check, rationality_check,
                              spin_oracle_check, symmetry_operator,
                              transfer_amplitude, transfer_series)
@@ -265,6 +268,125 @@ def test_scan_p5_never_perfect():
 def test_scan_rejects_bad_dt():
     with pytest.raises(ValueError):
         max_fidelity_scan(complete_graph(2), 0, 1, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_max, dt, message", [
+    (-1.0, 0.01, "scan t_max must be finite and >= 0, got -1.0"),
+    (math.nan, 0.01, "scan t_max must be finite and >= 0, got nan"),
+    (math.inf, 0.01, "scan t_max must be finite and >= 0, got inf"),
+    (1.0, -0.1, "scan dt must be finite and > 0, got -0.1"),
+    (1.0, 0.0, "scan dt must be finite and > 0, got 0.0"),
+    (1.0, math.nan, "scan dt must be finite and > 0, got nan"),
+    (1.0, math.inf, "scan dt must be finite and > 0, got inf"),
+    (1e9, 0.01, "scan of [0, 1000000000.0] at dt = 0.01 asks for more than "
+                "10000000 time points"),
+])
+def test_scans_refuse_a_bad_grid(t_max, dt, message):
+    # these used to give an all-zero matrix, ZeroDivisionError, numpy's
+    # "arange: cannot compute length" or a reduction over an empty grid
+    g = path_graph(3)
+    for scan in (lambda: max_fidelity_scan(g, 0, 2, t_max, dt),
+                 lambda: max_fidelity_scan_spectrum(Spectrum.from_graph(g), 0, 2, t_max, dt),
+                 lambda: all_pairs_max_fidelity(adjacency(g), t_max, dt)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan()
+
+
+def test_scan_points_count_the_arange_grid():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        dt = float(10.0 ** rng.uniform(-4, 1))
+        t_max = float(rng.choice([0.0, rng.uniform(0, 50), round(rng.uniform(0, 50), 2)]))
+        assert spectral._scan_points(t_max, dt) == len(np.arange(0.0, t_max + dt, dt))
+    assert spectral._scan_points(spectral.SCAN_MAX_POINTS - 1.0, 1.0) == spectral.SCAN_MAX_POINTS
+    with pytest.raises(ValueError, match="asks for more than"):
+        spectral._scan_points(float(spectral.SCAN_MAX_POINTS), 1.0)
+    with pytest.raises(ValueError, match="asks for more than"):
+        spectral._scan_points(1e308, 1e-300)
+
+
+# --- the factored-phase grid kernel --------------------------------------------------
+
+def _kernel_spectra():
+    yield Spectrum.from_matrix(random_symmetric(9))
+    yield Spectrum.from_matrix(random_symmetric(23))
+    # Q_4: eigenvalues 4, 2, 0, -2, -4 with multiplicities 1, 4, 6, 4, 1
+    yield Spectrum.from_graph(hypercube(4))
+    yield Spectrum.from_matrix(laplacian(corona(cycle_graph(4), cycle_graph(4))))
+
+
+@pytest.mark.parametrize("scale", [spectral.SCAN_BLOCK_SCALE, 1])
+def test_grid_kernel_matches_the_amplitude_grid(monkeypatch, scale):
+    # 997 and 2000 points are no multiple of the block at either scale
+    monkeypatch.setattr(spectral, "SCAN_BLOCK_SCALE", scale)
+    dt = 0.013
+    for spec in _kernel_spectra():
+        n = spec.dimension
+        pairs = [(0, 0), (0, 3), (2, 5), (1, n - 1), (n - 1, n - 1)]
+        coeffs = np.column_stack([spec.eigenvectors[a] * spec.eigenvectors[b]
+                                  for a, b in pairs])
+        for count in (1, 2, 997, 2000):
+            ts = np.arange(count) * dt
+            want = np.column_stack([np.abs(spec.amplitude(a, b, ts)) for a, b in pairs])
+            got = spectral._grid_magnitudes(spec.eigenvalues, coeffs, dt, count)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            top = spectral._grid_magnitudes(spec.eigenvalues, coeffs, dt, count,
+                                            running_max=True)
+            np.testing.assert_allclose(top, want.max(axis=0), rtol=0, atol=1e-12)
+
+
+def test_grid_kernel_keeps_a_near_degenerate_beat():
+    # delta t_max = 1e-5 for 1 and 1 + 1e-9 over [0, 1e4]: far above the
+    # merge bound, so the two terms stay apart and |<1|U(t)|0>| =
+    # |sin(5e-10 t)| climbs to sin(5e-6); merged they would cancel to 0
+    half = math.sqrt(0.5)
+    spec = Spectrum(np.array([1.0, 1.0 + 1e-9]), np.array([[half, half], [half, -half]]))
+    dt, count = 0.5, 20001
+    ts = np.arange(count) * dt
+    want = np.abs(spec.amplitude(0, 1, ts))
+    coeffs = (spec.eigenvectors[0] * spec.eigenvectors[1])[:, None]
+    got = spectral._grid_magnitudes(spec.eigenvalues, coeffs, dt, count)[:, 0]
+    # phases of angle 1e4 round to about 1e-12 in either evaluation
+    np.testing.assert_allclose(got, want, rtol=0, atol=5e-12)
+    assert got.max() == pytest.approx(math.sin(5e-6), rel=1e-5)
+    top = spectral._grid_magnitudes(spec.eigenvalues, coeffs, dt, count, running_max=True)
+    assert abs(top[0] - want.max()) <= 5e-12
+
+
+def test_grid_kernel_merges_within_its_bound():
+    # 1 and 1 + 1e-14 over [0, 50]: delta t_max = 5e-13, merged into one term
+    half = math.sqrt(0.5)
+    spec = Spectrum(np.array([1.0, 1.0 + 1e-14, 3.0]),
+                    np.array([[half, 0.5, 0.5], [0.0, half, -half], [half, -0.5, -0.5]]))
+    dt, count = 0.01, 5001
+    ts = np.arange(count) * dt
+    for a, b in ((0, 1), (0, 2), (2, 2)):
+        coeffs = (spec.eigenvectors[a] * spec.eigenvectors[b])[:, None]
+        got = spectral._grid_magnitudes(spec.eigenvalues, coeffs, dt, count)[:, 0]
+        np.testing.assert_allclose(got, np.abs(spec.amplitude(a, b, ts)), rtol=0, atol=1e-12)
+
+
+def test_run_starts_are_greedy_within_the_width():
+    starts = spectral._run_starts(np.array([0.0, 0.6, 1.2, 1.8, 5.0]), 1.0)
+    assert starts.tolist() == [0, 2, 4]
+    assert spectral._run_starts(np.array([0.0, 0.0, 0.0, 3.0]), 0.0).tolist() == [0, 3]
+    assert spectral._run_starts(np.array([-1.0, 2.0, 7.0]), 0.5).tolist() == [0, 1, 2]
+    assert spectral._run_starts(np.array([2.0, 2.0]), math.inf).tolist() == [0]
+
+
+def test_grid_kernel_drops_zero_rows_and_handles_no_terms():
+    lam = np.array([0.0, 1.0, 2.0])
+    got = spectral._grid_magnitudes(lam, np.zeros((3, 2)), 0.1, 7)
+    assert got.shape == (7, 2) and not got.any()
+    coeffs = np.array([[0.0], [0.5], [0.0]])
+    np.testing.assert_allclose(spectral._grid_magnitudes(lam, coeffs, 0.1, 7), 0.5,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_uniform_chain_scan_equals_the_direct_grid(n, direct_grid_scan):
+    spec = Spectrum.from_graph(path_graph(n))
+    assert unmodulated_no_pst_scan(n, 200.0) == direct_grid_scan(spec, 0, n - 1, 200.0, 0.002)
 
 
 # --- symmetry --------------------------------------------------------------------
