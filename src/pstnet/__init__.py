@@ -10,7 +10,8 @@ from .graphs import (Edge, MarkingScheme, SignedWeightedGraph, adjacency,
                      signless_laplacian)
 from .spectral import (Spectrum, TransferReport, check_pst_conditions, evolve,
                        max_fidelity_scan, periodicity_check, rationality_check,
-                       spin_oracle_check, symmetry_operator, transfer_amplitude)
+                       spin_oracle_check, symmetry_operator, transfer_amplitude,
+                       walk_spectrum)
 from .routing import (HopPlan, NetworkLabeling, SwitchPlan, antipodal,
                       build_network, classify_neighborhood, execute_route,
                       find_subhypercube, grow, plan_route, swap_baseline,

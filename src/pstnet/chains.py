@@ -6,6 +6,11 @@ its distance columns; the projected tridiagonal matrix has the integer
 spectrum -(n_c-1), -(n_c-3), ..., (n_c-1) and transfers end to end at
 t = pi/2 for every length.  Uniform chains stop transferring perfectly at
 four sites.
+
+A chain's tridiagonal matrix is the walk-module matrix T of its site 0
+(the Lanczos basis from e_0 is the site basis), so `chain_pst_verify`
+evaluates T itself, as `spectral.walk_spectrum` would after Lanczos, and
+`column_project` is that Lanczos run on the hypercube.
 """
 
 from __future__ import annotations
@@ -16,11 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import (Spectrum, TransferReport, max_fidelity_scan_spectrum,
-                       transfer_amplitude)
-from .graphs import make_graph, path_graph
+from .spectral import (DEFAULT_PST_TOL, Spectrum, TransferReport,
+                       _krylov_entry, _transfer_report, _tridiagonal_rows,
+                       _walk_fits, max_fidelity_scan_spectrum, walk_spectrum)
+from .graphs import hypercube, path_graph
 
-COLUMN_PROJECT_MAX_DIM = 16
+# the projected couplings must equal sqrt(i (k + 1 - i)) to this
+COLUMN_PROJECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,56 +66,48 @@ def pst_chain(n_c: int) -> ChainSpec:
     return ChainSpec(tuple(math.sqrt(i * (n_c - i)) for i in range(1, n_c)))
 
 
-def _column_vectors(k: int) -> list[np.ndarray]:
-    """Normalized uniform superpositions over the Hamming-weight classes of Q_k."""
-    n = 1 << k
-    weights = np.array([bin(v).count("1") for v in range(n)])
-    cols = []
-    for i in range(k + 1):
-        vec = (weights == i).astype(float)
-        cols.append(vec / np.linalg.norm(vec))
-    return cols
-
-
-def _hypercube_matvec(k: int, x: np.ndarray) -> np.ndarray:
-    """A(Q_k) x without materializing the adjacency matrix."""
-    idx = np.arange(1 << k)
-    y = np.zeros_like(x)
-    for b in range(k):
-        y += x[idx ^ (1 << b)]
-    return y
-
-
 def column_project(k: int) -> ChainSpec:
-    """Project A(Q_k) onto its column space, returning the induced chain.
+    """Project A(Q_k) onto its distance columns, returning the induced chain.
 
-    Verifies closure: A maps each column vector into the span of its
-    neighbors within 1e-9, so hypercube dynamics restricted to the columns
-    is exactly the weighted chain's.
+    The walk module of vertex 0 is spanned by the Hamming-weight classes,
+    so Lanczos from e_0 (`spectral.walk_spectrum`, run to closure) returns
+    the k + 1 normalised class vectors as its basis and the chain couplings
+    as its betas; hypercube dynamics restricted to the columns is exactly
+    the chain's.  Raises ValueError when the basis passes the cap, and
+    AssertionError unless the betas equal sqrt(i (k + 1 - i)) to
+    COLUMN_PROJECT_TOL and the module has k + 1 vectors.
     """
-    if not 1 <= k <= COLUMN_PROJECT_MAX_DIM:
-        raise ValueError(f"need 1 <= k <= {COLUMN_PROJECT_MAX_DIM}")
-    cols = _column_vectors(k)
-    n_c = k + 1
-    js = []
-    for i in range(k):
-        js.append(float(cols[i + 1] @ _hypercube_matvec(k, cols[i])))
-    for i in range(n_c):
-        image = _hypercube_matvec(k, cols[i])
-        if i > 0:
-            image = image - js[i - 1] * cols[i - 1]
-        if i < k:
-            image = image - js[i] * cols[i + 1]
-        if np.max(np.abs(image)) > 1e-9:
-            raise AssertionError("column space is not closed under the adjacency")
-    return ChainSpec(tuple(js))
+    if k < 1:
+        raise ValueError("need k >= 1")
+    js = walk_spectrum(hypercube(k), 0, (1 << k) - 1).couplings
+    want = np.sqrt([i * (k + 1 - i) for i in range(1, k + 1)])
+    if len(js) != k or np.max(np.abs(js - want)) > COLUMN_PROJECT_TOL:
+        raise AssertionError("walk module of Q_k is not the sqrt(i (k + 1 - i)) chain")
+    return ChainSpec(tuple(js.tolist()))
 
 
 def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
-    """End-to-end transfer amplitude of the (XY) chain at time t."""
+    """End-to-end transfer amplitude of the (XY) chain at time t.
+
+    The chain matrix T is the walk-module matrix of site 0, so its
+    tridiagonal spectrum gives the amplitude directly (backend 'chain');
+    no graph is built.  A chain too long for that under the basis cap of
+    `spectral._walk_fits` takes one Krylov column of T (backend 'krylov').
+    """
     n = spec.length
-    g = make_graph(n, [(i, i + 1, spec.couplings[i]) for i in range(n - 1)])
-    return transfer_amplitude(g, 0, n - 1, t)
+    js = np.array(spec.couplings)
+    # ||T||_1: the largest sum of a site's two couplings
+    norm = float(np.max(np.concatenate([js[:1], js[:-1] + js[1:], js[-1:]])))
+    if not _walk_fits(n, abs(t) * norm):
+        # imported here: `import pstnet` loads no scipy
+        from scipy.sparse import diags_array
+        matrix = diags_array([js, js], offsets=[1, -1], format="csr")
+        amp = _krylov_entry(matrix, 0, n - 1, t)
+        return _transfer_report(amp, t, DEFAULT_PST_TOL, (0, n - 1), "krylov")
+    end = np.zeros(n)
+    end[-1] = 1.0
+    amp = _tridiagonal_rows(np.zeros(n), js, end).amplitude(0, 1, t)
+    return _transfer_report(amp, t, DEFAULT_PST_TOL, (0, n - 1), "chain")
 
 
 def unmodulated_chain_spectrum(n: int) -> np.ndarray:

@@ -98,6 +98,11 @@ class SignedWeightedGraph:
             a.flags.writeable = False
         return arrays
 
+    @cached_property
+    def _sparse_matrices(self) -> dict:
+        """(CSR matrix, 1-norm) per matrix kind, filled by `sparse_matrix`."""
+        return {}
+
     def index_of(self, label: str) -> int:
         if self.labels is None:
             raise ValueError("graph has no labels")
@@ -164,23 +169,44 @@ def graph_matrix(g: SignedWeightedGraph, kind: str) -> np.ndarray:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
+def sparse_matrix(g: SignedWeightedGraph, kind: str):
+    """(`graph_matrix(g, kind)` as a read-only scipy CSR array, its 1-norm).
+
+    Built from the edge arrays on first use and cached on g per kind, as
+    `edge_arrays` is.  The 1-norm, the largest absolute column sum, is
+    d_max for A and 2 d_max for L and L+ (d the weighted degree); it bounds
+    the 2-norm of the symmetric matrix.
+    """
+    cache = g._sparse_matrices
+    if kind not in cache:
+        if kind not in ("adjacency", "laplacian", "signless_laplacian"):
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        # imported here: `import pstnet` loads no scipy
+        from scipy.sparse import csr_array
+        n = g.vertex_count
+        u, v, sw = g.edge_arrays
+        degrees = _weighted_degrees(g)
+        off = -sw if kind == "laplacian" else sw
+        rows, cols, data = [u, v], [v, u], [off, off]
+        if kind != "adjacency":
+            diag = np.arange(n)
+            rows.append(diag)
+            cols.append(diag)
+            data.append(degrees)
+        matrix = csr_array((np.concatenate(data),
+                            (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        # canonical (sorted, summed) indices, so scipy never rewrites them
+        matrix.sum_duplicates()
+        for a in (matrix.data, matrix.indices, matrix.indptr):
+            a.flags.writeable = False
+        top = float(degrees.max()) if n else 0.0
+        cache[kind] = (matrix, top if kind == "adjacency" else 2.0 * top)
+    return cache[kind]
+
+
 def _csr_matrix(g: SignedWeightedGraph, kind: str):
-    """`graph_matrix(g, kind)` as a scipy CSR array, from the edge arrays."""
-    if kind not in ("adjacency", "laplacian", "signless_laplacian"):
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    # imported here: `import pstnet` loads no scipy
-    from scipy.sparse import csr_array
-    n = g.vertex_count
-    u, v, sw = g.edge_arrays
-    off = -sw if kind == "laplacian" else sw
-    rows, cols, data = [u, v], [v, u], [off, off]
-    if kind != "adjacency":
-        diag = np.arange(n)
-        rows.append(diag)
-        cols.append(diag)
-        data.append(_weighted_degrees(g))
-    return csr_array((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(n, n))
+    """`graph_matrix(g, kind)` as a cached read-only scipy CSR array."""
+    return sparse_matrix(g, kind)[0]
 
 
 # ---------------------------------------------------------------------------

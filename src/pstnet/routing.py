@@ -351,7 +351,7 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
         target = int(np.argmax(np.abs(state)))
         amp = state[target]
         return state, TransferReport(abs(amp), float(np.angle(amp)), 0.0, True,
-                                     (target, target))
+                                     (target, target), "hypercube")
     source = plan.hops[0].source
     if abs(abs(state[source]) - 1.0) > 1e-9:
         raise ValueError("input state must be concentrated on the hop source")
@@ -369,7 +369,7 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
     mag = float(abs(amp))
     return state, TransferReport(mag, float(np.angle(amp)), total,
                                  mag >= 1.0 - 1e-9,
-                                 (plan.hops[0].source, target))
+                                 (plan.hops[0].source, target), "hypercube")
 
 
 def _kept_cube_weight(network: SignedWeightedGraph, plan: SwitchPlan) -> float:

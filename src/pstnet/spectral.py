@@ -1,33 +1,36 @@
 """Quantum-walk evolution and perfect state transfer condition checks.
 
-Evolution mostly runs through an eigendecomposition of the (real
-symmetric) graph matrix: U(t) = V e^{-i t diag(w)} V^T.  `Spectrum` is the
-one place that turns eigenpairs into dynamics, with two kernels:
-`Spectrum.apply` evolves a vector to one time, and `Spectrum.amplitude`
-gives <v|U(t)|u> of one pair at one time or over a grid of times
-(`Spectrum.propagator` is the full matrix at one time).  Dense solves are
-refused above DENSE_MAX_DIM vertices.
+`Spectrum` is the one place that turns eigenpairs into dynamics:
+U(t) = V e^{-i t diag(w)} V^T, with two kernels.  `Spectrum.apply`
+evolves a vector to one time, and `Spectrum.amplitude` gives <v|U(t)|u>
+of one pair at one time or over a grid of times (`Spectrum.propagator` is
+the full matrix at one time).  Its eigenvectors may be a block of rows.
+A dense solve of the whole graph (`Spectrum.from_graph`) is refused above
+DENSE_MAX_DIM vertices; time series, grid scans and symmetry operators
+use it.
 
-Two kernels need no eigenpairs:
+Single-pair questions run on the walk module of u instead,
+W_u = span{M^k e_u}, whose dimension D is the number of eigenvalues in
+the support of u: d + 1 on the hypercube Q_d, whatever its 2^d vertices
+(Godsil, "State transfer on graphs", Discrete Math. 312, 2012).
+`walk_spectrum` runs Lanczos from q_1 = e_u with full
+reorthogonalisation on the cached sparse matrix and returns the two rows
+e_u and e_v of U(t) in the eigenbasis of the D x D tridiagonal T.  Its
+basis is capped at WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM^2 entries
+(n D), the memory a dense solve at the limit already takes.
 
-- `hypercube_apply`: the uniform-weight hypercube Q_d has A = sum_b X_b
-  over its d bit positions, so exp(-i w t A) is the tensor product of d
-  single-bit rotations cos(wt) I - i sin(wt) X, applied one axis at a time
-  in O(d 2^d) with no solve.  Routing hops use it; `Spectrum` is its oracle
-  in the tests.
-- `krylov_amplitude`: one column exp(-i t M) e_u by
-  `scipy.sparse.linalg.expm_multiply` (Al-Mohy & Higham, SIAM J. Sci.
-  Comput. 33, 2011) on the sparse graph matrix, with no dense limit.  A
-  column whose norm is off 1 by more than KRYLOV_NORM_TOL is refused.
+- `check_pst_conditions` stops Lanczos only at closure, where the answer
+  is exact, so it decides PST on Q_12..Q_16 too and never solves n x n.
+- `transfer_amplitude` also stops at a rigorous tail bound (derived in
+  `walk_spectrum`), and takes one `expm_multiply` column of the sparse
+  matrix (`krylov_amplitude`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+  2011) only when the basis that bound may need would pass the cap.  It
+  decides this before any work, and the report names the backend.
 
-`transfer_amplitude`, one pair at one time, picks between a dense solve
-and the Krylov column by their estimated costs (`_prefers_krylov`):
-about 3e-10 n^3 s for the solve against
-1.5e-3 + (1 + ||tM||_1)(1.5e-4 + 2e-8 (nnz + n)) s for the column, whose
-number of products grows with the 1-norm of tM.  Above DENSE_MAX_DIM it
-always takes the column.  The PST verdict, symmetry operators and
-`transfer_series` (whose CSV bytes come from `Spectrum.amplitude`) stay on
-`Spectrum`.
+`hypercube_apply` needs no eigenpairs at all: the uniform-weight
+hypercube has A = sum_b X_b over its d bit positions, so exp(-i w t A) is
+the tensor product of d single-bit rotations, applied one axis at a time
+in O(d 2^d).  Routing hops use it.
 
 Every magnitude scan over a time grid, `max_fidelity_scan_spectrum` for
 one pair and `corona_lab.all_pairs_max_fidelity` for all of them, runs
@@ -64,8 +67,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (SignedWeightedGraph, _csr_matrix, _weighted_degrees,
-                     adjacency_lists, graph_matrix, is_balanced)
+from .graphs import (SignedWeightedGraph, _csr_matrix, adjacency_lists,
+                     graph_matrix, is_balanced, sparse_matrix)
 
 DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
@@ -82,16 +85,18 @@ SCAN_MAX_POINTS = 10 ** 7
 SCAN_MERGE_TOL = 1e-12
 # times per block of `_grid_magnitudes`: this many times sqrt(points)
 SCAN_BLOCK_SCALE = 8
-# Cost model of `_prefers_krylov`, in seconds, fitted to single-thread
-# timings (2-CPU x86-64 box, numpy 2.4, scipy 1.17): a dense solve plus one
-# amplitude took 0.1-0.4 ms up to n = 64, 8 ms at n = 256, 40 ms at 512,
-# 0.27 s at 1024 and 1.9 s at 2048; a Krylov column took 1-1.5 ms at
-# ||tM||_1 < 1, then about 0.15 ms per unit of ||tM||_1 on small graphs and
-# 0.38 / 0.47 ms per unit on Q_10 / Q_11 (nnz 10240 / 22528).
-DENSE_S_PER_N3 = 3e-10
-KRYLOV_S_FIXED = 1.5e-3
-KRYLOV_S_PER_PRODUCT = 1.5e-4
-KRYLOV_S_PER_ENTRY = 2e-8
+# Lanczos closure: beta_k <= WALK_CLOSURE_TOL ||M||_1 ends the walk module;
+# exact closure leaves only rounding, about 1e-16 ||M||_1
+WALK_CLOSURE_TOL = 1e-12
+# a verdict whose smallest kept beta is at most this many closure
+# thresholds is refused: the module nearly closed there
+WALK_CLOSURE_MARGIN = 1e4
+# error bound at which a tail-stopped walk amplitude ends
+WALK_AMPLITUDE_TOL = 1e-13
+# most entries n D of a Lanczos basis: 512 MiB, one dense matrix at the limit
+WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM ** 2
+# DGKS: a second reorthogonalisation pass when one keeps less of the norm
+DGKS_KEEP = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -180,11 +185,16 @@ def krylov_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
+    return _krylov_entry(_csr_matrix(g, matrix_kind), u, v, t)
+
+
+def _krylov_entry(matrix, u: int, v: int, t: float) -> complex:
+    """Entry v of exp(-i t M) e_u by `expm_multiply`, its norm checked."""
     # imported here: `import pstnet` loads no scipy
     from scipy.sparse.linalg import expm_multiply
-    start = np.zeros(g.vertex_count, dtype=complex)
+    start = np.zeros(matrix.shape[0], dtype=complex)
     start[u] = 1.0
-    column = expm_multiply(-1j * t * _csr_matrix(g, matrix_kind), start)
+    column = expm_multiply(-1j * t * matrix, start)
     drift = abs(float(np.linalg.norm(column)) - 1.0)
     if drift > KRYLOV_NORM_TOL:
         raise ValueError(f"Krylov column at t = {t} has norm drift {drift:.3g}, "
@@ -192,21 +202,180 @@ def krylov_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
     return complex(column[v])
 
 
-def _prefers_krylov(g: SignedWeightedGraph, t: float, matrix_kind: str) -> bool:
-    """True when one Krylov column is estimated cheaper than a dense solve."""
+@dataclass
+class WalkSpectrum:
+    """The walk module of u, tridiagonalised: see `walk_spectrum`."""
+
+    spectrum: Spectrum       # rows e_u and P e_v in the eigenbasis of T
+    v_weight: float          # ||Q[v]||^2 = ||P e_v||^2, 1 iff e_v lies in W_u
+    couplings: np.ndarray    # the kept betas, T's off-diagonal (D - 1 of them)
+    closed: bool             # stopped at closure (or the basis spans R^n)
+
+    @property
+    def dimension(self) -> int:
+        return self.spectrum.dimension
+
+
+def _tail_log_factor(x: float, m: int) -> float:
+    """log of X^m / (m! (1 - X/m)), or inf unless m > X."""
+    if x == 0.0:
+        return -math.inf
+    if m <= x:
+        return math.inf
+    return m * math.log(x) - math.lgamma(m + 1) - math.log1p(-x / m)
+
+
+def _tail_steps(x: float) -> int:
+    """Fewest Lanczos vectors m with X^m / (m! (1 - X/m)) <= WALK_AMPLITUDE_TOL.
+
+    The tail bound of `walk_spectrum` is beta_m / ||M||_1 times this factor,
+    and beta_m <= ||M||_1, so no amplitude run at X = |t| ||M||_1 takes
+    more vectors.  The factor falls with m above X: a doubling then a
+    bisection find the first m.
+    """
+    goal = math.log(WALK_AMPLITUDE_TOL)
+    lo = math.floor(x) + 1
+    if _tail_log_factor(x, lo) <= goal:
+        return lo
+    hi = 2 * lo
+    while _tail_log_factor(x, hi) > goal:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _tail_log_factor(x, mid) <= goal else (mid, hi)
+    return hi
+
+
+def _walk_fits(n: int, x: float) -> bool:
+    """True when a walk amplitude at X = |t| ||M||_1 on n vertices keeps its
+    basis, at most n min(n, `_tail_steps`(X)) entries, within
+    WALK_BASIS_MAX_ENTRIES; otherwise one Krylov column answers instead."""
+    return n * min(n, _tail_steps(x)) <= WALK_BASIS_MAX_ENTRIES
+
+
+def _tridiagonal_rows(diagonal, couplings, row: np.ndarray) -> Spectrum:
+    """Spectrum of T = tridiag(couplings, diagonal, couplings) as two rows.
+
+    With T = Y diag(theta) Y^T (LAPACK's tridiagonal solver, O(D^2)), the
+    rows are Y[0] (the first basis vector, e_u) and row @ Y, `row` being
+    the coordinates of a second vector in T's basis: `amplitude(0, 1, t)`
+    is then <row| e^{-i t T} |e_1>.
+    """
+    # imported here: `import pstnet` loads no scipy
+    from scipy.linalg import eigh_tridiagonal
+    theta, y = eigh_tridiagonal(np.asarray(diagonal, dtype=float),
+                                np.asarray(couplings, dtype=float))
+    return Spectrum(theta, np.vstack([y[0], row @ y]))
+
+
+def _basis_cap_error(u: int, n: int, steps: int) -> ValueError:
+    return ValueError(f"walk module of vertex {u} needs more than {steps} Lanczos "
+                      f"vectors of length {n}, above the basis cap of "
+                      f"{WALK_BASIS_MAX_ENTRIES} entries")
+
+
+def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
+                  matrix_kind: str = "adjacency",
+                  t: Optional[float] = None) -> WalkSpectrum:
+    """Lanczos from q_1 = e_u on the walk module W_u = span{M^k e_u}.
+
+    Each step takes w = M q_k - alpha_k q_k - beta_{k-1} q_{k-1}, then
+    removes its projection on q_1..q_k once more (full
+    reorthogonalisation), and a second time when that pass keeps less than
+    DGKS_KEEP of the norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp.
+    30, 1976); beta_k = ||w||.  With m vectors, M Q_m = Q_m T_m +
+    beta_m q_{m+1} e_m^T.  The result is `_tridiagonal_rows` of T_m with
+    the row Q[v] of the basis, so `spectrum.amplitude(0, 1, t)` is
+    <v| Q_m e^{-i t T_m} e_1 and `_pair_eigenspaces(spectrum, 0, 1, tol)`
+    sees u's support and the signs sigma_r.
+
+    Stopping rules:
+
+    - Closure, beta_m <= WALK_CLOSURE_TOL ||M||_1 (or m = n): W_u is
+      invariant and the answer exact; the remainder beta_m moves an
+      amplitude by at most beta_m |t| (as below, with |phi| <= 1).  With
+      t None this is the only stop: the verdict path.  A verdict whose
+      smallest kept beta is at most WALK_CLOSURE_MARGIN closure thresholds
+      is refused, since the module nearly closed there and its support
+      would hang on rounding.
+    - With a time t, also a rigorous tail bound.  Let y(s) = Q_m e^{-isT_m}
+      e_1 and x(s) = e^{-isM} e_u.  The Lanczos relation gives
+      y' = -iMy + i beta_m q_{m+1} phi(s), phi(s) = e_m^T e^{-isT_m} e_1,
+      so the error e = x - y solves e' = -iMe - i beta_m q_{m+1} phi(s),
+      e(0) = 0, and as e^{-isM} is unitary
+
+          ||e(t)|| <= beta_m int_0^|t| |phi(s)| ds.
+
+      T_m is tridiagonal, so e_m^T T_m^j e_1 = 0 for j < m - 1, and
+      |e_m^T T_m^j e_1| <= ||T_m||^j <= N^j with N = ||M||_1 >= ||M||_2.
+      Summing the series of phi term by term, with X = |t| N,
+
+          int_0^|t| |phi| <= sum_{j >= m-1} N^j |t|^{j+1} / (j+1)!
+                          = (1/N) sum_{i >= m} X^i / i!
+                         <= (1/N) X^m / (m! (1 - X/m))      (m > X),
+
+      so ||e(t)|| <= (beta_m / N) X^m / (m! (1 - X/m)).  The run stops once
+      this, or beta_m |t|, is at most WALK_AMPLITUDE_TOL.  The usual
+      estimate beta_m |e_m^T e^{-itT_m} e_1| is not a bound: it reads 0
+      when phi happens to vanish at t, as it does for Q_8 0 -> 255 at
+      pi/2 with 8 of the 9 vectors, whose amplitude there is 1.
+
+    The basis holds at most WALK_BASIS_MAX_ENTRIES entries, n m; a run
+    that needs more raises ValueError with one line.
+    """
     n = g.vertex_count
-    if n > DENSE_MAX_DIM:
-        return True
-    dense_s = DENSE_S_PER_N3 * n ** 3
-    if dense_s <= KRYLOV_S_FIXED:
-        return False
-    # ||M||_1 is the largest column sum: d_max for A, 2 d_max for L and L+
-    degrees = _weighted_degrees(g)
-    norm = abs(t) * float(degrees.max()) * (1 if matrix_kind == "adjacency" else 2)
-    products = 1.0 + norm
-    krylov_s = KRYLOV_S_FIXED + products * (
-        KRYLOV_S_PER_PRODUCT + KRYLOV_S_PER_ENTRY * (2 * g.edge_count + n))
-    return krylov_s < dense_s
+    _check_vertices(n, u, v)
+    matrix, norm = sparse_matrix(g, matrix_kind)
+    closure = WALK_CLOSURE_TOL * norm
+    max_steps = min(n, WALK_BASIS_MAX_ENTRIES // n)
+    if max_steps == 0:
+        raise _basis_cap_error(u, n, max_steps)
+    if t is not None:
+        span, goal = abs(float(t)), math.log(WALK_AMPLITUDE_TOL)
+        x = span * norm
+    basis = np.zeros((min(max_steps, 32), n))
+    basis[0, u] = 1.0
+    alphas, betas = [], []
+    beta = 0.0
+    for k in range(max_steps):
+        q = basis[k]
+        w = matrix @ q
+        alpha = float(q @ w)
+        w -= alpha * q
+        if k:
+            w -= beta * basis[k - 1]
+        kept = basis[:k + 1]
+        beta = math.sqrt(w @ w)
+        for _ in range(2):
+            before = beta
+            w -= (kept @ w) @ kept
+            beta = math.sqrt(w @ w)
+            if beta > DGKS_KEEP * before:
+                break
+        alphas.append(alpha)
+        m = k + 1
+        if beta <= closure or m == n:
+            closed = True
+            break
+        if t is not None and (beta * span <= WALK_AMPLITUDE_TOL or
+                              math.log(beta / norm) + _tail_log_factor(x, m) <= goal):
+            closed = False
+            break
+        if m == max_steps:
+            raise _basis_cap_error(u, n, max_steps)
+        if m == len(basis):
+            basis = np.concatenate([basis, np.zeros((min(m, max_steps - m), n))])
+        betas.append(beta)
+        basis[m] = w / beta
+    couplings = np.array(betas)
+    if t is None and len(couplings) and couplings.min() <= WALK_CLOSURE_MARGIN * closure:
+        raise ValueError(
+            f"walk module of vertex {u} nearly closes: kept beta "
+            f"{couplings.min():.3g} is within {WALK_CLOSURE_MARGIN:g}x of the "
+            f"closure threshold {closure:.3g}")
+    row = basis[:len(alphas), v]
+    return WalkSpectrum(_tridiagonal_rows(alphas, couplings, row),
+                        float(row @ row), couplings, closed)
 
 
 def _check_times(ts) -> None:
@@ -230,6 +399,7 @@ class TransferReport:
     time: float
     passed: bool
     pair: tuple[int, int]
+    backend: str    # 'lanczos', 'krylov', 'chain' or 'hypercube' (routing)
 
 
 @dataclass
@@ -247,6 +417,8 @@ class PSTConditionReport:
     support_eigenvalues: np.ndarray
     best_time: Optional[float]
     best_magnitude: float
+    walk_dimension: int                 # D, the dimension of the walk module of u
+    min_coupling: Optional[float]       # smallest kept Lanczos beta (None if D = 1)
 
 
 @dataclass
@@ -271,18 +443,27 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
                        tol: float = DEFAULT_PST_TOL) -> TransferReport:
     """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix.
 
-    A dense solve or one Krylov column, whichever `_prefers_krylov`
-    estimates cheaper; graphs above DENSE_MAX_DIM always take the column.
+    The walk module of u (`walk_spectrum` at time t, backend 'lanczos'),
+    or one Krylov column (backend 'krylov') when its basis might not fit
+    (`_walk_fits`); the choice is made before any work.
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
-    if _prefers_krylov(g, t, matrix_kind):
-        amp = krylov_amplitude(g, u, v, t, matrix_kind)
+    n = g.vertex_count
+    matrix, norm = sparse_matrix(g, matrix_kind)
+    if _walk_fits(n, abs(t) * norm):
+        walk = walk_spectrum(g, u, v, matrix_kind, t)
+        amp, backend = walk.spectrum.amplitude(0, 1, t), "lanczos"
     else:
-        amp = Spectrum.from_graph(g, matrix_kind).amplitude(u, v, t)
+        amp, backend = _krylov_entry(matrix, u, v, t), "krylov"
+    return _transfer_report(amp, t, tol, (u, v), backend)
+
+
+def _transfer_report(amp: complex, t: float, tol: float, pair: tuple[int, int],
+                     backend: str) -> TransferReport:
     mag = abs(amp)
     phase = math.atan2(amp.imag, amp.real) if mag > 0 else 0.0
-    return TransferReport(mag, phase, t, mag >= 1.0 - tol, (u, v))
+    return TransferReport(mag, phase, t, mag >= 1.0 - tol, pair, backend)
 
 
 def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
@@ -377,8 +558,16 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
                          tol: float = DEFAULT_CONDITION_TOL) -> PSTConditionReport:
     """Exact spectral PST test for the pair (u, v): no time search.
 
+    Everything is read off the walk module W_u of u (`walk_spectrum`, run
+    to closure), so no n x n matrix is built or solved: the eigenvalues of
+    T are the support of u, and the two rows give E_r e_u and the
+    projection of e_v on each of its eigenspaces.
+
     vector_condition: E_r e_u = sigma_r E_r e_v with sigma_r = +-1 for every
-    eigenspace E_r (see `_pair_eigenspaces`).
+    eigenspace E_r.  Inside W_u that is `_pair_eigenspaces` on the two
+    rows; outside, it asks ||Q[v]|| = 1 (to tol), since the sum of the
+    sigma_r E_r e_u lies in W_u, and any part of e_v outside W_u sits in
+    eigenspaces that annihilate e_u.
     rationality: every support gap ratio (l_r - l_0)/(l_max - l_0) is
     recognised as a fraction, l_0 < ... < l_max being the eigenvalues
     whose eigenspaces do not annihilate e_u.
@@ -397,16 +586,23 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
 
     best_time is t0 and best_magnitude |<v|U(t0)|u>|, a health number
     that reads 1 up to rounding.  Without PST they are None and 0.0; for
-    u == v they are 0.0 and 1.0.
+    u == v they are 0.0 and 1.0.  The other health numbers are D
+    (walk_dimension) and the smallest kept beta (min_coupling); a walk
+    module that nearly closes, or whose basis passes the cap, raises
+    ValueError with one line instead of a verdict.
     """
-    _check_vertices(g.vertex_count, u, v)
-    spec = Spectrum.from_graph(g, matrix_kind)
-    vec_ok, spaces = _pair_eigenspaces(spec, u, v, tol)
+    walk = walk_spectrum(g, u, v, matrix_kind)
+    spec = walk.spectrum
+    vec_ok, spaces = _pair_eigenspaces(spec, 0, 1, tol)
+    # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
+    vec_ok = vec_ok and abs(walk.v_weight - 1.0) <= tol
     supported = [(idx, sign) for idx, in_support, sign in spaces if in_support]
     support = np.array([float(np.mean(spec.eigenvalues[idx])) for idx, _ in supported])
     rational, witness = rationality_check(support)
+    health = (walk.dimension,
+              float(walk.couplings.min()) if len(walk.couplings) else None)
     if u == v:
-        return PSTConditionReport(vec_ok, True, rational, support, 0.0, 1.0)
+        return PSTConditionReport(vec_ok, True, rational, support, 0.0, 1.0, *health)
     # u != v and the vector condition leave at least two support eigenvalues
     eig_ok = vec_ok and rational
     if eig_ok:
@@ -418,11 +614,11 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
         signs = [sign for _, sign in supported]
         eig_ok = all(n_r % 2 == (s_r != signs[0]) for n_r, s_r in zip(steps, signs[1:]))
     if not eig_ok:
-        return PSTConditionReport(vec_ok, False, rational, support, None, 0.0)
+        return PSTConditionReport(vec_ok, False, rational, support, None, 0.0, *health)
     # Delta = (l_max - l_0) / n_max, the last fraction being exactly 1
     t0 = math.pi * steps[-1] / float(support[-1] - support[0])
     return PSTConditionReport(vec_ok, True, rational, support, t0,
-                              abs(spec.amplitude(u, v, t0)))
+                              abs(spec.amplitude(0, 1, t0)), *health)
 
 
 def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float

@@ -73,9 +73,14 @@ def test_column_projection_preserves_dynamics():
         assert amp_cube == pytest.approx(amp_chain, abs=1e-9)
 
 
-def test_column_project_guard():
+def test_column_project_guard(monkeypatch):
+    # the guard is the walk-module basis cap: Q_5 needs 6 vectors of 32
     with pytest.raises(ValueError):
-        column_project(17)
+        column_project(0)
+    monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 5 * 32)
+    assert column_project(4).length == 5
+    with pytest.raises(ValueError, match="above the basis cap of 160 entries"):
+        column_project(5)
 
 
 # --- transfer ------------------------------------------------------------------

@@ -203,11 +203,18 @@ def test_missing_file_exit_code(capsys):
     assert run(["pst", "--graph", "zz9", "--from", "0", "--to", "1"]) == 2
 
 
-def test_dense_limit_is_an_input_error(monkeypatch, capsys):
+def test_basis_cap_is_an_input_error(monkeypatch, capsys):
+    # the verdict solves no n x n matrix, so the dense limit does not bind it
     monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
+    assert run(["pst", "--graph", "q4", "--from", "0", "--to", "15"]) == 0
+    assert "best_time: 1.57079632679\n" in capsys.readouterr().out
+    # Q_4's walk module from 0 needs 5 vectors of length 16
+    monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 4 * 16)
     assert run(["pst", "--graph", "q4", "--from", "0", "--to", "15"]) == 2
-    err = capsys.readouterr().err
-    assert err == "dense eigensolve of dimension 16 exceeds the limit of 8\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("walk module of vertex 0 needs more than 4 Lanczos "
+                            "vectors of length 16, above the basis cap of 64 entries\n")
 
 
 @pytest.mark.parametrize("src,dst,bad", [("-1", "1", "-1"), ("0", "5", "5")])

@@ -1,4 +1,4 @@
-"""The Krylov single-time kernel and the cost rule that picks it."""
+"""The Krylov single-time kernel and the basis-cap rule that picks it."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.linalg import expm
 
-from pstnet import spectral
+from pstnet import chains, spectral
 from pstnet.chains import chain_pst_verify, pst_chain
 from pstnet.graphs import graph_matrix, hypercube, make_graph
 from pstnet.spectral import DENSE_MAX_DIM, krylov_amplitude, transfer_amplitude
@@ -63,31 +63,53 @@ def test_q14_beyond_the_dense_limit_matches_the_closed_form():
 
 def test_large_cubes_at_short_times_need_no_eigensolve(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("eigh called")
+        raise AssertionError("n x n eigensolve or Krylov column")
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(spectral, "_krylov_entry", refuse)
     for k in (9, 10, 11):
         n = 1 << k
         for u, v, t in [(0, n - 1, math.pi / 2), (3, n // 3, math.pi),
                         (5, 6, 0.25)]:
             rep = transfer_amplitude(hypercube(k), u, v, t)
+            assert rep.backend == "lanczos"
             assert abs(rep.magnitude - abs(cube_amplitude(k, u, v, t))) <= 1e-10
 
 
-def test_small_graphs_chains_and_long_times_stay_dense(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("Krylov kernel called")
-    monkeypatch.setattr(spectral, "krylov_amplitude", refuse)
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+def test_krylov_column_only_past_the_basis_cap(monkeypatch):
+    """The column answers exactly when n min(n, m_tail(|t| ||M||_1)) passes
+    the cap, chosen before any Lanczos work; chains take it the same way."""
+    columns = []
+    real = spectral._krylov_entry
+
+    def recorded(*args):
+        columns.append(args)
+        return real(*args)
+    monkeypatch.setattr(spectral, "_krylov_entry", recorded)
+    monkeypatch.setattr(chains, "_krylov_entry", recorded)
     for k in range(1, 7):
         n = 1 << k
         for t in (0.3, math.pi / 2, 30.0):
             rep = transfer_amplitude(hypercube(k), 0, n - 1, t)
+            assert rep.backend == "lanczos"
             assert abs(rep.magnitude - abs(cube_amplitude(k, 0, n - 1, t))) <= 1e-10
     for n in range(2, 41):
-        assert chain_pst_verify(pst_chain(n), math.pi / 2).passed
-    # a long time makes the column dearer than a mid-sized solve
+        rep = chain_pst_verify(pst_chain(n), math.pi / 2)
+        assert rep.passed and rep.backend == "chain"
+    # a long time no longer forces anything: Q_9 closes after 10 vectors
     rep = transfer_amplitude(hypercube(9), 0, 511, 1000.0)
+    assert rep.backend == "lanczos"
     assert abs(rep.magnitude - abs(cube_amplitude(9, 0, 511, 1000.0))) <= 1e-9
+    assert columns == []
+    # under a cap of 6 n entries, n min(n, m_tail) passes it at these times
+    monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 6 * 64)
+    monkeypatch.setattr(spectral, "walk_spectrum", lambda *a, **k: pytest.fail("walk ran"))
+    for t in (0.3, math.pi / 2):
+        rep = transfer_amplitude(hypercube(6), 0, 63, t)
+        assert rep.backend == "krylov"
+        assert abs(rep.magnitude - abs(cube_amplitude(6, 0, 63, t))) <= 1e-10
+    rep = chain_pst_verify(pst_chain(64), math.pi / 2)
+    assert rep.passed and rep.backend == "krylov"
+    assert len(columns) == 3
 
 
 def test_norm_drift_is_refused(monkeypatch):
