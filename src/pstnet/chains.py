@@ -9,8 +9,9 @@ four sites.
 
 A chain's tridiagonal matrix is the walk-module matrix T of its site 0
 (the Lanczos basis from e_0 is the site basis), so `chain_pst_verify`
-evaluates T itself, as `spectral.walk_spectrum` would after Lanczos, and
-`column_project` is that Lanczos run on the hypercube.
+evaluates T itself, as `spectral.walk_spectrum` would after Lanczos (up
+to CHAIN_TRIDIAGONAL_MAX_SITES sites; a longer chain takes one Krylov
+column of T), and `column_project` is that Lanczos run on the hypercube.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ import numpy as np
 
 from .spectral import (DEFAULT_PST_TOL, Spectrum, TransferReport,
                        _krylov_entry, _transfer_report, _tridiagonal_rows,
-                       _walk_fits, max_fidelity_scan_spectrum, walk_spectrum)
+                       max_fidelity_scan_spectrum, walk_spectrum)
 from .graphs import hypercube, path_graph
 
 # the projected couplings must equal sqrt(i (k + 1 - i)) to this
 COLUMN_PROJECT_TOL = 1e-12
+# longest chain solved as a tridiagonal matrix: its n x n eigenvectors are
+# 512 KiB here; longer chains take one Krylov column, O(n) memory
+CHAIN_TRIDIAGONAL_MAX_SITES = 256
 
 
 @dataclass(frozen=True)
@@ -91,14 +95,13 @@ def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
 
     The chain matrix T is the walk-module matrix of site 0, so its
     tridiagonal spectrum gives the amplitude directly (backend 'chain');
-    no graph is built.  A chain too long for that under the basis cap of
-    `spectral._walk_fits` takes one Krylov column of T (backend 'krylov').
+    no graph is built.  That solve keeps all n x n eigenvectors, so a chain
+    of more than CHAIN_TRIDIAGONAL_MAX_SITES sites takes one Krylov column
+    of T instead (backend 'krylov'), whatever t is.
     """
     n = spec.length
     js = np.array(spec.couplings)
-    # ||T||_1: the largest sum of a site's two couplings
-    norm = float(np.max(np.concatenate([js[:1], js[:-1] + js[1:], js[-1:]])))
-    if not _walk_fits(n, abs(t) * norm):
+    if n > CHAIN_TRIDIAGONAL_MAX_SITES:
         # imported here: `import pstnet` loads no scipy
         from scipy.sparse import diags_array
         matrix = diags_array([js, js], offsets=[1, -1], format="csr")

@@ -39,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .graphs import (MarkingScheme, SignedWeightedGraph, _csr_matrix, corona,
-                     graph_matrix, markings_under)
+from .graphs import (MarkingScheme, SignedWeightedGraph, corona, graph_matrix,
+                     markings_under, sparse_matrix)
 from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
                        _eigen_groups, _grid_magnitudes, _scan_points,
                        max_fidelity_scan_spectrum)
@@ -186,7 +186,7 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     vectors /= norms
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
-    product = _csr_matrix(corona(g1, g2, scheme), matrix_kind)
+    product = sparse_matrix(corona(g1, g2, scheme), matrix_kind)[0]
     residual = 0.0
     for c in range(0, len(values), RESIDUAL_COLUMNS):
         cols = slice(c, c + RESIDUAL_COLUMNS)

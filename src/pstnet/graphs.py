@@ -204,11 +204,6 @@ def sparse_matrix(g: SignedWeightedGraph, kind: str):
     return cache[kind]
 
 
-def _csr_matrix(g: SignedWeightedGraph, kind: str):
-    """`graph_matrix(g, kind)` as a cached read-only scipy CSR array."""
-    return sparse_matrix(g, kind)[0]
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -67,8 +67,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (SignedWeightedGraph, _csr_matrix, adjacency_lists,
-                     graph_matrix, is_balanced, sparse_matrix)
+from .graphs import (SignedWeightedGraph, adjacency_lists, graph_matrix,
+                     is_balanced, sparse_matrix)
 
 DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
@@ -185,7 +185,7 @@ def krylov_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
-    return _krylov_entry(_csr_matrix(g, matrix_kind), u, v, t)
+    return _krylov_entry(sparse_matrix(g, matrix_kind)[0], u, v, t)
 
 
 def _krylov_entry(matrix, u: int, v: int, t: float) -> complex:

@@ -100,6 +100,21 @@ def test_chain_partial_time():
     assert rep.magnitude < 1.0 - 1e-6
 
 
+def test_long_chain_takes_no_n_by_n_solve(monkeypatch):
+    import scipy.linalg
+    limit = chains.CHAIN_TRIDIAGONAL_MAX_SITES
+    rep = chain_pst_verify(pst_chain(limit), math.pi / 2)
+    assert rep.backend == "chain" and rep.passed
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda *a, **k: pytest.fail("n x n tridiagonal solve"))
+    rep = chain_pst_verify(pst_chain(limit + 1), math.pi / 2)
+    assert rep.backend == "krylov" and rep.passed
+    # a short time does not bring the solve back: X = 2 at t = 1
+    n = spectral.DENSE_MAX_DIM + 1
+    rep = chain_pst_verify(ChainSpec((1.0,) * (n - 1)), 1.0)
+    assert rep.backend == "krylov" and rep.magnitude < 1e-12
+
+
 def test_engineered_spectrum_is_integer_ladder():
     for n in (4, 9):
         w = np.linalg.eigvalsh(chain_matrix(pst_chain(n)))

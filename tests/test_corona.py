@@ -176,7 +176,7 @@ def test_dense_limit_refuses_before_building_the_product(signed_square, monkeypa
         pytest.fail("the product was built before the size check")
 
     monkeypatch.setattr(corona_lab, "corona", built)
-    monkeypatch.setattr(corona_lab, "_csr_matrix", built)
+    monkeypatch.setattr(corona_lab, "sparse_matrix", built)
     with pytest.raises(ValueError, match="20 exceeds the limit of 19"):
         corona_spectrum(signed_square, signed_square)
 

@@ -6,12 +6,13 @@ import pytest
 from scipy.linalg import expm
 
 from pstnet.fileio import parse_graph_text
-from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, _csr_matrix,
-                           adjacency, adjacency_lists, add_isolated,
-                           canonical_marking, cartesian, complete_graph, corona,
-                           cycle_graph, disjoint_union, graph_matrix, hypercube,
+from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, adjacency,
+                           adjacency_lists, add_isolated, canonical_marking,
+                           cartesian, complete_graph, corona, cycle_graph,
+                           disjoint_union, graph_matrix, hypercube,
                            induced_subgraph, is_balanced, laplacian, make_graph,
-                           path_graph, plurality_marking, signless_laplacian)
+                           path_graph, plurality_marking, signless_laplacian,
+                           sparse_matrix)
 
 
 def test_k2_adjacency():
@@ -309,7 +310,7 @@ def _assembly_inputs():
 def test_array_assembly_equals_the_edge_loop(g):
     for kind, want in _loop_matrices(g).items():
         assert np.array_equal(graph_matrix(g, kind), want)
-        assert np.array_equal(_csr_matrix(g, kind).toarray(), want)
+        assert np.array_equal(sparse_matrix(g, kind)[0].toarray(), want)
 
 
 def test_edge_arrays_are_read_only_and_cached():
@@ -320,7 +321,7 @@ def test_edge_arrays_are_read_only_and_cached():
     with pytest.raises(ValueError):
         sw[0] = 1.0
     with pytest.raises(ValueError):
-        _csr_matrix(g, "bogus")
+        sparse_matrix(g, "bogus")
 
 
 def test_adjacency_lists_follow_edge_order():

@@ -107,6 +107,8 @@ def test_krylov_column_only_past_the_basis_cap(monkeypatch):
         rep = transfer_amplitude(hypercube(6), 0, 63, t)
         assert rep.backend == "krylov"
         assert abs(rep.magnitude - abs(cube_amplitude(6, 0, 63, t))) <= 1e-10
+    # a chain past its tridiagonal limit takes one Krylov column of T
+    monkeypatch.setattr(chains, "CHAIN_TRIDIAGONAL_MAX_SITES", 63)
     rep = chain_pst_verify(pst_chain(64), math.pi / 2)
     assert rep.passed and rep.backend == "krylov"
     assert len(columns) == 3

@@ -263,12 +263,3 @@ def test_pst_answers_q14_beyond_the_dense_limit(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["best_time"] == pytest.approx(math.pi / 2, abs=1e-12)
     assert payload["vector_condition"] and payload["eigenvalue_condition"]
-
-
-def test_pst_past_the_basis_cap_is_an_input_error(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 16 * 4)
-    assert run(["pst", "--graph", "q4", "--from", "0", "--to", "15"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("walk module of vertex 0 needs more than 4 Lanczos "
-                            "vectors of length 16, above the basis cap of 64 entries\n")
