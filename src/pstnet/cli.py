@@ -24,7 +24,7 @@ from .fileio import GraphFormatError, emit_csv, fmt, parse_graph_file
 from .graphs import (MarkingScheme, SignedWeightedGraph, complete_graph,
                      cycle_graph, hypercube, is_balanced, path_graph)
 from .qudit import (commuting_family, complete_family, cycle_family,
-                    transfer_amplitude_qudit)
+                    family_spectrum, transfer_amplitude_qudit)
 from .routing import HopPlan, build_network, execute_route, plan_route
 from .spectral import check_pst_conditions, transfer_series
 from .transmon import (coupling_report, find_cutoff, parse_coupler_config,
@@ -35,7 +35,8 @@ VERSION_COMMENT = f"pstnet {__version__}"
 EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
-# most rows a time grid (pst --csv) or a coupler sweep (transmon --sweep) may ask for
+# most rows a time grid (pst --csv, qudit --csv) or a coupler sweep
+# (transmon --sweep) may ask for
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -258,6 +259,8 @@ def _cmd_qudit(args) -> int:
     for flag, value in (("--t", args.t), ("--tmax", args.tmax)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if args.csv and not 1 <= args.samples <= MAX_GRID_POINTS:
+        raise ValueError(f"--samples must be in 1..{MAX_GRID_POINTS}, got {args.samples}")
     family = _parse_family(args.family)
     f = transfer_amplitude_qudit(family, args.target, args.t)
     condition = abs(abs(f) - 1.0) <= 1e-8
@@ -269,12 +272,10 @@ def _cmd_qudit(args) -> int:
         "pst_condition": condition,
     }
     if args.csv:
-        ts = np.linspace(0.0, args.tmax, args.samples)
-        rows = []
-        for t in ts:
-            total = sum(abs(transfer_amplitude_qudit(family, j, t)) ** 2
-                        for j in range(family.site_count))
-            rows.append((float(t), float(total)))
+        spec = family_spectrum(family)
+        start = np.eye(family.site_count)[0]
+        rows = [(float(t), float(np.sum(np.abs(spec.apply(t, start)) ** 2)))
+                for t in np.linspace(0.0, args.tmax, args.samples)]
         emit_csv(rows, args.csv, ["t", "total_probability"], VERSION_COMMENT)
     if args.json:
         print(json.dumps(payload, sort_keys=True))

@@ -27,8 +27,10 @@ Applied to G^(m) = G^(m-1) o G level by level, the formula gives the seed
 rows of G^(m)'s spectrum as n 2^m terms without building G^(m)
 (`corona_seed_spectrum`), at O(n 2^m) per time instead of a dense solve of
 n(n + 1)^m vertices.  `fidelity_vs_m` scans these terms at every order
-m >= 1 of a seed that meets the hypotheses, and solves the directly built
-product otherwise.
+m >= 1 of a seed that meets the hypotheses.  Otherwise it builds the
+product and scans the walk module of the pair's source vertex
+(`spectral.max_fidelity_scan`), as it does for the seed itself at m = 0,
+so no n x n matrix is solved.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ from .graphs import (MarkingScheme, SignedWeightedGraph, corona, graph_matrix,
                      markings_under, sparse_matrix)
 from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
                        _eigen_groups, _grid_magnitudes, _scan_points,
-                       max_fidelity_scan_spectrum)
+                       max_fidelity_scan, max_fidelity_scan_spectrum)
 
 CORONA_KINDS = ("adjacency", "laplacian")
-# largest product a direct row solves (vertices of G^(m))
+# largest product `iterate_corona` builds (vertices of G^(m)), so the
+# largest graph a direct row scans
 CORONA_SIZE_GUARD = 5000
 # most terms n 2^m a recursion row scans; each term holds n seed entries
 RECURSION_MAX_TERMS = 1 << 20
@@ -68,7 +71,7 @@ class ScanRow:
     pair: tuple[int, int]
     t_star: float
     f_star: float
-    provenance: str      # 'direct': G^(m) solved; 'recursion': corona_seed_spectrum
+    provenance: str      # 'direct': G^(m) walked; 'recursion': corona_seed_spectrum
 
 
 @dataclass(frozen=True)
@@ -296,14 +299,15 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     """Best transfer fidelity between two seed vertices at each corona order.
 
     Seed vertices keep their indices in every product, so the pair persists.
-    Order 0 scans the seed's own spectrum.  Whether the seed meets the
-    corona theorem is decided once, by corona_spectrum(seed, seed), which
-    checks the hypotheses and the residual on the one-level product.  If it
-    does, every order m >= 1 scans corona_seed_spectrum(seed, m), with no
-    product built, up to RECURSION_MAX_TERMS terms (ValueError above, before
-    any scan); its rows have provenance 'recursion'.  If not, each order
-    builds G^(m) with iterate_corona, up to CORONA_SIZE_GUARD vertices, and
-    scans the spectrum of its chosen matrix; those rows are 'direct'.
+    Order 0 scans the seed itself.  Whether the seed meets the corona
+    theorem is decided once, by corona_spectrum(seed, seed), which checks
+    the hypotheses and the residual on the one-level product.  If it does,
+    every order m >= 1 scans corona_seed_spectrum(seed, m), with no product
+    built, up to RECURSION_MAX_TERMS terms (ValueError above, before any
+    scan); its rows have provenance 'recursion'.  If not, each order builds
+    G^(m) with iterate_corona, up to CORONA_SIZE_GUARD vertices.  The seed
+    and every built product are scanned by `spectral.max_fidelity_scan` on
+    the walk module of u under the chosen matrix; those rows are 'direct'.
     A row whose best fidelity is at most FIDELITY_NOISE_FLOOR (a pair whose
     amplitude vanishes identically) reports f* = 0 at t* = 0, so its bytes
     do not depend on rounding.
@@ -316,13 +320,12 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
         _check_recursion_terms(seed.vertex_count, m_max)
     rows = []
     for m in range(m_max + 1):
-        if m == 0:
-            spectrum = Spectrum.from_graph(seed, matrix_kind)
-        elif recursion:
+        if recursion and m:
             spectrum = corona_seed_spectrum(seed, m, matrix_kind, scheme)
+            t_star, f_star = max_fidelity_scan_spectrum(spectrum, u, v, t_max, dt)
         else:
-            spectrum = Spectrum.from_graph(iterate_corona(seed, m, scheme), matrix_kind)
-        t_star, f_star = max_fidelity_scan_spectrum(spectrum, u, v, t_max, dt)
+            product = iterate_corona(seed, m, scheme) if m else seed
+            t_star, f_star = max_fidelity_scan(product, u, v, t_max, dt, matrix_kind)
         if f_star <= FIDELITY_NOISE_FLOOR:
             t_star, f_star = 0.0, 0.0
         rows.append(ScanRow(m, (u, v), t_star, f_star,

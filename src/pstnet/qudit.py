@@ -8,7 +8,9 @@ amplitude to site j from site 0 is
     f_j(t) = sum_l V[j,l] V[0,l] exp(-i t Jt_l),    Jt_l = sum_k J_k l_l^(k),
 
 which matches the direct matrix exponential and conserves sum_j |f_j|^2.
-The module also evaluates the broken variant that replaces the first
+The pairs (Jt_l, V[:, l]) form a `spectral.Spectrum` (`family_spectrum`),
+so the amplitudes come from the same kernels as every other walk.  The
+module also evaluates the broken variant that replaces the first
 eigenbasis column with all ones, whose probability sum drifts from 1,
 for comparison against the corrected amplitudes.
 """
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import _eigen_groups
+from .spectral import Spectrum, _eigen_groups
 
 MAX_GENERATOR_DIM = 8
 
@@ -212,22 +214,26 @@ def hopping_hamiltonian(family: CommutingFamily) -> np.ndarray:
     return sum(j * a for j, a in zip(family.couplings, family.matrices))
 
 
+def family_spectrum(family: CommutingFamily) -> Spectrum:
+    """H = V diag(Jt) V^T as a `Spectrum`: Jt ascending, V's columns to match."""
+    jt = family.couplings @ family.eigen_table
+    order = np.argsort(jt, kind="stable")
+    return Spectrum(jt[order], family.basis[:, order])
+
+
 def transfer_amplitude_qudit(family: CommutingFamily, j: int, t: float,
                              source: int = 0) -> complex:
     """f_{j,source}(t) = sum_l V[j,l] V[source,l] e^{-i t Jt_l}."""
     n = family.site_count
     if not (0 <= j < n and 0 <= source < n):
         raise ValueError("site out of range")
-    jt = family.couplings @ family.eigen_table
-    v = family.basis
-    return complex(np.sum(v[j] * v[source] * np.exp(-1j * t * jt)))
+    return family_spectrum(family).amplitude(source, j, t)
 
 
-def _amplitudes(family: CommutingFamily, t: float, corrected: bool) -> np.ndarray:
+def _uncorrected_amplitudes(family: CommutingFamily, t: float) -> np.ndarray:
+    """The flawed f_j(t) = sum_l V[j,l] e^{-i t Jt_l}: V[0, l] read as 1."""
     jt = family.couplings @ family.eigen_table
-    v = family.basis
-    first = v[0] if corrected else np.ones(family.site_count)
-    return v @ (first * np.exp(-1j * t * jt))
+    return family.basis @ np.exp(-1j * t * jt)
 
 
 @dataclass(frozen=True)
@@ -244,10 +250,13 @@ def unitarity_audit(family: CommutingFamily,
     the variant with the eigenbasis column replaced by all ones does not,
     which is the reported flaw in the earlier derivation.
     """
+    spec = family_spectrum(family)
+    start = np.eye(family.site_count)[0]
     dev_c = dev_u = 0.0
     for t in t_samples:
-        dev_c = max(dev_c, abs(np.sum(np.abs(_amplitudes(family, t, True)) ** 2) - 1.0))
-        dev_u = max(dev_u, abs(np.sum(np.abs(_amplitudes(family, t, False)) ** 2) - 1.0))
+        flawed = _uncorrected_amplitudes(family, t)
+        dev_c = max(dev_c, abs(np.sum(np.abs(spec.apply(t, start)) ** 2) - 1.0))
+        dev_u = max(dev_u, abs(np.sum(np.abs(flawed) ** 2) - 1.0))
     return UnitarityAudit(float(dev_c), float(dev_u))
 
 

@@ -5,9 +5,11 @@ U(t) = V e^{-i t diag(w)} V^T, with two kernels.  `Spectrum.apply`
 evolves a vector to one time, and `Spectrum.amplitude` gives <v|U(t)|u>
 of one pair at one time or over a grid of times (`Spectrum.propagator` is
 the full matrix at one time).  Its eigenvectors may be a block of rows.
-A dense solve of the whole graph (`Spectrum.from_graph`) is refused above
-DENSE_MAX_DIM vertices; time series, grid scans and symmetry operators
-use it.
+A dense solve (`Spectrum.from_matrix`) is refused above DENSE_MAX_DIM
+rows.  Only whole-spectrum questions still take one: the all-pairs grid
+maxima of `corona_lab`, `symmetry_operator` and `corona_spectrum`, and
+the full-spin oracle `spin_oracle_check`, the one caller of
+`Spectrum.from_graph`.
 
 Single-pair questions run on the walk module of u instead,
 W_u = span{M^k e_u}, whose dimension D is the number of eigenvalues in
@@ -21,11 +23,13 @@ basis is capped at WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM^2 entries
 
 - `check_pst_conditions` stops Lanczos only at closure, where the answer
   is exact, so it decides PST on Q_12..Q_16 too and never solves n x n.
-- `transfer_amplitude` also stops at a rigorous tail bound (derived in
-  `walk_spectrum`), and takes one `expm_multiply` column of the sparse
+- Timed questions, `transfer_amplitude` at one time and `transfer_series`
+  and `max_fidelity_scan` up to the largest |t| they evaluate, also stop
+  at a rigorous tail bound (derived in `walk_spectrum`).  A basis that
+  bound may need past the cap (`_walk_fits`) is known before any work:
+  `transfer_amplitude` then takes one `expm_multiply` column of the sparse
   matrix (`krylov_amplitude`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-  2011) only when the basis that bound may need would pass the cap.  It
-  decides this before any work, and the report names the backend.
+  2011), and its report names the backend; a series or a scan is refused.
 
 `hypercube_apply` needs no eigenpairs at all: the uniform-weight
 hypercube has A = sum_b X_b over its d bit positions, so exp(-i w t A) is
@@ -249,8 +253,10 @@ def _tail_steps(x: float) -> int:
 def _walk_fits(n: int, x: float) -> bool:
     """True when a walk amplitude at X = |t| ||M||_1 on n vertices keeps its
     basis, at most n min(n, `_tail_steps`(X)) entries, within
-    WALK_BASIS_MAX_ENTRIES; otherwise one Krylov column answers instead."""
-    return n * min(n, _tail_steps(x)) <= WALK_BASIS_MAX_ENTRIES
+    WALK_BASIS_MAX_ENTRIES: the one rule by which `walk_spectrum` refuses a
+    timed walk and `transfer_amplitude` takes a Krylov column instead.
+    Up to n^2 <= WALK_BASIS_MAX_ENTRIES it holds at any X, uncounted."""
+    return n * n <= WALK_BASIS_MAX_ENTRIES or n * _tail_steps(x) <= WALK_BASIS_MAX_ENTRIES
 
 
 def _tridiagonal_rows(diagonal, couplings, row: np.ndarray) -> Spectrum:
@@ -320,19 +326,24 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
       when phi happens to vanish at t, as it does for Q_8 0 -> 255 at
       pi/2 with 8 of the 9 vectors, whose amplitude there is 1.
 
+    Both bounds grow with |t|, so the amplitude is as good at every time
+    up to |t|: a time series or scan passes its largest |t|.
+
     The basis holds at most WALK_BASIS_MAX_ENTRIES entries, n m; a run
-    that needs more raises ValueError with one line.
+    that needs more raises ValueError with one line.  With a time t, a run
+    whose tail bound might need more (`_walk_fits`) raises it before any
+    Lanczos step.
     """
     n = g.vertex_count
     _check_vertices(n, u, v)
     matrix, norm = sparse_matrix(g, matrix_kind)
     closure = WALK_CLOSURE_TOL * norm
     max_steps = min(n, WALK_BASIS_MAX_ENTRIES // n)
-    if max_steps == 0:
-        raise _basis_cap_error(u, n, max_steps)
     if t is not None:
         span, goal = abs(float(t)), math.log(WALK_AMPLITUDE_TOL)
         x = span * norm
+    if max_steps == 0 or (t is not None and not _walk_fits(n, x)):
+        raise _basis_cap_error(u, n, max_steps)
     basis = np.zeros((min(max_steps, 32), n))
     basis[0, u] = 1.0
     alphas, betas = [], []
@@ -468,11 +479,18 @@ def _transfer_report(amp: complex, t: float, tol: float, pair: tuple[int, int],
 
 def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
                     matrix_kind: str = "adjacency") -> list[tuple[float, float, float]]:
-    """Rows (t, magnitude, phase) for CSV emission."""
+    """Rows (t, magnitude, phase) for CSV emission.
+
+    One walk module of u (`walk_spectrum` up to max |t|) gives every row;
+    a basis that might pass the cap raises ValueError before any work.
+    """
     _check_vertices(g.vertex_count, u, v)
     _check_times(ts)
-    spec = Spectrum.from_graph(g, matrix_kind)
-    amps = spec.amplitude(u, v, np.asarray(ts, dtype=float))
+    times = np.asarray(ts, dtype=float)
+    if not len(times):
+        return []
+    walk = walk_spectrum(g, u, v, matrix_kind, float(np.max(np.abs(times))))
+    amps = walk.spectrum.amplitude(0, 1, times)
     return [(float(t), float(abs(a)), float(np.angle(a))) for t, a in zip(ts, amps)]
 
 
@@ -721,10 +739,15 @@ def max_fidelity_scan(g: SignedWeightedGraph, u: int, v: int, t_max: float,
     """Grid scan of |<v|U(t)|u>| on [0, t_max] with golden refinement.
 
     Returns (t*, F*) where F is the pure-state fidelity, i.e. the amplitude
-    magnitude at the best time found.
+    magnitude at the best time found.  The scan runs on the two rows of the
+    walk module of u (`walk_spectrum`) up to count dt, the last grid point
+    plus the one dt that `_refine_peak` may search past it.  A bad grid
+    (`_scan_points`), then a basis that might pass the cap, raise
+    ValueError before any work.
     """
-    spec = Spectrum.from_graph(g, matrix_kind)
-    return max_fidelity_scan_spectrum(spec, u, v, t_max, dt)
+    count = _scan_points(t_max, dt)
+    walk = walk_spectrum(g, u, v, matrix_kind, count * float(dt))
+    return max_fidelity_scan_spectrum(walk.spectrum, 0, 1, t_max, dt)
 
 
 def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,

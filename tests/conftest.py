@@ -30,7 +30,8 @@ def _direct_grid_scan(spec, u, v, t_max, dt):
     ts = np.arange(0.0, t_max + dt, dt)
     mags = np.abs(spec.amplitude(u, v, ts))
     support = spec.eigenvalues[spec.eigenvectors[u] * spec.eigenvectors[v] != 0]
-    grid_err = 0.5 * (0.5 * float(np.ptp(support)) * dt) ** 2 + 1e-12
+    spread = float(np.ptp(support)) if len(support) else 0.0   # v outside u's walk
+    grid_err = 0.5 * (0.5 * spread * dt) ** 2 + 1e-12
     candidates = np.flatnonzero(mags >= float(np.max(mags)) - grid_err)
     best_t, best_f = 0.0, -1.0
     for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):

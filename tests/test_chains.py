@@ -159,12 +159,18 @@ def test_uniform_scan_refuses_before_building_the_matrix(monkeypatch):
     for n in (2, 5, 64):
         assert np.array_equal(adjacency(path_graph(n)),
                               chain_matrix(ChainSpec((1.0,) * (n - 1))))
-    monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
 
     def built(*args):
-        pytest.fail("the chain matrix was built before the size check")
+        pytest.fail("a dense chain matrix was built")
 
     monkeypatch.setattr(spectral, "graph_matrix", built)
     monkeypatch.setattr(chains, "chain_matrix", built)
-    with pytest.raises(ValueError, match="9 exceeds the limit of 8"):
+    # the scan walks the sparse path from site 0, so the dense limit does not bind
+    monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
+    t_star, f_star = unmodulated_no_pst_scan(9, 10.0)
+    assert 0.0 < f_star < 1.0 - 1e-6 and 0.0 < t_star <= 10.0
+    # 9 sites need 9 Lanczos vectors: refused at 8 before any of them is made
+    monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 9 * 8)
+    monkeypatch.setattr(spectral, "_tridiagonal_rows", built)
+    with pytest.raises(ValueError, match="needs more than 8 Lanczos vectors of length 9"):
         unmodulated_no_pst_scan(9, 10.0)

@@ -180,6 +180,20 @@ def test_route_on_a_network_beyond_dense_reach():
     assert payload["magnitude"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pst_csv_on_q14_beyond_the_dense_limit(tmp_path):
+    # the series walks Q_14 from vertex 0 (D = 15) under a 2 GB cap, where a
+    # dense 16384 x 16384 solve was refused; <16383|U(t)|0> = (-i sin t)^14
+    out = tmp_path / "q14.csv"
+    done = _python_m_pstnet("pst", "--graph", "q14", "--from", "0", "--to", "16383",
+                            "--csv", str(out), memory_limit=2_000_000_000)
+    assert done.returncode == 0, done.stderr
+    assert "best_time: 1.57079632679\n" in done.stdout
+    header, rows = read_csv(str(out))
+    assert header == ["t", "magnitude", "phase"] and len(rows) == 2001
+    for t, magnitude, _ in rows:
+        assert abs(float(magnitude) - abs(math.sin(float(t))) ** 14) <= 1e-12
+
+
 def test_route_state_csv(tmp_path, capsys):
     out = tmp_path / "state.csv"
     assert run(["route", "--n", "8", "--from", "0000", "--to", "0111",
@@ -261,12 +275,31 @@ def test_chain_unmodulated(capsys):
 
 
 def test_unmodulated_chain_beyond_dense_reach_is_refused():
-    # the 20000 x 20000 chain matrix alone would take 3 GiB, over the 2 GB cap
-    done = _python_m_pstnet("chain", "--n", "20000", "--unmodulated",
+    # the scan walks the path from site 0; at the default --tmax 200 its tail
+    # bound may need 1113 Lanczos vectors, and 10^5 x 1113 passes the 2^26 cap
+    done = _python_m_pstnet("chain", "--n", "100000", "--unmodulated",
                             memory_limit=2_000_000_000)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == ("dense eigensolve of dimension 20000 exceeds the "
-                           "limit of 8192\n")
+    assert done.stderr == ("walk module of vertex 0 needs more than 671 Lanczos "
+                           "vectors of length 100000, above the basis cap of "
+                           "67108864 entries\n")
+
+
+def test_unmodulated_chain_of_300_sites_matches_the_closed_form(capsys):
+    n, t_max, dt = 300, 200.0, 0.002
+    assert run(["chain", "--n", str(n), "--unmodulated"]) == 0
+    size, t_star, f_star = (float(x) for x in capsys.readouterr().out.split(","))
+    assert size == n
+
+    def amplitude(t):
+        """<n|exp(-iAt)|1> = 2/(n+1) sum_k sin(k th) sin(n k th) e^{-2it cos(k th)}."""
+        theta = np.arange(1, n + 1) * math.pi / (n + 1)
+        terms = np.sin(theta) * np.sin(n * theta) * 2.0 / (n + 1)
+        return np.exp(-2j * np.outer(np.atleast_1d(t), np.cos(theta))) @ terms
+
+    assert f_star == pytest.approx(abs(amplitude(t_star)[0]), abs=1e-11)
+    grid = np.arange(0.0, t_max + dt, dt)
+    assert np.max(np.abs(amplitude(grid))) <= f_star + 1e-11
 
 
 def test_unmodulated_chain_refuses_an_unbounded_grid():
@@ -371,6 +404,25 @@ def test_qudit_refuses_non_finite_times(tmp_path, capsys, flag, value):
     assert run(["qudit", "--family", str(tmp_path / "absent.txt"), "--target", "1",
                 f"{flag}={value}", "--json"]) == 2
     assert capsys.readouterr() == ("", f"{flag} must be finite, got {float(value)}\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "1000001", "100000000"])
+def test_qudit_csv_refuses_samples_outside_the_grid_bound(tmp_path, capsys, samples):
+    # checked before the family is read or the grid allocated
+    out = tmp_path / "prob.csv"
+    assert run(["qudit", "--family", str(tmp_path / "absent.txt"), "--target", "1",
+                "--samples", samples, "--csv", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"--samples must be in 1..1000000, got {samples}\n")
+    assert not out.exists()
+
+
+def test_qudit_csv_accepts_one_sample(tmp_path, capsys):
+    out = tmp_path / "prob.csv"
+    assert run(["qudit", "--family", "cycle:6", "--target", "3", "--samples", "1",
+                "--tmax", "4", "--csv", str(out)]) == 0
+    header, rows = read_csv(str(out))
+    assert header == ["t", "total_probability"] and [r[0] for r in rows] == ["0"]
+    assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transmon_cutoff(tmp_path, capsys):

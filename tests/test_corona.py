@@ -408,14 +408,18 @@ def test_all_pairs_scans_through_the_grid_kernel(monkeypatch):
 def test_fidelity_rows_equal_the_direct_grid(name, direct_grid_scan):
     seed = SEEDS[name]()
     n = seed.vertex_count
+    # the m = 0 row scans the walk module of vertex 0 up to count dt, the
+    # last grid point plus one dt of refinement; its rows are (0, 1)
+    span = spectral._scan_points(20.0, 0.005) * 0.005
     for kind in ("adjacency", "laplacian"):
-        spectra = [Spectrum.from_graph(seed, kind)]
-        spectra += [corona_seed_spectrum(seed, m, kind) for m in (1, 2, 3)]
+        spectra = [corona_seed_spectrum(seed, m, kind) for m in (1, 2, 3)]
         for v in range(1, n):
             table = fidelity_vs_m(seed, (0, v), 3, kind)
             assert [row.provenance for row in table.rows] == ["direct"] + ["recursion"] * 3
-            for row, spec in zip(table.rows, spectra):
-                want = direct_grid_scan(spec, 0, v, 20.0, 0.005)
+            walk = spectral.walk_spectrum(seed, 0, v, kind, span).spectrum
+            for row, (spec, a, b) in zip(table.rows, [(walk, 0, 1)] + [
+                    (spec, 0, v) for spec in spectra]):
+                want = direct_grid_scan(spec, a, b, 20.0, 0.005)
                 if want[1] > 1e-12:
                     assert (row.t_star, row.f_star) == want
                 else:   # an amplitude that vanishes: its t* is rounding noise

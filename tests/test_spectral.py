@@ -562,6 +562,10 @@ def test_grid_amplitudes_are_the_same_in_time_blocks(monkeypatch):
     # 7 times per block: 143 blocks, the last one short
     monkeypatch.setattr(spectral, "AMPLITUDE_BLOCK_ENTRIES", 40 * 7)
     np.testing.assert_array_equal(spec.amplitude(2, 5, ts), whole)
+    # the series runs on the walk module of vertex 2 (21 terms): the blocks
+    # change no row, and the rows match the dense oracle to rounding
     rows = transfer_series(cycle_graph(40), 2, 5, ts)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(rows, transfer_series(cycle_graph(40), 2, 5, ts))
     whole = np.abs(Spectrum.from_graph(cycle_graph(40)).amplitude(2, 5, ts))
-    np.testing.assert_allclose([r[1] for r in rows], whole, rtol=0, atol=1e-15)
+    np.testing.assert_allclose([r[1] for r in rows], whole, rtol=0, atol=1e-13)

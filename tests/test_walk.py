@@ -1,24 +1,32 @@
 """The walk-module Lanczos layer against independent oracles.
 
 Verdicts are checked against eigenprojectors of a dense `eigh`, amplitudes
-against `scipy.linalg.expm`, and the hypercube against its closed form.
+against `scipy.linalg.expm`, time series and grid scans against the dense
+`Spectrum.from_graph`, and the hypercube against its closed form.
 """
 
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import pstnet
 from pstnet import spectral
+from pstnet.chains import unmodulated_no_pst_scan
 from pstnet.cli import run
-from pstnet.graphs import graph_matrix, hypercube, make_graph, path_graph
+from pstnet.corona_lab import fidelity_vs_m, iterate_corona
+from pstnet.fileio import parse_graph_file
+from pstnet.graphs import (complete_graph, cycle_graph, graph_matrix, hypercube,
+                           make_graph, path_graph)
 from pstnet.spectral import (WALK_AMPLITUDE_TOL, check_pst_conditions,
+                             max_fidelity_scan, max_fidelity_scan_spectrum,
                              rationality_check, transfer_amplitude,
-                             walk_spectrum)
+                             transfer_series, walk_spectrum)
 
 KINDS = ("adjacency", "laplacian", "signless_laplacian")
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -263,3 +271,116 @@ def test_pst_answers_q14_beyond_the_dense_limit(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["best_time"] == pytest.approx(math.pi / 2, abs=1e-12)
     assert payload["vector_condition"] and payload["eigenvalue_condition"]
+
+
+# --- time series and grid scans on the walk module ---------------------------------
+
+EXAMPLES = Path(pstnet.__file__).resolve().parent / "data" / "corona_examples"
+ORACLE_GRAPHS = ([complete_graph(n) for n in range(2, 6)]
+                 + [path_graph(n) for n in range(2, 10)]
+                 + [hypercube(k) for k in range(1, 6)]
+                 + [cycle_graph(n) for n in range(3, 10)]
+                 + [parse_graph_file(str(p)) for p in sorted(EXAMPLES.glob("*.graph"))])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("n x n solve or matrix")
+
+
+def test_series_and_scans_solve_no_n_by_n_matrix(monkeypatch):
+    monkeypatch.setattr(spectral, "graph_matrix", _refuse)
+    monkeypatch.setattr(spectral.Spectrum, "from_graph", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    ts = np.arange(13) * 0.25
+    rows = transfer_series(hypercube(10), 0, 1023, ts)
+    assert [t for t, _, _ in rows] == ts.tolist()
+    np.testing.assert_allclose([m for _, m, _ in rows], np.abs(np.sin(ts)) ** 10,
+                               rtol=0, atol=1e-12)
+    assert transfer_series(hypercube(10), 0, 1023, []) == []
+    # |sin t|^10 is flat at its peak: t* is fixed only to about 1e-8
+    t_star, f_star = max_fidelity_scan(hypercube(10), 0, 1023, 3.0, 0.01)
+    assert t_star == pytest.approx(math.pi / 2, abs=1e-7)
+    assert f_star == pytest.approx(1.0, abs=1e-12)
+    t_star, f_star = unmodulated_no_pst_scan(2, 10.0)
+    assert (t_star, f_star) == pytest.approx((math.pi / 2, 1.0), abs=1e-9)
+    assert unmodulated_no_pst_scan(6, 50.0)[1] < 0.999
+    # P3 is not net-regular, so the corona theorem fails before any eigh
+    table = fidelity_vs_m(path_graph(3), (0, 2), 3, "adjacency")
+    assert [row.provenance for row in table.rows] == ["direct"] * 4
+    assert table.rows[0].t_star == pytest.approx(math.pi / math.sqrt(2), abs=1e-7)
+    assert table.rows[0].f_star == pytest.approx(1.0, abs=1e-12)
+
+
+def test_series_and_scans_refuse_a_basis_past_the_cap_before_lanczos(monkeypatch):
+    g = hypercube(4)   # n = 16; the tail bound at |t| = 20 may need all 16 vectors
+    norm = spectral.sparse_matrix(g, "adjacency")[1]
+
+    class NoSteps:
+        def __matmul__(self, other):
+            raise AssertionError("a Lanczos step ran")
+
+    monkeypatch.setattr(spectral, "sparse_matrix", lambda *a: (NoSteps(), norm))
+    monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 16 * 15)
+    message = "needs more than 15 Lanczos vectors of length 16, above the basis cap of 240"
+    with pytest.raises(ValueError, match=message):
+        transfer_series(g, 0, 15, [0.0, 20.0])
+    with pytest.raises(ValueError, match=message):
+        max_fidelity_scan(g, 0, 15, 19.99, 0.01)
+    # the grid is checked first
+    with pytest.raises(ValueError, match="scan dt must be finite and > 0"):
+        max_fidelity_scan(g, 0, 15, 20.0, 0.0)
+
+
+def _assert_same_scan(got, want, dense, u, v):
+    """(t*, f*) of a walk scan against the dense oracle's scan of the same grid.
+
+    f* agrees to 1e-12.  t* is an argmax of a magnitude that is flat at its
+    peak, f* - c (t - t*)^2 / 2, so the ~1e-14 rounding of either path moves
+    it by up to sqrt(2e-14 / c), about 1e-7 here: where f* > 1e-6 the walk's
+    t* must be the same peak (to 1e-6) and reach the oracle's f* there.
+    """
+    (t_star, f_star), (t_want, f_want) = got, want
+    assert abs(f_star - f_want) <= 1e-12
+    if f_want > 1e-6:
+        assert abs(t_star - t_want) <= 1e-6
+        assert abs(abs(dense.amplitude(u, v, t_star)) - f_want) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_and_scans_match_the_dense_oracle(kind):
+    ts = np.arange(2001) * 0.01
+    for g in ORACLE_GRAPHS:
+        dense = spectral.Spectrum.from_graph(g, kind)
+        for v in range(g.vertex_count):
+            rows = transfer_series(g, 0, v, ts, kind)
+            want = np.abs(dense.amplitude(0, v, ts))
+            np.testing.assert_allclose([m for _, m, _ in rows], want, rtol=0, atol=1e-12)
+            _assert_same_scan(max_fidelity_scan(g, 0, v, 20.0, 0.01, kind),
+                              max_fidelity_scan_spectrum(dense, 0, v, 20.0, 0.01),
+                              dense, 0, v)
+
+
+def test_chain_and_corona_scans_match_the_dense_oracle():
+    for n in range(2, 17):
+        dense = spectral.Spectrum.from_graph(path_graph(n))
+        _assert_same_scan(unmodulated_no_pst_scan(n, 50.0),
+                          max_fidelity_scan_spectrum(dense, 0, n - 1, 50.0, 0.0005),
+                          dense, 0, n - 1)
+    # seeds outside the corona theorem: every row builds G^(m) and walks it
+    direct = 0
+    signed_p3 = make_graph(3, [(0, 1, 1.0, -1), (1, 2, 1.0, 1)])
+    signed_p4 = make_graph(4, [(0, 1, 1.0, -1), (1, 2, 0.5, 1), (2, 3, 1.0, 1)])
+    for seed in (path_graph(3), path_graph(4), signed_p3, signed_p4):
+        for kind in ("adjacency", "laplacian"):
+            for v in range(1, seed.vertex_count):
+                table = fidelity_vs_m(seed, (0, v), 2, kind, t_max=10.0, dt=0.01)
+                for row in table.rows:
+                    if row.provenance != "direct":
+                        continue
+                    direct += row.m > 0
+                    dense = spectral.Spectrum.from_graph(iterate_corona(seed, row.m), kind)
+                    want = max_fidelity_scan_spectrum(dense, 0, v, 10.0, 0.01)
+                    if want[1] <= 1e-12:   # the rows' noise floor
+                        want = (0.0, 0.0)
+                    _assert_same_scan((row.t_star, row.f_star), want, dense, 0, v)
+    assert direct == 30
