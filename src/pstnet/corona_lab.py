@@ -42,7 +42,7 @@ import numpy as np
 
 from . import spectral
 from .graphs import (MarkingScheme, SignedWeightedGraph, corona, graph_matrix,
-                     markings_under, sparse_matrix)
+                     markings_under, sign_degrees, sparse_matrix)
 from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
                        _eigen_groups, _grid_magnitudes, _scan_points,
                        max_fidelity_scan, max_fidelity_scan_spectrum)
@@ -54,9 +54,6 @@ CORONA_SIZE_GUARD = 5000
 # most terms n 2^m a recursion row scans; each term holds n seed entries
 RECURSION_MAX_TERMS = 1 << 20
 EIGENPAIR_RESIDUAL_TOL = 1e-8
-# a scan maximum at or below this is rounding, not transfer: the grid kernel
-# is only exact to its 1e-12 merge bound, so such a row reads f* = 0 at t* = 0
-FIDELITY_NOISE_FLOOR = 1e-12
 # columns per block of the residual check, so its temporaries stay small
 RESIDUAL_COLUMNS = 256
 
@@ -83,10 +80,8 @@ def net_regularity(g: SignedWeightedGraph) -> Optional[int]:
     """d+ - d- when constant across vertices, else None."""
     if g.vertex_count == 0:
         return None
-    u, v, sw = g.edge_arrays
-    signs = np.sign(sw)
-    net = np.bincount(np.concatenate((u, v)), weights=np.concatenate((signs, signs)),
-                      minlength=g.vertex_count)
+    dpos, dneg = sign_degrees(g)
+    net = dpos - dneg
     return int(net[0]) if np.all(net == net[0]) else None
 
 
@@ -128,12 +123,9 @@ def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingSche
     if matrix_kind not in CORONA_KINDS:
         raise ValueError(f"corona spectra cover 'adjacency' and 'laplacian', "
                          f"not {matrix_kind!r}")
-    k = g2.vertex_count
     lift = int(matrix_kind == "laplacian")
     if lift:
-        u, v, sw = g2.edge_arrays
-        neg = sw < 0
-        dneg = set(np.bincount(np.concatenate((u[neg], v[neg])), minlength=k).tolist())
+        dneg = set(sign_degrees(g2)[1].tolist())
         if len(dneg) != 1:
             raise TheoremHypothesisError("g2 negative degree is not constant")
         target, eigen_of = 2.0 * dneg.pop(), "a Laplacian eigenvector for 2 d-"
@@ -308,9 +300,8 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     G^(m) with iterate_corona, up to CORONA_SIZE_GUARD vertices.  The seed
     and every built product are scanned by `spectral.max_fidelity_scan` on
     the walk module of u under the chosen matrix; those rows are 'direct'.
-    A row whose best fidelity is at most FIDELITY_NOISE_FLOOR (a pair whose
-    amplitude vanishes identically) reports f* = 0 at t* = 0, so its bytes
-    do not depend on rounding.
+    A pair whose amplitude vanishes identically reads f* = 0 at t* = 0
+    (`spectral.FIDELITY_NOISE_FLOOR`), so its bytes do not depend on rounding.
     """
     u, v = pair
     if not (0 <= u < seed.vertex_count and 0 <= v < seed.vertex_count):
@@ -326,8 +317,6 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
         else:
             product = iterate_corona(seed, m, scheme) if m else seed
             t_star, f_star = max_fidelity_scan(product, u, v, t_max, dt, matrix_kind)
-        if f_star <= FIDELITY_NOISE_FLOOR:
-            t_star, f_star = 0.0, 0.0
         rows.append(ScanRow(m, (u, v), t_star, f_star,
                             "recursion" if recursion and m else "direct"))
     return ScanTable(tuple(rows))

@@ -14,6 +14,7 @@ byte identical; the only metadata is a version comment line.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .graphs import Edge, SignedWeightedGraph
@@ -97,6 +98,8 @@ def parse_graph_text(text: str) -> SignedWeightedGraph:
                 raise GraphFormatError(lineno, f"bad weight {parts[3]!r}")
             if w <= 0:
                 raise GraphFormatError(lineno, "weight must be positive")
+            if not math.isfinite(w):
+                raise GraphFormatError(lineno, f"weight {parts[3]!r} is not finite")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise GraphFormatError(lineno, f"duplicate edge ({u},{v})")

@@ -1,9 +1,15 @@
 """Signed, weighted, marked graphs and their matrices.
 
-Vertices are integers 0..n-1.  Edge weights are stored positive with the
-sign carried separately, so the signed adjacency entry is sign * weight.
+Vertices are integers 0..n-1.  Edge weights are positive with the sign
+carried separately, so the signed adjacency entry is sign * weight.
 Optional per-vertex data: fixed-length bit-string labels (used by the
 hypercube machinery) and +/-1 markings (used by corona products).
+
+A graph stores its edges only as three read-only arrays, `edge_arrays` =
+(u, v, sign * weight) in canonical order (u < v, sorted by (u, v)); `edges`
+is the same edges as `Edge` tuples, a view built on first read.  Builders
+compute arrays by index arithmetic and pass one (m, 4) table of (u, v,
+weight, sign) rows (`edge_table`) to the one constructor, which checks it.
 
 All graph values are immutable after construction; every operation here
 is a pure function returning a new graph.
@@ -12,9 +18,7 @@ is a pure function returning a new graph.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,68 +39,91 @@ class MarkingScheme(enum.Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
+def _canonical_edges(rows: np.ndarray, n: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, sign * weight) of (u, v, weight, sign) rows, checked and sorted:
+    the first row in input order that breaks a rule names it, then the first
+    repeated pair in canonical order."""
+    u, v, w, s = rows.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    rules = (
+        (~((lo >= 0) & (hi < n)), "edge ({u},{v}) out of range for {n} vertices"),
+        ((np.floor(u) != u) | (np.floor(v) != v), "edge ({u},{v}) has a non-integral endpoint"),
+        (u == v, "self-loop at vertex {u}"),
+        (w <= 0, "edge ({u},{v}) has non-positive weight {w}"),
+        (~np.isfinite(w), "edge ({u},{v}) has non-finite weight {w}"),
+        ((s != 1) & (s != -1), "edge ({u},{v}) has sign {s}, expected +1 or -1"),
+    )
+    broken = np.logical_or.reduce([bad for bad, _ in rules])
+    if broken.any():
+        i = int(np.argmax(broken))
+        message = next(text for bad, text in rules if bad[i])
+        num = lambda x: int(x) if float(x).is_integer() else float(x)
+        raise ValueError(message.format(u=num(u[i]), v=num(v[i]), w=float(w[i]),
+                                        s=num(s[i]), n=n))
+    order = np.lexsort((hi, lo))
+    lo, hi, sw = lo[order].astype(np.intp), hi[order].astype(np.intp), (s * w)[order]
+    repeated = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if repeated.any():
+        i = int(np.argmax(repeated))
+        raise ValueError(f"duplicate edge ({lo[i]},{hi[i]})")
+    for a in (lo, hi, sw):
+        a.flags.writeable = False
+    return lo, hi, sw
+
+
 class SignedWeightedGraph:
-    """Simple undirected graph with signed, positively weighted edges."""
+    """Simple undirected graph with signed, positively weighted edges.
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
-    labels: Optional[tuple[str, ...]] = None
-    markings: Optional[tuple[int, ...]] = None
+    `edges` is a sequence of (u, v, weight, sign) tuples or an (m, 4) array of
+    such rows in any order (checked by `_canonical_edges`).  Immutable; `==`
+    compares vertex count, edges, labels and markings.
+    """
 
-    def __post_init__(self):
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges, labels=None, markings=None):
+        n = vertex_count
         if n < 0:
             raise ValueError("vertex_count must be non-negative")
-        canon = []
-        for e in self.edges:
-            u, v, w, s = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if w <= 0:
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-            if s not in (-1, 1):
-                raise ValueError(f"edge ({u},{v}) has sign {s}, expected +1 or -1")
-            if u > v:
-                u, v = v, u
-            canon.append(Edge(u, v, float(w), int(s)))
-        canon.sort(key=lambda e: (e.u, e.v))
-        for a, b in zip(canon, canon[1:]):
-            if (a.u, a.v) == (b.u, b.v):
-                raise ValueError(f"duplicate edge ({a.u},{a.v})")
-        object.__setattr__(self, "edges", tuple(canon))
-        if self.labels is not None:
-            labels = tuple(self.labels)
+        rows = np.asarray(edges, dtype=float)
+        if rows.size and (rows.ndim != 2 or rows.shape[1] != 4):
+            raise ValueError("edges must be (u, v, weight, sign) rows")
+        arrays = _canonical_edges(rows.reshape(-1, 4), n)
+        if labels is not None:
+            labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels must cover every vertex")
             if len(set(labels)) != n:
                 raise ValueError("labels must be pairwise distinct")
             if n > 0 and len({len(l) for l in labels}) > 1:
                 raise ValueError("labels must have equal length")
-            object.__setattr__(self, "labels", labels)
-        if self.markings is not None:
-            marks = tuple(int(m) for m in self.markings)
-            if len(marks) != n or any(m not in (-1, 1) for m in marks):
+        if markings is not None:
+            markings = tuple(int(m) for m in markings)
+            if len(markings) != n or any(m not in (-1, 1) for m in markings):
                 raise ValueError("markings must be one of +1/-1 per vertex")
-            object.__setattr__(self, "markings", marks)
+        self.__dict__.update(vertex_count=n, edge_arrays=arrays, labels=labels,
+                             markings=markings)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.vertex_count == other.vertex_count
+                and self.labels == other.labels and self.markings == other.markings
+                and all(map(np.array_equal, self.edge_arrays, other.edge_arrays)))
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edge_count, self.labels, self.markings))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_arrays[0])
 
     @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (u, v, sign * weight) per edge in edge order, built on first use."""
-        m = len(self.edges)
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=float,
-                           count=4 * m).reshape(m, 4)
-        arrays = (flat[:, 0].astype(np.intp), flat[:, 1].astype(np.intp),
-                  flat[:, 3] * flat[:, 2])
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as `Edge` tuples of Python numbers, in canonical order."""
+        u, v, sw = self.edge_arrays
+        return tuple(map(Edge, u.tolist(), v.tolist(), np.abs(sw).tolist(),
+                         np.where(sw > 0, 1, -1).tolist()))
 
     @cached_property
     def _sparse_matrices(self) -> dict:
@@ -112,16 +139,17 @@ class SignedWeightedGraph:
             raise KeyError(f"no vertex labeled {label!r}") from None
 
 
+def edge_table(u, v, signed_weight=1.0) -> np.ndarray:
+    """Constructor rows (u, v, weight, sign) from endpoints and sign * weight."""
+    u, v, sw = np.broadcast_arrays(u, v, signed_weight)
+    return np.column_stack((u, v, np.abs(sw), np.sign(sw)))
+
+
 def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None
                ) -> SignedWeightedGraph:
     """Build a graph from loose edge specs (u,v), (u,v,w) or (u,v,w,sign)."""
-    norm = []
-    for spec in edges:
-        u, v = spec[0], spec[1]
-        w = spec[2] if len(spec) > 2 else 1.0
-        s = spec[3] if len(spec) > 3 else 1
-        norm.append(Edge(int(u), int(v), float(w), int(s)))
-    return SignedWeightedGraph(n, tuple(norm), labels=labels, markings=markings)
+    rows = [(*spec, 1, 1)[:4] for spec in edges]    # weight and sign default to 1
+    return SignedWeightedGraph(n, rows, labels=labels, markings=markings)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +236,26 @@ def sparse_matrix(g: SignedWeightedGraph, kind: str):
 # constructors
 
 def path_graph(n: int) -> SignedWeightedGraph:
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return SignedWeightedGraph(n, edge_table(np.arange(n - 1), np.arange(1, n)))
 
 
 def complete_graph(n: int) -> SignedWeightedGraph:
-    return make_graph(n, combinations(range(n), 2))
+    return SignedWeightedGraph(n, edge_table(*np.triu_indices(n, 1)))
 
 
 def cycle_graph(n: int) -> SignedWeightedGraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return SignedWeightedGraph(n, edge_table(np.arange(n), (np.arange(n) + 1) % n))
+
+
+def hamming_table(count: int, width: int, start: int = 0) -> np.ndarray:
+    """Unit positive edges, in canonical order, joining each code c < count to
+    c | 1 << b for each bit b < width clear in c, where start <= c | 1 << b < count."""
+    lo = np.repeat(np.arange(count), width)
+    hi = lo | np.tile(1 << np.arange(width), count)
+    keep = (hi > lo) & (hi < count) & (hi >= start)
+    return edge_table(lo[keep], hi[keep])
 
 
 def hypercube(k: int) -> SignedWeightedGraph:
@@ -234,13 +271,7 @@ def hypercube(k: int) -> SignedWeightedGraph:
         raise ValueError(f"hypercube dimension {k} exceeds guard {MAX_HYPERCUBE_DIM}")
     n = 1 << k
     labels = tuple(format(v, f"0{k}b") for v in range(n))
-    edges = []
-    for v in range(n):
-        for b in range(k):
-            u = v ^ (1 << b)
-            if u > v:
-                edges.append(Edge(v, u, 1.0, 1))
-    return SignedWeightedGraph(n, tuple(edges), labels=labels)
+    return SignedWeightedGraph(n, hamming_table(n, k), labels=labels)
 
 
 def cartesian(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedGraph:
@@ -250,29 +281,26 @@ def cartesian(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedG
     concatenate when both factors carry them.
     """
     ng, nh = g.vertex_count, h.vertex_count
-    edges = []
-    for i in range(ng):
-        for (a, b, w, s) in h.edges:
-            edges.append(Edge(i * nh + a, i * nh + b, w, s))
-    for (a, b, w, s) in g.edges:
-        for j in range(nh):
-            edges.append(Edge(a * nh + j, b * nh + j, w, s))
+    a, b, sw = h.edge_arrays            # inside each copy i of h
+    c, d, tw = g.edge_arrays            # across the copies, at each j
+    i, j = np.arange(ng)[:, None] * nh, np.arange(nh)
+    rows = np.vstack((edge_table((i + a).ravel(), (i + b).ravel(), np.tile(sw, ng)),
+                      edge_table((c[:, None] * nh + j).ravel(), (d[:, None] * nh + j).ravel(),
+                                 np.repeat(tw, nh))))
     labels = None
     if g.labels is not None and h.labels is not None:
-        labels = tuple(g.labels[i] + h.labels[j]
-                       for i in range(ng) for j in range(nh))
+        labels = tuple(gl + hl for gl in g.labels for hl in h.labels)
     markings = None
     if g.markings is not None and h.markings is not None:
-        markings = tuple(g.markings[i] * h.markings[j]
-                         for i in range(ng) for j in range(nh))
-    return SignedWeightedGraph(ng * nh, tuple(edges), labels=labels,
-                               markings=markings)
+        markings = np.outer(g.markings, h.markings).ravel().tolist()
+    return SignedWeightedGraph(ng * nh, rows, labels=labels, markings=markings)
 
 
 def disjoint_union(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedGraph:
     """Block-diagonal union; h's vertices are shifted after g's."""
     off = g.vertex_count
-    edges = list(g.edges) + [Edge(u + off, v + off, w, s) for u, v, w, s in h.edges]
+    a, b, sw = h.edge_arrays
+    rows = np.vstack((edge_table(*g.edge_arrays), edge_table(a + off, b + off, sw)))
     labels = None
     if g.labels is not None and h.labels is not None:
         cand = g.labels + h.labels
@@ -281,7 +309,7 @@ def disjoint_union(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeig
     markings = None
     if g.markings is not None and h.markings is not None:
         markings = g.markings + h.markings
-    return SignedWeightedGraph(g.vertex_count + h.vertex_count, tuple(edges),
+    return SignedWeightedGraph(g.vertex_count + h.vertex_count, rows,
                                labels=labels, markings=markings)
 
 
@@ -290,7 +318,8 @@ def add_isolated(g: SignedWeightedGraph, count: int) -> SignedWeightedGraph:
     if count < 0:
         raise ValueError("count must be non-negative")
     markings = g.markings + (1,) * count if g.markings is not None else None
-    return SignedWeightedGraph(g.vertex_count + count, g.edges, markings=markings)
+    return SignedWeightedGraph(g.vertex_count + count, edge_table(*g.edge_arrays),
+                               markings=markings)
 
 
 def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedWeightedGraph:
@@ -304,12 +333,14 @@ def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedW
         raise ValueError("vertex set must be non-empty")
     if keep[0] < 0 or keep[-1] >= g.vertex_count:
         raise ValueError("vertex set out of range")
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = [Edge(pos[u], pos[v], w, s) for u, v, w, s in g.edges
-             if u in pos and v in pos]
+    position = np.full(g.vertex_count, -1)
+    position[keep] = np.arange(len(keep))
+    a, b, sw = g.edge_arrays
+    pu, pv = position[a], position[b]
+    inside = (pu >= 0) & (pv >= 0)
     sub = lambda t: tuple(t[v] for v in keep) if t is not None else None
-    return SignedWeightedGraph(len(keep), tuple(edges), labels=sub(g.labels),
-                               markings=sub(g.markings))
+    return SignedWeightedGraph(len(keep), edge_table(pu[inside], pv[inside], sw[inside]),
+                               labels=sub(g.labels), markings=sub(g.markings))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +381,17 @@ def is_balanced(g: SignedWeightedGraph) -> tuple[bool, Optional[tuple[int, ...]]
     return True, tuple(theta)
 
 
+def sign_degrees(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex, the numbers d+ and d- of incident positive and negative edges."""
+    u, v, sw = g.edge_arrays
+    ends, negative = np.concatenate((u, v)), np.concatenate((sw, sw)) < 0
+    count = lambda chosen: np.bincount(ends[chosen], minlength=g.vertex_count)
+    return count(~negative), count(negative)
+
+
 def canonical_marking(g: SignedWeightedGraph) -> tuple[int, ...]:
     """Mark each vertex with the product of its incident edge signs."""
-    marks = [1] * g.vertex_count
-    for u, v, _, s in g.edges:
-        marks[u] *= s
-        marks[v] *= s
-    return tuple(marks)
+    return tuple(np.where(sign_degrees(g)[1] % 2, -1, 1).tolist())
 
 
 def plurality_marking(g: SignedWeightedGraph) -> tuple[int, ...]:
@@ -364,13 +399,8 @@ def plurality_marking(g: SignedWeightedGraph) -> tuple[int, ...]:
 
     Ties d+ = d- mark +, matching the max{d+,d-} = d+ convention.
     """
-    dpos = [0] * g.vertex_count
-    dneg = [0] * g.vertex_count
-    for u, v, _, s in g.edges:
-        tgt = dpos if s > 0 else dneg
-        tgt[u] += 1
-        tgt[v] += 1
-    return tuple(1 if dp >= dn else -1 for dp, dn in zip(dpos, dneg))
+    dpos, dneg = sign_degrees(g)
+    return tuple(np.where(dpos >= dneg, 1, -1).tolist())
 
 
 def markings_under(g: SignedWeightedGraph, scheme: MarkingScheme) -> tuple[int, ...]:
@@ -399,14 +429,14 @@ def corona(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     unit weight and sign mu1(i) * mu2(j).
     """
     n, k = g1.vertex_count, g2.vertex_count
-    mu1 = markings_under(g1, scheme)
-    mu2 = markings_under(g2, scheme)
-    edges = list(g1.edges)
-    for (a, b, w, s) in g2.edges:
-        for i in range(n):
-            edges.append(Edge(n + a * n + i, n + b * n + i, w, s))
-    for i in range(n):
-        for j in range(k):
-            edges.append(Edge(i, n + j * n + i, 1.0, mu1[i] * mu2[j]))
-    markings = tuple(mu1) + tuple(mu2[j] for j in range(k) for _ in range(n))
-    return SignedWeightedGraph(n * (1 + k), tuple(edges), markings=markings)
+    mu1 = np.array(markings_under(g1, scheme), dtype=int)
+    mu2 = np.array(markings_under(g2, scheme), dtype=int)
+    copy = np.arange(n)
+    a, b, sw = g2.edge_arrays
+    i, j = np.repeat(copy, k), np.tile(np.arange(k), n)
+    rows = np.vstack((edge_table(*g1.edge_arrays),
+                      edge_table((n + a[:, None] * n + copy).ravel(),
+                                 (n + b[:, None] * n + copy).ravel(), np.repeat(sw, n)),
+                      edge_table(i, n + j * n + i, mu1[i] * mu2[j])))
+    markings = mu1.tolist() + np.repeat(mu2, n).tolist()
+    return SignedWeightedGraph(n * (1 + k), rows, markings=markings)

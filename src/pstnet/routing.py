@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Edge, SignedWeightedGraph, hypercube
+from .graphs import (Edge, SignedWeightedGraph, edge_table, hamming_table,
+                     hypercube)
 from .spectral import TransferReport, hypercube_apply
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
@@ -141,16 +142,6 @@ def hypercube_labeling(k: int) -> NetworkLabeling:
     return NetworkLabeling(labels, ((0, 1 << k),))
 
 
-def _hamming_one_edges(count: int, width: int) -> tuple[Edge, ...]:
-    edges = []
-    for v in range(count):
-        for b in range(width):
-            u = v ^ (1 << b)
-            if v < u < count:
-                edges.append(Edge(v, u, 1.0, 1))
-    return tuple(edges)
-
-
 def build_network(n: int) -> tuple[SignedWeightedGraph, NetworkLabeling]:
     """Network of order n with all-to-all transfer in at most two hops.
 
@@ -163,7 +154,7 @@ def build_network(n: int) -> tuple[SignedWeightedGraph, NetworkLabeling]:
         raise ValueError("network needs at least 2 vertices")
     width = n.bit_length()          # k+1 bits for 2^k <= n < 2^(k+1)
     labels = tuple(format(v, f"0{width}b") for v in range(n))
-    graph = SignedWeightedGraph(n, _hamming_one_edges(n, width), labels=labels)
+    graph = SignedWeightedGraph(n, hamming_table(n, width), labels=labels)
     return graph, NetworkLabeling(labels, _dyadic_blocks(n))
 
 
@@ -188,13 +179,9 @@ def grow(network: SignedWeightedGraph, labeling: NetworkLabeling
         raise CapacityError(
             f"label space of width {width} is full at {n} vertices; "
             "widen the labels by one index before growing")
-    new_label = format(n, f"0{width}b")
-    edges = list(network.edges)
-    for v, lab in enumerate(labeling.labels):
-        if hamming(lab, new_label) == 1:
-            edges.append(Edge(v, n, 1.0, 1))
-    labels = labeling.labels + (new_label,)
-    graph = SignedWeightedGraph(n + 1, tuple(edges), labels=labels)
+    rows = np.vstack((edge_table(*network.edge_arrays), hamming_table(n + 1, width, start=n)))
+    labels = labeling.labels + (format(n, f"0{width}b"),)
+    graph = SignedWeightedGraph(n + 1, rows, labels=labels)
     return graph, NetworkLabeling(labels, _dyadic_blocks(n + 1))
 
 
@@ -202,7 +189,8 @@ def widen_labels(network: SignedWeightedGraph, labeling: NetworkLabeling
                  ) -> tuple[SignedWeightedGraph, NetworkLabeling]:
     """Append one more index: prefix every label with 0 (graph unchanged)."""
     labels = tuple("0" + lab for lab in labeling.labels)
-    graph = SignedWeightedGraph(network.vertex_count, network.edges, labels=labels)
+    graph = SignedWeightedGraph(network.vertex_count, edge_table(*network.edge_arrays),
+                                labels=labels)
     return graph, NetworkLabeling(labels, labeling.blocks)
 
 
@@ -284,7 +272,7 @@ def _bridge_partner(labeling: NetworkLabeling, vertex: int, block: int) -> int:
 
 
 def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
-               u: int, w: int, weight: Optional[float] = None) -> HopPlan:
+               u: int, w: int) -> HopPlan:
     """Hop plan transferring vertex u to vertex w in at most two hops.
 
     Same-cube pairs get a single sub-hypercube hop.  Cross-cube pairs
@@ -295,11 +283,10 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
     """
     if not (0 <= u < network.vertex_count and 0 <= w < network.vertex_count):
         raise ValueError("endpoints out of range")
-    if weight is None:
-        weights = {e.weight for e in network.edges}
-        if len(weights) > 1:
-            raise ValueError("mixed edge weights are not supported for routing")
-        weight = weights.pop() if weights else 1.0
+    weights = {e.weight for e in network.edges}
+    if len(weights) > 1:
+        raise ValueError("mixed edge weights are not supported for routing")
+    weight = weights.pop() if weights else 1.0
     t0 = HOP_TIME_UNIT_WEIGHT / weight
     if u == w:
         return HopPlan((), 0.0)

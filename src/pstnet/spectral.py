@@ -71,8 +71,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (SignedWeightedGraph, adjacency_lists, graph_matrix,
-                     is_balanced, sparse_matrix)
+from .graphs import (SignedWeightedGraph, edge_table, graph_matrix, is_balanced,
+                     sparse_matrix)
 
 DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
@@ -89,6 +89,9 @@ SCAN_MAX_POINTS = 10 ** 7
 SCAN_MERGE_TOL = 1e-12
 # times per block of `_grid_magnitudes`: this many times sqrt(points)
 SCAN_BLOCK_SCALE = 8
+# a scan maximum at or below this is rounding, not transfer: the grid kernel
+# is only exact to its 1e-12 merge bound, so such a scan reads f* = 0 at t* = 0
+FIDELITY_NOISE_FLOOR = 1e-12
 # Lanczos closure: beta_k <= WALK_CLOSURE_TOL ||M||_1 ends the walk module;
 # exact closure leaves only rounding, about 1e-16 ||M||_1
 WALK_CLOSURE_TOL = 1e-12
@@ -758,7 +761,8 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     `_grid_magnitudes` (off `Spectrum.amplitude` by its 1e-12 merge bound
     plus rounding); every candidate peak is refined on `Spectrum.amplitude`
     itself.  A bad grid (see `_scan_points`) raises ValueError before any
-    allocation.
+    allocation.  A grid maximum at or below FIDELITY_NOISE_FLOOR (an amplitude
+    that vanishes identically) returns (0.0, 0.0), not a t* of rounding noise.
 
     The grid error bound uses the spread S of the support, the eigenvalues
     whose term c_j = <v|j><j|u> is not zero: turning the amplitude by a
@@ -771,6 +775,8 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     coeffs = spec.eigenvectors[v] * spec.eigenvectors[u]
     mags = _grid_magnitudes(spec.eigenvalues, coeffs[:, None], dt, count)[:, 0]
     top = float(np.max(mags))
+    if top <= FIDELITY_NOISE_FLOOR:
+        return 0.0, 0.0
     # refine every peak the grid cannot distinguish from the best one, then
     # report the earliest among refined ties so periodic transfers give
     # their minimal time
@@ -825,43 +831,13 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
     return SymmetryReport(s, commutes, maps_pair)
 
 
-def _two_coloring(g: SignedWeightedGraph) -> Optional[list[int]]:
-    color = [0] * g.vertex_count
-    adj = adjacency_lists(g)
-    for root in range(g.vertex_count):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b, _ in adj[a]:
-                if color[b] == 0:
-                    color[b] = -color[a]
-                    stack.append(b)
-                elif color[b] == color[a]:
-                    return None
-    return color
-
-
 def graph_distance(g: SignedWeightedGraph, u: int, v: int) -> int:
     """BFS edge distance, ignoring weights and signs."""
-    if u == v:
-        return 0
-    adj = adjacency_lists(g)
-    dist = {u: 0}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b, _ in adj[a]:
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    if b == v:
-                        return dist[b]
-                    nxt.append(b)
-        frontier = nxt
-    raise ValueError(f"vertices {u} and {v} are disconnected")
+    from scipy.sparse.csgraph import shortest_path
+    hops = shortest_path(sparse_matrix(g, "adjacency")[0], unweighted=True, indices=u)[v]
+    if math.isinf(hops):
+        raise ValueError(f"vertices {u} and {v} are disconnected")
+    return int(hops)
 
 
 def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float,
@@ -873,7 +849,9 @@ def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float,
     distance and +/-i at odd distance; the measured phase must land in the
     parity-allowed set within angle_tol radians.
     """
-    if _two_coloring(g) is None:
+    # bipartite iff the all-negative signing is balanced
+    all_negative = SignedWeightedGraph(g.vertex_count, edge_table(*g.edge_arrays[:2], -1.0))
+    if not is_balanced(all_negative)[0]:
         raise ValueError("graph is not bipartite")
     rep = transfer_amplitude(g, u, v, t0, matrix_kind)
     if rep.magnitude < 1.0 - 1e-6:
@@ -957,8 +935,7 @@ def balanced_equivalent_amplitude(g: SignedWeightedGraph, u: int, v: int,
     flag, _ = is_balanced(g)
     if not flag:
         raise ValueError("graph is not balanced")
-    unsigned = SignedWeightedGraph(
-        g.vertex_count,
-        tuple(type(e)(e.u, e.v, e.weight, 1) for e in g.edges))
+    a, b, sw = g.edge_arrays
+    unsigned = SignedWeightedGraph(g.vertex_count, edge_table(a, b, np.abs(sw)))
     return (transfer_amplitude(g, u, v, t).magnitude,
             transfer_amplitude(unsigned, u, v, t).magnitude)

@@ -1,0 +1,285 @@
+"""Array-stored graphs against the edge-by-edge constructions they replaced.
+
+Each builder computes its edge arrays by index arithmetic; the references
+here build the same graphs one Python edge at a time, the way the
+tuple-stored graphs did, and the canonical edges, labels and markings must
+agree exactly.  The malformed-edge table pins the constructor's messages,
+which name the first offending edge in input order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pstnet import routing, spectral
+from pstnet.cli import run
+from pstnet.fileio import parse_graph_text, serialize_graph
+from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, add_isolated,
+                           cartesian, corona, disjoint_union, hypercube,
+                           induced_subgraph, make_graph, markings_under, path_graph)
+from pstnet.spectral import Spectrum, max_fidelity_scan, max_fidelity_scan_spectrum
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def canon(edges):
+    """Edges as the canonical tuple: u < v, sorted, Python int/float/int."""
+    return tuple(sorted(Edge(min(u, v), max(u, v), float(w), int(s))
+                        for u, v, w, s in edges))
+
+
+def assert_same_graph(g, n, edges, labels=None, markings=None):
+    assert g.vertex_count == n
+    assert g.edges == canon(edges)
+    assert all(type(e.u) is int and type(e.v) is int and type(e.weight) is float
+               and type(e.sign) is int for e in g.edges)
+    u, v, sw = g.edge_arrays
+    assert (u.tolist(), v.tolist(), sw.tolist()) == (
+        [e.u for e in g.edges], [e.v for e in g.edges],
+        [e.sign * e.weight for e in g.edges])
+    assert g.labels == labels
+    assert g.markings == markings
+
+
+# --- edge-by-edge references -------------------------------------------------
+
+def ref_hamming(count, width):
+    return [(v, v ^ (1 << b), 1.0, 1) for v in range(count) for b in range(width)
+            if v < v ^ (1 << b) < count]
+
+
+def ref_grow(edges, labels):
+    n, width = len(labels), len(labels[0])
+    new = format(n, f"0{width}b")
+    joined = [(v, n, 1.0, 1) for v, lab in enumerate(labels)
+              if routing.hamming(lab, new) == 1]
+    return edges + joined, labels + (new,)
+
+
+def ref_marking(g, scheme):
+    if scheme is MarkingScheme.EXPLICIT:
+        return g.markings
+    marks, dpos, dneg = [1] * g.vertex_count, [0] * g.vertex_count, [0] * g.vertex_count
+    for u, v, _, s in g.edges:
+        marks[u] *= s
+        marks[v] *= s
+        degree = dpos if s > 0 else dneg
+        degree[u] += 1
+        degree[v] += 1
+    if scheme is MarkingScheme.CANONICAL:
+        return tuple(marks)
+    return tuple(1 if p >= q else -1 for p, q in zip(dpos, dneg))
+
+
+def ref_cartesian(g, h):
+    ng, nh = g.vertex_count, h.vertex_count
+    edges = [(i * nh + a, i * nh + b, w, s) for i in range(ng) for a, b, w, s in h.edges]
+    edges += [(a * nh + j, b * nh + j, w, s) for a, b, w, s in g.edges for j in range(nh)]
+    labels = markings = None
+    if g.labels is not None and h.labels is not None:
+        labels = tuple(g.labels[i] + h.labels[j] for i in range(ng) for j in range(nh))
+    if g.markings is not None and h.markings is not None:
+        markings = tuple(g.markings[i] * h.markings[j] for i in range(ng) for j in range(nh))
+    return ng * nh, edges, labels, markings
+
+
+def ref_union(g, h):
+    off = g.vertex_count
+    edges = list(g.edges) + [(u + off, v + off, w, s) for u, v, w, s in h.edges]
+    labels = markings = None
+    if g.labels is not None and h.labels is not None:
+        cand = g.labels + h.labels
+        if len(set(cand)) == len(cand) and len({len(l) for l in cand}) <= 1:
+            labels = cand
+    if g.markings is not None and h.markings is not None:
+        markings = g.markings + h.markings
+    return off + h.vertex_count, edges, labels, markings
+
+
+def ref_induced(g, vertices):
+    keep = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(keep)}
+    edges = [(pos[u], pos[v], w, s) for u, v, w, s in g.edges if u in pos and v in pos]
+    sub = lambda t: tuple(t[v] for v in keep) if t is not None else None
+    return len(keep), edges, sub(g.labels), sub(g.markings)
+
+
+def ref_corona(g1, g2, scheme):
+    n, k = g1.vertex_count, g2.vertex_count
+    mu1, mu2 = ref_marking(g1, scheme), ref_marking(g2, scheme)
+    edges = list(g1.edges)
+    edges += [(n + a * n + i, n + b * n + i, w, s) for a, b, w, s in g2.edges for i in range(n)]
+    edges += [(i, n + j * n + i, 1.0, mu1[i] * mu2[j]) for i in range(n) for j in range(k)]
+    markings = tuple(mu1) + tuple(mu2[j] for j in range(k) for _ in range(n))
+    return n * (1 + k), edges, None, markings
+
+
+@st.composite
+def marked_graphs(draw):
+    """Signed weighted graphs on 1..6 vertices, with or without labels and markings."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    edges = [(b, a, draw(st.sampled_from([0.25, 1.0, 1.5, 3.0])),
+              draw(st.sampled_from([-1, 1]))) for a, b in chosen]
+    labels = markings = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        labels = tuple(format(p, "03b") for p in order)
+    if draw(st.booleans()):
+        markings = tuple(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    return make_graph(n, edges, labels=labels, markings=markings)
+
+
+# --- builders against their references -----------------------------------------
+
+@pytest.mark.parametrize("k", range(7))
+def test_hypercube_is_the_hamming_loop(k):
+    labels = tuple(format(v, f"0{k}b") for v in range(1 << k))
+    assert_same_graph(hypercube(k), 1 << k, ref_hamming(1 << k, k), labels)
+
+
+def test_networks_are_the_hamming_loop():
+    for n in range(2, 65):
+        g, labeling = routing.build_network(n)
+        labels = tuple(format(v, f"0{n.bit_length()}b") for v in range(n))
+        assert_same_graph(g, n, ref_hamming(n, n.bit_length()), labels)
+        assert labeling.labels == labels
+
+
+def test_grow_and_widen_follow_the_label_loop():
+    g, labeling = routing.build_network(2)
+    edges, labels = list(g.edges), labeling.labels
+    for _ in range(40):
+        try:
+            g, labeling = routing.grow(g, labeling)
+            edges, labels = ref_grow(edges, labels)
+        except routing.CapacityError:
+            g, labeling = routing.widen_labels(g, labeling)
+            labels = tuple("0" + lab for lab in labels)
+        assert_same_graph(g, len(labels), edges, labels)
+        assert labeling.labels == labels
+
+
+@SETTINGS
+@given(g=marked_graphs(), h=marked_graphs())
+def test_products_and_unions_follow_the_edge_loops(g, h):
+    assert_same_graph(cartesian(g, h), *ref_cartesian(g, h))
+    assert_same_graph(disjoint_union(g, h), *ref_union(g, h))
+    isolated = add_isolated(g, 2)
+    assert_same_graph(isolated, g.vertex_count + 2, g.edges, None,
+                      g.markings + (1, 1) if g.markings is not None else None)
+
+
+@SETTINGS
+@given(g=marked_graphs(), data=st.data())
+def test_induced_subgraph_follows_the_edge_loop(g, data):
+    vertices = data.draw(st.lists(st.integers(0, g.vertex_count - 1), min_size=1))
+    assert_same_graph(induced_subgraph(g, vertices), *ref_induced(g, vertices))
+
+
+@SETTINGS
+@given(g1=marked_graphs(), g2=marked_graphs(), scheme=st.sampled_from(list(MarkingScheme)))
+def test_corona_and_markings_follow_the_edge_loops(g1, g2, scheme):
+    for g in (g1, g2):
+        if scheme is not MarkingScheme.EXPLICIT or g.markings is not None:
+            assert markings_under(g, scheme) == ref_marking(g, scheme)
+    if scheme is MarkingScheme.EXPLICIT and None in (g1.markings, g2.markings):
+        with pytest.raises(ValueError, match="requires stored markings"):
+            corona(g1, g2, scheme)
+        return
+    assert_same_graph(corona(g1, g2, scheme), *ref_corona(g1, g2, scheme))
+
+
+# --- storage, equality, immutability -------------------------------------------
+
+def test_equality_round_trip_and_hash():
+    g = corona(path_graph(3), path_graph(2))
+    back = parse_graph_text(serialize_graph(g))
+    assert back == g and hash(back) == hash(g)
+    assert g != path_graph(3)
+    assert make_graph(2, [(0, 1, 2.0)]) != make_graph(2, [(0, 1, 2.0, -1)])
+    with pytest.raises(AttributeError):
+        g.vertex_count = 3
+
+
+def test_an_array_and_edge_tuples_build_the_same_graph():
+    rows = [(3, 1, 0.5, -1), (0, 2, 2.0, 1), (1, 0, 1.0, 1)]
+    a = SignedWeightedGraph(4, np.array(rows, dtype=float))
+    b = SignedWeightedGraph(4, tuple(Edge(*r) for r in rows))
+    assert a == b == make_graph(4, rows)
+    assert a.edges == canon(rows)
+    assert SignedWeightedGraph(3, ()).edge_count == 0
+
+
+# --- malformed edges ------------------------------------------------------------
+
+MALFORMED = [   # (bad edge after a valid one on 4 vertices, message)
+    ((2, 7, 1.0, 1), "edge (2,7) out of range for 4 vertices"),
+    ((-1, 2, 1.0, 1), "edge (-1,2) out of range for 4 vertices"),
+    ((2, 2, 1.0, 1), "self-loop at vertex 2"),
+    ((2, 3, 0.0, 1), "edge (2,3) has non-positive weight 0.0"),
+    ((3, 2, -1.5, -1), "edge (3,2) has non-positive weight -1.5"),
+    ((3, 2, -math.inf, 1), "edge (3,2) has non-positive weight -inf"),
+    ((1, 3, math.nan, 1), "edge (1,3) has non-finite weight nan"),
+    ((1, 3, math.inf, -1), "edge (1,3) has non-finite weight inf"),
+    ((1, 3, 1.0, 0), "edge (1,3) has sign 0, expected +1 or -1"),
+    ((1, 3, 1.0, 2), "edge (1,3) has sign 2, expected +1 or -1"),
+    ((1, 0, 2.0, -1), "duplicate edge (0,1)"),
+    ((0.5, 2, 1.0, 1), "edge (0.5,2) has a non-integral endpoint"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED)
+def test_malformed_edge_gives_one_message_however_passed(bad, message):
+    rows = [(0, 1, 1.0, 1), bad]
+    for edges in (tuple(Edge(*r) for r in rows), np.array(rows, dtype=float), rows):
+        with pytest.raises(ValueError) as exc:
+            SignedWeightedGraph(4, edges)
+        assert str(exc.value) == message
+
+
+def test_first_offending_edge_in_input_order_wins():
+    # each edge is judged rule by rule, the first bad edge names its rule,
+    # and repeats are found only once every edge passes
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        make_graph(4, [(0, 1), (1, 1), (0, 9), (1, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(0,9\) out of range"):
+        make_graph(4, [(0, 1), (0, 9, -1.0, 3), (1, 1)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,2\)$"):
+        make_graph(4, [(2, 3), (2, 1), (3, 2), (1, 2)])
+
+
+def test_edges_must_be_rows_of_four():
+    with pytest.raises(ValueError, match="rows"):
+        SignedWeightedGraph(4, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_cli_refuses_a_non_finite_weight_with_its_line(weight, tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_text(f"graph 3\nedge 0 1 1 +\nedge 1 2 {weight} +\n", encoding="utf-8")
+    for argv in (["graph", str(path)], ["pst", "--graph", str(path), "--from", "0", "--to", "2"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"line 3: weight '{weight}' is not finite\n"
+
+
+# --- zero amplitudes --------------------------------------------------------------
+
+def test_a_vanishing_amplitude_scans_to_zero_at_zero(monkeypatch):
+    monkeypatch.setattr(spectral, "_refine_peak",
+                        lambda *a: pytest.fail("a zero amplitude was refined"))
+    assert max_fidelity_scan(make_graph(4, [(0, 1), (2, 3)]), 0, 3, 5.0, 0.01) == (0.0, 0.0)
+    apart = Spectrum(np.array([-1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert max_fidelity_scan_spectrum(apart, 0, 1, 5.0, 0.01) == (0.0, 0.0)
+
+
+def test_chain_beyond_the_walk_reports_zero_at_zero(capsys):
+    # at --tmax 200 the walk from site 0 never reaches site 2999
+    assert run(["chain", "--n", "3000", "--unmodulated"]) == 0
+    assert capsys.readouterr().out == "3000,0,0\n"
