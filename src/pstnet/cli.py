@@ -21,8 +21,8 @@ from . import __version__
 from .chains import chain_pst_verify, pst_chain, unmodulated_no_pst_scan
 from .corona_lab import fidelity_vs_m, net_regularity
 from .fileio import GraphFormatError, emit_csv, fmt, parse_graph_file
-from .graphs import (MarkingScheme, SignedWeightedGraph, complete_graph,
-                     cycle_graph, hypercube, is_balanced, path_graph)
+from .graphs import (MAX_HYPERCUBE_DIM, MarkingScheme, SignedWeightedGraph,
+                     complete_graph, cycle_graph, hypercube, is_balanced, path_graph)
 from .qudit import (commuting_family, complete_family, cycle_family,
                     family_spectrum, transfer_amplitude_qudit)
 from .routing import HopPlan, build_network, execute_route, plan_route
@@ -41,13 +41,20 @@ MAX_GRID_POINTS = 1_000_000
 
 
 def _load_graph(spec: str) -> SignedWeightedGraph:
-    """A file path, or a builtin name: kN, pN, qN, cN."""
+    """A file path, or a builtin name kN, pN, qN, cN with at most Q_20's edges."""
     if os.path.exists(spec):
         return parse_graph_file(spec)
     m = re.fullmatch(r"([kpqc])(\d+)", spec.lower())
     if not m:
         raise GraphFormatError(1, f"no such file or builtin graph: {spec!r}")
     kind, num = m.group(1), int(m.group(2))
+    most = MAX_HYPERCUBE_DIM << MAX_HYPERCUBE_DIM >> 1
+    # a huge qN shifts by at most 21 bits, still giving more than `most`
+    edges = {"k": num * (num - 1) // 2, "p": num - 1, "c": num,
+             "q": num << min(num, MAX_HYPERCUBE_DIM + 1) >> 1}[kind]
+    if edges > most:
+        raise ValueError(f"builtin {spec} has more edges than Q_{MAX_HYPERCUBE_DIM} "
+                         f"({most}), the largest builtin")
     if kind == "k":
         return complete_graph(num)
     if kind == "p":

@@ -306,6 +306,8 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     u, v = pair
     if not (0 <= u < seed.vertex_count and 0 <= v < seed.vertex_count):
         raise ValueError("pair must index seed vertices")
+    if m_max < 0:
+        raise ValueError("order must be non-negative")
     recursion = m_max >= 1 and _meets_theorem(seed, matrix_kind, scheme)
     if recursion:
         _check_recursion_terms(seed.vertex_count, m_max)

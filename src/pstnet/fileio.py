@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .graphs import Edge, SignedWeightedGraph
+from .graphs import SignedWeightedGraph
 
 
 class GraphFormatError(ValueError):
@@ -49,7 +49,7 @@ def parse_graph_text(text: str) -> SignedWeightedGraph:
     n = None
     labels: dict[int, str] = {}
     marks: dict[int, int] = {}
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, float, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,7 +104,7 @@ def parse_graph_text(text: str) -> SignedWeightedGraph:
             if key in seen:
                 raise GraphFormatError(lineno, f"duplicate edge ({u},{v})")
             seen.add(key)
-            edges.append(Edge(u, v, w, _parse_sign(parts[4], lineno)))
+            edges.append((u, v, w, _parse_sign(parts[4], lineno)))
         else:
             raise GraphFormatError(lineno, f"unknown directive {kind!r}")
     if n is None:
@@ -118,7 +118,7 @@ def parse_graph_text(text: str) -> SignedWeightedGraph:
     if marks:
         mark_tuple = tuple(marks.get(i, 1) for i in range(n))
     try:
-        return SignedWeightedGraph(n, tuple(edges), labels=label_tuple,
+        return SignedWeightedGraph(n, edges, labels=label_tuple,
                                    markings=mark_tuple)
     except ValueError as exc:
         raise GraphFormatError(1, str(exc)) from exc
@@ -135,9 +135,16 @@ def serialize_graph(g: SignedWeightedGraph) -> str:
         lines += [f"label {i} {lab}" for i, lab in enumerate(g.labels)]
     if g.markings is not None:
         lines += [f"mark {i} {'+' if m > 0 else '-'}" for i, m in enumerate(g.markings)]
-    lines += [f"edge {e.u} {e.v} {fmt(e.weight)} {'+' if e.sign > 0 else '-'}"
-              for e in g.edges]
+    u, v, sw = g.edge_arrays
+    lines += [f"edge {a} {b} {_weight_text(abs(x))} {'+' if x > 0 else '-'}"
+              for a, b, x in zip(u.tolist(), v.tolist(), sw.tolist())]
     return "\n".join(lines) + "\n"
+
+
+def _weight_text(w: float) -> str:
+    """`fmt(w)`, or the shortest text that reads back as w where that loses it."""
+    text = fmt(w)
+    return text if float(text) == w else repr(w)
 
 
 # ---------------------------------------------------------------------------

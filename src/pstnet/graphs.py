@@ -7,7 +7,8 @@ hypercube machinery) and +/-1 markings (used by corona products).
 
 A graph stores its edges only as three read-only arrays, `edge_arrays` =
 (u, v, sign * weight) in canonical order (u < v, sorted by (u, v)); `edges`
-is the same edges as `Edge` tuples, a view built on first read.  Builders
+is the same edges as `Edge` tuples, a view built on first read for routing,
+which alone reads it.  Builders
 compute arrays by index arithmetic and pass one (m, 4) table of (u, v,
 weight, sign) rows (`edge_table`) to the one constructor, which checks it.
 
@@ -157,11 +158,7 @@ def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None
 
 def adjacency(g: SignedWeightedGraph) -> np.ndarray:
     """Signed weighted adjacency matrix, A[u,v] = sign * weight."""
-    u, v, sw = g.edge_arrays
-    a = np.zeros((g.vertex_count, g.vertex_count))
-    a[u, v] = sw
-    a[v, u] = sw
-    return a
+    return graph_matrix(g, "adjacency")
 
 
 def _weighted_degrees(g: SignedWeightedGraph) -> np.ndarray:
@@ -179,26 +176,22 @@ def degree_matrix(g: SignedWeightedGraph) -> np.ndarray:
 
 def laplacian(g: SignedWeightedGraph) -> np.ndarray:
     """L = D - A with D the (unsigned) weighted degree matrix."""
-    return degree_matrix(g) - adjacency(g)
+    return graph_matrix(g, "laplacian")
 
 
 def signless_laplacian(g: SignedWeightedGraph) -> np.ndarray:
     """L+ = D + A."""
-    return degree_matrix(g) + adjacency(g)
+    return graph_matrix(g, "signless_laplacian")
 
 
 def graph_matrix(g: SignedWeightedGraph, kind: str) -> np.ndarray:
-    if kind == "adjacency":
-        return adjacency(g)
-    if kind == "laplacian":
-        return laplacian(g)
-    if kind == "signless_laplacian":
-        return signless_laplacian(g)
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    """The dense matrix of one kind, a fresh writable copy of `sparse_matrix`."""
+    return sparse_matrix(g, kind)[0].toarray()
 
 
 def sparse_matrix(g: SignedWeightedGraph, kind: str):
-    """(`graph_matrix(g, kind)` as a read-only scipy CSR array, its 1-norm).
+    """(A, D - A or D + A for `kind` "adjacency", "laplacian" or
+    "signless_laplacian", as a read-only scipy CSR array, its 1-norm).
 
     Built from the edge arrays on first use and cached on g per kind, as
     `edge_arrays` is.  The 1-norm, the largest absolute column sum, is
@@ -346,39 +339,28 @@ def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedW
 # ---------------------------------------------------------------------------
 # signed-graph structure
 
-def adjacency_lists(g: SignedWeightedGraph) -> list[list[tuple[int, int]]]:
-    """Per vertex, (neighbour, edge sign) for each incident edge, in edge order."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for u, v, _, s in g.edges:
-        adj[u].append((v, s))
-        adj[v].append((u, s))
-    return adj
-
-
 def is_balanced(g: SignedWeightedGraph) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Detect balance by spanning-tree sign propagation plus a full edge audit.
+    """(True, theta) with sign(u,v) = theta(u) * theta(v) on every edge and
+    theta = +1 at the lowest vertex of each component, or (False, None).
 
-    Returns (True, theta) with a +/-1 vertex signing satisfying
-    sign(u,v) = theta(u) * theta(v) on every edge, or (False, None).
+    g is balanced iff no vertex x shares a component of the signed double
+    cover with its copy x + n, where negative edges cross the sheets (Harary).
     """
+    # imported here: `import pstnet` loads no scipy
+    from scipy.sparse import coo_array, csgraph
     n = g.vertex_count
-    adj = adjacency_lists(g)
-    theta = [0] * n
-    for root in range(n):
-        if theta[root]:
-            continue
-        theta[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, s in adj[u]:
-                if theta[v] == 0:
-                    theta[v] = theta[u] * s
-                    stack.append(v)
-    for u, v, _, s in g.edges:
-        if theta[u] * theta[v] != s:
-            return False, None
-    return True, tuple(theta)
+    u, v, sw = g.edge_arrays
+    cross = np.where(sw < 0, n, 0)
+    cover = coo_array((np.ones(2 * len(u)), (np.concatenate((u, u + n)),
+                                             np.concatenate((v + cross, v + n - cross)))),
+                      shape=(2 * n, 2 * n))
+    _, component = csgraph.connected_components(cover, directed=False)
+    if np.any(component[:n] == component[n:]):
+        return False, None
+    # a component's lowest vertex r starts its cover component, and the
+    # mirror one starts above r: theta(x) = +1 iff x's starts below x + n's
+    lowest = np.unique(component, return_index=True)[1]
+    return True, tuple(np.where(lowest[component[:n]] < lowest[component[n:]], 1, -1).tolist())
 
 
 def sign_degrees(g: SignedWeightedGraph) -> tuple[np.ndarray, np.ndarray]:

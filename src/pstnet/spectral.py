@@ -896,11 +896,11 @@ def xy_spin_hamiltonian(g: SignedWeightedGraph) -> np.ndarray:
                          f"{SPIN_ORACLE_MAX_VERTICES}")
     dim = 1 << n
     h = np.zeros((dim, dim))
-    for u, v, w, s in g.edges:
-        bu, bv = 1 << u, 1 << v
-        for b in range(dim):
-            if bool(b & bu) != bool(b & bv):
-                h[b ^ bu ^ bv, b] += s * w
+    basis = np.arange(dim)
+    # distinct edges flip distinct bit pairs, so each entry is written once
+    for u, v, sw in zip(*(a.tolist() for a in g.edge_arrays)):
+        hops = basis[((basis >> u) ^ (basis >> v)) & 1 == 1]
+        h[hops ^ (1 << u) ^ (1 << v), hops] = sw
     return h
 
 

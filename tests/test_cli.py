@@ -349,6 +349,12 @@ def test_corona_refuses_orders_above_the_recursion_cap(tmp_path, capsys):
         "", "corona order 19 needs 4 * 2^19 recursion terms, above the limit of 1048576\n")
 
 
+def test_corona_refuses_a_negative_order(capsys):
+    seed = Path(pstnet.__file__).parent / "data" / "corona_examples" / "example01.graph"
+    assert run(["corona", "--seed", str(seed), "--pairs", "0,2", "--m", "-1"]) == 2
+    assert capsys.readouterr() == ("", "order must be non-negative\n")
+
+
 def test_qudit_command(tmp_path, capsys):
     out = tmp_path / "prob.csv"
     assert run(["qudit", "--family", "cycle:2:0,1", "--target", "1",
@@ -521,6 +527,15 @@ def test_graph_summary(capsys):
     assert payload["vertices"] == 8
     assert payload["edges"] == 12
     assert payload["balanced"] is True
+
+
+@pytest.mark.parametrize("spec", ["k100000", "p100000000", "q21", "c10485761"])
+def test_graph_refuses_a_builtin_larger_than_the_largest_hypercube(spec):
+    # k100000 alone would ask for 9.31 GiB; the refusal allocates nothing
+    done = _python_m_pstnet("graph", spec, "--json", memory_limit=2_000_000_000)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"builtin {spec} has more edges than Q_20 (10485760), "
+                           "the largest builtin\n")
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

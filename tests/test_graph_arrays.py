@@ -3,10 +3,14 @@
 Each builder computes its edge arrays by index arithmetic; the references
 here build the same graphs one Python edge at a time, the way the
 tuple-stored graphs did, and the canonical edges, labels and markings must
-agree exactly.  The malformed-edge table pins the constructor's messages,
-which name the first offending edge in input order.
+agree exactly.  Balance on the signed double cover and the matrices built
+from the sparse assembly must likewise give the (flag, theta) of the
+spanning-tree search and the bytes of the dense formulas they replaced.
+The malformed-edge table pins the constructor's messages, which name the
+first offending edge in input order.
 """
 
+import importlib.resources
 import math
 
 import numpy as np
@@ -15,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from pstnet import routing, spectral
 from pstnet.cli import run
-from pstnet.fileio import parse_graph_text, serialize_graph
+from pstnet.fileio import fmt, parse_graph_text, serialize_graph
 from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, add_isolated,
-                           cartesian, corona, disjoint_union, hypercube,
-                           induced_subgraph, make_graph, markings_under, path_graph)
+                           cartesian, complete_graph, corona, cycle_graph,
+                           degree_matrix, disjoint_union, graph_matrix, hypercube,
+                           induced_subgraph, is_balanced, make_graph, markings_under,
+                           path_graph)
 from pstnet.spectral import Spectrum, max_fidelity_scan, max_fidelity_scan_spectrum
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -213,6 +219,152 @@ def test_an_array_and_edge_tuples_build_the_same_graph():
     assert a == b == make_graph(4, rows)
     assert a.edges == canon(rows)
     assert SignedWeightedGraph(3, ()).edge_count == 0
+
+
+# --- balance and matrices against the code they replaced -------------------------
+
+KINDS = ("adjacency", "laplacian", "signless_laplacian")
+
+
+def bfs_balance(g):
+    """Spanning-tree sign propagation from each lowest unvisited vertex, then an
+    audit of every edge: the balance check the double cover replaced."""
+    n = g.vertex_count
+    adj = [[] for _ in range(n)]
+    for u, v, _, s in g.edges:
+        adj[u].append((v, s))
+        adj[v].append((u, s))
+    theta = [0] * n
+    for root in range(n):
+        if theta[root]:
+            continue
+        theta[root] = 1
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, s in adj[u]:
+                if theta[v] == 0:
+                    theta[v] = theta[u] * s
+                    stack.append(v)
+    for u, v, _, s in g.edges:
+        if theta[u] * theta[v] != s:
+            return False, None
+    return True, tuple(theta)
+
+
+def dense_formula(g, kind):
+    """A scattered into zeros, then D - A or D + A: the dense builders that
+    `graph_matrix` replaced (D +/- A written over A, to cut the peak on Q_12)."""
+    u, v, sw = g.edge_arrays
+    a = np.zeros((g.vertex_count, g.vertex_count))
+    a[u, v] = sw
+    a[v, u] = sw
+    if kind == "adjacency":
+        return a
+    combine = np.subtract if kind == "laplacian" else np.add
+    return combine(degree_matrix(g), a, out=a)
+
+
+def assert_same_as_replaced(g):
+    flag, theta = is_balanced(g)
+    assert (flag, theta) == bfs_balance(g)
+    assert theta is None or all(type(t) is int for t in theta)
+    for kind in KINDS:
+        want, got = dense_formula(g, kind), graph_matrix(g, kind)
+        # byte for byte, so -0.0 and 0.0 differ; a view copies nothing
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        del want, got
+
+
+def _examples():
+    folder = importlib.resources.files("pstnet") / "data" / "corona_examples"
+    return [parse_graph_text((folder / f"example0{i}.graph").read_text(encoding="utf-8"))
+            for i in range(1, 5)]
+
+
+BUILTINS = ([(f"k{n}", complete_graph, n) for n in range(2, 9)]
+            + [(f"p{n}", path_graph, n) for n in range(2, 13)]
+            + [(f"c{n}", cycle_graph, n) for n in range(3, 13)]
+            + [(f"q{k}", hypercube, k) for k in range(13)])
+
+
+@pytest.mark.parametrize("name, build, size", BUILTINS, ids=[b[0] for b in BUILTINS])
+def test_builtins_balance_and_matrices_as_before(name, build, size):
+    assert_same_as_replaced(build(size))
+
+
+def test_examples_and_networks_balance_and_matrices_as_before():
+    for g in _examples():
+        assert_same_as_replaced(g)
+    for n in range(2, 65):
+        assert_same_as_replaced(routing.build_network(n)[0])
+
+
+@st.composite
+def signed_pieces(draw):
+    """Signed weighted graphs on 0..7 vertices: a switching of the unsigned graph
+    with up to two edges flipped, so balanced and unbalanced both occur."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    theta = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    flipped = draw(st.sets(st.integers(0, 20), max_size=2))
+    edges = [(b, a, draw(st.sampled_from([0.25, 1.0, 3.0])),
+              theta[a] * theta[b] * (-1 if i in flipped else 1))
+             for i, (a, b) in enumerate(chosen)]
+    return make_graph(n, edges)
+
+
+@SETTINGS
+@given(g=signed_pieces(), h=signed_pieces(), isolated=st.integers(0, 2))
+def test_signed_graphs_balance_and_matrices_as_before(g, h, isolated):
+    # a union of pieces with isolated vertices between them has several components
+    assert_same_as_replaced(disjoint_union(add_isolated(g, isolated), h))
+
+
+def test_balance_of_the_empty_graph():
+    assert is_balanced(make_graph(0, [])) == (True, ())
+
+
+# --- text format round trip --------------------------------------------------------
+
+def test_a_weight_that_twelve_digits_lose_round_trips():
+    g = make_graph(2, [(0, 1, 1 / 99)])
+    text = serialize_graph(g)
+    assert text == f"graph 2\nedge 0 1 {1 / 99!r} +\n"
+    assert parse_graph_text(text) == g
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Graphs on 1..6 vertices with any positive finite weights, with or without
+    labels and markings."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    weights = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    edges = [(a, b, draw(weights), draw(st.sampled_from([-1, 1]))) for a, b in chosen]
+    labels = markings = None
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n, unique=True))
+        labels = tuple(format(c, "04b") for c in codes)
+    if draw(st.booleans()):
+        markings = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return make_graph(n, edges, labels=labels, markings=markings)
+
+
+@SETTINGS
+@given(g=labelled_graphs())
+def test_serialize_round_trips_and_keeps_twelve_digits_where_they_suffice(g):
+    text = serialize_graph(g)
+    assert parse_graph_text(text) == g
+    written = [line.split()[3] for line in text.splitlines() if line.startswith("edge")]
+    for text_w, w in zip(written, np.abs(g.edge_arrays[2]).tolist(), strict=True):
+        if float(fmt(w)) == w:
+            assert text_w == fmt(w)
 
 
 # --- malformed edges ------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from pstnet.fileio import parse_graph_text
 from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, adjacency,
-                           adjacency_lists, add_isolated, canonical_marking,
+                           add_isolated, canonical_marking,
                            cartesian, complete_graph, corona, cycle_graph,
                            disjoint_union, graph_matrix, hypercube,
                            induced_subgraph, is_balanced, laplacian, make_graph,
@@ -81,7 +81,8 @@ def test_hypercube_edge_count_formula():
 def test_hypercube_degrees_and_antipodal_automorphism():
     for k in (2, 3, 5):
         g = hypercube(k)
-        assert all(len(nbrs) == k for nbrs in adjacency_lists(g))
+        ends = np.concatenate(g.edge_arrays[:2])
+        assert np.bincount(ends, minlength=g.vertex_count).tolist() == [k] * g.vertex_count
         a = adjacency(g)
         perm = [v ^ ((1 << k) - 1) for v in range(g.vertex_count)]
         np.testing.assert_allclose(a[np.ix_(perm, perm)], a)
@@ -324,7 +325,8 @@ def test_edge_arrays_are_read_only_and_cached():
         sparse_matrix(g, "bogus")
 
 
-def test_adjacency_lists_follow_edge_order():
+def test_edge_arrays_list_each_incidence_in_edge_order():
     g = make_graph(4, [(2, 0, 1.0, -1), (0, 1), (3, 2)])
-    assert adjacency_lists(g) == [[(1, 1), (2, -1)], [(0, 1)], [(0, -1), (3, 1)], [(2, 1)]]
+    u, v, sw = g.edge_arrays
+    assert (u.tolist(), v.tolist(), sw.tolist()) == ([0, 0, 2], [1, 2, 3], [1.0, -1.0, 1.0])
 

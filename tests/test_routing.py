@@ -115,7 +115,9 @@ def test_grow_q2_once():
     g, lab = build_network(4)
     g2, lab2 = grow(g, lab)
     assert lab2.labels[-1] == "100"
-    assert graphs.adjacency_lists(g2)[4] == [(0, 1)]
+    u, v, sw = g2.edge_arrays
+    at_new = (u == 4) | (v == 4)
+    assert (u[at_new].tolist(), v[at_new].tolist(), sw[at_new].tolist()) == ([0], [4], [1.0])
 
 
 def test_growing_completes_next_hypercube():
