@@ -23,10 +23,10 @@ from .corona_lab import fidelity_vs_m, net_regularity
 from .fileio import GraphFormatError, emit_csv, fmt, parse_graph_file
 from .graphs import (MAX_HYPERCUBE_DIM, MarkingScheme, SignedWeightedGraph,
                      complete_graph, cycle_graph, hypercube, is_balanced, path_graph)
-from .qudit import (commuting_family, complete_family, cycle_family,
-                    family_spectrum, transfer_amplitude_qudit)
+from .qudit import (check_family_size, commuting_family, complete_family,
+                    cycle_family, family_spectrum, transfer_amplitude_qudit)
 from .routing import HopPlan, build_network, execute_route, plan_route
-from .spectral import check_pst_conditions, transfer_series
+from .spectral import FIDELITY_NOISE_FLOOR, check_pst_conditions, transfer_series
 from .transmon import (coupling_report, find_cutoff, parse_coupler_config,
                        pst_time)
 
@@ -226,7 +226,8 @@ def _parse_family(spec: str):
 def _parse_family_file(path: str):
     """`family <n> <d>`, `couplings <J_0> .. <J_d>`, then for k = 0..d a line
     `matrix <k>` and n rows of n numbers; `#` starts a comment.  A malformed
-    file raises ValueError("line N: ...")."""
+    file raises ValueError("line N: ..."), a family too large for
+    `check_family_size` ValueError before any matrix is read."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.readlines()
     lines = [(no, toks) for no, raw in enumerate(text, start=1)
@@ -248,6 +249,7 @@ def _parse_family_file(path: str):
     no, (n, d) = take("family <n> <d>", "family", 3, int)
     if n < 1 or d < 0:
         raise ValueError(f"line {no}: family needs n >= 1 and d >= 0")
+    check_family_size(n, d)
     _, couplings = take(f"couplings <J_0> .. <J_{d}>", "couplings", d + 2)
     mats = []
     for k in range(d + 1):
@@ -271,6 +273,8 @@ def _cmd_qudit(args) -> int:
     family = _parse_family(args.family)
     f = transfer_amplitude_qudit(family, args.target, args.t)
     condition = abs(abs(f) - 1.0) <= 1e-8
+    if abs(f) <= FIDELITY_NOISE_FLOOR:
+        f = 0.0   # rounding, not transfer: its phase would be noise
     payload = {
         "target": args.target,
         "t": args.t,

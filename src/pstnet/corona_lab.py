@@ -20,8 +20,9 @@ roots l of
     (l - l_i - lift k)(l - s) = k,
 
 each with the eigenvector [x_i; (-1)^lift mu2 kron diag(mu1) x_i / (l - s)],
-and each eigenpair (eta, y) of G2 with y orthogonal to mu2 gives eta + lift
-with the n eigenvectors [0; y kron e_i]: n(1 + k) pairs in all.
+and each eigenpair (eta, y) of G2 with y orthogonal to mu2 (one eigh of M(G2)
+with mu2's eigenvalue shifted to the top) gives eta + lift with the n
+eigenvectors [0; y kron e_i]: n(1 + k) pairs in all.
 
 Applied to G^(m) = G^(m-1) o G level by level, the formula gives the seed
 rows of G^(m)'s spectrum as n 2^m terms without building G^(m)
@@ -44,7 +45,7 @@ from . import spectral
 from .graphs import (MarkingScheme, SignedWeightedGraph, corona, graph_matrix,
                      markings_under, sign_degrees, sparse_matrix)
 from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
-                       _eigen_groups, _grid_magnitudes, _scan_points,
+                       _grid_magnitudes, _scan_points,
                        max_fidelity_scan, max_fidelity_scan_spectrum)
 
 CORONA_KINDS = ("adjacency", "laplacian")
@@ -89,26 +90,20 @@ def _basis_orthogonal_to_marking(matrix: np.ndarray, mu: np.ndarray
                                  ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix restricted to the complement of mu.
 
-    mu must be an eigenvector; its direction is deflated out of the matching
-    (possibly degenerate) eigenspace, so exactly dim-1 pairs come back: the
-    eigenvalues and, as columns, orthonormal eigenvectors orthogonal to mu.
+    mu must be an eigenvector.  The shift alpha mu mu^T / |mu|^2, with
+    alpha = 2 |M|_1 + 1, moves only mu's eigenvalue, and moves it above
+    every other one, so one eigh gives mu's direction as its last column
+    and orthonormal eigenvectors orthogonal to mu, with their eigenvalues
+    unchanged, as the others: exactly dim-1 pairs come back.
     """
     mu_dir = mu / np.linalg.norm(mu)
-    w, v = np.linalg.eigh(matrix)
-    values: list[float] = []
-    blocks = []
-    for idx in _eigen_groups(w, rel_tol=1e-9):
-        block = v[:, idx]
-        overlap = block.T @ mu_dir
-        if np.linalg.norm(overlap) > 1e-8:
-            q, r = np.linalg.qr(block - np.outer(mu_dir, overlap))
-            block = q[:, np.abs(np.diagonal(r)) > 1e-10]
-        values += [float(np.mean(w[idx]))] * block.shape[1]
-        blocks.append(block)
-    if len(values) != len(w) - 1:
+    alpha = 2.0 * np.max(np.sum(np.abs(matrix), axis=0)) + 1.0
+    w, v = np.linalg.eigh(matrix + alpha * np.outer(mu_dir, mu_dir))
+    last = v[:, -1] * np.sign(v[:, -1] @ mu_dir)
+    if not np.max(np.abs(last - mu_dir)) <= 1e-9:
         raise TheoremHypothesisError(
             "marking direction could not be deflated from the g2 spectrum")
-    return np.array(values), np.hstack(blocks)
+    return w[:-1], v[:, :-1]
 
 
 def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingScheme

@@ -4,8 +4,8 @@ Graph format, one item per line, whitespace separated, UTF-8, comments
 start with '#':
 
     graph <vertex_count>
-    label <index> <bitstring>      (optional)
-    mark <index> +|-               (optional)
+    label <index> <bitstring>      (optional, once per vertex)
+    mark <index> +|-               (optional, once per vertex)
     edge <u> <v> <weight> <+|->
 
 All numeric CSV output uses 12 significant digits so repeated runs are
@@ -84,6 +84,8 @@ def parse_graph_text(text: str) -> SignedWeightedGraph:
             if len(parts) != 3:
                 raise GraphFormatError(lineno, "expected: mark <index> +|-")
             idx = _parse_index(parts[1], n, lineno)
+            if idx in marks:
+                raise GraphFormatError(lineno, f"duplicate mark for vertex {idx}")
             marks[idx] = _parse_sign(parts[2], lineno)
         elif kind == "edge":
             if len(parts) != 5:

@@ -167,7 +167,7 @@ def _weighted_degrees(g: SignedWeightedGraph) -> np.ndarray:
     u, v, sw = g.edge_arrays
     ends = np.column_stack((u, v)).reshape(-1)
     return np.bincount(ends, weights=np.repeat(np.abs(sw), 2),
-                       minlength=g.vertex_count)
+                       minlength=g.vertex_count).astype(float, copy=False)
 
 
 def degree_matrix(g: SignedWeightedGraph) -> np.ndarray:

@@ -2,8 +2,9 @@
 single-particle hopping on commuting adjacency families.
 
 The hopping Hamiltonian H = sum_k J_k A_k over a family of commuting
-symmetric matrices diagonalizes in one orthogonal basis; the transfer
-amplitude to site j from site 0 is
+symmetric matrices diagonalizes in one orthogonal basis, the eigenbasis of
+one generic combination (`commuting_family`); the transfer amplitude to
+site j from site 0 is
 
     f_j(t) = sum_l V[j,l] V[0,l] exp(-i t Jt_l),    Jt_l = sum_k J_k l_l^(k),
 
@@ -23,9 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import Spectrum, _eigen_groups
+from .chains import chain_matrix, pst_chain
+from .spectral import Spectrum
 
 MAX_GENERATOR_DIM = 8
+# most entries (d + 1) n^2 of a family's dense matrices: 32 MiB of float64
+MAX_FAMILY_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,7 @@ def qudit_chain_hamiltonian(n: int, d: int) -> np.ndarray:
         raise ValueError("need n >= 2 sites and d >= 2 levels")
     if n * d > 1024:
         raise ValueError("single-particle sector larger than 1024")
-    hop = np.zeros((n, n))
-    for i in range(1, n):
-        hop[i - 1, i] = hop[i, i - 1] = math.sqrt(i * (n - i)) / 2.0
-    return np.kron(hop, np.eye(d))
+    return np.kron(chain_matrix(pst_chain(n)) / 2, np.eye(d))
 
 
 def qudit_chain_charges(n: int, d: int) -> list[np.ndarray]:
@@ -115,36 +116,26 @@ class CommutingFamily:
         return len(self.matrices) - 1
 
 
-def _joint_eigenbasis(mats: Sequence[np.ndarray], tol: float = 1e-9) -> np.ndarray:
-    """Simultaneous orthogonal eigenbasis by recursive degenerate refinement.
-
-    Diagonalize the first matrix, then re-diagonalize each degenerate block
-    under the next matrix, splitting blocks as eigenvalues separate.
-    """
-    n = mats[0].shape[0]
-    basis = np.eye(n)
-    groups = [np.arange(n)]
-    for a in mats:
-        refined = []
-        for idx in groups:
-            if len(idx) == 1:
-                refined.append(idx)
-                continue
-            block = basis[:, idx]
-            w, q = np.linalg.eigh(block.T @ a @ block)
-            basis[:, idx] = block @ q
-            refined += [idx[g] for g in _eigen_groups(w, rel_tol=tol)]
-        groups = refined
-    return basis
+def check_family_size(n: int, d: int) -> None:
+    """ValueError when d + 1 matrices on n sites pass MAX_FAMILY_ENTRIES;
+    called before any of them is built."""
+    entries = (d + 1) * n * n
+    if entries > MAX_FAMILY_ENTRIES:
+        raise ValueError(f"family of {d + 1} matrices on {n} sites has {entries} "
+                         f"entries, above the limit of {MAX_FAMILY_ENTRIES}")
 
 
 def commuting_family(matrices: Sequence[np.ndarray],
                      couplings: Sequence[float]) -> CommutingFamily:
     """Validate and diagonalize a family of commuting adjacency matrices.
 
-    Requires A_0 = I, symmetry, pairwise commutators below 1e-9, the
-    all-ones completeness sum, and a joint diagonalization residual below
-    1e-9.
+    Requires A_0 = I, symmetry, pairwise commutators below 1e-9 and the
+    all-ones completeness sum.  The joint basis is the eigenbasis of one
+    combination sum_k phi^-k A_k, phi the golden ratio: a generic element
+    of a commutative matrix algebra separates its joint eigenspaces (Bannai
+    & Ito, Algebraic Combinatorics I, 1984).  Every A_k must be diagonal in
+    that basis to 1e-9, which also refuses a combination that merged two
+    joint eigenspaces.
     """
     mats = [np.asarray(a, dtype=float) for a in matrices]
     n = mats[0].shape[0]
@@ -162,7 +153,8 @@ def commuting_family(matrices: Sequence[np.ndarray],
                 raise ValueError(f"matrices {j} and {i} do not commute")
     if np.max(np.abs(sum(mats) - np.ones((n, n)))) > 1e-9:
         raise ValueError("family must sum to the all-ones matrix")
-    basis = _joint_eigenbasis(mats)
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    _, basis = np.linalg.eigh(sum(phi ** -k * a for k, a in enumerate(mats)))
     table = np.zeros((len(mats), n))
     for k, a in enumerate(mats):
         diag = basis.T @ a @ basis
@@ -178,14 +170,10 @@ def cycle_family(n: int, couplings: Optional[Sequence[float]] = None
     if n < 2:
         raise ValueError("cycle family needs at least 2 sites")
     diam = n // 2
-    mats = []
-    for k in range(diam + 1):
-        a = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if min((i - j) % n, (j - i) % n) == k:
-                    a[i, j] = 1.0
-        mats.append(a)
+    check_family_size(n, diam)
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    distance = np.minimum(gap, n - gap)
+    mats = [(distance == k).astype(float) for k in range(diam + 1)]
     if couplings is None:
         couplings = [1.0] * (diam + 1)
     return commuting_family(mats, couplings)
@@ -194,6 +182,7 @@ def cycle_family(n: int, couplings: Optional[Sequence[float]] = None
 def complete_family(n: int, couplings: Optional[Sequence[float]] = None
                     ) -> CommutingFamily:
     """{I, J - I} family of the complete graph."""
+    check_family_size(n, 1)
     mats = [np.eye(n), np.ones((n, n)) - np.eye(n)]
     if couplings is None:
         couplings = [1.0, 1.0]
@@ -203,7 +192,7 @@ def complete_family(n: int, couplings: Optional[Sequence[float]] = None
 def effective_couplings(family: CommutingFamily) -> np.ndarray:
     """Jt_l = sum_k J_k lambda_l^(k); reproduces H = V diag(Jt) V^T."""
     jt = family.couplings @ family.eigen_table
-    h = sum(j * a for j, a in zip(family.couplings, family.matrices))
+    h = hopping_hamiltonian(family)
     recon = (family.basis * jt) @ family.basis.T
     if np.max(np.abs(recon - h)) > 1e-9:
         raise AssertionError("effective couplings do not reproduce the Hamiltonian")

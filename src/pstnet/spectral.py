@@ -927,7 +927,7 @@ def spin_oracle_check(g: SignedWeightedGraph, t: float, excitation_vertex: int
 
 
 # ---------------------------------------------------------------------------
-# signed-equivalence helper used by tests and the corona lab
+# signed-equivalence helper used by tests
 
 def balanced_equivalent_amplitude(g: SignedWeightedGraph, u: int, v: int,
                                   t: float) -> tuple[float, float]:

@@ -240,8 +240,8 @@ CONFIG_KEYS = {
 def parse_coupler_config(path: str) -> CouplerConfig:
     """Read a `key = value` config: capacitances in fF, frequencies in GHz.
 
-    Every key of CONFIG_KEYS is required and any other key, such as an
-    anharmonicity `alpha_i`, is refused with its line number.
+    Every key of CONFIG_KEYS is required exactly once; a repeat, or any other
+    key such as an anharmonicity `alpha_i`, is refused with its line number.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -255,6 +255,8 @@ def parse_coupler_config(path: str) -> CouplerConfig:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if CONFIG_KEYS[key] in values:
+                raise ValueError(f"line {lineno}: duplicate key {key!r}")
             try:
                 values[CONFIG_KEYS[key]] = float(val.strip())
             except ValueError:

@@ -403,6 +403,29 @@ def test_qudit_refuses_malformed_family_file(tmp_path, capsys, text, message):
     assert capsys.readouterr() == ("", message + "\n")
 
 
+@pytest.mark.parametrize("spec, n, d", [("cycle:1024", 1024, 512),
+                                         ("complete:100000", 100000, 1),
+                                         ("file", 4096, 1)])
+def test_qudit_refuses_a_family_too_large_to_build(tmp_path, spec, n, d):
+    # cycle:1024 alone would build 513 dense 1024 x 1024 matrices (4.3 GB)
+    if spec == "file":
+        spec = str(tmp_path / "family.txt")
+        Path(spec).write_text(f"family {n} {d}\ncouplings 0 1\n", encoding="utf-8")
+    done = _python_m_pstnet("qudit", "--family", spec, "--target", "1",
+                            memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"family of {d + 1} matrices on {n} sites has "
+                           f"{(d + 1) * n * n} entries, above the limit of 4194304\n")
+
+
+def test_qudit_vanishing_amplitude_reads_zero(capsys):
+    # |f| is about 3e-16 here, so its phase would be rounding noise
+    assert run(["qudit", "--family", "cycle:4", "--target", "1", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"magnitude": 0.0, "phase": 0.0, "pst_condition": false, '
+        '"t": 1.5707963267948966, "target": 1}\n')
+
+
 @pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"),
                                          ("--tmax", "nan"), ("--tmax", "-inf")])
 def test_qudit_refuses_non_finite_times(tmp_path, capsys, flag, value):

@@ -169,6 +169,53 @@ def test_perturbed_lifted_eigenvalue_is_refused(signed_square, monkeypatch):
         corona_spectrum(signed_square, signed_square)
 
 
+def _qr_deflation(matrix, mu):
+    """The per-eigenvalue-group QR deflation the one shifted eigh replaced."""
+    mu_dir = mu / np.linalg.norm(mu)
+    w, v = np.linalg.eigh(matrix)
+    values, blocks = [], []
+    for idx in spectral._eigen_groups(w, rel_tol=1e-9):
+        block = v[:, idx]
+        overlap = block.T @ mu_dir
+        if np.linalg.norm(overlap) > 1e-8:
+            q, r = np.linalg.qr(block - np.outer(mu_dir, overlap))
+            block = q[:, np.abs(np.diagonal(r)) > 1e-10]
+        values += [float(np.mean(w[idx]))] * block.shape[1]
+        blocks.append(block)
+    assert len(values) == len(w) - 1
+    return np.array(values), np.hstack(blocks)
+
+
+DEFLATION_SEEDS = {
+    **{f"k{n}": (lambda n=n: complete_graph(n)) for n in range(2, 8)},
+    **{f"c{n}": (lambda n=n: cycle_graph(n)) for n in range(3, 10)},
+    **{f"q{n}": (lambda n=n: hypercube(n)) for n in range(1, 5)},
+    **{name: (lambda name=name: parse_graph_file(str(EXAMPLES / f"{name}.graph")))
+       for name in ("example01", "example02", "example03", "example04")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFLATION_SEEDS))
+def test_marking_deflation_matches_the_qr_oracle(name):
+    g = DEFLATION_SEEDS[name]()
+    for kind in ("adjacency", "laplacian"):
+        for scheme in (MarkingScheme.CANONICAL, MarkingScheme.PLURALITY):
+            _, _, mu, matrix = corona_lab._g2_constants(g, kind, scheme)
+            eta, y = corona_lab._basis_orthogonal_to_marking(matrix, mu)
+            want_eta, want_y = _qr_deflation(matrix, mu)
+            np.testing.assert_allclose(eta, want_eta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose((y * eta) @ y.T, (want_y * want_eta) @ want_y.T,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(y.T @ y, np.eye(len(eta)), rtol=0, atol=1e-12)
+            assert np.max(np.abs(mu @ y)) <= 1e-12
+
+
+def test_marking_that_is_no_eigenvector_is_not_deflated():
+    with pytest.raises(TheoremHypothesisError, match="marking direction could not"):
+        corona_lab._basis_orthogonal_to_marking(adjacency(path_graph(3)),
+                                                np.ones(3))
+
+
 def test_dense_limit_refuses_before_building_the_product(signed_square, monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 19)
 

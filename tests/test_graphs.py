@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pstnet.fileio import parse_graph_text
+from pstnet.fileio import GraphFormatError, parse_graph_text
 from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, adjacency,
                            add_isolated, canonical_marking,
                            cartesian, complete_graph, corona, cycle_graph,
-                           disjoint_union, graph_matrix, hypercube,
+                           degree_matrix, disjoint_union, graph_matrix, hypercube,
                            induced_subgraph, is_balanced, laplacian, make_graph,
                            path_graph, plurality_marking, signless_laplacian,
                            sparse_matrix)
@@ -269,6 +269,19 @@ def test_rejects_nonpositive_weight():
 def test_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         SignedWeightedGraph(2, (Edge(0, 1, 1.0, 1),), labels=("0", "0"))
+
+
+def test_rejects_a_second_mark_line():
+    # a second mark for a vertex is refused, not applied over the first
+    with pytest.raises(GraphFormatError, match="^line 3: duplicate mark for vertex 0$"):
+        parse_graph_text("graph 2\nmark 0 +\nmark 0 -\nedge 0 1 1 +\n")
+
+
+def test_degrees_are_float_without_edges():
+    # bincount over no weights counts in int64; the degrees stay float64
+    for g in (hypercube(0), make_graph(3, []), hypercube(1)):
+        assert degree_matrix(g).dtype == laplacian(g).dtype == np.float64
+    assert laplacian(make_graph(3, [])).tobytes() == np.zeros((3, 3)).tobytes()
 
 
 def test_rejects_unknown_vertex_data():

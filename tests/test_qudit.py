@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from scipy.linalg import expm
 
 from pstnet.chains import chain_matrix, pst_chain
-from pstnet.qudit import (QuditState, commuting_family,
-                          complete_family, cycle_family, effective_couplings,
-                          hopping_hamiltonian, qudit_chain_charges,
-                          qudit_chain_hamiltonian, qudit_transfer,
-                          su_d_generators, transfer_amplitude_qudit,
-                          unitarity_audit)
+from pstnet.qudit import (MAX_FAMILY_ENTRIES, QuditState, check_family_size,
+                          commuting_family, complete_family, cycle_family,
+                          effective_couplings, family_spectrum, hopping_hamiltonian,
+                          qudit_chain_charges, qudit_chain_hamiltonian,
+                          qudit_transfer, su_d_generators,
+                          transfer_amplitude_qudit, unitarity_audit)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -57,6 +58,15 @@ def test_chain_reduces_to_half_weighted_chain():
     h = qudit_chain_hamiltonian(5, 2)
     np.testing.assert_allclose(h, np.kron(chain_matrix(pst_chain(5)) / 2,
                                           np.eye(2)))
+
+
+def test_chain_equals_the_coupling_loop_bit_for_bit():
+    for n in range(2, 12):
+        hop = np.zeros((n, n))
+        for i in range(1, n):
+            hop[i - 1, i] = hop[i, i - 1] = math.sqrt(i * (n - i)) / 2.0
+        for d in range(2, 5):
+            assert qudit_chain_hamiltonian(n, d).tobytes() == np.kron(hop, np.eye(d)).tobytes()
 
 
 def test_two_site_coupling_value():
@@ -107,6 +117,91 @@ def test_simultaneous_diagonalization_residual():
         for k, a in enumerate(fam.matrices):
             recon = (fam.basis * fam.eigen_table[k]) @ fam.basis.T
             assert np.max(np.abs(recon - a)) <= 1e-9
+
+
+def test_cycle_family_classes_are_circular_distances():
+    for n in range(2, 13):
+        for k, a in enumerate(cycle_family(n).matrices):
+            want = [[float(min((i - j) % n, (j - i) % n) == k) for j in range(n)]
+                    for i in range(n)]
+            np.testing.assert_array_equal(a, want)
+
+
+def _scheme_family(points, relation):
+    """A_k[x, y] = 1 where relation(x, y) == k, for every relation value k."""
+    rel = np.array([[relation(x, y) for y in points] for x in points])
+    return [(rel == k).astype(float) for k in range(int(rel.max()) + 1)]
+
+
+def _hamming(k):
+    return _scheme_family(range(1 << k), lambda x, y: bin(x ^ y).count("1"))
+
+
+def _johnson(v, k):
+    return _scheme_family([set(c) for c in itertools.combinations(range(v), k)],
+                          lambda x, y: k - len(x & y))
+
+
+JOINT_BASIS_CASES = (
+    [(f"cycle{n}", lambda n=n: cycle_family(n).matrices) for n in range(2, 65)]
+    + [(f"complete{n}", lambda n=n: complete_family(n).matrices) for n in range(2, 33)]
+    + [(f"H({k},2)", lambda k=k: _hamming(k)) for k in range(1, 8)]
+    + [(f"J({v},{k})", lambda v=v, k=k: _johnson(v, k))
+       for v, k in ((5, 2), (6, 2), (6, 3), (7, 3), (8, 2), (8, 3), (9, 4))])
+
+
+@pytest.mark.parametrize("name, build", JOINT_BASIS_CASES,
+                         ids=[name for name, _ in JOINT_BASIS_CASES])
+def test_joint_basis_matches_the_matrix_exponential(name, build):
+    mats = build()
+    rng = np.random.default_rng(len(mats) * 1000 + mats[0].shape[0])
+    fam = commuting_family(mats, rng.uniform(0.1, 1.5, len(mats)))
+    for k, a in enumerate(fam.matrices):
+        recon = (fam.basis * fam.eigen_table[k]) @ fam.basis.T
+        assert np.max(np.abs(recon - a)) <= 1e-9
+    spec, h = family_spectrum(fam), hopping_hamiltonian(fam)
+    start = np.eye(fam.site_count)[0]
+    for t in (0.37, 1.9, 5.2):
+        want = expm(-1j * h * t)[:, 0]
+        assert np.max(np.abs(spec.apply(t, start) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("eigh_of", ["rotated", "merged"])
+def test_basis_that_does_not_diagonalize_the_family_is_refused(monkeypatch, eigh_of):
+    # a basis rotated off the joint eigenspaces, and the basis of a
+    # combination that failed to separate any of them (the identity)
+    honest = np.linalg.eigh
+
+    def perturbed(matrix):
+        if eigh_of == "merged":
+            return honest(np.eye(len(matrix)))
+        w, v = honest(matrix)
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        v[:, [0, -1]] = v[:, [0, -1]] @ np.array([[c, -s], [s, c]])
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ValueError, match="^joint diagonalization residual exceeds 1e-9$"):
+        cycle_family(6)
+
+
+@pytest.mark.parametrize("build, n, d", [(cycle_family, 203, 101),
+                                         (complete_family, 1449, 1),
+                                         (cycle_family, 10 ** 6, 500000),
+                                         (complete_family, 10 ** 6, 1)])
+def test_family_too_large_is_refused_before_it_is_built(build, n, d):
+    # a million-site family would need terabytes: refused, not allocated
+    with pytest.raises(ValueError, match=f"^family of {d + 1} matrices on {n} sites "
+                                         f"has {(d + 1) * n * n} entries, above the "
+                                         f"limit of {MAX_FAMILY_ENTRIES}$"):
+        build(n)
+
+
+def test_family_size_bound_is_inclusive():
+    check_family_size(202, 101)       # 4,162,008 entries, the largest cycle
+    check_family_size(2048, 0)        # exactly 2^22
+    with pytest.raises(ValueError):
+        check_family_size(2048, 1)
 
 
 def test_adjacency_reconstruction_from_pair_matrices():

@@ -197,6 +197,14 @@ def test_parse_config_refuses_anharmonicities(key, tmp_path):
                       omega_i=4.0, omega_j=4.0, omega_c=5.0, **{key: -0.2})
 
 
+def test_parse_config_refuses_a_repeated_key(tmp_path):
+    # a repeated key is refused, not applied over the first
+    path = tmp_path / "edge.cfg"
+    path.write_text("omega_c = 5\nC_i = 70\nomega_c = 7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 3: duplicate key 'omega_c'$"):
+        parse_coupler_config(str(path))
+
+
 def test_parse_config_reports_missing(tmp_path):
     path = tmp_path / "edge.cfg"
     path.write_text("C_i = 70\n", encoding="utf-8")
