@@ -26,7 +26,7 @@ from .graphs import (MAX_HYPERCUBE_DIM, MarkingScheme, SignedWeightedGraph,
 from .qudit import (check_family_size, commuting_family, complete_family,
                     cycle_family, family_spectrum, transfer_amplitude_qudit)
 from .routing import HopPlan, build_network, execute_route, plan_route
-from .spectral import FIDELITY_NOISE_FLOOR, check_pst_conditions, transfer_series
+from .spectral import check_pst_conditions, polar, transfer_series
 from .transmon import (coupling_report, find_cutoff, parse_coupler_config,
                        pst_time)
 
@@ -64,6 +64,16 @@ def _load_graph(spec: str) -> SignedWeightedGraph:
     return cycle_graph(num)
 
 
+def _print_payload(payload: dict, as_json: bool) -> None:
+    """One JSON line, or `key: value` lines in key order with floats through `fmt`."""
+    if as_json:
+        print(json.dumps(payload, sort_keys=True))
+        return
+    for key in sorted(payload):
+        val = payload[key]
+        print(f"{key}: {fmt(val) if isinstance(val, float) else val}")
+
+
 def _cmd_graph(args) -> int:
     g = _load_graph(args.graph)
     balanced, _ = is_balanced(g)
@@ -75,11 +85,7 @@ def _cmd_graph(args) -> int:
         "has_labels": g.labels is not None,
         "has_markings": g.markings is not None,
     }
-    if args.json:
-        print(json.dumps(info, sort_keys=True))
-    else:
-        for key in sorted(info):
-            print(f"{key}: {info[key]}")
+    _print_payload(info, args.json)
     return EXIT_OK
 
 
@@ -104,12 +110,7 @@ def _cmd_pst(args) -> int:
         ts = [i * args.dt for i in range(int(args.tmax / args.dt) + 1)]
         rows = transfer_series(g, args.src, args.dst, ts, matrix_kind=args.matrix)
         emit_csv(rows, args.csv, ["t", "magnitude", "phase"], VERSION_COMMENT)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for key in sorted(payload):
-            val = payload[key]
-            print(f"{key}: {fmt(val) if isinstance(val, float) else val}")
+    _print_payload(payload, args.json)
     achieved = rep.eigenvalue_condition and rep.vector_condition
     if not achieved:
         print("PST impossible for this pair", file=sys.stderr)
@@ -147,15 +148,13 @@ def _cmd_route(args) -> int:
     if args.csv:
         # one block of rows per evolution step: initial state, then the
         # state after each hop
-        rows = []
-        for step in range(len(plan.hops) + 1):
-            prefix = HopPlan(plan.hops[:step],
-                             sum(h.duration for h in plan.hops[:step]),
-                             plan.intermediate if step > 1 else None)
-            snapshot = state if step == 0 else execute_route(network, prefix, state)[0]
-            rows += [(step, labeling.labels[v], float(abs(snapshot[v])),
-                      float(np.angle(snapshot[v])))
-                     for v in range(network.vertex_count)]
+        snapshots = [state]
+        for hop in plan.hops:
+            single = HopPlan((hop,), hop.duration)
+            snapshots.append(execute_route(network, single, snapshots[-1])[0])
+        rows = [(step, labeling.labels[v], *polar(snapshot[v]))
+                for step, snapshot in enumerate(snapshots)
+                for v in range(network.vertex_count)]
         emit_csv(rows, args.csv, ["step", "vertex", "magnitude", "phase"],
                  VERSION_COMMENT)
     if args.json:
@@ -191,7 +190,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_corona(args) -> int:
-    seed = parse_graph_file(args.seed)
+    seed = _load_graph(args.seed)
     pairs = []
     for chunk in args.pairs.split(";"):
         u, v = (int(x) for x in chunk.split(","))
@@ -272,15 +271,13 @@ def _cmd_qudit(args) -> int:
         raise ValueError(f"--samples must be in 1..{MAX_GRID_POINTS}, got {args.samples}")
     family = _parse_family(args.family)
     f = transfer_amplitude_qudit(family, args.target, args.t)
-    condition = abs(abs(f) - 1.0) <= 1e-8
-    if abs(f) <= FIDELITY_NOISE_FLOOR:
-        f = 0.0   # rounding, not transfer: its phase would be noise
+    magnitude, phase = polar(f)
     payload = {
         "target": args.target,
         "t": args.t,
-        "magnitude": abs(f),
-        "phase": float(np.angle(f)),
-        "pst_condition": condition,
+        "magnitude": magnitude,
+        "phase": phase,
+        "pst_condition": abs(abs(f) - 1.0) <= 1e-8,
     }
     if args.csv:
         spec = family_spectrum(family)
@@ -288,12 +285,7 @@ def _cmd_qudit(args) -> int:
         rows = [(float(t), float(np.sum(np.abs(spec.apply(t, start)) ** 2)))
                 for t in np.linspace(0.0, args.tmax, args.samples)]
         emit_csv(rows, args.csv, ["t", "total_probability"], VERSION_COMMENT)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for key in sorted(payload):
-            val = payload[key]
-            print(f"{key}: {fmt(val) if isinstance(val, float) else val}")
+    _print_payload(payload, args.json)
     return EXIT_OK
 
 
@@ -323,11 +315,8 @@ def _cmd_transmon(args) -> int:
             raise ValueError("sweep must look like wc:4.5:9:0.01")
         lo, hi, step = (float(x) for x in m.groups())
         rows = []
-        import warnings
         for wc in _sweep_points(lo, hi, step):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rep = coupling_report(cfg.with_coupler_frequency(wc))
+            rep = coupling_report(cfg.with_coupler_frequency(wc))
             t = pst_time(rep.g_brwa, hops=1) if rep.g_brwa else math.inf
             rows.append((wc, rep.delta_i, rep.g_rwa, rep.g_brwa, t))
         if args.csv:
@@ -346,11 +335,8 @@ def _cmd_transmon(args) -> int:
         "delta_i": cut.delta_i,
         "residual": cut.residual,
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for key in sorted(payload):
-            print(f"{key}: {fmt(payload[key])}")
+    _print_payload(payload, args.json)
+    if not args.json:
         print("convention: angular frequencies in GHz (rad/ns)")
     return EXIT_OK
 

@@ -26,12 +26,12 @@ eigenvectors [0; y kron e_i]: n(1 + k) pairs in all.
 
 Applied to G^(m) = G^(m-1) o G level by level, the formula gives the seed
 rows of G^(m)'s spectrum as n 2^m terms without building G^(m)
-(`corona_seed_spectrum`), at O(n 2^m) per time instead of a dense solve of
-n(n + 1)^m vertices.  `fidelity_vs_m` scans these terms at every order
-m >= 1 of a seed that meets the hypotheses.  Otherwise it builds the
-product and scans the walk module of the pair's source vertex
-(`spectral.max_fidelity_scan`), as it does for the seed itself at m = 0,
-so no n x n matrix is solved.
+(`corona_seed_spectrum`), at O(n 2^m) per time after one dense solve of
+the seed instead of one of n(n + 1)^m vertices.  `fidelity_vs_m` scans
+these terms at every order m >= 1 of a seed that meets the hypotheses,
+which are on the seed alone.  Otherwise it builds the product and scans
+the walk module of the pair's source vertex (`spectral.max_fidelity_scan`),
+as it does for the seed itself at m = 0, so no n x n matrix is solved.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import spectral
 from .graphs import (MarkingScheme, SignedWeightedGraph, corona, graph_matrix,
                      markings_under, sign_degrees, sparse_matrix)
 from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
@@ -107,13 +106,14 @@ def _basis_orthogonal_to_marking(matrix: np.ndarray, mu: np.ndarray
 
 
 def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingScheme
-                  ) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """(lift, s, mu2, M(g2)) of the module formula, once g2 meets the hypotheses.
+                  ) -> tuple[int, float, np.ndarray]:
+    """(lift, s, mu2) of the module formula, once g2 meets the hypotheses.
 
     The adjacency form requires g2 net-regular with regularity d and its
     marking an eigenvector of A(g2) for d; the Laplacian form requires every
     g2 vertex to have the same negative degree d- and L(g2) mu2 = 2 d- mu2.
     Unmet hypotheses raise TheoremHypothesisError; other kinds, ValueError.
+    The eigenvector test runs on the sparse matrix, so no dense one is built.
     """
     if matrix_kind not in CORONA_KINDS:
         raise ValueError(f"corona spectra cover 'adjacency' and 'laplacian', "
@@ -130,10 +130,9 @@ def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingSche
             raise TheoremHypothesisError("g2 is not net-regular")
         target, eigen_of = float(d), "an adjacency eigenvector for the net-regularity"
     mu2 = np.array(markings_under(g2, scheme), dtype=float)
-    m2 = graph_matrix(g2, matrix_kind)
-    if np.max(np.abs(m2 @ mu2 - target * mu2)) > 1e-9:
+    if np.max(np.abs(sparse_matrix(g2, matrix_kind)[0] @ mu2 - target * mu2)) > 1e-9:
         raise TheoremHypothesisError(f"marking vector of g2 is not {eigen_of}")
-    return lift, target + lift, mu2, m2
+    return lift, target + lift, mu2
 
 
 def _corona_roots(w1: np.ndarray, lift: int, k: int, s: float) -> np.ndarray:
@@ -157,12 +156,12 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     """
     n, k = g1.vertex_count, g2.vertex_count
     _check_dense_dim(n * (1 + k))
-    lift, s, mu2, m2 = _g2_constants(g2, matrix_kind, scheme)
+    lift, s, mu2 = _g2_constants(g2, matrix_kind, scheme)
     mu1 = np.array(markings_under(g1, scheme), dtype=float)
     w1, x = np.linalg.eigh(graph_matrix(g1, matrix_kind))
     roots = _corona_roots(w1, lift, k, s)
     seeds = np.repeat(x, 2, axis=1)
-    eta, y = _basis_orthogonal_to_marking(m2, mu2)
+    eta, y = _basis_orthogonal_to_marking(graph_matrix(g2, matrix_kind), mu2)
     values = np.concatenate((roots, np.repeat(eta + lift, n)))
     vectors = np.zeros((len(values), len(values)))
     vectors[:n, :2 * n] = seeds
@@ -189,7 +188,9 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     return Spectrum(values, vectors)
 
 
-def _check_recursion_terms(n: int, m: int) -> None:
+def _check_recursion_size(n: int, m: int) -> None:
+    """The seed's dense solve and the n 2^m terms must both fit."""
+    _check_dense_dim(n)
     if m > RECURSION_MAX_TERMS.bit_length() or n << m > RECURSION_MAX_TERMS:
         raise ValueError(f"corona order {m} needs {n} * 2^{m} recursion terms, "
                          f"above the limit of {RECURSION_MAX_TERMS}")
@@ -206,8 +207,9 @@ def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
     eigendecomposition of M(seed), and each level maps a term (l_i, z_i)
     to the two roots l of (l - l_i - lift k)(l - s) = k, with k = n, each
     with rows z_i sqrt(a^2 / (a^2 + k)), a = l - s.  The seed must meet the
-    hypotheses of `_g2_constants` (TheoremHypothesisError otherwise), and
-    n 2^m may not exceed RECURSION_MAX_TERMS (ValueError).
+    hypotheses of `_g2_constants` (TheoremHypothesisError otherwise); n
+    may not exceed DENSE_MAX_DIM, nor n 2^m RECURSION_MAX_TERMS
+    (ValueError).
 
     Proof, for A (lift = 0) and L (lift = 1) alike.  G^(m) is the corona of
     g1 = G^(m-1) with g2 = the seed, so the hypotheses, which are on g2
@@ -231,9 +233,9 @@ def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
     if m < 0:
         raise ValueError("order must be non-negative")
     n = seed.vertex_count
-    _check_recursion_terms(n, m)
-    lift, s, _, matrix = _g2_constants(seed, matrix_kind, scheme)
-    values, rows = np.linalg.eigh(matrix)
+    _check_recursion_size(n, m)
+    lift, s, _ = _g2_constants(seed, matrix_kind, scheme)
+    values, rows = np.linalg.eigh(graph_matrix(seed, matrix_kind))
     for _ in range(m):
         values = _corona_roots(values, lift, n, s)
         a2 = (values - s) ** 2
@@ -266,19 +268,6 @@ def corona_edge_count(n: int, k: int, m: int) -> int:
     return k + (k + n) * ((n + 1) ** m - 1)
 
 
-def _meets_theorem(seed: SignedWeightedGraph, matrix_kind: str,
-                   scheme: MarkingScheme) -> bool:
-    """True when corona_spectrum(seed, seed) holds: hypotheses and residual."""
-    n = seed.vertex_count
-    if matrix_kind not in CORONA_KINDS or n * (n + 1) > spectral.DENSE_MAX_DIM:
-        return False
-    try:
-        corona_spectrum(seed, seed, matrix_kind, scheme)
-    except TheoremHypothesisError:
-        return False
-    return True
-
-
 def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
                   matrix_kind: str = "adjacency", t_max: float = 20.0,
                   scheme: MarkingScheme = MarkingScheme.CANONICAL,
@@ -286,13 +275,14 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     """Best transfer fidelity between two seed vertices at each corona order.
 
     Seed vertices keep their indices in every product, so the pair persists.
-    Order 0 scans the seed itself.  Whether the seed meets the corona
-    theorem is decided once, by corona_spectrum(seed, seed), which checks
-    the hypotheses and the residual on the one-level product.  If it does,
-    every order m >= 1 scans corona_seed_spectrum(seed, m), with no product
-    built, up to RECURSION_MAX_TERMS terms (ValueError above, before any
-    scan); its rows have provenance 'recursion'.  If not, each order builds
-    G^(m) with iterate_corona, up to CORONA_SIZE_GUARD vertices.  The seed
+    Order 0 scans the seed itself.  The recursion applies exactly when the
+    matrix kind is one of CORONA_KINDS and the seed meets the hypotheses of
+    `_g2_constants`, decided once, on the seed alone.  Then every order
+    m >= 1 scans corona_seed_spectrum(seed, m), with no product built, for
+    a seed of at most DENSE_MAX_DIM vertices and up to RECURSION_MAX_TERMS
+    terms (ValueError past either, before any scan); its rows have
+    provenance 'recursion'.  Otherwise each order builds G^(m) with
+    iterate_corona, up to CORONA_SIZE_GUARD vertices.  The seed
     and every built product are scanned by `spectral.max_fidelity_scan` on
     the walk module of u under the chosen matrix; those rows are 'direct'.
     A pair whose amplitude vanishes identically reads f* = 0 at t* = 0
@@ -303,9 +293,14 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
         raise ValueError("pair must index seed vertices")
     if m_max < 0:
         raise ValueError("order must be non-negative")
-    recursion = m_max >= 1 and _meets_theorem(seed, matrix_kind, scheme)
+    recursion = m_max >= 1 and matrix_kind in CORONA_KINDS
     if recursion:
-        _check_recursion_terms(seed.vertex_count, m_max)
+        try:
+            _g2_constants(seed, matrix_kind, scheme)
+        except TheoremHypothesisError:
+            recursion = False
+        else:
+            _check_recursion_size(seed.vertex_count, m_max)
     rows = []
     for m in range(m_max + 1):
         if recursion and m:

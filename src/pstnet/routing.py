@@ -30,7 +30,7 @@ import numpy as np
 
 from .graphs import (Edge, SignedWeightedGraph, edge_table, hamming_table,
                      hypercube)
-from .spectral import TransferReport, hypercube_apply
+from .spectral import TransferReport, hypercube_apply, polar
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
 
@@ -336,8 +336,7 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
         raise ValueError("input state must be normalized")
     if not plan.hops:
         target = int(np.argmax(np.abs(state)))
-        amp = state[target]
-        return state, TransferReport(abs(amp), float(np.angle(amp)), 0.0, True,
+        return state, TransferReport(*polar(state[target]), 0.0, True,
                                      (target, target), "hypercube")
     source = plan.hops[0].source
     if abs(abs(state[source]) - 1.0) > 1e-9:
@@ -352,10 +351,8 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
         if i < len(plan.hops) - 1:
             total += switch_lag
     target = plan.hops[-1].target
-    amp = state[target]
-    mag = float(abs(amp))
-    return state, TransferReport(mag, float(np.angle(amp)), total,
-                                 mag >= 1.0 - 1e-9,
+    mag, phase = polar(state[target])
+    return state, TransferReport(mag, phase, total, mag >= 1.0 - 1e-9,
                                  (plan.hops[0].source, target), "hypercube")
 
 

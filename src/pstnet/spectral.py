@@ -473,10 +473,25 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
     return _transfer_report(amp, t, tol, (u, v), backend)
 
 
+def polar(amp: complex) -> tuple[float, float]:
+    """(magnitude, phase) of an amplitude, the phase in (-pi, pi].
+
+    An amplitude at or below FIDELITY_NOISE_FLOOR is rounding, not
+    transfer, and reads (0, 0); a negative real one whose imaginary part
+    is within the floor reads +pi, whatever the sign of that rounding.
+    """
+    amp = complex(amp)
+    mag = abs(amp)
+    if mag <= FIDELITY_NOISE_FLOOR:
+        return 0.0, 0.0
+    if amp.real < 0 and abs(amp.imag) <= FIDELITY_NOISE_FLOOR:
+        return mag, math.pi
+    return mag, float(np.arctan2(amp.imag, amp.real))
+
+
 def _transfer_report(amp: complex, t: float, tol: float, pair: tuple[int, int],
                      backend: str) -> TransferReport:
-    mag = abs(amp)
-    phase = math.atan2(amp.imag, amp.real) if mag > 0 else 0.0
+    mag, phase = polar(amp)
     return TransferReport(mag, phase, t, mag >= 1.0 - tol, pair, backend)
 
 
@@ -494,7 +509,7 @@ def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
         return []
     walk = walk_spectrum(g, u, v, matrix_kind, float(np.max(np.abs(times))))
     amps = walk.spectrum.amplitude(0, 1, times)
-    return [(float(t), float(abs(a)), float(np.angle(a))) for t, a in zip(ts, amps)]
+    return [(float(t), *polar(a)) for t, a in zip(ts, amps)]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ def coupling_report(cfg: CouplerConfig) -> CouplingReport:
     g_ij carries the (1 + eta) capacitive enhancement, and the net exchange
     is g_i g_j / Delta_ij + g_ij within the rotating-wave approximation or
     (g_i g_j / 2)(1/D_i + 1/D_j - 1/S_i - 1/S_j) + g_ij beyond it.
+    `dispersive` reports whether g_i < |D_i| and g_j < |D_j|, the regime
+    these second-order formulas assume.
     """
     g_i = 0.5 * (cfg.c_ic / math.sqrt(cfg.c_i * cfg.c_c)) * math.sqrt(cfg.omega_i * cfg.omega_c)
     g_j = 0.5 * (cfg.c_jc / math.sqrt(cfg.c_j * cfg.c_c)) * math.sqrt(cfg.omega_j * cfg.omega_c)
@@ -92,17 +94,13 @@ def coupling_report(cfg: CouplerConfig) -> CouplingReport:
         indirect_rwa = g_i * g_j / delta_ij
     g_rwa = indirect_rwa + g_ij
     g_brwa = 0.5 * g_i * g_j * (1.0 / d_i + 1.0 / d_j - 1.0 / s_i - 1.0 / s_j) + g_ij
-    dispersive = g_i < abs(d_i) and g_j < abs(d_j)
-    if not dispersive:
-        warnings.warn("coupler is outside the dispersive regime (g >= |Delta|)",
-                      stacklevel=2)
     return CouplingReport(
         g_i=g_i, g_j=g_j, g_ij=g_ij, eta_ij=eta,
         delta_i=d_i, delta_j=d_j, sigma_i=s_i, sigma_j=s_j,
         delta_ij=delta_ij, g_rwa=g_rwa, g_brwa=g_brwa,
         omega_i_shifted=cfg.omega_i + (g_i ** 2 / d_i if d_i else math.inf),
         omega_j_shifted=cfg.omega_j + (g_j ** 2 / d_j if d_j else math.inf),
-        dispersive=dispersive, rwa_singular=singular)
+        dispersive=g_i < abs(d_i) and g_j < abs(d_j), rwa_singular=singular)
 
 
 def identical_qubit_coupling(cfg: CouplerConfig) -> float:
@@ -140,26 +138,24 @@ def find_cutoff(cfg: CouplerConfig, omega_c_range: tuple[float, float] = (4.5, 9
     lo, hi = omega_c_range
     if lo >= hi:
         raise ValueError("range must be increasing")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        f_lo, f_hi = g_of(lo), g_of(hi)
-        if f_lo == 0.0:
-            mid = lo
-        elif f_hi == 0.0:
-            mid = hi
-        elif f_lo * f_hi > 0:
-            raise ValueError("no cutoff in range: coupling does not change sign")
-        else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                f_mid = g_of(mid)
-                if abs(f_mid) <= CUTOFF_RESIDUAL:
-                    break
-                if f_lo * f_mid < 0:
-                    hi, f_hi = mid, f_mid
-                else:
-                    lo, f_lo = mid, f_mid
-        residual = abs(g_of(mid))
+    f_lo, f_hi = g_of(lo), g_of(hi)
+    if f_lo == 0.0:
+        mid = lo
+    elif f_hi == 0.0:
+        mid = hi
+    elif f_lo * f_hi > 0:
+        raise ValueError("no cutoff in range: coupling does not change sign")
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            f_mid = g_of(mid)
+            if abs(f_mid) <= CUTOFF_RESIDUAL:
+                break
+            if f_lo * f_mid < 0:
+                hi, f_hi = mid, f_mid
+            else:
+                lo, f_lo = mid, f_mid
+    residual = abs(g_of(mid))
     return CutoffResult(mid, cfg.omega_i - mid, cfg.omega_j - mid, residual)
 
 
@@ -195,9 +191,7 @@ class ThreeBodyResult:
 
 def three_body_hamiltonian(cfg: CouplerConfig) -> np.ndarray:
     """Single-excitation matrix of the qubit-coupler-qubit trio."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = coupling_report(cfg)
+    rep = coupling_report(cfg)
     return np.array([[cfg.omega_i, rep.g_i, rep.g_ij],
                      [rep.g_i, cfg.omega_c, rep.g_j],
                      [rep.g_ij, rep.g_j, cfg.omega_j]])
@@ -211,9 +205,7 @@ def three_body_oracle(cfg: CouplerConfig) -> ThreeBodyResult:
     with the least coupler content (identical-qubit reading), then compares
     it against the rotating-wave formula g_i g_j / Delta_ij + g_ij.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = coupling_report(cfg)
+    rep = coupling_report(cfg)
     if not rep.dispersive:
         warnings.warn("three-body oracle outside the dispersive regime; "
                       "result computed anyway", stacklevel=2)

@@ -220,13 +220,10 @@ def test_criterion_8_qudit():
 
 
 def test_criterion_9_transmon():
-    import warnings
     cfg = reference_parameters(5.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = coupling_report(cfg)
-        lo = coupling_report(cfg.with_coupler_frequency(4.5)).g_brwa
-        hi = coupling_report(cfg.with_coupler_frequency(9.0)).g_brwa
+    rep = coupling_report(cfg)
+    lo = coupling_report(cfg.with_coupler_frequency(4.5)).g_brwa
+    hi = coupling_report(cfg.with_coupler_frequency(9.0)).g_brwa
     assert rep.eta_ij == pytest.approx(0.84, abs=1e-15)
     assert lo * hi < 0
     cut = find_cutoff(cfg, (4.5, 9.0))

@@ -349,6 +349,16 @@ def test_corona_refuses_orders_above_the_recursion_cap(tmp_path, capsys):
         "", "corona order 19 needs 4 * 2^19 recursion terms, above the limit of 1048576\n")
 
 
+@pytest.mark.parametrize("seed", ["c100000", "c8193"])
+def test_corona_refuses_a_seed_past_the_dense_limit(seed):
+    # the recursion solves the seed densely: C_100000 would ask for 80 GB
+    done = _python_m_pstnet("corona", "--seed", seed, "--pairs", "0,1", "--m", "1",
+                            memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"dense eigensolve of dimension {seed[1:]} exceeds "
+                           f"the limit of 8192\n")
+
+
 def test_corona_refuses_a_negative_order(capsys):
     seed = Path(pstnet.__file__).parent / "data" / "corona_examples" / "example01.graph"
     assert run(["corona", "--seed", str(seed), "--pairs", "0,2", "--m", "-1"]) == 2

@@ -6,15 +6,16 @@ import pytest
 
 import pstnet
 from pstnet import corona_lab, spectral
-from pstnet.corona_lab import (CORONA_SIZE_GUARD, RECURSION_MAX_TERMS,
-                               TheoremHypothesisError, all_pairs_max_fidelity,
-                               corona_edge_count, corona_seed_spectrum,
-                               corona_spectrum, corona_vertex_count,
-                               fidelity_vs_m, iterate_corona, net_regularity)
+from pstnet.corona_lab import (CORONA_KINDS, CORONA_SIZE_GUARD,
+                               RECURSION_MAX_TERMS, TheoremHypothesisError,
+                               all_pairs_max_fidelity, corona_edge_count,
+                               corona_seed_spectrum, corona_spectrum,
+                               corona_vertex_count, fidelity_vs_m,
+                               iterate_corona, net_regularity)
 from pstnet.fileio import parse_graph_file
 from pstnet.graphs import (MarkingScheme, SignedWeightedGraph, adjacency,
-                           complete_graph, corona, cycle_graph, hypercube,
-                           laplacian, make_graph, path_graph)
+                           complete_graph, corona, cycle_graph, graph_matrix,
+                           hypercube, laplacian, make_graph, path_graph)
 from pstnet.spectral import Spectrum, krylov_amplitude, max_fidelity_scan_spectrum
 
 EXAMPLES = Path(pstnet.__file__).resolve().parent / "data" / "corona_examples"
@@ -200,7 +201,8 @@ def test_marking_deflation_matches_the_qr_oracle(name):
     g = DEFLATION_SEEDS[name]()
     for kind in ("adjacency", "laplacian"):
         for scheme in (MarkingScheme.CANONICAL, MarkingScheme.PLURALITY):
-            _, _, mu, matrix = corona_lab._g2_constants(g, kind, scheme)
+            _, _, mu = corona_lab._g2_constants(g, kind, scheme)
+            matrix = graph_matrix(g, kind)
             eta, y = corona_lab._basis_orthogonal_to_marking(matrix, mu)
             want_eta, want_y = _qr_deflation(matrix, mu)
             np.testing.assert_allclose(eta, want_eta, rtol=0, atol=1e-12)
@@ -406,6 +408,64 @@ def test_recursion_refuses_above_its_term_cap(signed_square, monkeypatch):
 def test_recursion_refuses_a_seed_outside_the_hypotheses():
     with pytest.raises(TheoremHypothesisError, match="not net-regular"):
         corona_seed_spectrum(path_graph(3), 2)
+
+
+def _decision_cases():
+    """The examples, K2..K7, C3..C9, P2..P6, Q1..Q4 and 400 random signed
+    graphs on 2..7 vertices."""
+    seeds = [SEEDS[f"example0{i}"]() for i in range(1, 5)]
+    seeds += [complete_graph(n) for n in range(2, 8)]
+    seeds += [cycle_graph(n) for n in range(3, 10)]
+    seeds += [path_graph(n) for n in range(2, 7)]
+    seeds += [hypercube(d) for d in range(1, 5)]
+    rng = np.random.default_rng(2007)
+    for _ in range(400):
+        n = int(rng.integers(2, 8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.2, 1.0)
+        signs = rng.choice((-1, 1), len(pairs))
+        seeds.append(make_graph(n, [(i, j, 1, int(sign)) for (i, j), sign, k
+                                    in zip(pairs, signs, keep) if k]))
+    return seeds
+
+
+@pytest.mark.parametrize("kind", CORONA_KINDS)
+@pytest.mark.parametrize("scheme", [MarkingScheme.CANONICAL, MarkingScheme.PLURALITY])
+def test_recursion_is_chosen_exactly_where_the_one_level_theorem_holds(
+        kind, scheme, monkeypatch):
+    """The hypotheses decide as the dense one-level check used to, without it."""
+    seeds = _decision_cases()
+    wanted = []
+    for seed in seeds:
+        try:
+            corona_spectrum(seed, seed, kind, scheme)
+            wanted.append("recursion")
+        except TheoremHypothesisError:
+            wanted.append("direct")
+    assert 0 < wanted.count("recursion") < len(wanted)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("fidelity_vs_m solved the one-level product")
+
+    monkeypatch.setattr(corona_lab, "corona_spectrum", refuse)
+    for seed, want in zip(seeds, wanted):
+        table = fidelity_vs_m(seed, (0, seed.vertex_count - 1), 1, kind,
+                              t_max=0.0, dt=1.0, scheme=scheme)
+        assert table.rows[1].provenance == want
+
+
+@pytest.mark.parametrize("kind", CORONA_KINDS)
+def test_recursion_past_the_dense_reach_matches_krylov(kind):
+    """C_100's one-level product has 10100 vertices, past DENSE_MAX_DIM."""
+    seed = cycle_graph(100)
+    product = corona(seed, seed)
+    assert product.vertex_count > spectral.DENSE_MAX_DIM
+    for v in (5, 50):
+        table = fidelity_vs_m(seed, (0, v), 2, kind)
+        assert [r.provenance for r in table.rows] == ["direct", "recursion", "recursion"]
+        row = table.rows[1]
+        amp = krylov_amplitude(product, 0, v, row.t_star, kind)
+        assert abs(abs(amp) - row.f_star) <= 1e-9
 
 
 # --- all-pairs grid maxima ---------------------------------------------------------

@@ -97,7 +97,7 @@ def test_family_rejects_noncommuting():
     a1 = np.zeros((3, 3))
     a1[0, 1] = a1[1, 0] = 1.0
     a2 = np.ones((3, 3)) - np.eye(3) - a1
-    with pytest.raises(ValueError, match="commute"):
+    with pytest.raises(ValueError, match="joint diagonalization residual exceeds 1e-9"):
         commuting_family([np.eye(3), a1, a2], [1.0, 1.0, 1.0])
 
 

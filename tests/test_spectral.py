@@ -569,3 +569,18 @@ def test_grid_amplitudes_are_the_same_in_time_blocks(monkeypatch):
     np.testing.assert_array_equal(rows, transfer_series(cycle_graph(40), 2, 5, ts))
     whole = np.abs(Spectrum.from_graph(cycle_graph(40)).amplitude(2, 5, ts))
     np.testing.assert_allclose([r[1] for r in rows], whole, rtol=0, atol=1e-13)
+
+
+def test_polar_prints_phases_in_the_half_open_range():
+    floor = spectral.FIDELITY_NOISE_FLOOR
+    assert spectral.polar(complex(floor, floor) / 2) == (0.0, 0.0)
+    assert spectral.polar(-0.5 - 1e-13j) == (0.5, math.pi)
+    assert spectral.polar(-0.5 + 1e-13j) == (0.5, math.pi)
+    assert spectral.polar(np.complex128(-1.0)) == (1.0, math.pi)
+    assert spectral.polar(-0.5 - 1e-9j)[1] == pytest.approx(-math.pi, abs=1e-8)
+    assert spectral.polar(1j) == (1.0, math.pi / 2)
+    # the rows of a series go through the same rule: the P3 end-to-end
+    # amplitude is a negative real -t^2/2 + O(t^4) at short times
+    rows = transfer_series(path_graph(3), 0, 2, [0.0, 0.01, 0.02])
+    assert rows[0][1:] == (0.0, 0.0)
+    assert [r[2] for r in rows[1:]] == [math.pi, math.pi]

@@ -11,20 +11,14 @@ from pstnet.transmon import (CouplerConfig, coupling_report, find_cutoff,
                              three_body_hamiltonian, three_body_oracle)
 
 
-def quiet_report(cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return coupling_report(cfg)
-
-
 def test_eta_value():
-    rep = quiet_report(reference_parameters(5.0))
+    rep = coupling_report(reference_parameters(5.0))
     assert rep.eta_ij == pytest.approx(0.84, abs=1e-15)
 
 
 def test_coupling_formulas_by_hand():
     cfg = reference_parameters(5.0)
-    rep = quiet_report(cfg)
+    rep = coupling_report(cfg)
     assert rep.g_j == pytest.approx(0.5 * 4.2 / math.sqrt(72 * 200) * math.sqrt(4 * 5))
     assert rep.g_ij == pytest.approx(0.5 * 1.84 * 0.1 / math.sqrt(70 * 72) * 4.0)
     assert rep.delta_i == -1.0
@@ -35,7 +29,7 @@ def test_coupling_formulas_by_hand():
 def test_decoupled_ancilla_limit():
     cfg = CouplerConfig(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=1e-12, c_jc=4.2,
                         c_ij=0.1, omega_i=4.0, omega_j=4.0, omega_c=6.0)
-    rep = quiet_report(cfg)
+    rep = coupling_report(cfg)
     assert rep.g_i <= 1e-12
     assert rep.g_rwa == pytest.approx(rep.g_ij, abs=1e-12)
 
@@ -43,7 +37,7 @@ def test_decoupled_ancilla_limit():
 def test_singular_effective_detuning_flagged():
     cfg = CouplerConfig(c_i=70.0, c_j=70.0, c_c=200.0, c_ic=4.0, c_jc=4.0,
                         c_ij=0.1, omega_i=3.0, omega_j=5.0, omega_c=4.0)
-    rep = quiet_report(cfg)
+    rep = coupling_report(cfg)
     assert rep.rwa_singular
     assert math.isinf(rep.delta_ij)
 
@@ -51,15 +45,15 @@ def test_singular_effective_detuning_flagged():
 def test_brwa_equals_substituted_shortcut():
     cfg = reference_parameters(5.0)
     for wc in (4.5, 5.4, 7.0, 9.0):
-        rep = quiet_report(cfg.with_coupler_frequency(wc))
+        rep = coupling_report(cfg.with_coupler_frequency(wc))
         assert rep.g_brwa == pytest.approx(
             identical_qubit_coupling(cfg.with_coupler_frequency(wc)), abs=1e-15)
 
 
 def test_sign_change_over_sweep():
     cfg = reference_parameters(5.0)
-    lo = quiet_report(cfg.with_coupler_frequency(4.5)).g_brwa
-    hi = quiet_report(cfg.with_coupler_frequency(9.0)).g_brwa
+    lo = coupling_report(cfg.with_coupler_frequency(4.5)).g_brwa
+    hi = coupling_report(cfg.with_coupler_frequency(9.0)).g_brwa
     assert lo < 0 < hi
 
 
@@ -127,7 +121,7 @@ def test_oracle_exact_for_direct_only():
     cfg = CouplerConfig(c_i=70.0, c_j=70.0, c_c=200.0, c_ic=1e-9, c_jc=1e-9,
                         c_ij=0.1, omega_i=4.0, omega_j=4.0, omega_c=8.0)
     res = three_body_oracle(cfg)
-    rep = quiet_report(cfg)
+    rep = coupling_report(cfg)
     assert res.numeric_exchange == pytest.approx(rep.g_ij, rel=1e-9)
 
 
@@ -136,7 +130,7 @@ def test_oracle_deep_dispersive_indirect():
     # the capacitive (1 + eta) enhancement keeps g_ij finite for any C_ij > 0,
     # so zero the off-diagonal entry of the trio matrix by hand
     cfg = reference_parameters(12.0)
-    rep = quiet_report(cfg)
+    rep = coupling_report(cfg)
     m = np.array([[4.0, rep.g_i, 0.0],
                   [rep.g_i, 12.0, rep.g_j],
                   [0.0, rep.g_j, 4.0]])
@@ -161,7 +155,7 @@ def test_brwa_approaches_rwa_at_large_sigma():
         cfg = CouplerConfig(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=4.0, c_jc=4.2,
                             c_ij=0.1, omega_i=4.0 * scale, omega_j=4.0 * scale,
                             omega_c=4.0 * scale + 4.0)
-        rep = quiet_report(cfg)
+        rep = coupling_report(cfg)
         gaps.append(abs(rep.g_brwa - rep.g_rwa) / abs(rep.g_rwa))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -218,8 +212,13 @@ def test_config_rejects_nonpositive_capacitance():
                       c_ij=0.1, omega_i=4.0, omega_j=4.0, omega_c=5.0)
 
 
-def test_nondispersive_warns():
+def test_nondispersive_is_reported_without_a_warning():
     cfg = CouplerConfig(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=100.0, c_jc=100.0,
                         c_ij=0.1, omega_i=4.0, omega_j=4.0, omega_c=4.1)
-    with pytest.warns(UserWarning, match="dispersive"):
-        coupling_report(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = coupling_report(cfg)
+    assert rep.dispersive is False
+    # the oracle reads the flag and still warns about its own result
+    with pytest.warns(UserWarning, match="three-body oracle outside"):
+        assert three_body_oracle(cfg).dispersive is False
