@@ -36,7 +36,7 @@ CHAIN_TRIDIAGONAL_MAX_SITES = 256
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Mirror-symmetric chain: couplings J_1..J_{n-1}."""
+    """Mirror-symmetric chain: finite positive couplings J_1..J_{n-1}."""
 
     couplings: tuple[float, ...]
 
@@ -45,6 +45,8 @@ class ChainSpec:
             raise ValueError("chain needs at least 2 sites")
         js = self.couplings
         for i in range(len(js)):
+            if not math.isfinite(js[i]):
+                raise ValueError(f"coupling {i} is not finite: {js[i]}")
             if js[i] <= 0:
                 raise ValueError("couplings must be positive")
             if abs(js[i] - js[len(js) - 1 - i]) > 1e-9 * max(1.0, js[i]):

@@ -19,7 +19,12 @@ the support of u: d + 1 on the hypercube Q_d, whatever its 2^d vertices
 reorthogonalisation on the cached sparse matrix and returns the two rows
 e_u and e_v of U(t) in the eigenbasis of the D x D tridiagonal T.  Its
 basis is capped at WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM^2 entries
-(n D), the memory a dense solve at the limit already takes.
+(n D), the memory a dense solve at the limit already takes.  A verdict
+costs a few array calls per Lanczos step and per spectrum, none per
+eigenvalue: each step updates one work vector in place, T goes straight
+to LAPACK's ?stevd (`_tridiagonal_rows`), and one `np.add.reduceat` over
+the eigenspace starts gives every eigenspace's norms, overlap, sign and
+mean eigenvalue (`_eigenspaces`).
 
 - `check_pst_conditions` stops Lanczos only at closure, where the answer
   is exact, so it decides PST on Q_12..Q_16 too and never solves n x n.
@@ -104,6 +109,8 @@ WALK_AMPLITUDE_TOL = 1e-13
 WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM ** 2
 # DGKS: a second reorthogonalisation pass when one keeps less of the norm
 DGKS_KEEP = 1.0 / math.sqrt(2.0)
+# eigenvalues closer than this times max(1, max |l|) share an eigenspace
+EIGENSPACE_REL_TOL = 1e-8
 
 
 @dataclass
@@ -265,16 +272,27 @@ def _walk_fits(n: int, x: float) -> bool:
 def _tridiagonal_rows(diagonal, couplings, row: np.ndarray) -> Spectrum:
     """Spectrum of T = tridiag(couplings, diagonal, couplings) as two rows.
 
-    With T = Y diag(theta) Y^T (LAPACK's tridiagonal solver, O(D^2)), the
-    rows are Y[0] (the first basis vector, e_u) and row @ Y, `row` being
-    the coordinates of a second vector in T's basis: `amplitude(0, 1, t)`
-    is then <row| e^{-i t T} |e_1>.
+    T = Y diag(theta) Y^T comes from LAPACK's ?stevd, the driver that
+    `scipy.linalg.eigh_tridiagonal` picks for a full spectrum, called
+    directly on arrays the caller vouches are finite: divide and conquer
+    (Cuppen's method; implicit QL/QR up to 25 rows), O(D^3) flops at worst
+    for the D x D eigenvectors Y, fewer when deflation is frequent, and
+    O(D^2) memory.  The rows are
+    Y[0] (the first basis vector, e_u) and row @ Y, `row` being the
+    coordinates of a second vector in T's basis: `amplitude(0, 1, t)` is
+    then <row| e^{-i t T} |e_1>.
     """
-    # imported here: `import pstnet` loads no scipy
-    from scipy.linalg import eigh_tridiagonal
-    theta, y = eigh_tridiagonal(np.asarray(diagonal, dtype=float),
-                                np.asarray(couplings, dtype=float))
-    return Spectrum(theta, np.vstack([y[0], row @ y]))
+    diagonal = np.asarray(diagonal, dtype=float)
+    if len(diagonal) == 1:
+        theta, y = diagonal, np.ones((1, 1))
+    else:
+        # imported here: `import pstnet` loads no scipy
+        from scipy.linalg.lapack import dstevd
+        theta, y, info = dstevd(diagonal, np.asarray(couplings, dtype=float))
+        if info:
+            raise ValueError(f"tridiagonal eigensolve of dimension {len(diagonal)} "
+                             f"failed to converge (LAPACK info {info})")
+    return Spectrum(theta, np.array([y[0], row @ y]))
 
 
 def _basis_cap_error(u: int, n: int, steps: int) -> ValueError:
@@ -295,7 +313,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     30, 1976); beta_k = ||w||.  With m vectors, M Q_m = Q_m T_m +
     beta_m q_{m+1} e_m^T.  The result is `_tridiagonal_rows` of T_m with
     the row Q[v] of the basis, so `spectrum.amplitude(0, 1, t)` is
-    <v| Q_m e^{-i t T_m} e_1 and `_pair_eigenspaces(spectrum, 0, 1, tol)`
+    <v| Q_m e^{-i t T_m} e_1 and `_eigenspaces(spectrum, 0, 1, tol)`
     sees u's support and the signs sigma_r.
 
     Stopping rules:
@@ -349,25 +367,29 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
         raise _basis_cap_error(u, n, max_steps)
     basis = np.zeros((min(max_steps, 32), n))
     basis[0, u] = 1.0
+    scratch = np.empty(n)
     alphas, betas = [], []
     beta = 0.0
     for k in range(max_steps):
         q = basis[k]
         w = matrix @ q
-        alpha = float(q @ w)
-        w -= alpha * q
+        alpha = float(q.dot(w))
+        w -= np.multiply(q, alpha, out=scratch)
         if k:
-            w -= beta * basis[k - 1]
+            w -= np.multiply(basis[k - 1], beta, out=scratch)
         kept = basis[:k + 1]
-        beta = math.sqrt(w @ w)
+        beta = math.sqrt(w.dot(w))
         for _ in range(2):
             before = beta
-            w -= (kept @ w) @ kept
-            beta = math.sqrt(w @ w)
+            w -= kept.dot(w).dot(kept, out=scratch)
+            beta = math.sqrt(w.dot(w))
             if beta > DGKS_KEEP * before:
                 break
-        alphas.append(alpha)
         m = k + 1
+        if not math.isfinite(alpha + beta):
+            raise ValueError(f"walk module of vertex {u} overflows at Lanczos step "
+                             f"{m}: alpha {alpha:.3g}, beta {beta:.3g}")
+        alphas.append(alpha)
         if beta <= closure or m == n:
             closed = True
             break
@@ -380,7 +402,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
         if m == len(basis):
             basis = np.concatenate([basis, np.zeros((min(m, max_steps - m), n))])
         betas.append(beta)
-        basis[m] = w / beta
+        np.divide(w, beta, out=basis[m])
     couplings = np.array(betas)
     if t is None and len(couplings) and couplings.min() <= WALK_CLOSURE_MARGIN * closure:
         raise ValueError(
@@ -523,9 +545,36 @@ def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[
     larger ones that float eigenvalues still pin down.  Quadratic surds
     stay outside both: their best approximations miss by about
     1/q^2 >= 1e-12.
+
+    p/q is `Fraction(x).limit_denominator(max_denominator)`, found by the
+    same continued fraction of x's exact ratio, in Python ints: the last
+    convergent within the bound or its best semiconvergent, whichever is
+    closer to x (the convergent on a tie).  A Fraction is made only for an
+    accepted p/q.
     """
-    frac = Fraction(x).limit_denominator(max_denominator)
-    return frac if abs(x - frac) <= max(tol / frac.denominator ** 2, 1e-13) else None
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
+    num, den = x.as_integer_ratio()
+    if den <= max_denominator:
+        p, q = num, den
+    else:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_denominator:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (max_denominator - q0) // q1
+        # p1/q1 is d/(q1 den) from x, and (p0 + k p1)/(q0 + k q1) lies
+        # 1/(q1 (q0 + k q1)) from p1/q1 on x's other side
+        if 2 * d * (q0 + k * q1) <= den:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+    return Fraction(p, q) if abs(x - p / q) <= max(tol / q ** 2, 1e-13) else None
 
 
 def rationality_check(eigs: Sequence[float], tol: float = DEFAULT_PST_TOL,
@@ -548,39 +597,47 @@ def rationality_check(eigs: Sequence[float], tol: float = DEFAULT_PST_TOL,
     return all(frac is not None for _, frac in witness), witness
 
 
-def _eigen_groups(eigenvalues: np.ndarray, rel_tol: float = 1e-8) -> list[np.ndarray]:
-    """Indices of near-degenerate eigenvalue clusters."""
-    scale = max(1.0, float(np.max(np.abs(eigenvalues)))) if len(eigenvalues) else 1.0
-    atol = rel_tol * scale
-    groups = []
-    start = 0
-    for i in range(1, len(eigenvalues) + 1):
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > atol:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
+@dataclass
+class _Eigenspaces:
+    """Per eigenspace E_r of a spectrum, for the rows u and v (`_eigenspaces`)."""
+
+    group: np.ndarray         # r for each eigenvalue, ascending from 0
+    mean: np.ndarray          # mean eigenvalue of E_r
+    norm_u: np.ndarray        # ||E_r e_u||
+    norm_v: np.ndarray        # ||E_r e_v||
+    overlap: np.ndarray       # <u|E_r|v>
+    support: np.ndarray       # E_r e_u != 0, to tol
+    sign: np.ndarray          # sign of <u|E_r|v> in the support, else 1
+    vector_condition: bool    # E_r e_u = sign_r E_r e_v for every r, to tol
 
 
-def _pair_eigenspaces(spec: Spectrum, u: int, v: int, tol: float
-                      ) -> tuple[bool, list[tuple[np.ndarray, bool, int]]]:
-    """Per eigenspace E of spec: (indices, E e_u != 0, sign of <u|E|v> or 1).
+def _eigenspaces(spec: Spectrum, u: int, v: int, tol: float) -> _Eigenspaces:
+    """The eigenspace table of rows u and v of spec, a few array calls long.
 
-    The flag is the vector condition: in every eigenspace the projections
-    of |u> and |v> have equal norm and are parallel, so E e_u = sigma E e_v
-    with sigma the returned sign (degeneracy-safe via eigenprojectors).
+    An eigenspace is a run of ascending eigenvalues, each within
+    EIGENSPACE_REL_TOL max(1, max |l|) of the one before; one `np.add.reduceat` over the run
+    starts sums u^2, v^2, u v and l per run.  The vector condition asks, in
+    every eigenspace, that the projections of |u> and |v> have equal norm
+    and are parallel, so that E e_u = sigma E e_v with sigma the sign
+    (degeneracy-safe via eigenprojectors).
     """
-    vecs = spec.eigenvectors
-    vec_ok = True
-    spaces = []
-    for idx in _eigen_groups(spec.eigenvalues):
-        pu, pv = vecs[u, idx], vecs[v, idx]
-        nu, nv = np.linalg.norm(pu), np.linalg.norm(pv)
-        overlap = float(pu @ pv)
-        if abs(nu - nv) > tol or (nu > tol and nv > tol and
-                                  abs(abs(overlap) - nu * nv) > tol * max(1.0, nu * nv)):
-            vec_ok = False
-        spaces.append((idx, bool(nu > tol), -1 if nu > tol and overlap < 0 else 1))
-    return vec_ok, spaces
+    values, vecs = spec.eigenvalues, spec.eigenvectors
+    pu, pv = vecs[u], vecs[v]
+    scale = max(1.0, -float(values[0]), float(values[-1]))
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.greater(values[1:] - values[:-1], EIGENSPACE_REL_TOL * scale, out=first[1:])
+    group = first.cumsum() - 1
+    sums = np.add.reduceat(np.array([pu * pu, pv * pv, pu * pv, values]),
+                           first.nonzero()[0], axis=1)
+    norm_u, norm_v, overlap = np.sqrt(sums[0]), np.sqrt(sums[1]), sums[2]
+    support = norm_u > tol
+    both = norm_u * norm_v
+    skew = abs(abs(overlap) - both) > tol * np.maximum(1.0, both)
+    broken = (abs(norm_u - norm_v) > tol) | (support & (norm_v > tol) & skew)
+    return _Eigenspaces(group, sums[3] / np.bincount(group), norm_u, norm_v, overlap,
+                        support, np.where(support & (overlap < 0), -1, 1),
+                        not broken.any())
 
 
 def _check_vertices(n: int, *vertices: int) -> None:
@@ -600,10 +657,10 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     projection of e_v on each of its eigenspaces.
 
     vector_condition: E_r e_u = sigma_r E_r e_v with sigma_r = +-1 for every
-    eigenspace E_r.  Inside W_u that is `_pair_eigenspaces` on the two
-    rows; outside, it asks ||Q[v]|| = 1 (to tol), since the sum of the
-    sigma_r E_r e_u lies in W_u, and any part of e_v outside W_u sits in
-    eigenspaces that annihilate e_u.
+    eigenspace E_r.  Inside W_u that is the eigenspace table
+    (`_eigenspaces`) of the two rows; outside, it asks ||Q[v]|| = 1 (to
+    tol), since the sum of the sigma_r E_r e_u lies in W_u, and any part of
+    e_v outside W_u sits in eigenspaces that annihilate e_u.
     rationality: every support gap ratio (l_r - l_0)/(l_max - l_0) is
     recognised as a fraction, l_0 < ... < l_max being the eigenvalues
     whose eigenspaces do not annihilate e_u.
@@ -629,11 +686,10 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     """
     walk = walk_spectrum(g, u, v, matrix_kind)
     spec = walk.spectrum
-    vec_ok, spaces = _pair_eigenspaces(spec, 0, 1, tol)
+    spaces = _eigenspaces(spec, 0, 1, tol)
     # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
-    vec_ok = vec_ok and abs(walk.v_weight - 1.0) <= tol
-    supported = [(idx, sign) for idx, in_support, sign in spaces if in_support]
-    support = np.array([float(np.mean(spec.eigenvalues[idx])) for idx, _ in supported])
+    vec_ok = spaces.vector_condition and abs(walk.v_weight - 1.0) <= tol
+    support = spaces.mean[spaces.support]
     rational, witness = rationality_check(support)
     health = (walk.dimension,
               float(walk.couplings.min()) if len(walk.couplings) else None)
@@ -647,7 +703,7 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
         lattice = [f.numerator * (scale // f.denominator) for f in fracs]
         common = math.gcd(*lattice)
         steps = [k // common for k in lattice]
-        signs = [sign for _, sign in supported]
+        signs = spaces.sign[spaces.support].tolist()
         eig_ok = all(n_r % 2 == (s_r != signs[0]) for n_r, s_r in zip(steps, signs[1:]))
     if not eig_ok:
         return PSTConditionReport(vec_ok, False, rational, support, None, 0.0, *health)
@@ -830,16 +886,14 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
     _check_vertices(g.vertex_count, u, v)
     m = graph_matrix(g, matrix_kind)
     spec = Spectrum.from_matrix(m)
-    vec_ok, spaces = _pair_eigenspaces(spec, u, v, tol)
-    if not vec_ok:
+    spaces = _eigenspaces(spec, u, v, tol)
+    if not spaces.vector_condition:
         raise ValueError(
             "eigenvector magnitude condition fails for this pair; "
             "no diagonal symmetry maps u to v and PST is impossible by this route")
     n = spec.dimension
-    s = np.zeros((n, n), dtype=complex)
-    for idx, _, sign in spaces:
-        block = spec.eigenvectors[:, idx]
-        s += sign * (block @ block.T)
+    vecs = spec.eigenvectors
+    s = ((vecs * spaces.sign[spaces.group]) @ vecs.T).astype(complex)
     eu, ev = np.eye(n)[u], np.eye(n)[v]
     commutes = np.max(np.abs(s @ m - m @ s)) <= 1e-8
     maps_pair = np.linalg.norm(s @ eu - ev) <= 1e-8

@@ -74,8 +74,10 @@ def coupling_report(cfg: CouplerConfig) -> CouplingReport:
     is g_i g_j / Delta_ij + g_ij within the rotating-wave approximation or
     (g_i g_j / 2)(1/D_i + 1/D_j - 1/S_i - 1/S_j) + g_ij beyond it.
     `dispersive` reports whether g_i < |D_i| and g_j < |D_j|, the regime
-    these second-order formulas assume.
+    these second-order formulas assume.  A coupler resonant with a qubit
+    (D_i = 0 or D_j = 0), where they diverge, raises ValueError.
     """
+    _check_detuned(cfg)
     g_i = 0.5 * (cfg.c_ic / math.sqrt(cfg.c_i * cfg.c_c)) * math.sqrt(cfg.omega_i * cfg.omega_c)
     g_j = 0.5 * (cfg.c_jc / math.sqrt(cfg.c_j * cfg.c_c)) * math.sqrt(cfg.omega_j * cfg.omega_c)
     eta = cfg.c_ic * cfg.c_jc / (cfg.c_ij * cfg.c_c)
@@ -98,9 +100,18 @@ def coupling_report(cfg: CouplerConfig) -> CouplingReport:
         g_i=g_i, g_j=g_j, g_ij=g_ij, eta_ij=eta,
         delta_i=d_i, delta_j=d_j, sigma_i=s_i, sigma_j=s_j,
         delta_ij=delta_ij, g_rwa=g_rwa, g_brwa=g_brwa,
-        omega_i_shifted=cfg.omega_i + (g_i ** 2 / d_i if d_i else math.inf),
-        omega_j_shifted=cfg.omega_j + (g_j ** 2 / d_j if d_j else math.inf),
+        omega_i_shifted=cfg.omega_i + g_i ** 2 / d_i,
+        omega_j_shifted=cfg.omega_j + g_j ** 2 / d_j,
         dispersive=g_i < abs(d_i) and g_j < abs(d_j), rwa_singular=singular)
+
+
+def _check_detuned(cfg: CouplerConfig) -> None:
+    """Raise ValueError naming the first qubit the coupler is resonant with."""
+    for qubit, omega in (("i", cfg.omega_i), ("j", cfg.omega_j)):
+        if omega == cfg.omega_c:
+            raise ValueError(f"coupler at omega_c = {cfg.omega_c} is resonant with "
+                             f"qubit {qubit} (omega_{qubit} = {omega}): the dispersive "
+                             f"couplings diverge there")
 
 
 def identical_qubit_coupling(cfg: CouplerConfig) -> float:
@@ -108,6 +119,7 @@ def identical_qubit_coupling(cfg: CouplerConfig) -> float:
     g = [omega_c^2 eta / (Delta Sigma) + eta + 1] C_ij omega / (2 sqrt(C_i C_j))."""
     if cfg.omega_i != cfg.omega_j:
         raise ValueError("shortcut requires identical qubit frequencies")
+    _check_detuned(cfg)
     omega = cfg.omega_i
     eta = cfg.c_ic * cfg.c_jc / (cfg.c_ij * cfg.c_c)
     delta = omega - cfg.omega_c

@@ -33,6 +33,16 @@ def test_chain_spec_rejects_asymmetric():
         ChainSpec((1.0, 2.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_chain_spec_rejects_non_finite_couplings(bad):
+    # inf passed both the sign and the mirror test, and NaN compares false
+    # to both, so neither was refused before the tridiagonal solve
+    with pytest.raises(ValueError, match=f"coupling 1 is not finite: {bad}"):
+        ChainSpec((1.0, bad, 1.0))
+    with pytest.raises(ValueError, match="coupling 0 is not finite"):
+        ChainSpec((bad,))
+
+
 def test_rejects_single_site():
     with pytest.raises(ValueError):
         pst_chain(1)
@@ -101,11 +111,11 @@ def test_chain_partial_time():
 
 
 def test_long_chain_takes_no_n_by_n_solve(monkeypatch):
-    import scipy.linalg
+    import scipy.linalg.lapack
     limit = chains.CHAIN_TRIDIAGONAL_MAX_SITES
     rep = chain_pst_verify(pst_chain(limit), math.pi / 2)
     assert rep.backend == "chain" and rep.passed
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd",
                         lambda *a, **k: pytest.fail("n x n tridiagonal solve"))
     rep = chain_pst_verify(pst_chain(limit + 1), math.pi / 2)
     assert rep.backend == "krylov" and rep.passed

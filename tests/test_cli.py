@@ -523,6 +523,22 @@ def test_transmon_refuses_a_sweep_of_too_many_points(tmp_path):
     assert not out.exists()
 
 
+def test_transmon_sweep_refuses_a_coupler_resonant_with_a_qubit(tmp_path):
+    # the 11th point of 3.5..4.5 is omega_c = omega_i = 4, where g_brwa divides
+    # by Delta_i = 0: this used to end in a ZeroDivisionError traceback, exit 1
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    done = _python_m_pstnet("transmon", "--config", str(cfg), "--sweep",
+                            "wc:3.5:4.5:0.05", "--csv", str(out), timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("coupler at omega_c = 4.0 is resonant with qubit i "
+                           "(omega_i = 4.0): the dispersive couplings diverge there\n")
+    assert not out.exists()
+
+
 def test_pst_refuses_a_csv_grid_of_too_many_points(tmp_path):
     # 10^12 + 1 rows used to end in a MemoryError traceback with exit 1
     out = tmp_path / "o.csv"

@@ -174,8 +174,14 @@ def _qr_deflation(matrix, mu):
     """The per-eigenvalue-group QR deflation the one shifted eigh replaced."""
     mu_dir = mu / np.linalg.norm(mu)
     w, v = np.linalg.eigh(matrix)
+    atol = 1e-9 * max(1.0, float(np.max(np.abs(w))))
+    groups, start = [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > atol:
+            groups.append(np.arange(start, i))
+            start = i
     values, blocks = [], []
-    for idx in spectral._eigen_groups(w, rel_tol=1e-9):
+    for idx in groups:
         block = v[:, idx]
         overlap = block.T @ mu_dir
         if np.linalg.norm(overlap) > 1e-8:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from pstnet import spectral
@@ -244,6 +245,59 @@ def test_rationality_accepts_noisy_rationals():
     assert flag
 
 
+def _limit_denominator_rule(x, tol, q):
+    """The recognition rule on `Fraction.limit_denominator`, as it was written."""
+    frac = Fraction(x).limit_denominator(q)
+    return frac if abs(x - frac) <= max(tol / frac.denominator ** 2, 1e-13) else None
+
+
+DENOMINATORS = st.sampled_from([1, 10, 999, 10 ** 6])
+TOLERANCES = st.sampled_from([spectral.DEFAULT_PST_TOL, 1e-6])
+
+
+def _nudged(frac, ulps):
+    x = float(frac)
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, step)
+    return x
+
+
+# near-ties: the midpoint of two fractions with small denominators, which is
+# a float itself when its denominator is a power of two (0.5 at q = 1), a few
+# ulps either side; near-rationals: p/q moved by up to 1e-12
+NEAR_TIES = st.builds(
+    lambda a, b, c, d, ulps: _nudged((Fraction(a % (b + 1), b) + Fraction(c % (d + 1), d)) / 2,
+                                     ulps),
+    st.integers(0, 2000), st.integers(1, 2000), st.integers(0, 2000), st.integers(1, 2000),
+    st.integers(-3, 3))
+NEAR_RATIONALS = st.builds(
+    lambda p, q, e: min(1.0, max(0.0, p % (q + 1) / q + e)),
+    st.integers(0, 10 ** 7), st.integers(1, 10 ** 7), st.floats(-1e-12, 1e-12))
+RATIOS = st.one_of(st.floats(min_value=0.0, max_value=1.0), NEAR_TIES, NEAR_RATIONALS)
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(x=RATIOS, q=DENOMINATORS, tol=TOLERANCES)
+# an exact tie, 1/2 between 0/1 and 1/1, accepted and refused
+@example(x=0.5, q=1, tol=0.5)
+@example(x=0.5, q=1, tol=1e-9)
+def test_recognize_rational_is_the_limit_denominator_rule(x, q, tol):
+    got = spectral._recognize_rational(x, tol, q)
+    want = _limit_denominator_rule(x, tol, q)
+    assert got == want and type(got) is type(want)
+
+
+def test_recognize_rational_breaks_an_exact_tie_toward_the_convergent():
+    # 1/2 lies halfway between 0/1 and 1/1; limit_denominator keeps the
+    # convergent 0/1, and the surd floor then refuses it
+    assert Fraction(0.5).limit_denominator(1) == 0
+    assert spectral._recognize_rational(0.5, 0.5, 1) == 0
+    assert spectral._recognize_rational(0.5, 1e-9, 1) is None
+    with pytest.raises(ValueError, match="at least 1"):
+        spectral._recognize_rational(0.5, 1e-9, 0)
+
+
 # --- scans ---------------------------------------------------------------------
 
 def test_scan_k2():
@@ -409,6 +463,25 @@ def test_symmetry_squares_to_identity_for_real_hamiltonians(g, u, v):
     rep = symmetry_operator(g, u, v)
     n = g.vertex_count
     np.testing.assert_allclose(rep.operator @ rep.operator, np.eye(n), atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+@pytest.mark.parametrize("g,u,v", [(complete_graph(5), 0, 0), (cycle_graph(8), 0, 4),
+                                   (hypercube(3), 0, 7)], ids=["K5", "C8", "Q3"])
+def test_symmetry_operator_on_degenerate_eigenspaces(g, u, v, kind):
+    m = graph_matrix(g, kind)
+    spaces = spectral._eigenspaces(Spectrum.from_matrix(m), u, v,
+                                   spectral.DEFAULT_CONDITION_TOL)
+    assert np.bincount(spaces.group).max() > 1
+    # E_r e_u = sign_r E_r e_v: equal norms, parallel, and u's weights sum to 1
+    np.testing.assert_allclose(spaces.norm_u, spaces.norm_v, atol=1e-12)
+    np.testing.assert_allclose(spaces.overlap, spaces.sign * spaces.norm_u ** 2, atol=1e-12)
+    assert np.sum(spaces.norm_u[spaces.support] ** 2) == pytest.approx(1.0, abs=1e-12)
+    rep = symmetry_operator(g, u, v, kind)
+    assert rep.commutes and rep.maps_pair
+    s = rep.operator
+    np.testing.assert_allclose(s @ m, m @ s, atol=1e-12)
+    np.testing.assert_allclose(s[:, u], np.eye(g.vertex_count)[v], atol=1e-12)
 
 
 def test_symmetry_operator_solves_once(monkeypatch):

@@ -42,6 +42,20 @@ def test_singular_effective_detuning_flagged():
     assert math.isinf(rep.delta_ij)
 
 
+@pytest.mark.parametrize("omega_j, qubit", [(4.0, "i"), (6.0, "i"), (3.0, "j")])
+def test_resonant_coupler_is_refused(omega_j, qubit):
+    # 1/Delta diverges at omega_c = omega_i (or omega_j); the report used to
+    # end in ZeroDivisionError there
+    wc = 4.0 if qubit == "i" else omega_j
+    cfg = CouplerConfig(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=4.0, c_jc=4.2,
+                        c_ij=0.1, omega_i=4.0, omega_j=omega_j, omega_c=wc)
+    with pytest.raises(ValueError, match=f"omega_c = {wc} is resonant with qubit {qubit} "):
+        coupling_report(cfg)
+    if omega_j == 4.0:
+        with pytest.raises(ValueError, match="resonant with qubit i"):
+            identical_qubit_coupling(cfg)
+
+
 def test_brwa_equals_substituted_shortcut():
     cfg = reference_parameters(5.0)
     for wc in (4.5, 5.4, 7.0, 9.0):

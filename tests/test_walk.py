@@ -266,6 +266,23 @@ def test_nearly_closed_walk_module_is_refused(eps, refused):
         assert rep.min_coupling == pytest.approx(eps, rel=1e-9)
 
 
+def test_overflowing_walk_is_refused_at_its_first_step():
+    # ||w||^2 = 2e320 overflows: the walk refuses with one line at step 1
+    # instead of carrying inf and NaN into the tridiagonal solve
+    g = path_graph(4)
+    big = make_graph(4, [(0, 1, 1e160), (1, 2, 1e160), (2, 3, 1e160)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="walk module of vertex 0 overflows at "
+                                             "Lanczos step 1: alpha 0, beta inf"):
+            check_pst_conditions(big, 0, 3)
+        with pytest.raises(ValueError, match="overflows at Lanczos step 1"):
+            transfer_amplitude(big, 0, 3, 1e-200)
+    # 1e150 still squares within range, and scales the verdict by 1e150
+    scaled = make_graph(4, [(0, 1, 1e150), (1, 2, 1e150), (2, 3, 1e150)])
+    assert check_pst_conditions(scaled, 0, 3).walk_dimension == \
+        check_pst_conditions(g, 0, 3).walk_dimension == 4
+
+
 def test_pst_answers_q14_beyond_the_dense_limit(capsys):
     assert run(["pst", "--graph", "q14", "--from", "0", "--to", "16383", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
