@@ -22,9 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import (DEFAULT_PST_TOL, TransferReport, _krylov_entry,
-                       _transfer_report, _tridiagonal_rows, max_fidelity_scan,
-                       walk_spectrum)
+from .spectral import (TransferReport, _krylov_entry, _transfer_report,
+                       _tridiagonal_rows, max_fidelity_scan, walk_spectrum)
 from .graphs import hypercube, path_graph
 
 # the projected couplings must equal sqrt(i (k + 1 - i)) to this
@@ -108,11 +107,11 @@ def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
         from scipy.sparse import diags_array
         matrix = diags_array([js, js], offsets=[1, -1], format="csr")
         amp = _krylov_entry(matrix, 0, n - 1, t)
-        return _transfer_report(amp, t, DEFAULT_PST_TOL, (0, n - 1), "krylov")
+        return _transfer_report(amp, t, (0, n - 1), "krylov")
     end = np.zeros(n)
     end[-1] = 1.0
     amp = _tridiagonal_rows(np.zeros(n), js, end).amplitude(0, 1, t)
-    return _transfer_report(amp, t, DEFAULT_PST_TOL, (0, n - 1), "chain")
+    return _transfer_report(amp, t, (0, n - 1), "chain")
 
 
 def unmodulated_chain_spectrum(n: int) -> np.ndarray:

@@ -25,13 +25,14 @@ with mu2's eigenvalue shifted to the top) gives eta + lift with the n
 eigenvectors [0; y kron e_i]: n(1 + k) pairs in all.
 
 Applied to G^(m) = G^(m-1) o G level by level, the formula gives the seed
-rows of G^(m)'s spectrum as n 2^m terms without building G^(m)
-(`corona_seed_spectrum`), at O(n 2^m) per time after one dense solve of
-the seed instead of one of n(n + 1)^m vertices.  `fidelity_vs_m` scans
-these terms at every order m >= 1 of a seed that meets the hypotheses,
-which are on the seed alone.  Otherwise it builds the product and scans
-the walk module of the pair's source vertex (`spectral.max_fidelity_scan`),
-as it does for the seed itself at m = 0, so no n x n matrix is solved.
+rows of G^(m)'s spectrum as n 2^m terms without building G^(m), one
+`_corona_level` per order after one dense solve of the seed instead of
+one of n(n + 1)^m vertices (`corona_seed_spectrum`).  `fidelity_vs_m`
+maps only the pair's two rows, 2 n 2^m entries, and scans them at every
+order m >= 1 of a seed that meets the hypotheses, which are on the seed
+alone.  Otherwise it builds the product and scans the walk module of the
+pair's source vertex (`spectral.max_fidelity_scan`), as it does for the
+seed itself at m = 0, so no n x n matrix is solved.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 
 from .graphs import (MarkingScheme, SignedWeightedGraph, corona, graph_matrix,
                      markings_under, sign_degrees, sparse_matrix)
-from .spectral import (AMPLITUDE_BLOCK_ENTRIES, Spectrum, _check_dense_dim,
-                       _grid_magnitudes, _scan_points,
+from .spectral import (AMPLITUDE_BLOCK_ENTRIES, DENSE_MAX_DIM, Spectrum,
+                       _check_dense_dim, _grid_magnitudes, _scan_points,
                        max_fidelity_scan, max_fidelity_scan_spectrum)
 
 CORONA_KINDS = ("adjacency", "laplacian")
@@ -68,7 +69,7 @@ class ScanRow:
     pair: tuple[int, int]
     t_star: float
     f_star: float
-    provenance: str      # 'direct': G^(m) walked; 'recursion': corona_seed_spectrum
+    provenance: str      # 'direct': G^(m) walked; 'recursion': seed rows mapped
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,17 @@ def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingSche
     return lift, target + lift, mu2
 
 
-def _corona_roots(w1: np.ndarray, lift: int, k: int, s: float) -> np.ndarray:
-    """Both roots l of (l - l_i - lift k)(l - s) = k for each l_i in w1,
-    larger first, the two roots of l_i at positions 2i and 2i + 1."""
-    disc = np.sqrt((s - w1 - lift * k) ** 2 + 4 * k)
-    centre = s + w1 + lift * k
-    return np.column_stack((centre + disc, centre - disc)).ravel() / 2.0
+def _corona_level(values: np.ndarray, rows: np.ndarray, lift: int, k: int,
+                  s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both roots l of (l - l_i - lift k)(l - s) = k for each term (l_i, z_i),
+    larger first at positions 2i and 2i + 1, each with the rows z_i
+    sqrt(a^2 / (a^2 + k)), a = l - s: the first block of the normalised module
+    eigenvector (`corona_seed_spectrum`).  a+ a- = -k, so neither a is 0."""
+    disc = np.sqrt((s - values - lift * k) ** 2 + 4 * k)
+    centre = s + values + lift * k
+    values = np.column_stack((centre + disc, centre - disc)).ravel() / 2.0
+    a2 = (values - s) ** 2
+    return values, np.repeat(rows, 2, axis=1) * np.sqrt(a2 / (a2 + k))
 
 
 def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
@@ -149,7 +155,8 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     """Adjacency or signed Laplacian spectrum of corona(g1, g2) from the seeds'.
 
     g2 must meet the hypotheses of `_g2_constants`.  The n(1 + k) eigenpairs
-    of the module docstring are normalised, sorted and checked together:
+    of the module docstring come normalised (g1's by `_corona_level`, and y
+    has unit norm), and are sorted and checked together:
     TheoremHypothesisError is raised when max |M V - V diag(w)| exceeds
     EIGENPAIR_RESIDUAL_TOL, with M the sparse product matrix.  No dense
     product matrix is built.
@@ -158,21 +165,16 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     _check_dense_dim(n * (1 + k))
     lift, s, mu2 = _g2_constants(g2, matrix_kind, scheme)
     mu1 = np.array(markings_under(g1, scheme), dtype=float)
-    w1, x = np.linalg.eigh(graph_matrix(g1, matrix_kind))
-    roots = _corona_roots(w1, lift, k, s)
-    seeds = np.repeat(x, 2, axis=1)
+    roots, tops = _corona_level(*np.linalg.eigh(graph_matrix(g1, matrix_kind)),
+                                lift, k, s)
     eta, y = _basis_orthogonal_to_marking(graph_matrix(g2, matrix_kind), mu2)
     values = np.concatenate((roots, np.repeat(eta + lift, n)))
     vectors = np.zeros((len(values), len(values)))
-    vectors[:n, :2 * n] = seeds
-    vectors[n:, :2 * n] = (np.kron(mu2[:, None], mu1[:, None] * seeds)
+    vectors[:n, :2 * n] = tops
+    vectors[n:, :2 * n] = (np.kron(mu2[:, None], mu1[:, None] * tops)
                            * ((-1) ** lift / (roots - s)))
     for i in range(n):   # y kron e_i: node j of copy i is row n + j n + i
         vectors[n + i::n, 2 * n + i::n] = y
-    norms = np.linalg.norm(vectors, axis=0)
-    if np.any(norms == 0):
-        raise TheoremHypothesisError("constructed eigenvector vanished")
-    vectors /= norms
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
     product = sparse_matrix(corona(g1, g2, scheme), matrix_kind)[0]
@@ -206,10 +208,11 @@ def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
     sum_j e^{-i l_j t} z_j z_j^T.  It never builds G^(m): level 0 is the
     eigendecomposition of M(seed), and each level maps a term (l_i, z_i)
     to the two roots l of (l - l_i - lift k)(l - s) = k, with k = n, each
-    with rows z_i sqrt(a^2 / (a^2 + k)), a = l - s.  The seed must meet the
-    hypotheses of `_g2_constants` (TheoremHypothesisError otherwise); n
-    may not exceed DENSE_MAX_DIM, nor n 2^m RECURSION_MAX_TERMS
-    (ValueError).
+    with rows z_i sqrt(a^2 / (a^2 + k)), a = l - s (`_corona_level`).  The
+    seed must meet the hypotheses of `_g2_constants` (TheoremHypothesisError
+    otherwise); n may not exceed DENSE_MAX_DIM, nor n 2^m RECURSION_MAX_TERMS,
+    nor the n n 2^m entries DENSE_MAX_DIM^2, one dense solve at the limit
+    (ValueError, before anything is allocated).
 
     Proof, for A (lift = 0) and L (lift = 1) alike.  G^(m) is the corona of
     g1 = G^(m-1) with g2 = the seed, so the hypotheses, which are on g2
@@ -234,12 +237,13 @@ def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
         raise ValueError("order must be non-negative")
     n = seed.vertex_count
     _check_recursion_size(n, m)
+    if n * (n << m) > DENSE_MAX_DIM ** 2:
+        raise ValueError(f"corona order {m} needs {n} seed rows of {n << m} terms, "
+                         f"above the limit of {DENSE_MAX_DIM ** 2} entries")
     lift, s, _ = _g2_constants(seed, matrix_kind, scheme)
     values, rows = np.linalg.eigh(graph_matrix(seed, matrix_kind))
     for _ in range(m):
-        values = _corona_roots(values, lift, n, s)
-        a2 = (values - s) ** 2
-        rows = np.repeat(rows, 2, axis=1) * np.sqrt(a2 / (a2 + n))
+        values, rows = _corona_level(values, rows, lift, n, s)
     order = np.argsort(values, kind="stable")
     return Spectrum(values[order], rows[:, order])
 
@@ -277,35 +281,42 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     Seed vertices keep their indices in every product, so the pair persists.
     Order 0 scans the seed itself.  The recursion applies exactly when the
     matrix kind is one of CORONA_KINDS and the seed meets the hypotheses of
-    `_g2_constants`, decided once, on the seed alone.  Then every order
-    m >= 1 scans corona_seed_spectrum(seed, m), with no product built, for
-    a seed of at most DENSE_MAX_DIM vertices and up to RECURSION_MAX_TERMS
-    terms (ValueError past either, before any scan); its rows have
-    provenance 'recursion'.  Otherwise each order builds G^(m) with
-    iterate_corona, up to CORONA_SIZE_GUARD vertices.  The seed
-    and every built product are scanned by `spectral.max_fidelity_scan` on
-    the walk module of u under the chosen matrix; those rows are 'direct'.
-    A pair whose amplitude vanishes identically reads f* = 0 at t* = 0
-    (`spectral.FIDELITY_NOISE_FLOOR`), so its bytes do not depend on rounding.
+    `_g2_constants`, decided once, on the seed alone.  Then the seed is
+    solved once and its rows u and v, advanced one `_corona_level` per
+    order m >= 1, are scanned as those of corona_seed_spectrum(seed, m):
+    2 n 2^m entries and no product built, for a seed of at most
+    DENSE_MAX_DIM vertices and n 2^m_max <= RECURSION_MAX_TERMS (ValueError
+    otherwise, before any scan); those rows are 'recursion'.  Otherwise
+    each order builds G^(m) with iterate_corona, up to CORONA_SIZE_GUARD
+    vertices.  The seed and every built product are scanned by
+    `spectral.max_fidelity_scan` on the walk module of u under the chosen
+    matrix; those rows are 'direct'.  A pair whose amplitude vanishes
+    identically reads f* = 0 at t* = 0 (`spectral.FIDELITY_NOISE_FLOOR`),
+    so its bytes do not depend on rounding.
     """
     u, v = pair
-    if not (0 <= u < seed.vertex_count and 0 <= v < seed.vertex_count):
+    n = seed.vertex_count
+    if not (0 <= u < n and 0 <= v < n):
         raise ValueError("pair must index seed vertices")
     if m_max < 0:
         raise ValueError("order must be non-negative")
     recursion = m_max >= 1 and matrix_kind in CORONA_KINDS
     if recursion:
         try:
-            _g2_constants(seed, matrix_kind, scheme)
+            lift, s, _ = _g2_constants(seed, matrix_kind, scheme)
         except TheoremHypothesisError:
             recursion = False
         else:
-            _check_recursion_size(seed.vertex_count, m_max)
+            _check_recursion_size(n, m_max)
+            values, pair_rows = np.linalg.eigh(graph_matrix(seed, matrix_kind))
+            pair_rows = pair_rows[[u, v]]
     rows = []
     for m in range(m_max + 1):
         if recursion and m:
-            spectrum = corona_seed_spectrum(seed, m, matrix_kind, scheme)
-            t_star, f_star = max_fidelity_scan_spectrum(spectrum, u, v, t_max, dt)
+            values, pair_rows = _corona_level(values, pair_rows, lift, n, s)
+            order = np.argsort(values, kind="stable")
+            spectrum = Spectrum(values[order], pair_rows[:, order])
+            t_star, f_star = max_fidelity_scan_spectrum(spectrum, 0, 1, t_max, dt)
         else:
             product = iterate_corona(seed, m, scheme) if m else seed
             t_star, f_star = max_fidelity_scan(product, u, v, t_max, dt, matrix_kind)

@@ -274,17 +274,17 @@ class QuditTransferResult:
 
 
 def qudit_transfer(family: CommutingFamily, state: QuditState, m: int,
-                   t0: float, tol: float = 1e-8) -> QuditTransferResult:
+                   t0: float) -> QuditTransferResult:
     """Transport a qudit from its site to site m under the hopping Hamiltonian.
 
     Each excitation level rides the single-particle amplitude independently,
-    level j picking up f^j.  When |f_m(t0)| = 1 within tol the output is the
+    level j picking up f^j.  When |f_m(t0)| = 1 within 1e-8 the output is the
     input spectrum relocated to m with level phases j*arg(f); otherwise the
     achievable fidelity |sum_j |alpha_j|^2 f^j| is reported instead.
     """
     f = transfer_amplitude_qudit(family, m, t0, source=state.site)
     phase = polar(f)[1]
-    if abs(abs(f) - 1.0) <= tol:
+    if abs(abs(f) - 1.0) <= 1e-8:
         amps = tuple(a * np.exp(1j * j * phase)
                      for j, a in enumerate(state.amplitudes))
         return QuditTransferResult(QuditState(amps, m), 1.0, phase, True)

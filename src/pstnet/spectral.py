@@ -232,41 +232,30 @@ class WalkSpectrum:
 
 def _tail_log_factor(x: float, m: int) -> float:
     """log of X^m / (m! (1 - X/m)), or inf unless m > X."""
-    if x == 0.0:
-        return -math.inf
     if m <= x:
         return math.inf
+    if x == 0.0:
+        return -math.inf
     return m * math.log(x) - math.lgamma(m + 1) - math.log1p(-x / m)
-
-
-def _tail_steps(x: float) -> int:
-    """Fewest Lanczos vectors m with X^m / (m! (1 - X/m)) <= WALK_AMPLITUDE_TOL.
-
-    The tail bound of `walk_spectrum` is beta_m / ||M||_1 times this factor,
-    and beta_m <= ||M||_1, so no amplitude run at X = |t| ||M||_1 takes
-    more vectors.  The factor falls with m above X: a doubling then a
-    bisection find the first m.
-    """
-    goal = math.log(WALK_AMPLITUDE_TOL)
-    lo = math.floor(x) + 1
-    if _tail_log_factor(x, lo) <= goal:
-        return lo
-    hi = 2 * lo
-    while _tail_log_factor(x, hi) > goal:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _tail_log_factor(x, mid) <= goal else (mid, hi)
-    return hi
 
 
 def _walk_fits(n: int, x: float) -> bool:
     """True when a walk amplitude at X = |t| ||M||_1 on n vertices keeps its
-    basis, at most n min(n, `_tail_steps`(X)) entries, within
-    WALK_BASIS_MAX_ENTRIES: the one rule by which `walk_spectrum` refuses a
-    timed walk and `transfer_amplitude` takes a Krylov column instead.
-    Up to n^2 <= WALK_BASIS_MAX_ENTRIES it holds at any X, uncounted."""
-    return n * n <= WALK_BASIS_MAX_ENTRIES or n * _tail_steps(x) <= WALK_BASIS_MAX_ENTRIES
+    basis within WALK_BASIS_MAX_ENTRIES: the one rule by which `walk_spectrum`
+    refuses a timed walk and `transfer_amplitude` takes a Krylov column instead.
+    Up to n^2 <= WALK_BASIS_MAX_ENTRIES it holds at any X, uncounted; past
+    that, m = WALK_BASIS_MAX_ENTRIES // n vectors fit.  The tail bound of
+    `walk_spectrum` is beta_m / ||M||_1 <= 1 times X^m / (m! (1 - X/m)), a
+    factor that falls as m grows past X, so the first m that brings it under
+    WALK_AMPLITUDE_TOL fits exactly when this m does.  X >= 2^53 raises
+    ValueError: doubles that large lie 1 or more apart."""
+    if n * n <= WALK_BASIS_MAX_ENTRIES:
+        return True
+    if not x < 2.0 ** 53:
+        raise ValueError(f"walk amplitude at |t| ||M||_1 = {x:.3g} is refused: "
+                         f"past 2^53 its phase has no digit below a radian")
+    steps = WALK_BASIS_MAX_ENTRIES // n
+    return _tail_log_factor(x, steps) <= math.log(WALK_AMPLITUDE_TOL)
 
 
 def _tridiagonal_rows(diagonal, couplings, row: np.ndarray) -> Spectrum:
@@ -352,8 +341,8 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
 
     The basis holds at most WALK_BASIS_MAX_ENTRIES entries, n m; a run
     that needs more raises ValueError with one line.  With a time t, a run
-    whose tail bound might need more (`_walk_fits`) raises it before any
-    Lanczos step.
+    whose tail bound might need more (`_walk_fits`, one evaluation at the
+    most vectors the cap allows) raises it before any Lanczos step.
     """
     n = g.vertex_count
     _check_vertices(n, u, v)
@@ -475,8 +464,7 @@ def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
 
 
 def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
-                       matrix_kind: str = "adjacency",
-                       tol: float = DEFAULT_PST_TOL) -> TransferReport:
+                       matrix_kind: str = "adjacency") -> TransferReport:
     """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix.
 
     The walk module of u (`walk_spectrum` at time t, backend 'lanczos'),
@@ -492,7 +480,7 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
         amp, backend = walk.spectrum.amplitude(0, 1, t), "lanczos"
     else:
         amp, backend = _krylov_entry(matrix, u, v, t), "krylov"
-    return _transfer_report(amp, t, tol, (u, v), backend)
+    return _transfer_report(amp, t, (u, v), backend)
 
 
 def polar(amp: complex) -> tuple[float, float]:
@@ -511,10 +499,10 @@ def polar(amp: complex) -> tuple[float, float]:
     return mag, float(np.arctan2(amp.imag, amp.real))
 
 
-def _transfer_report(amp: complex, t: float, tol: float, pair: tuple[int, int],
+def _transfer_report(amp: complex, t: float, pair: tuple[int, int],
                      backend: str) -> TransferReport:
     mag, phase = polar(amp)
-    return TransferReport(mag, phase, t, mag >= 1.0 - tol, pair, backend)
+    return TransferReport(mag, phase, t, mag >= 1.0 - DEFAULT_PST_TOL, pair, backend)
 
 
 def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
@@ -647,8 +635,7 @@ def _check_vertices(n: int, *vertices: int) -> None:
 
 
 def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
-                         matrix_kind: str = "adjacency",
-                         tol: float = DEFAULT_CONDITION_TOL) -> PSTConditionReport:
+                         matrix_kind: str = "adjacency") -> PSTConditionReport:
     """Exact spectral PST test for the pair (u, v): no time search.
 
     Everything is read off the walk module W_u of u (`walk_spectrum`, run
@@ -657,10 +644,10 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     projection of e_v on each of its eigenspaces.
 
     vector_condition: E_r e_u = sigma_r E_r e_v with sigma_r = +-1 for every
-    eigenspace E_r.  Inside W_u that is the eigenspace table
-    (`_eigenspaces`) of the two rows; outside, it asks ||Q[v]|| = 1 (to
-    tol), since the sum of the sigma_r E_r e_u lies in W_u, and any part of
-    e_v outside W_u sits in eigenspaces that annihilate e_u.
+    eigenspace E_r, to DEFAULT_CONDITION_TOL.  Inside W_u that is the
+    eigenspace table (`_eigenspaces`) of the two rows; outside, it asks
+    ||Q[v]|| = 1, since the sum of the sigma_r E_r e_u lies in W_u, and any
+    part of e_v outside W_u sits in eigenspaces that annihilate e_u.
     rationality: every support gap ratio (l_r - l_0)/(l_max - l_0) is
     recognised as a fraction, l_0 < ... < l_max being the eigenvalues
     whose eigenspaces do not annihilate e_u.
@@ -686,6 +673,7 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     """
     walk = walk_spectrum(g, u, v, matrix_kind)
     spec = walk.spectrum
+    tol = DEFAULT_CONDITION_TOL
     spaces = _eigenspaces(spec, 0, 1, tol)
     # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
     vec_ok = spaces.vector_condition and abs(walk.v_weight - 1.0) <= tol
@@ -855,15 +843,9 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     spread = float(np.ptp(support)) if len(support) else 0.0
     grid_err = 0.5 * (0.5 * spread * dt) ** 2 + 1e-12
     candidates = np.flatnonzero(mags >= top - grid_err)
-    seeds = []
-    run_start = 0
-    for i in range(1, len(candidates) + 1):
-        if i == len(candidates) or candidates[i] != candidates[i - 1] + 1:
-            run = candidates[run_start:i]
-            seeds.append(int(run[np.argmax(mags[run])]))
-            run_start = i
     best_t, best_f = 0.0, -1.0
-    for k in seeds:
+    for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
+        k = int(run[np.argmax(mags[run])])
         t_ref, f_ref = _refine_peak(spec, u, v, float(ts[k]), dt)
         if f_ref > best_f + 1e-12:
             best_t, best_f = t_ref, f_ref
@@ -874,8 +856,7 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
 # symmetry and phase structure
 
 def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
-                      matrix_kind: str = "adjacency",
-                      tol: float = DEFAULT_CONDITION_TOL) -> SymmetryReport:
+                      matrix_kind: str = "adjacency") -> SymmetryReport:
     """Construct S = sum e^{i phi_j} |l_j><l_j| mapping |u> to |v>.
 
     Phases are fixed per eigenspace by phi = arg<u|P|v>; eigenspaces with
@@ -886,7 +867,7 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
     _check_vertices(g.vertex_count, u, v)
     m = graph_matrix(g, matrix_kind)
     spec = Spectrum.from_matrix(m)
-    spaces = _eigenspaces(spec, u, v, tol)
+    spaces = _eigenspaces(spec, u, v, DEFAULT_CONDITION_TOL)
     if not spaces.vector_condition:
         raise ValueError(
             "eigenvector magnitude condition fails for this pair; "
@@ -910,13 +891,12 @@ def graph_distance(g: SignedWeightedGraph, u: int, v: int) -> int:
 
 
 def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float,
-                          matrix_kind: str = "adjacency",
-                          angle_tol: float = 1e-6) -> BipartitePhaseReport:
+                          matrix_kind: str = "adjacency") -> BipartitePhaseReport:
     """Classify the transfer phase of a bipartite PST pair.
 
     Real Hamiltonians on bipartite graphs transfer with phase +/-1 at even
     distance and +/-i at odd distance; the measured phase must land in the
-    parity-allowed set within angle_tol radians.
+    parity-allowed set within 1e-6 radians.
     """
     # bipartite iff the all-negative signing is balanced
     all_negative = SignedWeightedGraph(g.vertex_count, edge_table(*g.edge_arrays[:2], -1.0))
@@ -931,9 +911,9 @@ def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float,
     classes = {"+1": 0.0, "-1": math.pi, "+i": math.pi / 2, "-i": -math.pi / 2}
     allowed = ("+1", "-1") if parity == "even" else ("+i", "-i")
     best = min(allowed, key=lambda c: abs(_angle_diff(phase, classes[c])))
-    if abs(_angle_diff(phase, classes[best])) > angle_tol:
+    if abs(_angle_diff(phase, classes[best])) > 1e-6:
         raise ValueError(
-            f"transfer phase {phase} not within {angle_tol} of the "
+            f"transfer phase {phase} not within 1e-06 of the "
             f"{parity}-distance classes {allowed}")
     return BipartitePhaseReport(parity, best, phase)
 

@@ -359,6 +359,28 @@ def test_corona_refuses_a_seed_past_the_dense_limit(seed):
                            f"the limit of 8192\n")
 
 
+def test_corona_scan_maps_two_seed_rows_per_order():
+    # 300 * 2^11 terms: all 300 seed rows would take 1.5 GB, the two scanned 10 MB
+    done = _python("-c", "from pstnet.corona_lab import fidelity_vs_m; "
+                         "from pstnet.graphs import cycle_graph; "
+                         "rows = fidelity_vs_m(cycle_graph(300), (0, 150), 11, "
+                         "t_max=0.0, dt=1.0).rows; "
+                         "print(len(rows), rows[-1].provenance)",
+                   memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "12 recursion\n", "")
+
+
+def test_all_seed_rows_past_the_dense_memory_are_refused():
+    done = _python("-c", "from pstnet.corona_lab import corona_seed_spectrum; "
+                         "from pstnet.graphs import cycle_graph; "
+                         "corona_seed_spectrum(cycle_graph(500), 11)",
+                   memory_limit=1_000_000_000, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        "ValueError: corona order 11 needs 500 seed rows of 1024000 terms, "
+        "above the limit of 67108864 entries")
+
+
 def test_corona_refuses_a_negative_order(capsys):
     seed = Path(pstnet.__file__).parent / "data" / "corona_examples" / "example01.graph"
     assert run(["corona", "--seed", str(seed), "--pairs", "0,2", "--m", "-1"]) == 2
@@ -548,6 +570,18 @@ def test_pst_refuses_a_csv_grid_of_too_many_points(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == ("--tmax 1000000000.0 and --dt 0.001 ask for more than "
                            "1000000 time points\n")
+    assert not out.exists()
+
+
+def test_pst_refuses_a_walk_time_past_two_to_the_53(tmp_path, capsys):
+    # |t| ||M||_1 = 1.4e308 on Q_14 used to end in a "math domain error"
+    # traceback with exit 1
+    out = tmp_path / "o.csv"
+    assert run(["pst", "--graph", "q14", "--from", "0", "--to", "1", "--tmax", "1e307",
+                "--dt", "1e302", "--csv", str(out)]) == 2
+    assert capsys.readouterr() == ("", "walk amplitude at |t| ||M||_1 = 1.4e+308 is "
+                                       "refused: past 2^53 its phase has no digit "
+                                       "below a radian\n")
     assert not out.exists()
 
 

@@ -360,6 +360,21 @@ def test_recursion_matches_the_direct_solve(name, kind):
                 assert abs(row.t_star - t_star) <= 1e-8
 
 
+@pytest.mark.parametrize("name, kind", RECURSION_CASES)
+def test_recursion_rows_scan_the_seed_rows_of_the_spectrum(name, kind):
+    """Mapping only rows u and v per order scans exactly as all n rows do."""
+    seed = SEEDS[name]()
+    n = seed.vertex_count
+    spectra = [corona_seed_spectrum(seed, m, kind) for m in (1, 2, 3)]
+    for u in range(n):
+        for v in range(n):
+            rows = fidelity_vs_m(seed, (u, v), 3, kind, t_max=5.0).rows[1:]
+            assert [row.provenance for row in rows] == ["recursion"] * 3
+            for row, spec in zip(rows, spectra):
+                assert (row.t_star, row.f_star) == max_fidelity_scan_spectrum(
+                    spec, u, v, 5.0, 0.005)
+
+
 def test_recursion_builds_no_product_and_solves_only_the_seed(signed_square, monkeypatch):
     def refuse(*args, **kwargs):
         pytest.fail("iterate_corona called for a seed that meets the theorem")

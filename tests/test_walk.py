@@ -219,13 +219,46 @@ def test_tail_bound_holds_where_the_run_stops():
             assert abs(got - exact[v]) <= WALK_AMPLITUDE_TOL + 1e-14
 
 
-def test_tail_steps_is_the_first_m_under_the_bound():
-    for x in (0.0, 0.3, 1.0, 7.5, 34.6, 120.0, 1e4):
-        m = spectral._tail_steps(x)
-        factor = spectral._tail_log_factor
-        assert factor(x, m) <= math.log(WALK_AMPLITUDE_TOL)
-        if m > 1:
-            assert factor(x, m - 1) > math.log(WALK_AMPLITUDE_TOL)
+def _tail_steps(x):
+    """Fewest Lanczos vectors m with X^m / (m! (1 - X/m)) <= WALK_AMPLITUDE_TOL,
+    found by doubling then bisection: the search `_walk_fits` replaces."""
+    goal, factor = math.log(WALK_AMPLITUDE_TOL), spectral._tail_log_factor
+    lo = math.floor(x) + 1
+    if factor(x, lo) <= goal:
+        return lo
+    hi = 2 * lo
+    while factor(x, hi) > goal:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if factor(x, mid) <= goal else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("n", [8193, 16384, 65536, 1 << 20, 1 << 26, (1 << 26) + 1])
+def test_walk_fits_is_the_tail_search_evaluated_once(n):
+    cap = spectral.WALK_BASIS_MAX_ENTRIES
+    steps = cap // n
+    xs = [0.0, 0.3, 1.0, 7.5, 34.6, 120.0, *np.geomspace(1e-3, 1e15, 300)]
+    xs += [steps * (1 - 1e-12), float(steps), steps * (1 + 1e-12)]
+    # the largest X that `steps` vectors still cover, to the last bit
+    lo, hi = 0.0, float(max(steps, 1))
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _tail_steps(mid) <= steps else (lo, mid)
+    xs += [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, math.inf)]
+    fits = [spectral._walk_fits(n, x) for x in xs]
+    assert fits == [n * _tail_steps(x) <= cap for x in xs]
+    assert any(fits) == (steps > 0)
+    for x in (2.0 ** 53, 1e300, math.inf):
+        with pytest.raises(ValueError, match=r"^walk amplitude at \|t\| \|\|M\|\|_1 = "
+                                             r".* is refused: past 2\^53"):
+            spectral._walk_fits(n, x)
+    # the search itself failed there
+    with pytest.raises((ValueError, OverflowError)):
+        _tail_steps(2.0 ** 53)
+    with pytest.raises(OverflowError):
+        _tail_steps(math.inf)
 
 
 def test_basis_cap_refuses_verdicts_and_routes_amplitudes(monkeypatch):
@@ -249,6 +282,8 @@ def test_walk_fits_up_to_the_dense_limit_at_any_time():
     # Q_16: 17 vectors close the module, but m_tail(1e4) is about 27,000
     assert spectral._walk_fits(65536, 30.0)
     assert not spectral._walk_fits(65536, 1e4)
+    # up to n^2 <= cap nothing is counted, so no time is refused
+    assert spectral._walk_fits(spectral.DENSE_MAX_DIM, math.inf)
 
 
 @pytest.mark.parametrize("eps,refused", [(1e-10, True), (1e-6, False)])
