@@ -98,8 +98,11 @@ def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
     tridiagonal spectrum gives the amplitude directly (backend 'chain');
     no graph is built.  That solve keeps all n x n eigenvectors, so a chain
     of more than CHAIN_TRIDIAGONAL_MAX_SITES sites takes one Krylov column
-    of T instead (backend 'krylov'), whatever t is.
+    of T instead (backend 'krylov'), whatever t is.  A time that is NaN or
+    infinite raises ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time {t} is not finite")
     n = spec.length
     js = np.array(spec.couplings)
     if n > CHAIN_TRIDIAGONAL_MAX_SITES:
@@ -112,12 +115,6 @@ def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
     end[-1] = 1.0
     amp = _tridiagonal_rows(np.zeros(n), js, end).amplitude(0, 1, t)
     return _transfer_report(amp, t, (0, n - 1), "chain")
-
-
-def unmodulated_chain_spectrum(n: int) -> np.ndarray:
-    """Closed-form eigenvalues -2 cos(k pi / (n+1)), k = 1..n, ascending."""
-    return np.sort(np.array([-2.0 * math.cos(k * math.pi / (n + 1))
-                             for k in range(1, n + 1)]))
 
 
 def unmodulated_no_pst_scan(n: int, t_max: float,

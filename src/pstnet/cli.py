@@ -124,7 +124,7 @@ def _cmd_route(args) -> int:
         u = labeling.index_of(args.src)
         w = labeling.index_of(args.dst)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)   # str() of a KeyError quotes it
         return EXIT_INPUT
     plan = plan_route(network, labeling, u, w)
     state = np.zeros(network.vertex_count, dtype=complex)

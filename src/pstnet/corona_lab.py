@@ -254,8 +254,7 @@ def iterate_corona(seed: SignedWeightedGraph, m: int,
     """Self-corona G^(m) = G^(m-1) o G; G^(0) is the seed itself."""
     if m < 0:
         raise ValueError("order must be non-negative")
-    n = seed.vertex_count
-    if n * (n + 1) ** m > CORONA_SIZE_GUARD:
+    if corona_vertex_count(seed.vertex_count, m) > CORONA_SIZE_GUARD:
         raise ValueError(f"corona order {m} exceeds the {CORONA_SIZE_GUARD}-vertex guard")
     g = seed
     for _ in range(m):
@@ -265,11 +264,6 @@ def iterate_corona(seed: SignedWeightedGraph, m: int,
 
 def corona_vertex_count(n: int, m: int) -> int:
     return n * (n + 1) ** m
-
-
-def corona_edge_count(n: int, k: int, m: int) -> int:
-    """Edges of G^(m) for a seed with n vertices and k edges."""
-    return k + (k + n) * ((n + 1) ** m - 1)
 
 
 def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,

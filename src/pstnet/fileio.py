@@ -172,19 +172,3 @@ def emit_csv(rows: Iterable[Sequence], path: str, header: Sequence[str],
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read back an emitted CSV, skipping comment lines."""
-    header: list[str] = []
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if not header:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
-    return header, rows

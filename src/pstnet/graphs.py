@@ -131,14 +131,6 @@ class SignedWeightedGraph:
         """(CSR matrix, 1-norm) per matrix kind, filled by `sparse_matrix`."""
         return {}
 
-    def index_of(self, label: str) -> int:
-        if self.labels is None:
-            raise ValueError("graph has no labels")
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no vertex labeled {label!r}") from None
-
 
 def edge_table(u, v, signed_weight=1.0) -> np.ndarray:
     """Constructor rows (u, v, weight, sign) from endpoints and sign * weight."""
@@ -168,10 +160,6 @@ def _weighted_degrees(g: SignedWeightedGraph) -> np.ndarray:
     ends = np.column_stack((u, v)).reshape(-1)
     return np.bincount(ends, weights=np.repeat(np.abs(sw), 2),
                        minlength=g.vertex_count).astype(float, copy=False)
-
-
-def degree_matrix(g: SignedWeightedGraph) -> np.ndarray:
-    return np.diag(_weighted_degrees(g))
 
 
 def laplacian(g: SignedWeightedGraph) -> np.ndarray:

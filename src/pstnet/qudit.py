@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chains import chain_matrix, pst_chain
-from .spectral import Spectrum, polar
+from .spectral import Spectrum, _check_times, polar
 
 MAX_GENERATOR_DIM = 8
 # most entries (d + 1) n^2 of a family's dense matrices: 32 MiB of float64
@@ -74,21 +74,15 @@ def qudit_chain_hamiltonian(n: int, d: int) -> np.ndarray:
 
     Basis |site i, level m>; each internal level hops identically with
     J_i = sqrt(i (n - i)) / 2, so the matrix is the half-strength transfer
-    chain tensored with the identity on levels.  The internal-level charges
-    I_n kron eta^{r,r} commute with it, the d-level analogue of total-spin
-    conservation.
+    chain tensored with the identity on levels.  Each internal-level charge
+    I_n kron eta^{r,r} commutes with it, the d-level analogue of total-spin
+    conservation; the library does not build the charges, the tests do.
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 sites and d >= 2 levels")
     if n * d > 1024:
         raise ValueError("single-particle sector larger than 1024")
     return np.kron(chain_matrix(pst_chain(n)) / 2, np.eye(d))
-
-
-def qudit_chain_charges(n: int, d: int) -> list[np.ndarray]:
-    """Conserved level charges I_n kron eta^{r,r} of the qudit chain."""
-    gens = su_d_generators(d)
-    return [np.kron(np.eye(n), e) for e in gens.eta]
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +104,6 @@ class CommutingFamily:
     @property
     def site_count(self) -> int:
         return self.matrices[0].shape[0]
-
-    @property
-    def coupling_classes(self) -> int:
-        return len(self.matrices) - 1
 
 
 def check_family_size(n: int, d: int) -> None:
@@ -212,6 +202,7 @@ def transfer_amplitude_qudit(family: CommutingFamily, j: int, t: float,
     n = family.site_count
     if not (0 <= j < n and 0 <= source < n):
         raise ValueError("site out of range")
+    _check_times(t)
     return family_spectrum(family).amplitude(source, j, t)
 
 
@@ -235,6 +226,7 @@ def unitarity_audit(family: CommutingFamily,
     the variant with the eigenbasis column replaced by all ones does not,
     which is the reported flaw in the earlier derivation.
     """
+    _check_times(t_samples)
     spec = family_spectrum(family)
     start = np.eye(family.site_count)[0]
     dev_c = dev_u = 0.0
@@ -259,10 +251,6 @@ class QuditState:
         total = sum(abs(a) ** 2 for a in self.amplitudes)
         if abs(total - 1.0) > 1e-10:
             raise ValueError("level amplitudes must be normalized to 1e-10")
-
-    @property
-    def levels(self) -> int:
-        return len(self.amplitudes) - 1
 
 
 @dataclass(frozen=True)

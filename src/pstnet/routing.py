@@ -46,12 +46,6 @@ def antipodal(bits: str) -> str:
     return "".join("1" if c == "0" else "0" for c in bits)
 
 
-def hamming(a: str, b: str) -> int:
-    if len(a) != len(b):
-        raise ValueError("labels must have equal length")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
 @dataclass(frozen=True)
 class SwitchPlan:
     """Edge switch set for one hop: keep the induced sub-hypercube, cut the rest."""
@@ -158,18 +152,6 @@ def build_network(n: int) -> tuple[SignedWeightedGraph, NetworkLabeling]:
     return graph, NetworkLabeling(labels, _dyadic_blocks(n))
 
 
-def network_edge_count(n: int) -> int:
-    """Closed-form T(n): per constituent cube its own edges plus one bridge
-    per vertex into each larger cube."""
-    if n < 2:
-        raise ValueError("network needs at least 2 vertices")
-    total = 0
-    for i, (_, size) in enumerate(_dyadic_blocks(n)):
-        dim = size.bit_length() - 1
-        total += dim * (size >> 1) + i * size
-    return total
-
-
 def grow(network: SignedWeightedGraph, labeling: NetworkLabeling
          ) -> tuple[SignedWeightedGraph, NetworkLabeling]:
     """Add one vertex: binary-increment the last label, join at Hamming 1."""
@@ -247,13 +229,6 @@ def find_subhypercube(k: int, u: str, v: str) -> SwitchPlan:
     labeling = hypercube_labeling(k)
     return _subcube_plan(labeling, hypercube(k).edges,
                          labeling.index_of(u), labeling.index_of(v))
-
-
-def switch_off_count(k: int, i: int) -> int:
-    """Edges cut when reducing a full Q_k to an induced Q_i: k 2^(k-1) - i 2^(i-1)."""
-    if not 0 <= i <= k:
-        raise ValueError("need 0 <= i <= k")
-    return k * (1 << (k - 1)) - (i * (1 << (i - 1)) if i else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,12 @@
 `Spectrum` is the one place that turns eigenpairs into dynamics:
 U(t) = V e^{-i t diag(w)} V^T, with two kernels.  `Spectrum.apply`
 evolves a vector to one time, and `Spectrum.amplitude` gives <v|U(t)|u>
-of one pair at one time or over a grid of times (`Spectrum.propagator` is
-the full matrix at one time).  Its eigenvectors may be a block of rows.
-A dense solve (`Spectrum.from_matrix`) is refused above DENSE_MAX_DIM
-rows.  Only whole-spectrum questions still take one: the all-pairs grid
-maxima of `corona_lab`, `symmetry_operator` and `corona_spectrum`, and
-the full-spin oracle `spin_oracle_check`, the one caller of
-`Spectrum.from_graph`.
+of one pair at one time or over a grid of times.  Its eigenvectors may be
+a block of rows.  A dense solve (`Spectrum.from_matrix`) is refused above
+DENSE_MAX_DIM rows.  Only whole-spectrum questions still take one: the
+all-pairs grid maxima of `corona_lab`, `symmetry_operator` and
+`corona_spectrum`, and the full-spin oracle `spin_oracle_check`, the one
+caller of `Spectrum.from_graph`.
 
 Single-pair questions run on the walk module of u instead,
 W_u = span{M^k e_u}, whose dimension D is the number of eigenvalues in
@@ -33,7 +32,7 @@ mean eigenvalue (`_eigenspaces`).
   at a rigorous tail bound (derived in `walk_spectrum`).  A basis that
   bound may need past the cap (`_walk_fits`) is known before any work:
   `transfer_amplitude` then takes one `expm_multiply` column of the sparse
-  matrix (`krylov_amplitude`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+  matrix (`_krylov_entry`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
   2011), and its report names the backend; a series or a scan is refused.
 
 `hypercube_apply` needs no eigenpairs at all: the uniform-weight
@@ -52,7 +51,7 @@ point, then two real products per block.  `_scan_points` checks the grid
 first: finite t_max >= 0, finite dt > 0, at most SCAN_MAX_POINTS points.
 
 Transfer amplitudes, fidelities, spectral PST conditions, symmetry
-operators, bipartite phase classes and the full-spin XY oracle live here.
+operators and the full-spin XY oracle live here.
 
 `check_pst_conditions` decides PST exactly, with no time search.  Let
 l_0 < ... < l_max be the eigenvalues whose eigenspaces E_r do not
@@ -76,8 +75,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (SignedWeightedGraph, edge_table, graph_matrix, is_balanced,
-                     sparse_matrix)
+from .graphs import SignedWeightedGraph, graph_matrix, sparse_matrix
 
 DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
@@ -118,7 +116,7 @@ class Spectrum:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
     The eigenvectors may also be a block of rows of them, with one column
-    per term: `amplitude` and `propagator` then give that block of U(t), as
+    per term: `amplitude` and `apply` then act on that block of U(t), as
     for the seed rows of an iterated corona (`corona_lab.corona_seed_spectrum`).
     """
 
@@ -144,10 +142,6 @@ class Spectrum:
     @property
     def dimension(self) -> int:
         return len(self.eigenvalues)
-
-    def propagator(self, t: float) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * np.exp(-1j * t * self.eigenvalues)) @ v.T
 
     def apply(self, t: float, state: np.ndarray) -> np.ndarray:
         """U(t) @ state at one time; the caller vouches for the state."""
@@ -187,19 +181,6 @@ def hypercube_apply(dimension: int, weight: float, t: float,
     for _ in range(dimension):
         state = (gate @ state.reshape(2, -1)).T
     return state.reshape(-1)
-
-
-def krylov_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
-                     matrix_kind: str = "adjacency") -> complex:
-    """<v| exp(-i t M) |u> from one Krylov column on the sparse graph matrix.
-
-    No dense matrix and no eigensolve, so it has no size limit.  The column
-    of a unitary has norm 1; a drift past KRYLOV_NORM_TOL raises ValueError
-    rather than returning a wrong amplitude.
-    """
-    _check_vertices(g.vertex_count, u, v)
-    _check_times(t)
-    return _krylov_entry(sparse_matrix(g, matrix_kind)[0], u, v, t)
 
 
 def _krylov_entry(matrix, u: int, v: int, t: float) -> complex:
@@ -446,13 +427,6 @@ class PSTConditionReport:
     min_coupling: Optional[float]       # smallest kept Lanczos beta (None if D = 1)
 
 
-@dataclass
-class BipartitePhaseReport:
-    distance_parity: str        # 'even' or 'odd'
-    phase_class: str            # '+1', '-1', '+i' or '-i'
-    phase: float
-
-
 def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
     """Apply U(t) = sum_j e^{-i lambda_j t} |v_j><v_j| to a normalized state."""
     state = np.asarray(state, dtype=complex)
@@ -460,6 +434,7 @@ def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
         raise ValueError("state dimension does not match spectrum")
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("state must be normalized to 1e-9")
+    _check_times(t)
     return spectrum.apply(t, state)
 
 
@@ -847,6 +822,11 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
         k = int(run[np.argmax(mags[run])])
         t_ref, f_ref = _refine_peak(spec, u, v, float(ts[k]), dt)
+        if run[0] == 0:
+            # the bounded search never returns its endpoint t = 0
+            f_zero = abs(spec.amplitude(u, v, 0.0))
+            if f_ref <= f_zero + 1e-12:
+                t_ref, f_ref = 0.0, f_zero
         if f_ref > best_f + 1e-12:
             best_t, best_f = t_ref, f_ref
     return best_t, best_f
@@ -888,39 +868,6 @@ def graph_distance(g: SignedWeightedGraph, u: int, v: int) -> int:
     if math.isinf(hops):
         raise ValueError(f"vertices {u} and {v} are disconnected")
     return int(hops)
-
-
-def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float,
-                          matrix_kind: str = "adjacency") -> BipartitePhaseReport:
-    """Classify the transfer phase of a bipartite PST pair.
-
-    Real Hamiltonians on bipartite graphs transfer with phase +/-1 at even
-    distance and +/-i at odd distance; the measured phase must land in the
-    parity-allowed set within 1e-6 radians.
-    """
-    # bipartite iff the all-negative signing is balanced
-    all_negative = SignedWeightedGraph(g.vertex_count, edge_table(*g.edge_arrays[:2], -1.0))
-    if not is_balanced(all_negative)[0]:
-        raise ValueError("graph is not bipartite")
-    rep = transfer_amplitude(g, u, v, t0, matrix_kind)
-    if rep.magnitude < 1.0 - 1e-6:
-        raise ValueError(f"no PST at t0={t0}: magnitude {rep.magnitude}")
-    d = graph_distance(g, u, v)
-    parity = "even" if d % 2 == 0 else "odd"
-    phase = rep.phase
-    classes = {"+1": 0.0, "-1": math.pi, "+i": math.pi / 2, "-i": -math.pi / 2}
-    allowed = ("+1", "-1") if parity == "even" else ("+i", "-i")
-    best = min(allowed, key=lambda c: abs(_angle_diff(phase, classes[c])))
-    if abs(_angle_diff(phase, classes[best])) > 1e-6:
-        raise ValueError(
-            f"transfer phase {phase} not within 1e-06 of the "
-            f"{parity}-distance classes {allowed}")
-    return BipartitePhaseReport(parity, best, phase)
-
-
-def _angle_diff(a: float, b: float) -> float:
-    d = (a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 def periodicity_check(g: SignedWeightedGraph, u: int, t0: float,
@@ -973,18 +920,3 @@ def spin_oracle_check(g: SignedWeightedGraph, t: float, excitation_vertex: int
     for j in range(n):
         embedded[1 << j] = small[j]
     return float(np.max(np.abs(full - embedded)))
-
-
-# ---------------------------------------------------------------------------
-# signed-equivalence helper used by tests
-
-def balanced_equivalent_amplitude(g: SignedWeightedGraph, u: int, v: int,
-                                  t: float) -> tuple[float, float]:
-    """Amplitude magnitudes on (g, unsigned version of g) for balanced g."""
-    flag, _ = is_balanced(g)
-    if not flag:
-        raise ValueError("graph is not balanced")
-    a, b, sw = g.edge_arrays
-    unsigned = SignedWeightedGraph(g.vertex_count, edge_table(a, b, np.abs(sw)))
-    return (transfer_amplitude(g, u, v, t).magnitude,
-            transfer_amplitude(unsigned, u, v, t).magnitude)

@@ -114,20 +114,6 @@ def _check_detuned(cfg: CouplerConfig) -> None:
                              f"couplings diverge there")
 
 
-def identical_qubit_coupling(cfg: CouplerConfig) -> float:
-    """Shortcut for omega_i = omega_j = omega:
-    g = [omega_c^2 eta / (Delta Sigma) + eta + 1] C_ij omega / (2 sqrt(C_i C_j))."""
-    if cfg.omega_i != cfg.omega_j:
-        raise ValueError("shortcut requires identical qubit frequencies")
-    _check_detuned(cfg)
-    omega = cfg.omega_i
-    eta = cfg.c_ic * cfg.c_jc / (cfg.c_ij * cfg.c_c)
-    delta = omega - cfg.omega_c
-    sigma = omega + cfg.omega_c
-    return 0.5 * (cfg.omega_c ** 2 * eta / (delta * sigma) + eta + 1.0) \
-        * (cfg.c_ij / math.sqrt(cfg.c_i * cfg.c_j)) * omega
-
-
 @dataclass(frozen=True)
 class CutoffResult:
     omega_c_off: float
@@ -269,9 +255,3 @@ def parse_coupler_config(path: str) -> CouplerConfig:
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")
     return CouplerConfig(**values)
-
-
-def reference_parameters(omega_c: float = 5.0) -> CouplerConfig:
-    """Typical experimental parameter set used by the examples and tests."""
-    return CouplerConfig(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=4.0, c_jc=4.2,
-                         c_ij=0.1, omega_i=4.0, omega_j=4.0, omega_c=omega_c)

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from pstnet.chains import column_project, pst_chain, chain_pst_verify, \
-    unmodulated_chain_spectrum, unmodulated_no_pst_scan
+    unmodulated_no_pst_scan
 from pstnet.corona_lab import (all_pairs_max_fidelity, corona_spectrum,
                                fidelity_vs_m)
 from pstnet.graphs import (SignedWeightedGraph, adjacency, complete_graph,
@@ -21,8 +21,9 @@ from pstnet.routing import (Hop, HopPlan, build_network, execute_route,
                             find_subhypercube, plan_route, swap_baseline)
 from pstnet.spectral import (check_pst_conditions, rationality_check,
                              spin_oracle_check, transfer_amplitude)
-from pstnet.transmon import (coupling_report, find_cutoff, pst_time,
-                             reference_parameters, three_body_oracle)
+from pstnet.transmon import coupling_report, find_cutoff, pst_time, three_body_oracle
+
+from oracles import reference_parameters, unmodulated_chain_spectrum
 
 RNG = np.random.default_rng(0xC0FFEE)
 

@@ -5,11 +5,12 @@ import pytest
 
 from pstnet import chains, spectral
 from pstnet.chains import (ChainSpec, chain_matrix, chain_pst_verify,
-                           column_project, pst_chain,
-                           unmodulated_chain_spectrum, unmodulated_no_pst_scan)
+                           column_project, pst_chain, unmodulated_no_pst_scan)
 from pstnet.graphs import adjacency, hypercube, path_graph
 from pstnet.spectral import Spectrum, check_pst_conditions, evolve
 from pstnet.graphs import make_graph
+
+from oracles import unmodulated_chain_spectrum
 
 
 def test_two_site_chain():

@@ -13,8 +13,10 @@ import pstnet
 from pstnet import cli, spectral
 from pstnet.cli import run
 from pstnet.fileio import (GraphFormatError, emit_csv, fmt, parse_graph_text,
-                           read_csv, serialize_graph)
+                           serialize_graph)
 from pstnet.graphs import make_graph
+
+from oracles import read_csv
 
 K2_TEXT = "graph 2\nedge 0 1 1 +\n"
 
@@ -133,6 +135,13 @@ def test_route_worked_example(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [h["target"] for h in payload["hops"]] == ["00100", "01011"]
     assert payload["magnitude"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_route_unknown_label_is_one_plain_line(capsys):
+    assert run(["route", "--n", "2", "--from", "0", "--to", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no vertex labeled '0'\n"
 
 
 def _python(*args, memory_limit=None, timeout=120):

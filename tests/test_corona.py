@@ -8,7 +8,7 @@ import pstnet
 from pstnet import corona_lab, spectral
 from pstnet.corona_lab import (CORONA_KINDS, CORONA_SIZE_GUARD,
                                RECURSION_MAX_TERMS, TheoremHypothesisError,
-                               all_pairs_max_fidelity, corona_edge_count,
+                               all_pairs_max_fidelity,
                                corona_seed_spectrum, corona_spectrum,
                                corona_vertex_count, fidelity_vs_m,
                                iterate_corona, net_regularity)
@@ -16,7 +16,9 @@ from pstnet.fileio import parse_graph_file
 from pstnet.graphs import (MarkingScheme, SignedWeightedGraph, adjacency,
                            complete_graph, corona, cycle_graph, graph_matrix,
                            hypercube, laplacian, make_graph, path_graph)
-from pstnet.spectral import Spectrum, krylov_amplitude, max_fidelity_scan_spectrum
+from pstnet.spectral import Spectrum, max_fidelity_scan_spectrum
+
+from oracles import corona_edge_count, expm_amplitude
 
 EXAMPLES = Path(pstnet.__file__).resolve().parent / "data" / "corona_examples"
 
@@ -350,7 +352,7 @@ def test_recursion_matches_the_direct_solve(name, kind):
         rows = direct.eigenvectors[:n]
         for t in rng.uniform(0.0, 20.0, 4):
             block = (rows * np.exp(-1j * t * direct.eigenvalues)) @ rows.T
-            np.testing.assert_allclose(recursion.propagator(t), block, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(recursion.apply(t, np.eye(n)), block, rtol=0, atol=1e-12)
         for v, table in tables.items():
             row = table[m]
             assert row.provenance == ("recursion" if m else "direct")
@@ -410,7 +412,7 @@ def test_recursion_past_the_size_guard_matches_krylov(signed_square):
     table = fidelity_vs_m(signed_square, (0, 2), 5)
     row = table.rows[5]
     assert row.provenance == "recursion"
-    assert abs(abs(krylov_amplitude(g, 0, 2, row.t_star)) - row.f_star) <= 1e-9
+    assert abs(abs(expm_amplitude(g, 0, 2, row.t_star)) - row.f_star) <= 1e-9
 
 
 def test_recursion_refuses_above_its_term_cap(signed_square, monkeypatch):
@@ -485,8 +487,21 @@ def test_recursion_past_the_dense_reach_matches_krylov(kind):
         table = fidelity_vs_m(seed, (0, v), 2, kind)
         assert [r.provenance for r in table.rows] == ["direct", "recursion", "recursion"]
         row = table.rows[1]
-        amp = krylov_amplitude(product, 0, v, row.t_star, kind)
+        amp = expm_amplitude(product, 0, v, row.t_star, kind)
         assert abs(abs(amp) - row.f_star) <= 1e-9
+
+
+@pytest.mark.parametrize("seed_fn", [lambda: complete_graph(1), lambda: complete_graph(2),
+                                     lambda: cycle_graph(4), SEEDS["example01"]])
+@pytest.mark.parametrize("kind", CORONA_KINDS)
+def test_self_pairs_peak_at_time_zero(seed_fn, kind):
+    """|<u|U(t)|u>| <= 1 = |<u|U(0)|u>|; the bounded peak search never returns
+    its endpoint t = 0, so the scan keeps it whenever the search finds no more."""
+    seed = seed_fn()
+    for u in range(seed.vertex_count):
+        for row in fidelity_vs_m(seed, (u, u), 2, kind).rows:
+            assert row.t_star == 0.0
+            assert row.f_star == pytest.approx(1.0, abs=1e-12)
 
 
 # --- all-pairs grid maxima ---------------------------------------------------------

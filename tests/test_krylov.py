@@ -9,8 +9,10 @@ from scipy.linalg import expm
 
 from pstnet import chains, spectral
 from pstnet.chains import chain_pst_verify, pst_chain
-from pstnet.graphs import graph_matrix, hypercube, make_graph
-from pstnet.spectral import DENSE_MAX_DIM, krylov_amplitude, transfer_amplitude
+from pstnet.graphs import graph_matrix, hypercube, make_graph, sparse_matrix
+from pstnet.qudit import (QuditState, cycle_family, qudit_transfer,
+                          transfer_amplitude_qudit, unitarity_audit)
+from pstnet.spectral import DENSE_MAX_DIM, Spectrum, evolve, transfer_amplitude
 
 RNG = np.random.default_rng(7207)
 KINDS = ("adjacency", "laplacian", "signless_laplacian")
@@ -24,6 +26,11 @@ def random_signed_graph(n, degree=6.0):
     signs = RNG.choice([-1, 1], keep.sum())
     return make_graph(n, zip(iu[keep].tolist(), ju[keep].tolist(),
                              weights.tolist(), signs.tolist()))
+
+
+def krylov_amplitude(g, u, v, t, kind="adjacency"):
+    """The library's Krylov column kernel on the graph's sparse matrix."""
+    return spectral._krylov_entry(sparse_matrix(g, kind)[0], u, v, t)
 
 
 def cube_amplitude(k, u, v, t):
@@ -115,20 +122,28 @@ def test_krylov_column_only_past_the_basis_cap(monkeypatch):
 
 
 def test_norm_drift_is_refused(monkeypatch):
-    g = hypercube(4)
+    spec = pst_chain(chains.CHAIN_TRIDIAGONAL_MAX_SITES + 1)
     real = scipy.sparse.linalg.expm_multiply
-    assert abs(krylov_amplitude(g, 0, 15, math.pi / 2)) == pytest.approx(1.0, abs=1e-12)
+    rep = chain_pst_verify(spec, math.pi / 2)
+    assert rep.backend == "krylov"
+    assert rep.magnitude == pytest.approx(1.0, abs=1e-12)
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
                         lambda a, b: (1.0 + 1e-6) * real(a, b))
     with pytest.raises(ValueError, match="norm drift"):
-        krylov_amplitude(g, 0, 15, math.pi / 2)
+        chain_pst_verify(spec, math.pi / 2)
 
 
 @pytest.mark.parametrize("call", [
     lambda g: transfer_amplitude(g, 0, 1, math.nan),
     lambda g: transfer_amplitude(g, 0, 1, -math.inf),
-    lambda g: krylov_amplitude(g, 0, 1, math.inf),
     lambda g: spectral.transfer_series(g, 0, 1, [0.0, math.inf, 1.0]),
+    lambda g: chain_pst_verify(pst_chain(5), math.inf),
+    lambda g: chain_pst_verify(pst_chain(300), math.inf),
+    lambda g: chain_pst_verify(pst_chain(5), math.nan),
+    lambda g: transfer_amplitude_qudit(cycle_family(4), 1, math.inf),
+    lambda g: qudit_transfer(cycle_family(4), QuditState((1.0, 0.0), 0), 2, math.nan),
+    lambda g: unitarity_audit(cycle_family(4), [0.5, math.inf]),
+    lambda g: evolve(Spectrum.from_graph(g), math.inf, np.array([1.0, 0.0])),
 ])
 def test_non_finite_times_are_refused(call):
     with pytest.raises(ValueError, match=r"time (nan|inf|-inf) is not finite"):

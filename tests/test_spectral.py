@@ -12,13 +12,14 @@ from pstnet.chains import unmodulated_no_pst_scan
 from pstnet.corona_lab import all_pairs_max_fidelity
 from pstnet.graphs import (adjacency, cartesian, complete_graph, corona, cycle_graph,
                            graph_matrix, hypercube, laplacian, make_graph, path_graph)
-from pstnet.spectral import (Spectrum, balanced_equivalent_amplitude,
-                             bipartite_phase_audit, check_pst_conditions,
+from pstnet.spectral import (Spectrum, check_pst_conditions,
                              evolve, graph_distance, hypercube_apply,
                              max_fidelity_scan, max_fidelity_scan_spectrum,
                              periodicity_check, rationality_check,
                              spin_oracle_check, symmetry_operator,
                              transfer_amplitude, transfer_series)
+
+from oracles import balanced_equivalent_amplitude, bipartite_phase_audit
 
 RNG = np.random.default_rng(1851)
 
@@ -570,11 +571,13 @@ def test_unitarity_and_inverse():
 
 
 def test_composition():
-    spec = Spectrum.from_matrix(random_symmetric(5))
+    m = random_symmetric(5)
+    spec = Spectrum.from_matrix(m)
     t1, t2 = 0.83, 1.91
-    u = spec.propagator(t1 + t2)
-    np.testing.assert_allclose(u, spec.propagator(t1) @ spec.propagator(t2),
+    u = spec.apply(t1 + t2, np.eye(5))
+    np.testing.assert_allclose(u, spec.apply(t1, np.eye(5)) @ spec.apply(t2, np.eye(5)),
                                atol=1e-8)
+    np.testing.assert_allclose(u, expm(-1j * (t1 + t2) * m), atol=1e-8)
 
 
 def test_fidelity_trace_distance_sandwich():

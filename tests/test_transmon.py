@@ -6,9 +6,10 @@ import pytest
 from scipy.linalg import expm
 
 from pstnet.transmon import (CouplerConfig, coupling_report, find_cutoff,
-                             identical_qubit_coupling, parse_coupler_config,
-                             pst_time, reference_parameters,
+                             parse_coupler_config, pst_time,
                              three_body_hamiltonian, three_body_oracle)
+
+from oracles import identical_qubit_coupling, reference_parameters
 
 
 def test_eta_value():
