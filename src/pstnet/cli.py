@@ -26,7 +26,7 @@ from .graphs import (MAX_HYPERCUBE_DIM, MarkingScheme, SignedWeightedGraph,
 from .qudit import (check_family_size, commuting_family, complete_family,
                     cycle_family, family_spectrum, transfer_amplitude_qudit)
 from .routing import HopPlan, build_network, execute_route, plan_route
-from .spectral import check_pst_conditions, polar, transfer_series
+from .spectral import check_pst_conditions, polar
 from .transmon import (coupling_report, find_cutoff, parse_coupler_config,
                        pst_time)
 
@@ -40,6 +40,13 @@ EXIT_INPUT = 2
 MAX_GRID_POINTS = 1_000_000
 
 
+def _check_edges(what: str, edges: int) -> None:
+    most = MAX_HYPERCUBE_DIM << MAX_HYPERCUBE_DIM >> 1
+    if edges > most:
+        raise ValueError(f"{what} has more edges than Q_{MAX_HYPERCUBE_DIM} "
+                         f"({most}), the largest builtin")
+
+
 def _load_graph(spec: str) -> SignedWeightedGraph:
     """A file path, or a builtin name kN, pN, qN, cN with at most Q_20's edges."""
     if os.path.exists(spec):
@@ -48,13 +55,10 @@ def _load_graph(spec: str) -> SignedWeightedGraph:
     if not m:
         raise GraphFormatError(1, f"no such file or builtin graph: {spec!r}")
     kind, num = m.group(1), int(m.group(2))
-    most = MAX_HYPERCUBE_DIM << MAX_HYPERCUBE_DIM >> 1
-    # a huge qN shifts by at most 21 bits, still giving more than `most`
+    # a huge qN shifts by at most 21 bits, still giving more than Q_20's edges
     edges = {"k": num * (num - 1) // 2, "p": num - 1, "c": num,
              "q": num << min(num, MAX_HYPERCUBE_DIM + 1) >> 1}[kind]
-    if edges > most:
-        raise ValueError(f"builtin {spec} has more edges than Q_{MAX_HYPERCUBE_DIM} "
-                         f"({most}), the largest builtin")
+    _check_edges(f"builtin {spec}", edges)
     if kind == "k":
         return complete_graph(num)
     if kind == "p":
@@ -108,11 +112,10 @@ def _cmd_pst(args) -> int:
     }
     if args.csv:
         ts = [i * args.dt for i in range(int(args.tmax / args.dt) + 1)]
-        rows = transfer_series(g, args.src, args.dst, ts, matrix_kind=args.matrix)
+        rows = [(t, *polar(a)) for t, a in zip(ts, rep.walk.amplitude(np.array(ts)))]
         emit_csv(rows, args.csv, ["t", "magnitude", "phase"], VERSION_COMMENT)
     _print_payload(payload, args.json)
-    achieved = rep.eigenvalue_condition and rep.vector_condition
-    if not achieved:
+    if not (rep.eigenvalue_condition and rep.vector_condition):
         print("PST impossible for this pair", file=sys.stderr)
         return EXIT_REFUSED
     return EXIT_OK
@@ -173,6 +176,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    _check_edges(f"chain of {args.n} sites", args.n - 1)
     if args.unmodulated:
         t_star, f_star = unmodulated_no_pst_scan(args.n, args.tmax)
         rows = [(args.n, t_star, f_star)]

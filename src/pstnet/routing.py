@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import (Edge, SignedWeightedGraph, edge_table, hamming_table,
-                     hypercube)
+from .graphs import (MAX_HYPERCUBE_DIM, Edge, SignedWeightedGraph, edge_table,
+                     hamming_table, hypercube)
 from .spectral import TransferReport, hypercube_apply, polar
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
@@ -142,10 +142,13 @@ def build_network(n: int) -> tuple[SignedWeightedGraph, NetworkLabeling]:
     Vertices are the (k+1)-bit binary labels of 0..n-1 with edges at
     Hamming distance 1; the dyadic blocks of [0, n) are the constituent
     hypercubes (largest first) and every vertex of a smaller cube has
-    exactly one bridge into each larger cube.
+    exactly one bridge into each larger cube; n must lie in 2..2^20 (Q_20).
     """
     if n < 2:
         raise ValueError("network needs at least 2 vertices")
+    if n > 1 << MAX_HYPERCUBE_DIM:
+        raise ValueError(f"network of order {n} has more vertices than "
+                         f"Q_{MAX_HYPERCUBE_DIM} ({1 << MAX_HYPERCUBE_DIM})")
     width = n.bit_length()          # k+1 bits for 2^k <= n < 2^(k+1)
     labels = tuple(format(v, f"0{width}b") for v in range(n))
     graph = SignedWeightedGraph(n, hamming_table(n, width), labels=labels)

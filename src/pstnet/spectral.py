@@ -27,13 +27,16 @@ mean eigenvalue (`_eigenspaces`).
 
 - `check_pst_conditions` stops Lanczos only at closure, where the answer
   is exact, so it decides PST on Q_12..Q_16 too and never solves n x n.
-- Timed questions, `transfer_amplitude` at one time and `transfer_series`
-  and `max_fidelity_scan` up to the largest |t| they evaluate, also stop
-  at a rigorous tail bound (derived in `walk_spectrum`).  A basis that
-  bound may need past the cap (`_walk_fits`) is known before any work:
+  Its report keeps that module, which gives the `pstnet pst --csv` rows.
+- Timed questions, `transfer_amplitude` at one time and `max_fidelity_scan`
+  up to the largest |t| it evaluates, also stop at a rigorous tail bound
+  (derived in `walk_spectrum`).  A basis that bound may need past the cap
+  (`_walk_fits`) is known before any work:
   `transfer_amplitude` then takes one `expm_multiply` column of the sparse
   matrix (`_krylov_entry`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-  2011), and its report names the backend; a series or a scan is refused.
+  2011), and its report names the backend; a scan is refused.
+- X = |t| ||M||_1 >= 2^53 is refused, since rounding l t moves an
+  amplitude by about X 2^-52 (`_check_phase_resolution`).
 
 `hypercube_apply` needs no eigenpairs at all: the uniform-weight
 hypercube has A = sum_b X_b over its d bit positions, so exp(-i w t A) is
@@ -197,6 +200,13 @@ def _krylov_entry(matrix, u: int, v: int, t: float) -> complex:
     return complex(column[v])
 
 
+def _check_phase_resolution(x: float) -> None:
+    """ValueError unless X = |t| ||M||_1 < 2^53: doubles that large lie 1 apart."""
+    if not x < 2.0 ** 53:
+        raise ValueError(f"walk amplitude at |t| ||M||_1 = {x:.3g} is refused: "
+                         f"past 2^53 its phase has no digit below a radian")
+
+
 @dataclass
 class WalkSpectrum:
     """The walk module of u, tridiagonalised: see `walk_spectrum`."""
@@ -205,10 +215,18 @@ class WalkSpectrum:
     v_weight: float          # ||Q[v]||^2 = ||P e_v||^2, 1 iff e_v lies in W_u
     couplings: np.ndarray    # the kept betas, T's off-diagonal (D - 1 of them)
     closed: bool             # stopped at closure (or the basis spans R^n)
+    norm: float              # ||M||_1, which bounds every |eigenvalue|
 
     @property
     def dimension(self) -> int:
         return self.spectrum.dimension
+
+    def amplitude(self, t):
+        """<v|U(t)|u> for a scalar t or an array of times, within the bound at
+        which `walk_spectrum` stopped; max |t| ||M||_1 >= 2^53 raises ValueError."""
+        span = abs(t) if np.ndim(t) == 0 else float(np.max(np.abs(t), initial=0.0))
+        _check_phase_resolution(span * self.norm)
+        return self.spectrum.amplitude(0, 1, t)
 
 
 def _tail_log_factor(x: float, m: int) -> float:
@@ -228,13 +246,11 @@ def _walk_fits(n: int, x: float) -> bool:
     that, m = WALK_BASIS_MAX_ENTRIES // n vectors fit.  The tail bound of
     `walk_spectrum` is beta_m / ||M||_1 <= 1 times X^m / (m! (1 - X/m)), a
     factor that falls as m grows past X, so the first m that brings it under
-    WALK_AMPLITUDE_TOL fits exactly when this m does.  X >= 2^53 raises
-    ValueError: doubles that large lie 1 or more apart."""
+    WALK_AMPLITUDE_TOL fits exactly when this m does.  Past the cap, X >= 2^53
+    raises ValueError: doubles that large lie 1 or more apart."""
     if n * n <= WALK_BASIS_MAX_ENTRIES:
         return True
-    if not x < 2.0 ** 53:
-        raise ValueError(f"walk amplitude at |t| ||M||_1 = {x:.3g} is refused: "
-                         f"past 2^53 its phase has no digit below a radian")
+    _check_phase_resolution(x)
     steps = WALK_BASIS_MAX_ENTRIES // n
     return _tail_log_factor(x, steps) <= math.log(WALK_AMPLITUDE_TOL)
 
@@ -282,7 +298,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     DGKS_KEEP of the norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp.
     30, 1976); beta_k = ||w||.  With m vectors, M Q_m = Q_m T_m +
     beta_m q_{m+1} e_m^T.  The result is `_tridiagonal_rows` of T_m with
-    the row Q[v] of the basis, so `spectrum.amplitude(0, 1, t)` is
+    the row Q[v] of the basis, so `amplitude(t)` is
     <v| Q_m e^{-i t T_m} e_1 and `_eigenspaces(spectrum, 0, 1, tol)`
     sees u's support and the signs sigma_r.
 
@@ -318,7 +334,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
       pi/2 with 8 of the 9 vectors, whose amplitude there is 1.
 
     Both bounds grow with |t|, so the amplitude is as good at every time
-    up to |t|: a time series or scan passes its largest |t|.
+    up to |t|: a scan passes its largest |t|.
 
     The basis holds at most WALK_BASIS_MAX_ENTRIES entries, n m; a run
     that needs more raises ValueError with one line.  With a time t, a run
@@ -381,7 +397,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
             f"closure threshold {closure:.3g}")
     row = basis[:len(alphas), v]
     return WalkSpectrum(_tridiagonal_rows(alphas, couplings, row),
-                        float(row @ row), couplings, closed)
+                        float(row @ row), couplings, closed, norm)
 
 
 def _check_times(ts) -> None:
@@ -423,8 +439,7 @@ class PSTConditionReport:
     support_eigenvalues: np.ndarray
     best_time: Optional[float]
     best_magnitude: float
-    walk_dimension: int                 # D, the dimension of the walk module of u
-    min_coupling: Optional[float]       # smallest kept Lanczos beta (None if D = 1)
+    walk: WalkSpectrum                  # the closed walk module of u decided on
 
 
 def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
@@ -448,11 +463,9 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
-    n = g.vertex_count
     matrix, norm = sparse_matrix(g, matrix_kind)
-    if _walk_fits(n, abs(t) * norm):
-        walk = walk_spectrum(g, u, v, matrix_kind, t)
-        amp, backend = walk.spectrum.amplitude(0, 1, t), "lanczos"
+    if _walk_fits(g.vertex_count, abs(t) * norm):
+        amp, backend = walk_spectrum(g, u, v, matrix_kind, t).amplitude(t), "lanczos"
     else:
         amp, backend = _krylov_entry(matrix, u, v, t), "krylov"
     return _transfer_report(amp, t, (u, v), backend)
@@ -478,23 +491,6 @@ def _transfer_report(amp: complex, t: float, pair: tuple[int, int],
                      backend: str) -> TransferReport:
     mag, phase = polar(amp)
     return TransferReport(mag, phase, t, mag >= 1.0 - DEFAULT_PST_TOL, pair, backend)
-
-
-def transfer_series(g: SignedWeightedGraph, u: int, v: int, ts: Sequence[float],
-                    matrix_kind: str = "adjacency") -> list[tuple[float, float, float]]:
-    """Rows (t, magnitude, phase) for CSV emission.
-
-    One walk module of u (`walk_spectrum` up to max |t|) gives every row;
-    a basis that might pass the cap raises ValueError before any work.
-    """
-    _check_vertices(g.vertex_count, u, v)
-    _check_times(ts)
-    times = np.asarray(ts, dtype=float)
-    if not len(times):
-        return []
-    walk = walk_spectrum(g, u, v, matrix_kind, float(np.max(np.abs(times))))
-    amps = walk.spectrum.amplitude(0, 1, times)
-    return [(float(t), *polar(a)) for t, a in zip(ts, amps)]
 
 
 # ---------------------------------------------------------------------------
@@ -641,23 +637,20 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
 
     best_time is t0 and best_magnitude |<v|U(t0)|u>|, a health number
     that reads 1 up to rounding.  Without PST they are None and 0.0; for
-    u == v they are 0.0 and 1.0.  The other health numbers are D
-    (walk_dimension) and the smallest kept beta (min_coupling); a walk
+    u == v they are 0.0 and 1.0.  `walk` is the closed module decided on:
+    its D and kept betas are the other health numbers.  A walk
     module that nearly closes, or whose basis passes the cap, raises
     ValueError with one line instead of a verdict.
     """
     walk = walk_spectrum(g, u, v, matrix_kind)
-    spec = walk.spectrum
     tol = DEFAULT_CONDITION_TOL
-    spaces = _eigenspaces(spec, 0, 1, tol)
+    spaces = _eigenspaces(walk.spectrum, 0, 1, tol)
     # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
     vec_ok = spaces.vector_condition and abs(walk.v_weight - 1.0) <= tol
     support = spaces.mean[spaces.support]
     rational, witness = rationality_check(support)
-    health = (walk.dimension,
-              float(walk.couplings.min()) if len(walk.couplings) else None)
     if u == v:
-        return PSTConditionReport(vec_ok, True, rational, support, 0.0, 1.0, *health)
+        return PSTConditionReport(vec_ok, True, rational, support, 0.0, 1.0, walk)
     # u != v and the vector condition leave at least two support eigenvalues
     eig_ok = vec_ok and rational
     if eig_ok:
@@ -669,11 +662,11 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
         signs = spaces.sign[spaces.support].tolist()
         eig_ok = all(n_r % 2 == (s_r != signs[0]) for n_r, s_r in zip(steps, signs[1:]))
     if not eig_ok:
-        return PSTConditionReport(vec_ok, False, rational, support, None, 0.0, *health)
+        return PSTConditionReport(vec_ok, False, rational, support, None, 0.0, walk)
     # Delta = (l_max - l_0) / n_max, the last fraction being exactly 1
     t0 = math.pi * steps[-1] / float(support[-1] - support[0])
     return PSTConditionReport(vec_ok, True, rational, support, t0,
-                              abs(spec.amplitude(0, 1, t0)), *health)
+                              abs(walk.amplitude(t0)), walk)
 
 
 def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float

@@ -122,16 +122,15 @@ class CutoffResult:
     residual: float
 
 
-def find_cutoff(cfg: CouplerConfig, omega_c_range: tuple[float, float] = (4.5, 9.0),
-                which: str = "brwa") -> CutoffResult:
+def find_cutoff(cfg: CouplerConfig, omega_c_range: tuple[float, float] = (4.5, 9.0)
+                ) -> CutoffResult:
     """Coupler frequency where the net coupling vanishes (edge switched off).
 
-    Bisects the chosen coupling model over the range until |g| <= 1e-12 GHz;
-    raises when the coupling does not change sign on the range.
+    Bisects the beyond-RWA coupling g_brwa over the range until |g| <= 1e-12
+    GHz; raises when the coupling does not change sign on the range.
     """
     def g_of(wc: float) -> float:
-        rep = coupling_report(cfg.with_coupler_frequency(wc))
-        return rep.g_brwa if which == "brwa" else rep.g_rwa
+        return coupling_report(cfg.with_coupler_frequency(wc)).g_brwa
 
     lo, hi = omega_c_range
     if lo >= hi:

@@ -594,6 +594,61 @@ def test_pst_refuses_a_walk_time_past_two_to_the_53(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pst_csv_builds_one_walk_module(tmp_path, capsys, monkeypatch):
+    # the rows come from the module the verdict closed, not a second Lanczos run
+    calls = []
+    real = spectral.walk_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "walk_spectrum", counted)
+    out = tmp_path / "o.csv"
+    assert run(["pst", "--graph", "q4", "--from", "0", "--to", "15",
+                "--csv", str(out)]) == 0
+    assert calls == [(0, 15)]
+    assert len(read_csv(str(out))[1]) == 2001
+
+
+def test_pst_csv_on_q14_answers_a_long_grid(tmp_path, capsys):
+    # Q_14's module from 0 closes at D = 15, so every row of a grid to
+    # t = 1000 comes from it; <16383|U(t)|0> = (-i sin t)^14
+    out = tmp_path / "q14.csv"
+    assert run(["pst", "--graph", "q14", "--from", "0", "--to", "16383",
+                "--tmax", "1000", "--csv", str(out)]) == 0
+    assert "best_time: 1.57079632679\n" in capsys.readouterr().out
+    rows = np.array(read_csv(str(out))[1], dtype=float)
+    assert len(rows) == 100001
+    np.testing.assert_allclose(rows[:, 1], np.abs(np.sin(rows[:, 0])) ** 14,
+                               rtol=0, atol=1e-9)
+
+
+def test_pst_csv_on_a_small_graph_refuses_a_time_past_two_to_the_53(tmp_path, capsys):
+    # P_5 fits any basis, yet its rows at |t| ||M||_1 = 2e307 were phase noise
+    out = tmp_path / "o.csv"
+    assert run(["pst", "--graph", "p5", "--from", "0", "--to", "4", "--tmax", "1e307",
+                "--dt", "1e302", "--csv", str(out)]) == 2
+    assert capsys.readouterr() == ("", "walk amplitude at |t| ||M||_1 = 2e+307 is "
+                                       "refused: past 2^53 its phase has no digit "
+                                       "below a radian\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,line", [
+    (["route", "--n", "1048577", "--from", "0", "--to", "1"],
+     "network of order 1048577 has more vertices than Q_20 (1048576)"),
+    (["chain", "--n", "1000000000"],
+     "chain of 1000000000 sites has more edges than Q_20 (10485760), the largest builtin"),
+    (["chain", "--n", "1000000000", "--unmodulated"],
+     "chain of 1000000000 sites has more edges than Q_20 (10485760), the largest builtin"),
+], ids=["route", "chain", "chain-unmodulated"])
+def test_sizes_past_q20_are_refused_before_allocation(args, line):
+    # under a 1 GB cap these used to end in a MemoryError traceback
+    done = _python_m_pstnet(*args, memory_limit=1_000_000_000, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", line + "\n")
+
+
 def test_pst_csv_grid_at_the_cap_is_written(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
     out = tmp_path / "o.csv"

@@ -136,7 +136,7 @@ def test_norm_drift_is_refused(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda g: transfer_amplitude(g, 0, 1, math.nan),
     lambda g: transfer_amplitude(g, 0, 1, -math.inf),
-    lambda g: spectral.transfer_series(g, 0, 1, [0.0, math.inf, 1.0]),
+    lambda g: transfer_amplitude(g, 0, 1, math.inf),
     lambda g: chain_pst_verify(pst_chain(5), math.inf),
     lambda g: chain_pst_verify(pst_chain(300), math.inf),
     lambda g: chain_pst_verify(pst_chain(5), math.nan),

@@ -17,7 +17,7 @@ from pstnet.spectral import (Spectrum, check_pst_conditions,
                              max_fidelity_scan, max_fidelity_scan_spectrum,
                              periodicity_check, rationality_check,
                              spin_oracle_check, symmetry_operator,
-                             transfer_amplitude, transfer_series)
+                             transfer_amplitude)
 
 from oracles import balanced_equivalent_amplitude, bipartite_phase_audit
 
@@ -205,9 +205,8 @@ def test_rational_pair_without_pst_reports_no_time(g, u, v):
     lambda g: check_pst_conditions(g, -1, 1),
     lambda g: check_pst_conditions(g, 0, 2),
     lambda g: transfer_amplitude(g, 0, 2, 1.0),
-    lambda g: transfer_series(g, -1, 0, [0.0, 1.0]),
     lambda g: symmetry_operator(g, 2, 0),
-], ids=["pst-negative", "pst-high", "transfer", "series", "symmetry"])
+], ids=["pst-negative", "pst-high", "transfer", "symmetry"])
 def test_vertices_outside_the_graph_are_refused(call):
     with pytest.raises(ValueError, match="outside 0..1"):
         call(complete_graph(2))
@@ -624,10 +623,10 @@ def test_graph_distance():
         graph_distance(make_graph(3, [(0, 1)]), 0, 2)
 
 
-def test_transfer_series_rows():
-    rows = transfer_series(complete_graph(2), 0, 1, [0.0, math.pi / 2])
-    assert rows[0][1] == pytest.approx(0.0, abs=1e-12)
-    assert rows[1][1] == pytest.approx(1.0, abs=1e-12)
+def test_walk_amplitude_rows():
+    amps = check_pst_conditions(complete_graph(2), 0, 1).walk.amplitude([0.0, math.pi / 2])
+    assert abs(amps[0]) == pytest.approx(0.0, abs=1e-12)
+    assert abs(amps[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_amplitudes_are_the_same_in_time_blocks(monkeypatch):
@@ -638,13 +637,14 @@ def test_grid_amplitudes_are_the_same_in_time_blocks(monkeypatch):
     # 7 times per block: 143 blocks, the last one short
     monkeypatch.setattr(spectral, "AMPLITUDE_BLOCK_ENTRIES", 40 * 7)
     np.testing.assert_array_equal(spec.amplitude(2, 5, ts), whole)
-    # the series runs on the walk module of vertex 2 (21 terms): the blocks
-    # change no row, and the rows match the dense oracle to rounding
-    rows = transfer_series(cycle_graph(40), 2, 5, ts)
+    # the verdict's walk module of vertex 2 has 21 terms: the blocks change
+    # no amplitude, and the amplitudes match the dense oracle to rounding
+    walk = check_pst_conditions(cycle_graph(40), 2, 5).walk
+    amps = walk.amplitude(ts)
     monkeypatch.undo()
-    np.testing.assert_array_equal(rows, transfer_series(cycle_graph(40), 2, 5, ts))
+    np.testing.assert_array_equal(amps, walk.amplitude(ts))
     whole = np.abs(Spectrum.from_graph(cycle_graph(40)).amplitude(2, 5, ts))
-    np.testing.assert_allclose([r[1] for r in rows], whole, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.abs(amps), whole, rtol=0, atol=1e-13)
 
 
 def test_polar_prints_phases_in_the_half_open_range():
@@ -655,8 +655,9 @@ def test_polar_prints_phases_in_the_half_open_range():
     assert spectral.polar(np.complex128(-1.0)) == (1.0, math.pi)
     assert spectral.polar(-0.5 - 1e-9j)[1] == pytest.approx(-math.pi, abs=1e-8)
     assert spectral.polar(1j) == (1.0, math.pi / 2)
-    # the rows of a series go through the same rule: the P3 end-to-end
-    # amplitude is a negative real -t^2/2 + O(t^4) at short times
-    rows = transfer_series(path_graph(3), 0, 2, [0.0, 0.01, 0.02])
-    assert rows[0][1:] == (0.0, 0.0)
-    assert [r[2] for r in rows[1:]] == [math.pi, math.pi]
+    # the rows of `pstnet pst --csv` go through the same rule: the P3
+    # end-to-end amplitude is a negative real -t^2/2 + O(t^4) at short times
+    walk = check_pst_conditions(path_graph(3), 0, 2).walk
+    rows = [spectral.polar(a) for a in walk.amplitude([0.0, 0.01, 0.02])]
+    assert rows[0] == (0.0, 0.0)
+    assert [r[1] for r in rows[1:]] == [math.pi, math.pi]

@@ -25,8 +25,7 @@ from pstnet.graphs import (complete_graph, cycle_graph, graph_matrix, hypercube,
                            make_graph, path_graph)
 from pstnet.spectral import (WALK_AMPLITUDE_TOL, check_pst_conditions,
                              max_fidelity_scan, max_fidelity_scan_spectrum,
-                             rationality_check, transfer_amplitude,
-                             transfer_series, walk_spectrum)
+                             rationality_check, transfer_amplitude, walk_spectrum)
 
 KINDS = ("adjacency", "laplacian", "signless_laplacian")
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -93,7 +92,7 @@ def _check_against_dense(g, u, v, kind):
     strongly, support, t0 = dense_verdict(g, u, v, kind)
     assert rep.vector_condition == strongly
     np.testing.assert_allclose(rep.support_eigenvalues, support, rtol=0, atol=1e-9)
-    assert rep.walk_dimension == len(support)
+    assert rep.walk.dimension == len(support)
     assert rep.rationality == rationality_check(support)[0]
     pst = rep.vector_condition and rep.eigenvalue_condition
     assert pst == (t0 is not None)
@@ -158,11 +157,11 @@ def test_health_numbers_on_cubes():
     for k in range(1, 12):
         rep = check_pst_conditions(hypercube(k), 0, (1 << k) - 1)
         assert rep.best_time == pytest.approx(math.pi / 2, abs=1e-12)
-        assert rep.walk_dimension == k + 1
+        assert rep.walk.dimension == k + 1
         # couplings sqrt(i (k + 1 - i)) are smallest at the ends
-        assert rep.min_coupling == pytest.approx(math.sqrt(k), abs=1e-12)
+        assert rep.walk.couplings.min() == pytest.approx(math.sqrt(k), abs=1e-12)
     lone = check_pst_conditions(make_graph(2, []), 0, 0)
-    assert (lone.walk_dimension, lone.min_coupling) == (1, None)
+    assert (lone.walk.dimension, len(lone.walk.couplings)) == (1, 0)
 
 
 def test_verdicts_solve_no_n_by_n_matrix(monkeypatch):
@@ -274,6 +273,22 @@ def test_basis_cap_refuses_verdicts_and_routes_amplitudes(monkeypatch):
     assert rep.magnitude == pytest.approx(1.0, abs=1e-10)
 
 
+def test_walk_amplitude_past_two_to_the_53_is_refused_at_every_size():
+    # P_5's basis fits at any time, but at X = 2e17 the phase is noise: it
+    # used to read 0.474847 where the exact magnitude is 0.611406
+    line = ("walk amplitude at |t| ||M||_1 = 2e+17 is refused: past 2^53 its "
+            "phase has no digit below a radian")
+    with pytest.raises(ValueError) as info:
+        transfer_amplitude(path_graph(5), 0, 4, 1e17)
+    assert str(info.value) == line
+    walk = check_pst_conditions(path_graph(5), 0, 4).walk
+    with pytest.raises(ValueError) as info:
+        walk.amplitude(np.array([0.0, -1e17]))
+    assert str(info.value) == line
+    # below 2^53 it still answers, off by up to its X 2^-52 rounding floor
+    assert abs(walk.amplitude(1e15)) <= 1.0
+
+
 def test_walk_fits_up_to_the_dense_limit_at_any_time():
     # n min(n, m_tail) <= DENSE_MAX_DIM^2 whenever n <= DENSE_MAX_DIM
     for x in (0.0, 40.0, 1e6):
@@ -298,7 +313,7 @@ def test_nearly_closed_walk_module_is_refused(eps, refused):
         assert rep.magnitude == pytest.approx(abs(math.sin(1.0)), abs=1e-9)
     else:
         rep = check_pst_conditions(g, 0, 2)
-        assert rep.min_coupling == pytest.approx(eps, rel=1e-9)
+        assert rep.walk.couplings.min() == pytest.approx(eps, rel=1e-9)
 
 
 def test_overflowing_walk_is_refused_at_its_first_step():
@@ -314,8 +329,8 @@ def test_overflowing_walk_is_refused_at_its_first_step():
             transfer_amplitude(big, 0, 3, 1e-200)
     # 1e150 still squares within range, and scales the verdict by 1e150
     scaled = make_graph(4, [(0, 1, 1e150), (1, 2, 1e150), (2, 3, 1e150)])
-    assert check_pst_conditions(scaled, 0, 3).walk_dimension == \
-        check_pst_conditions(g, 0, 3).walk_dimension == 4
+    assert check_pst_conditions(scaled, 0, 3).walk.dimension == \
+        check_pst_conditions(g, 0, 3).walk.dimension == 4
 
 
 def test_pst_answers_q14_beyond_the_dense_limit(capsys):
@@ -344,11 +359,10 @@ def test_series_and_scans_solve_no_n_by_n_matrix(monkeypatch):
     monkeypatch.setattr(spectral.Spectrum, "from_graph", _refuse)
     monkeypatch.setattr(np.linalg, "eigh", _refuse)
     ts = np.arange(13) * 0.25
-    rows = transfer_series(hypercube(10), 0, 1023, ts)
-    assert [t for t, _, _ in rows] == ts.tolist()
-    np.testing.assert_allclose([m for _, m, _ in rows], np.abs(np.sin(ts)) ** 10,
+    walk = check_pst_conditions(hypercube(10), 0, 1023).walk
+    np.testing.assert_allclose(np.abs(walk.amplitude(ts)), np.abs(np.sin(ts)) ** 10,
                                rtol=0, atol=1e-12)
-    assert transfer_series(hypercube(10), 0, 1023, []) == []
+    assert walk.amplitude([]).shape == (0,)
     # |sin t|^10 is flat at its peak: t* is fixed only to about 1e-8
     t_star, f_star = max_fidelity_scan(hypercube(10), 0, 1023, 3.0, 0.01)
     assert t_star == pytest.approx(math.pi / 2, abs=1e-7)
@@ -374,8 +388,6 @@ def test_series_and_scans_refuse_a_basis_past_the_cap_before_lanczos(monkeypatch
     monkeypatch.setattr(spectral, "sparse_matrix", lambda *a: (NoSteps(), norm))
     monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 16 * 15)
     message = "needs more than 15 Lanczos vectors of length 16, above the basis cap of 240"
-    with pytest.raises(ValueError, match=message):
-        transfer_series(g, 0, 15, [0.0, 20.0])
     with pytest.raises(ValueError, match=message):
         max_fidelity_scan(g, 0, 15, 19.99, 0.01)
     # the grid is checked first
@@ -404,9 +416,9 @@ def test_series_and_scans_match_the_dense_oracle(kind):
     for g in ORACLE_GRAPHS:
         dense = spectral.Spectrum.from_graph(g, kind)
         for v in range(g.vertex_count):
-            rows = transfer_series(g, 0, v, ts, kind)
+            got = np.abs(check_pst_conditions(g, 0, v, kind).walk.amplitude(ts))
             want = np.abs(dense.amplitude(0, v, ts))
-            np.testing.assert_allclose([m for _, m, _ in rows], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             _assert_same_scan(max_fidelity_scan(g, 0, v, 20.0, 0.01, kind),
                               max_fidelity_scan_spectrum(dense, 0, v, 20.0, 0.01),
                               dense, 0, v)
