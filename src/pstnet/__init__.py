@@ -3,28 +3,23 @@ and switching-based routing on hypercube-derived networks."""
 
 __version__ = "0.1.0"
 
-from .graphs import (Edge, MarkingScheme, SignedWeightedGraph, adjacency,
-                     add_isolated, cartesian, complete_graph, corona,
-                     cycle_graph, disjoint_union, hypercube, induced_subgraph,
-                     is_balanced, laplacian, make_graph, path_graph,
-                     signless_laplacian)
-from .spectral import (Spectrum, TransferReport, check_pst_conditions, evolve,
-                       max_fidelity_scan, periodicity_check, rationality_check,
-                       spin_oracle_check, symmetry_operator, transfer_amplitude,
+from .graphs import (Edge, MarkingScheme, SignedWeightedGraph, cartesian,
+                     complete_graph, corona, cycle_graph, hypercube, is_balanced,
+                     laplacian, make_graph, path_graph)
+from .spectral import (Spectrum, TransferReport, check_pst_conditions,
+                       max_fidelity_scan, rationality_check, transfer_amplitude,
                        walk_spectrum)
-from .routing import (HopPlan, NetworkLabeling, SwitchPlan, antipodal,
-                      build_network, classify_neighborhood, execute_route,
-                      find_subhypercube, grow, plan_route, swap_baseline,
-                      widen_labels)
-from .chains import (ChainSpec, chain_matrix, chain_pst_verify, column_project,
-                     pst_chain, unmodulated_no_pst_scan)
+from .routing import (HopPlan, NetworkLabeling, SwitchPlan, build_network,
+                      classify_neighborhood, execute_route, find_subhypercube, grow,
+                      plan_route, swap_baseline, widen_labels)
+from .chains import (ChainSpec, chain_pst_verify, column_project, pst_chain,
+                     unmodulated_no_pst_scan)
 from .corona_lab import (ScanTable, corona_seed_spectrum, corona_spectrum,
                          fidelity_vs_m, iterate_corona, net_regularity)
-from .qudit import (CommutingFamily, GeneratorSet, QuditState, commuting_family,
-                    cycle_family, complete_family, effective_couplings,
-                    qudit_chain_hamiltonian, qudit_transfer, su_d_generators,
-                    transfer_amplitude_qudit, unitarity_audit)
+from .qudit import (CommutingFamily, QuditState, commuting_family, cycle_family,
+                    complete_family, qudit_transfer, transfer_amplitude_qudit,
+                    unitarity_audit)
 from .transmon import (CouplerConfig, CouplingReport, coupling_report,
                        find_cutoff, parse_coupler_config, pst_time,
                        three_body_oracle)
-from .fileio import emit_csv, parse_graph_file, serialize_graph
+from .fileio import emit_csv, parse_graph_file

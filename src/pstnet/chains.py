@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import (TransferReport, _krylov_entry, _transfer_report,
-                       _tridiagonal_rows, max_fidelity_scan, walk_spectrum)
+from .spectral import (TransferReport, _check_phase_resolution, _krylov_entry,
+                       _transfer_report, _tridiagonal_rows, max_fidelity_scan,
+                       walk_spectrum)
 from .graphs import hypercube, path_graph
 
 # the projected couplings must equal sqrt(i (k + 1 - i)) to this
@@ -54,14 +55,6 @@ class ChainSpec:
     @property
     def length(self) -> int:
         return len(self.couplings) + 1
-
-
-def chain_matrix(spec: ChainSpec) -> np.ndarray:
-    n = spec.length
-    m = np.zeros((n, n))
-    for i, j in enumerate(spec.couplings):
-        m[i, i + 1] = m[i + 1, i] = j
-    return m
 
 
 def pst_chain(n_c: int) -> ChainSpec:
@@ -99,22 +92,25 @@ def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
     no graph is built.  That solve keeps all n x n eigenvectors, so a chain
     of more than CHAIN_TRIDIAGONAL_MAX_SITES sites takes one Krylov column
     of T instead (backend 'krylov'), whatever t is.  A time that is NaN or
-    infinite raises ValueError.
+    infinite raises ValueError, and so does X = |t| ||T||_1 >= 2^53
+    (`spectral._check_phase_resolution`), before either backend.
     """
     if not math.isfinite(t):
         raise ValueError(f"time {t} is not finite")
     n = spec.length
     js = np.array(spec.couplings)
+    # ||T||_1 is the largest column sum of the zero-diagonal T: some
+    # J_i + J_{i+1}, or J_1 on two sites (the couplings are positive)
+    _check_phase_resolution(abs(t) * float(np.max(js[:-1] + js[1:], initial=js[0])))
     if n > CHAIN_TRIDIAGONAL_MAX_SITES:
         # imported here: `import pstnet` loads no scipy
         from scipy.sparse import diags_array
         matrix = diags_array([js, js], offsets=[1, -1], format="csr")
-        amp = _krylov_entry(matrix, 0, n - 1, t)
-        return _transfer_report(amp, t, (0, n - 1), "krylov")
+        return _transfer_report(_krylov_entry(matrix, 0, n - 1, t), t, "krylov")
     end = np.zeros(n)
     end[-1] = 1.0
     amp = _tridiagonal_rows(np.zeros(n), js, end).amplitude(0, 1, t)
-    return _transfer_report(amp, t, (0, n - 1), "chain")
+    return _transfer_report(amp, t, "chain")
 
 
 def unmodulated_no_pst_scan(n: int, t_max: float,

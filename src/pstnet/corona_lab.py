@@ -28,7 +28,8 @@ Applied to G^(m) = G^(m-1) o G level by level, the formula gives the seed
 rows of G^(m)'s spectrum as n 2^m terms without building G^(m), one
 `_corona_level` per order after one dense solve of the seed instead of
 one of n(n + 1)^m vertices (`corona_seed_spectrum`).  `fidelity_vs_m`
-maps only the pair's two rows, 2 n 2^m entries, and scans them at every
+maps only the pair's two rows, 2 n 2^m entries, by the same level loop
+(`_seed_row_levels`), and scans them at every
 order m >= 1 of a seed that meets the hypotheses, which are on the seed
 alone.  Otherwise it builds the product and scans the walk module of the
 pair's source vertex (`spectral.max_fidelity_scan`), as it does for the
@@ -38,7 +39,7 @@ seed itself at m = 0, so no n x n matrix is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -190,12 +191,37 @@ def corona_spectrum(g1: SignedWeightedGraph, g2: SignedWeightedGraph,
     return Spectrum(values, vectors)
 
 
-def _check_recursion_size(n: int, m: int) -> None:
-    """The seed's dense solve and the n 2^m terms must both fit."""
+def _check_recursion_size(n: int, m: int, rows: int) -> None:
+    """The seed's dense solve, the n 2^m terms and their rows x n 2^m
+    entries (one dense solve at the limit) must all fit."""
     _check_dense_dim(n)
     if m > RECURSION_MAX_TERMS.bit_length() or n << m > RECURSION_MAX_TERMS:
         raise ValueError(f"corona order {m} needs {n} * 2^{m} recursion terms, "
                          f"above the limit of {RECURSION_MAX_TERMS}")
+    if rows * (n << m) > DENSE_MAX_DIM ** 2:
+        raise ValueError(f"corona order {m} needs {rows} seed rows of {n << m} terms, "
+                         f"above the limit of {DENSE_MAX_DIM ** 2} entries")
+
+
+def _seed_row_levels(seed: SignedWeightedGraph, m: int, keep: Sequence[int],
+                     matrix_kind: str, scheme: MarkingScheme) -> Iterator[Spectrum]:
+    """Yield the rows `keep` of corona_seed_spectrum(seed, j) for j = 0..m.
+
+    The first step checks the hypotheses (`_g2_constants`) and the sizes
+    (`_check_recursion_size`, for len(keep) rows) and solves the seed once;
+    each later one maps the terms by one `_corona_level`.  The terms stay in
+    the order the levels make them, and each yielded `Spectrum` sorts them.
+    """
+    n = seed.vertex_count
+    lift, s, _ = _g2_constants(seed, matrix_kind, scheme)
+    _check_recursion_size(n, m, len(keep))
+    values, rows = np.linalg.eigh(graph_matrix(seed, matrix_kind))
+    rows = rows[list(keep)]
+    for level in range(m + 1):
+        if level:
+            values, rows = _corona_level(values, rows, lift, n, s)
+        order = np.argsort(values, kind="stable")
+        yield Spectrum(values[order], rows[:, order])
 
 
 def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
@@ -212,7 +238,8 @@ def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
     seed must meet the hypotheses of `_g2_constants` (TheoremHypothesisError
     otherwise); n may not exceed DENSE_MAX_DIM, nor n 2^m RECURSION_MAX_TERMS,
     nor the n n 2^m entries DENSE_MAX_DIM^2, one dense solve at the limit
-    (ValueError, before anything is allocated).
+    (ValueError, before the seed is solved).  The levels are those of
+    `_seed_row_levels`, for all n seed rows.
 
     Proof, for A (lift = 0) and L (lift = 1) alike.  G^(m) is the corona of
     g1 = G^(m-1) with g2 = the seed, so the hypotheses, which are on g2
@@ -235,17 +262,10 @@ def corona_seed_spectrum(seed: SignedWeightedGraph, m: int,
     """
     if m < 0:
         raise ValueError("order must be non-negative")
-    n = seed.vertex_count
-    _check_recursion_size(n, m)
-    if n * (n << m) > DENSE_MAX_DIM ** 2:
-        raise ValueError(f"corona order {m} needs {n} seed rows of {n << m} terms, "
-                         f"above the limit of {DENSE_MAX_DIM ** 2} entries")
-    lift, s, _ = _g2_constants(seed, matrix_kind, scheme)
-    values, rows = np.linalg.eigh(graph_matrix(seed, matrix_kind))
+    levels = _seed_row_levels(seed, m, range(seed.vertex_count), matrix_kind, scheme)
     for _ in range(m):
-        values, rows = _corona_level(values, rows, lift, n, s)
-    order = np.argsort(values, kind="stable")
-    return Spectrum(values[order], rows[:, order])
+        next(levels)   # each sorted level is dropped before the next is made
+    return next(levels)
 
 
 def iterate_corona(seed: SignedWeightedGraph, m: int,
@@ -276,15 +296,15 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     Order 0 scans the seed itself.  The recursion applies exactly when the
     matrix kind is one of CORONA_KINDS and the seed meets the hypotheses of
     `_g2_constants`, decided once, on the seed alone.  Then the seed is
-    solved once and its rows u and v, advanced one `_corona_level` per
-    order m >= 1, are scanned as those of corona_seed_spectrum(seed, m):
-    2 n 2^m entries and no product built, for a seed of at most
-    DENSE_MAX_DIM vertices and n 2^m_max <= RECURSION_MAX_TERMS (ValueError
-    otherwise, before any scan); those rows are 'recursion'.  Otherwise
-    each order builds G^(m) with iterate_corona, up to CORONA_SIZE_GUARD
-    vertices.  The seed and every built product are scanned by
-    `spectral.max_fidelity_scan` on the walk module of u under the chosen
-    matrix; those rows are 'direct'.  A pair whose amplitude vanishes
+    solved once and its rows u and v, advanced one level per order m >= 1
+    (`_seed_row_levels`), are scanned as those of
+    corona_seed_spectrum(seed, m): 2 n 2^m entries and no product built,
+    for a seed of at most DENSE_MAX_DIM vertices and n 2^m_max <=
+    RECURSION_MAX_TERMS (ValueError otherwise, before any scan); those
+    rows are 'recursion'.  Otherwise each order builds G^(m) with
+    iterate_corona, up to CORONA_SIZE_GUARD vertices.  The seed and every
+    built product are scanned by `spectral.max_fidelity_scan` on the walk
+    module of u under the chosen matrix; those rows are 'direct'.  A pair whose amplitude vanishes
     identically reads f* = 0 at t* = 0 (`spectral.FIDELITY_NOISE_FLOOR`),
     so its bytes do not depend on rounding.
     """
@@ -294,23 +314,18 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
         raise ValueError("pair must index seed vertices")
     if m_max < 0:
         raise ValueError("order must be non-negative")
-    recursion = m_max >= 1 and matrix_kind in CORONA_KINDS
-    if recursion:
+    levels = None
+    if m_max >= 1 and matrix_kind in CORONA_KINDS:
+        levels = _seed_row_levels(seed, m_max, (u, v), matrix_kind, scheme)
         try:
-            lift, s, _ = _g2_constants(seed, matrix_kind, scheme)
+            next(levels)   # order 0, scanned directly below: the checks and the solve
         except TheoremHypothesisError:
-            recursion = False
-        else:
-            _check_recursion_size(n, m_max)
-            values, pair_rows = np.linalg.eigh(graph_matrix(seed, matrix_kind))
-            pair_rows = pair_rows[[u, v]]
+            levels = None
+    recursion = levels is not None
     rows = []
     for m in range(m_max + 1):
         if recursion and m:
-            values, pair_rows = _corona_level(values, pair_rows, lift, n, s)
-            order = np.argsort(values, kind="stable")
-            spectrum = Spectrum(values[order], pair_rows[:, order])
-            t_star, f_star = max_fidelity_scan_spectrum(spectrum, 0, 1, t_max, dt)
+            t_star, f_star = max_fidelity_scan_spectrum(next(levels), 0, 1, t_max, dt)
         else:
             product = iterate_corona(seed, m, scheme) if m else seed
             t_star, f_star = max_fidelity_scan(product, u, v, t_max, dt, matrix_kind)

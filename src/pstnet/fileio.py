@@ -131,24 +131,6 @@ def parse_graph_file(path: str) -> SignedWeightedGraph:
         return parse_graph_text(fh.read())
 
 
-def serialize_graph(g: SignedWeightedGraph) -> str:
-    lines = [f"graph {g.vertex_count}"]
-    if g.labels is not None:
-        lines += [f"label {i} {lab}" for i, lab in enumerate(g.labels)]
-    if g.markings is not None:
-        lines += [f"mark {i} {'+' if m > 0 else '-'}" for i, m in enumerate(g.markings)]
-    u, v, sw = g.edge_arrays
-    lines += [f"edge {a} {b} {_weight_text(abs(x))} {'+' if x > 0 else '-'}"
-              for a, b, x in zip(u.tolist(), v.tolist(), sw.tolist())]
-    return "\n".join(lines) + "\n"
-
-
-def _weight_text(w: float) -> str:
-    """`fmt(w)`, or the shortest text that reads back as w where that loses it."""
-    text = fmt(w)
-    return text if float(text) == w else repr(w)
-
-
 # ---------------------------------------------------------------------------
 # CSV
 

@@ -148,11 +148,6 @@ def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None
 # ---------------------------------------------------------------------------
 # matrices
 
-def adjacency(g: SignedWeightedGraph) -> np.ndarray:
-    """Signed weighted adjacency matrix, A[u,v] = sign * weight."""
-    return graph_matrix(g, "adjacency")
-
-
 def _weighted_degrees(g: SignedWeightedGraph) -> np.ndarray:
     # bincount adds in input order, so interleaving the endpoints sums each
     # vertex's weights edge by edge, u before v, the order of a Python loop
@@ -165,11 +160,6 @@ def _weighted_degrees(g: SignedWeightedGraph) -> np.ndarray:
 def laplacian(g: SignedWeightedGraph) -> np.ndarray:
     """L = D - A with D the (unsigned) weighted degree matrix."""
     return graph_matrix(g, "laplacian")
-
-
-def signless_laplacian(g: SignedWeightedGraph) -> np.ndarray:
-    """L+ = D + A."""
-    return graph_matrix(g, "signless_laplacian")
 
 
 def graph_matrix(g: SignedWeightedGraph, kind: str) -> np.ndarray:
@@ -275,53 +265,6 @@ def cartesian(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedG
     if g.markings is not None and h.markings is not None:
         markings = np.outer(g.markings, h.markings).ravel().tolist()
     return SignedWeightedGraph(ng * nh, rows, labels=labels, markings=markings)
-
-
-def disjoint_union(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedGraph:
-    """Block-diagonal union; h's vertices are shifted after g's."""
-    off = g.vertex_count
-    a, b, sw = h.edge_arrays
-    rows = np.vstack((edge_table(*g.edge_arrays), edge_table(a + off, b + off, sw)))
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        cand = g.labels + h.labels
-        if len(set(cand)) == len(cand) and len({len(l) for l in cand}) <= 1:
-            labels = cand
-    markings = None
-    if g.markings is not None and h.markings is not None:
-        markings = g.markings + h.markings
-    return SignedWeightedGraph(g.vertex_count + h.vertex_count, rows,
-                               labels=labels, markings=markings)
-
-
-def add_isolated(g: SignedWeightedGraph, count: int) -> SignedWeightedGraph:
-    """Append isolated vertices; labels are dropped, markings pad with +1."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    markings = g.markings + (1,) * count if g.markings is not None else None
-    return SignedWeightedGraph(g.vertex_count + count, edge_table(*g.edge_arrays),
-                               markings=markings)
-
-
-def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedWeightedGraph:
-    """Induced subgraph on the given vertex set.
-
-    Kept vertices are re-indexed in ascending order of their original
-    indices, which is the index remapping contract used everywhere else.
-    """
-    keep = sorted(set(vertices))
-    if not keep:
-        raise ValueError("vertex set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= g.vertex_count:
-        raise ValueError("vertex set out of range")
-    position = np.full(g.vertex_count, -1)
-    position[keep] = np.arange(len(keep))
-    a, b, sw = g.edge_arrays
-    pu, pv = position[a], position[b]
-    inside = (pu >= 0) & (pv >= 0)
-    sub = lambda t: tuple(t[v] for v in keep) if t is not None else None
-    return SignedWeightedGraph(len(keep), edge_table(pu[inside], pv[inside], sw[inside]),
-                               labels=sub(g.labels), markings=sub(g.markings))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""d-level transfer: SU(d) generator sets, the weighted qudit chain, and
-single-particle hopping on commuting adjacency families.
+"""d-level transfer: single-particle hopping on commuting adjacency
+families, and qudit transport by that hopping.
 
 The hopping Hamiltonian H = sum_k J_k A_k over a family of commuting
 symmetric matrices diagonalizes in one orthogonal basis, the eigenbasis of
@@ -24,65 +24,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import chain_matrix, pst_chain
-from .spectral import Spectrum, _check_times, polar
+from .spectral import Spectrum, _check_phase_resolution, _check_times, polar
 
-MAX_GENERATOR_DIM = 8
 # most entries (d + 1) n^2 of a family's dense matrices: 32 MiB of float64
 MAX_FAMILY_ENTRIES = 1 << 22
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The d^2 - 1 traceless Hermitian generators of SU(d)."""
-
-    dimension: int
-    theta: tuple[np.ndarray, ...]     # symmetric off-diagonal family
-    beta: tuple[np.ndarray, ...]      # antisymmetric off-diagonal family
-    eta: tuple[np.ndarray, ...]       # diagonal (Cartan) family
-
-    def all(self) -> list[np.ndarray]:
-        return list(self.theta) + list(self.beta) + list(self.eta)
-
-
-def su_d_generators(d: int) -> GeneratorSet:
-    """Generalized Pauli set: for d=2 the Pauli matrices, d=3 the Gell-Mann set.
-
-    theta^{k,j} = |k><j| + |j><k|, beta^{k,j} = -i(|k><j| - |j><k|) for
-    k < j, and eta^{r,r} = sqrt(2/(r(r+1))) (sum_{m<=r} |m><m| - r |r+1><r+1|).
-    """
-    if not 2 <= d <= MAX_GENERATOR_DIM:
-        raise ValueError(f"need 2 <= d <= {MAX_GENERATOR_DIM}")
-    theta, beta, eta = [], [], []
-    for k in range(d):
-        for j in range(k + 1, d):
-            p_kj = np.zeros((d, d), dtype=complex)
-            p_kj[k, j] = 1.0
-            theta.append(p_kj + p_kj.T)
-            beta.append(-1j * (p_kj - p_kj.T))
-    for r in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(r):
-            m[j, j] = 1.0
-        m[r, r] = -r
-        eta.append(math.sqrt(2.0 / (r * (r + 1))) * m)
-    return GeneratorSet(d, tuple(theta), tuple(beta), tuple(eta))
-
-
-def qudit_chain_hamiltonian(n: int, d: int) -> np.ndarray:
-    """Single-particle Hamiltonian of the weighted qudit chain on n*d states.
-
-    Basis |site i, level m>; each internal level hops identically with
-    J_i = sqrt(i (n - i)) / 2, so the matrix is the half-strength transfer
-    chain tensored with the identity on levels.  Each internal-level charge
-    I_n kron eta^{r,r} commutes with it, the d-level analogue of total-spin
-    conservation; the library does not build the charges, the tests do.
-    """
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 sites and d >= 2 levels")
-    if n * d > 1024:
-        raise ValueError("single-particle sector larger than 1024")
-    return np.kron(chain_matrix(pst_chain(n)) / 2, np.eye(d))
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +120,6 @@ def complete_family(n: int, couplings: Optional[Sequence[float]] = None
     return commuting_family(mats, couplings)
 
 
-def effective_couplings(family: CommutingFamily) -> np.ndarray:
-    """Jt_l = sum_k J_k lambda_l^(k); reproduces H = V diag(Jt) V^T."""
-    jt = family.couplings @ family.eigen_table
-    h = hopping_hamiltonian(family)
-    recon = (family.basis * jt) @ family.basis.T
-    if np.max(np.abs(recon - h)) > 1e-9:
-        raise AssertionError("effective couplings do not reproduce the Hamiltonian")
-    return jt
-
-
-def hopping_hamiltonian(family: CommutingFamily) -> np.ndarray:
-    return sum(j * a for j, a in zip(family.couplings, family.matrices))
-
-
 def family_spectrum(family: CommutingFamily) -> Spectrum:
     """H = V diag(Jt) V^T as a `Spectrum`: Jt ascending, V's columns to match."""
     jt = family.couplings @ family.eigen_table
@@ -198,12 +129,18 @@ def family_spectrum(family: CommutingFamily) -> Spectrum:
 
 def transfer_amplitude_qudit(family: CommutingFamily, j: int, t: float,
                              source: int = 0) -> complex:
-    """f_{j,source}(t) = sum_l V[j,l] V[source,l] e^{-i t Jt_l}."""
+    """f_{j,source}(t) = sum_l V[j,l] V[source,l] e^{-i t Jt_l}.
+
+    A time that is NaN or infinite raises ValueError, and so does
+    X = |t| max |Jt| >= 2^53 (`spectral._check_phase_resolution`).
+    """
     n = family.site_count
     if not (0 <= j < n and 0 <= source < n):
         raise ValueError("site out of range")
     _check_times(t)
-    return family_spectrum(family).amplitude(source, j, t)
+    spec = family_spectrum(family)
+    _check_phase_resolution(abs(t) * float(np.max(np.abs(spec.eigenvalues))))
+    return spec.amplitude(source, j, t)
 
 
 def _uncorrected_amplitudes(family: CommutingFamily, t: float) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,13 +36,6 @@ HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
 
 class CapacityError(RuntimeError):
     """Raised when a network's label space is full and must be widened."""
-
-
-def antipodal(bits: str) -> str:
-    """Bitwise complement of a binary label."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"not a binary label: {bits!r}")
-    return "".join("1" if c == "0" else "0" for c in bits)
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,6 @@ class Hop:
 class HopPlan:
     hops: tuple[Hop, ...]
     total_time: float
-    intermediate: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -128,12 +119,6 @@ def _dyadic_blocks(n: int) -> tuple[tuple[int, int], ...]:
         blocks.append((start, size))
         start += size
     return tuple(blocks)
-
-
-def hypercube_labeling(k: int) -> NetworkLabeling:
-    """Labeling of a plain Q_k treated as a one-block network."""
-    labels = tuple(format(v, f"0{k}b") for v in range(1 << k))
-    return NetworkLabeling(labels, ((0, 1 << k),))
 
 
 def build_network(n: int) -> tuple[SignedWeightedGraph, NetworkLabeling]:
@@ -229,9 +214,9 @@ def find_subhypercube(k: int, u: str, v: str) -> SwitchPlan:
         raise ValueError(f"labels must have length {k}")
     if u == v:
         raise ValueError("endpoints must differ")
-    labeling = hypercube_labeling(k)
-    return _subcube_plan(labeling, hypercube(k).edges,
-                         labeling.index_of(u), labeling.index_of(v))
+    cube = hypercube(k)
+    labeling = NetworkLabeling(cube.labels, ((0, 1 << k),))
+    return _subcube_plan(labeling, cube.edges, labeling.index_of(u), labeling.index_of(v))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +275,7 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
         hops = (Hop(bridge, u, x, t0), Hop(cube, x, w, t0))
     else:
         hops = (Hop(cube, u, x, t0), Hop(bridge, x, w, t0))
-    return HopPlan(hops, 2 * t0, intermediate=x)
+    return HopPlan(hops, 2 * t0)
 
 
 def execute_route(network: SignedWeightedGraph, plan: HopPlan,
@@ -314,8 +299,7 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
         raise ValueError("input state must be normalized")
     if not plan.hops:
         target = int(np.argmax(np.abs(state)))
-        return state, TransferReport(*polar(state[target]), 0.0, True,
-                                     (target, target), "hypercube")
+        return state, TransferReport(*polar(state[target]), 0.0, True, "hypercube")
     source = plan.hops[0].source
     if abs(abs(state[source]) - 1.0) > 1e-9:
         raise ValueError("input state must be concentrated on the hop source")
@@ -330,8 +314,7 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
             total += switch_lag
     target = plan.hops[-1].target
     mag, phase = polar(state[target])
-    return state, TransferReport(mag, phase, total, mag >= 1.0 - 1e-9,
-                                 (plan.hops[0].source, target), "hypercube")
+    return state, TransferReport(mag, phase, total, mag >= 1.0 - 1e-9, "hypercube")
 
 
 def _kept_cube_weight(network: SignedWeightedGraph, plan: SwitchPlan) -> float:

@@ -6,9 +6,7 @@ evolves a vector to one time, and `Spectrum.amplitude` gives <v|U(t)|u>
 of one pair at one time or over a grid of times.  Its eigenvectors may be
 a block of rows.  A dense solve (`Spectrum.from_matrix`) is refused above
 DENSE_MAX_DIM rows.  Only whole-spectrum questions still take one: the
-all-pairs grid maxima of `corona_lab`, `symmetry_operator` and
-`corona_spectrum`, and the full-spin oracle `spin_oracle_check`, the one
-caller of `Spectrum.from_graph`.
+all-pairs grid maxima of `corona_lab` and `corona_spectrum`.
 
 Single-pair questions run on the walk module of u instead,
 W_u = span{M^k e_u}, whose dimension D is the number of eigenvalues in
@@ -35,8 +33,11 @@ mean eigenvalue (`_eigenspaces`).
   `transfer_amplitude` then takes one `expm_multiply` column of the sparse
   matrix (`_krylov_entry`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
   2011), and its report names the backend; a scan is refused.
-- X = |t| ||M||_1 >= 2^53 is refused, since rounding l t moves an
-  amplitude by about X 2^-52 (`_check_phase_resolution`).
+- X = |t| N >= 2^53, N a bound on every |l| such as ||M||_1, is refused
+  before any work, since rounding l t moves an amplitude by about X 2^-52
+  (`_check_phase_resolution`): by `walk_spectrum` and `transfer_amplitude`
+  at a time, by the grid kernel at its last time, and by the chain and
+  qudit amplitudes.
 
 `hypercube_apply` needs no eigenpairs at all: the uniform-weight
 hypercube has A = sum_b X_b over its d bit positions, so exp(-i w t A) is
@@ -53,8 +54,7 @@ blocks of B times as e^{-i l (bB + s) dt} = e^{-i l s dt} e^{-i l bB dt}:
 point, then two real products per block.  `_scan_points` checks the grid
 first: finite t_max >= 0, finite dt > 0, at most SCAN_MAX_POINTS points.
 
-Transfer amplitudes, fidelities, spectral PST conditions, symmetry
-operators and the full-spin XY oracle live here.
+Transfer amplitudes, fidelities and spectral PST conditions live here.
 
 `check_pst_conditions` decides PST exactly, with no time search.  Let
 l_0 < ... < l_max be the eigenvalues whose eigenspaces E_r do not
@@ -78,12 +78,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import SignedWeightedGraph, graph_matrix, sparse_matrix
+from .graphs import SignedWeightedGraph, sparse_matrix
 
 DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
 DEFAULT_MAX_DENOMINATOR = 10 ** 6
-SPIN_ORACLE_MAX_VERTICES = 12
 # largest dense eigensolve: 8192^2 doubles are 512 MiB per matrix copy
 DENSE_MAX_DIM = 8192
 # complex entries per block of a time-grid amplitude (4 MiB of temporaries)
@@ -136,11 +135,6 @@ class Spectrum:
             raise ValueError("matrix must be symmetric to 1e-12")
         w, v = np.linalg.eigh(m)
         return cls(w, v)
-
-    @classmethod
-    def from_graph(cls, g: SignedWeightedGraph, kind: str = "adjacency") -> "Spectrum":
-        _check_dense_dim(g.vertex_count)
-        return cls.from_matrix(graph_matrix(g, kind))
 
     @property
     def dimension(self) -> int:
@@ -201,7 +195,12 @@ def _krylov_entry(matrix, u: int, v: int, t: float) -> complex:
 
 
 def _check_phase_resolution(x: float) -> None:
-    """ValueError unless X = |t| ||M||_1 < 2^53: doubles that large lie 1 apart."""
+    """ValueError unless X = |t| N < 2^53: doubles that large lie 1 apart.
+
+    N bounds every |eigenvalue|: ||M||_1 for a walk or a chain, and max |l|
+    (the 2-norm, at most ||M||_1) where the eigenvalues are at hand, as for
+    a time grid or a qudit family.
+    """
     if not x < 2.0 ** 53:
         raise ValueError(f"walk amplitude at |t| ||M||_1 = {x:.3g} is refused: "
                          f"past 2^53 its phase has no digit below a radian")
@@ -247,7 +246,8 @@ def _walk_fits(n: int, x: float) -> bool:
     `walk_spectrum` is beta_m / ||M||_1 <= 1 times X^m / (m! (1 - X/m)), a
     factor that falls as m grows past X, so the first m that brings it under
     WALK_AMPLITUDE_TOL fits exactly when this m does.  Past the cap, X >= 2^53
-    raises ValueError: doubles that large lie 1 or more apart."""
+    raises ValueError (`_check_phase_resolution`), as `walk_spectrum` does at
+    any size: doubles that large lie 1 or more apart."""
     if n * n <= WALK_BASIS_MAX_ENTRIES:
         return True
     _check_phase_resolution(x)
@@ -339,7 +339,8 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     The basis holds at most WALK_BASIS_MAX_ENTRIES entries, n m; a run
     that needs more raises ValueError with one line.  With a time t, a run
     whose tail bound might need more (`_walk_fits`, one evaluation at the
-    most vectors the cap allows) raises it before any Lanczos step.
+    most vectors the cap allows) raises it before any Lanczos step, and so
+    does X = |t| ||M||_1 >= 2^53 (`_check_phase_resolution`), at any size.
     """
     n = g.vertex_count
     _check_vertices(n, u, v)
@@ -349,6 +350,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     if t is not None:
         span, goal = abs(float(t)), math.log(WALK_AMPLITUDE_TOL)
         x = span * norm
+        _check_phase_resolution(x)
     if max_steps == 0 or (t is not None and not _walk_fits(n, x)):
         raise _basis_cap_error(u, n, max_steps)
     basis = np.zeros((min(max_steps, 32), n))
@@ -420,15 +422,7 @@ class TransferReport:
     phase: float
     time: float
     passed: bool
-    pair: tuple[int, int]
     backend: str    # 'lanczos', 'krylov', 'chain' or 'hypercube' (routing)
-
-
-@dataclass
-class SymmetryReport:
-    operator: np.ndarray
-    commutes: bool
-    maps_pair: bool
 
 
 @dataclass
@@ -442,24 +436,14 @@ class PSTConditionReport:
     walk: WalkSpectrum                  # the closed walk module of u decided on
 
 
-def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
-    """Apply U(t) = sum_j e^{-i lambda_j t} |v_j><v_j| to a normalized state."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (spectrum.dimension,):
-        raise ValueError("state dimension does not match spectrum")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-        raise ValueError("state must be normalized to 1e-9")
-    _check_times(t)
-    return spectrum.apply(t, state)
-
-
 def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
                        matrix_kind: str = "adjacency") -> TransferReport:
     """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix.
 
     The walk module of u (`walk_spectrum` at time t, backend 'lanczos'),
     or one Krylov column (backend 'krylov') when its basis might not fit
-    (`_walk_fits`); the choice is made before any work.
+    (`_walk_fits`); the choice is made before any work.  Either path
+    refuses X = |t| ||M||_1 >= 2^53 first (`_check_phase_resolution`).
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
@@ -468,7 +452,7 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
         amp, backend = walk_spectrum(g, u, v, matrix_kind, t).amplitude(t), "lanczos"
     else:
         amp, backend = _krylov_entry(matrix, u, v, t), "krylov"
-    return _transfer_report(amp, t, (u, v), backend)
+    return _transfer_report(amp, t, backend)
 
 
 def polar(amp: complex) -> tuple[float, float]:
@@ -487,10 +471,9 @@ def polar(amp: complex) -> tuple[float, float]:
     return mag, float(np.arctan2(amp.imag, amp.real))
 
 
-def _transfer_report(amp: complex, t: float, pair: tuple[int, int],
-                     backend: str) -> TransferReport:
+def _transfer_report(amp: complex, t: float, backend: str) -> TransferReport:
     mag, phase = polar(amp)
-    return TransferReport(mag, phase, t, mag >= 1.0 - DEFAULT_PST_TOL, pair, backend)
+    return TransferReport(mag, phase, t, mag >= 1.0 - DEFAULT_PST_TOL, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +699,8 @@ def _grid_magnitudes(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float,
 
     Returns a (count, pairs) array, or with running_max only the maximum
     over k of each column, shape (pairs,).  The grid comes from
-    `_scan_points`.
+    `_scan_points`.  X = t_max max |l| >= 2^53 raises ValueError before any
+    work (`_check_phase_resolution`).
 
     Terms: rows of C that are exactly 0 are dropped, and each greedy run of
     sorted eigenvalues spanning delta with delta t_max <= SCAN_MERGE_TOL,
@@ -734,12 +718,14 @@ def _grid_magnitudes(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float,
     as real and imaginary parts so that both products with C are real;
     only the returned values take a square root.
     """
+    lam = np.asarray(eigenvalues, dtype=float)
+    horizon = (count - 1) * dt
+    _check_phase_resolution(horizon * float(np.max(np.abs(lam), initial=0.0)))
     coeffs = np.asarray(coeffs, dtype=float)
     keep = np.any(coeffs != 0, axis=1)
-    lam, coeffs = np.asarray(eigenvalues, dtype=float)[keep], coeffs[keep]
+    lam, coeffs = lam[keep], coeffs[keep]
     order = np.argsort(lam, kind="stable")
     lam, coeffs = lam[order], coeffs[order]
-    horizon = (count - 1) * dt
     if len(lam):
         width = SCAN_MERGE_TOL / horizon if horizon > 0 else math.inf
         starts = _run_starts(lam, width)
@@ -826,33 +812,7 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
 
 
 # ---------------------------------------------------------------------------
-# symmetry and phase structure
-
-def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
-                      matrix_kind: str = "adjacency") -> SymmetryReport:
-    """Construct S = sum e^{i phi_j} |l_j><l_j| mapping |u> to |v>.
-
-    Phases are fixed per eigenspace by phi = arg<u|P|v>; eigenspaces with
-    no overlap on |u> enter with phase 0.  Raises when the eigenvector
-    magnitude condition fails, since then no such diagonal symmetry exists
-    and PST between u and v is impossible by this route.
-    """
-    _check_vertices(g.vertex_count, u, v)
-    m = graph_matrix(g, matrix_kind)
-    spec = Spectrum.from_matrix(m)
-    spaces = _eigenspaces(spec, u, v, DEFAULT_CONDITION_TOL)
-    if not spaces.vector_condition:
-        raise ValueError(
-            "eigenvector magnitude condition fails for this pair; "
-            "no diagonal symmetry maps u to v and PST is impossible by this route")
-    n = spec.dimension
-    vecs = spec.eigenvectors
-    s = ((vecs * spaces.sign[spaces.group]) @ vecs.T).astype(complex)
-    eu, ev = np.eye(n)[u], np.eye(n)[v]
-    commutes = np.max(np.abs(s @ m - m @ s)) <= 1e-8
-    maps_pair = np.linalg.norm(s @ eu - ev) <= 1e-8
-    return SymmetryReport(s, commutes, maps_pair)
-
+# graph distance
 
 def graph_distance(g: SignedWeightedGraph, u: int, v: int) -> int:
     """BFS edge distance, ignoring weights and signs."""
@@ -861,55 +821,3 @@ def graph_distance(g: SignedWeightedGraph, u: int, v: int) -> int:
     if math.isinf(hops):
         raise ValueError(f"vertices {u} and {v} are disconnected")
     return int(hops)
-
-
-def periodicity_check(g: SignedWeightedGraph, u: int, t0: float,
-                      matrix_kind: str = "adjacency") -> bool:
-    """True iff the walk revives at u after 2*t0 (mirror-symmetry periodicity)."""
-    rep = transfer_amplitude(g, u, u, 2.0 * t0, matrix_kind)
-    return rep.magnitude >= 1.0 - 1e-8
-
-
-# ---------------------------------------------------------------------------
-# full-spin oracle
-
-def xy_spin_hamiltonian(g: SignedWeightedGraph) -> np.ndarray:
-    """Full 2^n XY Hamiltonian sum_E w_ij (s+_i s-_j + s-_i s+_j).
-
-    Qubit i maps to bit i of the basis index (LSB first).  The exchange
-    constants are J_ij = w_ij/2 so that 2 J_ij equals the edge weight.
-    """
-    n = g.vertex_count
-    if n > SPIN_ORACLE_MAX_VERTICES:
-        raise ValueError(f"{n} vertices exceeds spin-oracle guard "
-                         f"{SPIN_ORACLE_MAX_VERTICES}")
-    dim = 1 << n
-    h = np.zeros((dim, dim))
-    basis = np.arange(dim)
-    # distinct edges flip distinct bit pairs, so each entry is written once
-    for u, v, sw in zip(*(a.tolist() for a in g.edge_arrays)):
-        hops = basis[((basis >> u) ^ (basis >> v)) & 1 == 1]
-        h[hops ^ (1 << u) ^ (1 << v), hops] = sw
-    return h
-
-
-def spin_oracle_check(g: SignedWeightedGraph, t: float, excitation_vertex: int
-                      ) -> float:
-    """Max deviation between full-spin and adjacency dynamics.
-
-    Evolves the one-excitation basis state of the given vertex under the
-    full 2^n XY Hamiltonian and compares the whole 2^n column against the
-    single-excitation embedding of exp(-i A t)|u>; leakage out of the
-    sector therefore counts as deviation.
-    """
-    n = g.vertex_count
-    if not 0 <= excitation_vertex < n:
-        raise ValueError("excitation vertex out of range")
-    start = np.zeros(1 << n)
-    start[1 << excitation_vertex] = 1.0
-    full = evolve(Spectrum.from_matrix(xy_spin_hamiltonian(g)), t, start)
-    small = evolve(Spectrum.from_graph(g), t, np.eye(n)[excitation_vertex])
-    embedded = np.zeros(1 << n, dtype=complex)
-    for j in range(n):
-        embedded[1 << j] = small[j]
-    return float(np.max(np.abs(full - embedded)))

@@ -1,4 +1,4 @@
-"""Reference formulas and audits the tests check pstnet against.
+"""Reference formulas, audits and builders the tests check pstnet against.
 
 None of these is called by the library, the CLI or the benchmark, so they
 live with the tests.  The module name does not match `test_*.py`, so pytest
@@ -8,21 +8,80 @@ imports it only through the tests that use it.
 import csv
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
-from pstnet import graphs, transmon
-from pstnet.graphs import SignedWeightedGraph, edge_table, is_balanced, sparse_matrix
-from pstnet.qudit import su_d_generators
-from pstnet.spectral import graph_distance, transfer_amplitude
+from pstnet import graphs, spectral, transmon
+from pstnet.chains import ChainSpec
+from pstnet.fileio import fmt
+from pstnet.graphs import (SignedWeightedGraph, edge_table, graph_matrix, is_balanced,
+                           sparse_matrix)
+from pstnet.qudit import CommutingFamily
+from pstnet.spectral import Spectrum, graph_distance, transfer_amplitude
 from pstnet.transmon import CouplerConfig
+
+SPIN_ORACLE_MAX_VERTICES = 12
+MAX_GENERATOR_DIM = 8
 
 
 # --- graphs and networks ------------------------------------------------------------
 
+def adjacency(g: SignedWeightedGraph) -> np.ndarray:
+    """Signed weighted adjacency matrix, A[u,v] = sign * weight."""
+    return graph_matrix(g, "adjacency")
+
+
 def degree_matrix(g: SignedWeightedGraph) -> np.ndarray:
     return np.diag(graphs._weighted_degrees(g))
+
+
+def disjoint_union(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedGraph:
+    """Block-diagonal union; h's vertices are shifted after g's."""
+    off = g.vertex_count
+    a, b, sw = h.edge_arrays
+    rows = np.vstack((edge_table(*g.edge_arrays), edge_table(a + off, b + off, sw)))
+    labels = None
+    if g.labels is not None and h.labels is not None:
+        cand = g.labels + h.labels
+        if len(set(cand)) == len(cand) and len({len(l) for l in cand}) <= 1:
+            labels = cand
+    markings = None
+    if g.markings is not None and h.markings is not None:
+        markings = g.markings + h.markings
+    return SignedWeightedGraph(g.vertex_count + h.vertex_count, rows,
+                               labels=labels, markings=markings)
+
+
+def add_isolated(g: SignedWeightedGraph, count: int) -> SignedWeightedGraph:
+    """Append isolated vertices; labels are dropped, markings pad with +1."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    markings = g.markings + (1,) * count if g.markings is not None else None
+    return SignedWeightedGraph(g.vertex_count + count, edge_table(*g.edge_arrays),
+                               markings=markings)
+
+
+def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedWeightedGraph:
+    """Induced subgraph on the given vertex set.
+
+    Kept vertices are re-indexed in ascending order of their original
+    indices, which is the index remapping contract used everywhere else.
+    """
+    keep = sorted(set(vertices))
+    if not keep:
+        raise ValueError("vertex set must be non-empty")
+    if keep[0] < 0 or keep[-1] >= g.vertex_count:
+        raise ValueError("vertex set out of range")
+    position = np.full(g.vertex_count, -1)
+    position[keep] = np.arange(len(keep))
+    a, b, sw = g.edge_arrays
+    pu, pv = position[a], position[b]
+    inside = (pu >= 0) & (pv >= 0)
+    sub = lambda t: tuple(t[v] for v in keep) if t is not None else None
+    return SignedWeightedGraph(len(keep), edge_table(pu[inside], pv[inside], sw[inside]),
+                               labels=sub(g.labels), markings=sub(g.markings))
 
 
 def corona_edge_count(n: int, k: int, m: int) -> int:
@@ -51,7 +110,117 @@ def switch_off_count(k: int, i: int) -> int:
     return k * (1 << (k - 1)) - (i * (1 << (i - 1)) if i else 0)
 
 
+# --- chains -------------------------------------------------------------------------
+
+def chain_matrix(spec: ChainSpec) -> np.ndarray:
+    n = spec.length
+    m = np.zeros((n, n))
+    for i, j in enumerate(spec.couplings):
+        m[i, i + 1] = m[i + 1, i] = j
+    return m
+
+
 # --- spectra and amplitudes ---------------------------------------------------------
+
+def graph_spectrum(g: SignedWeightedGraph, kind: str = "adjacency") -> Spectrum:
+    """The dense eigendecomposition of one graph matrix, refused above
+    DENSE_MAX_DIM vertices before the matrix is built."""
+    spectral._check_dense_dim(g.vertex_count)
+    return Spectrum.from_matrix(graph_matrix(g, kind))
+
+
+def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
+    """Apply U(t) = sum_j e^{-i lambda_j t} |v_j><v_j| to a normalized state."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (spectrum.dimension,):
+        raise ValueError("state dimension does not match spectrum")
+    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
+        raise ValueError("state must be normalized to 1e-9")
+    spectral._check_times(t)
+    return spectrum.apply(t, state)
+
+
+def periodicity_check(g: SignedWeightedGraph, u: int, t0: float,
+                      matrix_kind: str = "adjacency") -> bool:
+    """True iff the walk revives at u after 2*t0 (mirror-symmetry periodicity)."""
+    rep = transfer_amplitude(g, u, u, 2.0 * t0, matrix_kind)
+    return rep.magnitude >= 1.0 - 1e-8
+
+
+@dataclass
+class SymmetryReport:
+    operator: np.ndarray
+    commutes: bool
+    maps_pair: bool
+
+
+def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
+                      matrix_kind: str = "adjacency") -> SymmetryReport:
+    """Construct S = sum e^{i phi_j} |l_j><l_j| mapping |u> to |v>.
+
+    Phases are fixed per eigenspace by phi = arg<u|P|v>; eigenspaces with
+    no overlap on |u> enter with phase 0.  Raises when the eigenvector
+    magnitude condition fails, since then no such diagonal symmetry exists
+    and PST between u and v is impossible by this route.
+    """
+    spectral._check_vertices(g.vertex_count, u, v)
+    m = graph_matrix(g, matrix_kind)
+    spec = Spectrum.from_matrix(m)
+    spaces = spectral._eigenspaces(spec, u, v, spectral.DEFAULT_CONDITION_TOL)
+    if not spaces.vector_condition:
+        raise ValueError(
+            "eigenvector magnitude condition fails for this pair; "
+            "no diagonal symmetry maps u to v and PST is impossible by this route")
+    n = spec.dimension
+    vecs = spec.eigenvectors
+    s = ((vecs * spaces.sign[spaces.group]) @ vecs.T).astype(complex)
+    eu, ev = np.eye(n)[u], np.eye(n)[v]
+    commutes = np.max(np.abs(s @ m - m @ s)) <= 1e-8
+    maps_pair = np.linalg.norm(s @ eu - ev) <= 1e-8
+    return SymmetryReport(s, commutes, maps_pair)
+
+
+def xy_spin_hamiltonian(g: SignedWeightedGraph) -> np.ndarray:
+    """Full 2^n XY Hamiltonian sum_E w_ij (s+_i s-_j + s-_i s+_j).
+
+    Qubit i maps to bit i of the basis index (LSB first).  The exchange
+    constants are J_ij = w_ij/2 so that 2 J_ij equals the edge weight.
+    """
+    n = g.vertex_count
+    if n > SPIN_ORACLE_MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceeds spin-oracle guard "
+                         f"{SPIN_ORACLE_MAX_VERTICES}")
+    dim = 1 << n
+    h = np.zeros((dim, dim))
+    basis = np.arange(dim)
+    # distinct edges flip distinct bit pairs, so each entry is written once
+    for u, v, sw in zip(*(a.tolist() for a in g.edge_arrays)):
+        hops = basis[((basis >> u) ^ (basis >> v)) & 1 == 1]
+        h[hops ^ (1 << u) ^ (1 << v), hops] = sw
+    return h
+
+
+def spin_oracle_check(g: SignedWeightedGraph, t: float, excitation_vertex: int
+                      ) -> float:
+    """Max deviation between full-spin and adjacency dynamics.
+
+    Evolves the one-excitation basis state of the given vertex under the
+    full 2^n XY Hamiltonian and compares the whole 2^n column against the
+    single-excitation embedding of exp(-i A t)|u>; leakage out of the
+    sector therefore counts as deviation.
+    """
+    n = g.vertex_count
+    if not 0 <= excitation_vertex < n:
+        raise ValueError("excitation vertex out of range")
+    start = np.zeros(1 << n)
+    start[1 << excitation_vertex] = 1.0
+    full = evolve(Spectrum.from_matrix(xy_spin_hamiltonian(g)), t, start)
+    small = evolve(graph_spectrum(g), t, np.eye(n)[excitation_vertex])
+    embedded = np.zeros(1 << n, dtype=complex)
+    for j in range(n):
+        embedded[1 << j] = small[j]
+    return float(np.max(np.abs(full - embedded)))
+
 
 def unmodulated_chain_spectrum(n: int) -> np.ndarray:
     """Closed-form eigenvalues -2 cos(k pi / (n+1)), k = 1..n, ascending."""
@@ -121,9 +290,60 @@ def _angle_diff(a: float, b: float) -> float:
 
 # --- qudits -------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class GeneratorSet:
+    """The d^2 - 1 traceless Hermitian generators of SU(d)."""
+
+    dimension: int
+    theta: tuple[np.ndarray, ...]     # symmetric off-diagonal family
+    beta: tuple[np.ndarray, ...]      # antisymmetric off-diagonal family
+    eta: tuple[np.ndarray, ...]       # diagonal (Cartan) family
+
+    def all(self) -> list[np.ndarray]:
+        return list(self.theta) + list(self.beta) + list(self.eta)
+
+
+def su_d_generators(d: int) -> GeneratorSet:
+    """Generalized Pauli set: for d=2 the Pauli matrices, d=3 the Gell-Mann set.
+
+    theta^{k,j} = |k><j| + |j><k|, beta^{k,j} = -i(|k><j| - |j><k|) for
+    k < j, and eta^{r,r} = sqrt(2/(r(r+1))) (sum_{m<=r} |m><m| - r |r+1><r+1|).
+    """
+    if not 2 <= d <= MAX_GENERATOR_DIM:
+        raise ValueError(f"need 2 <= d <= {MAX_GENERATOR_DIM}")
+    theta, beta, eta = [], [], []
+    for k in range(d):
+        for j in range(k + 1, d):
+            p_kj = np.zeros((d, d), dtype=complex)
+            p_kj[k, j] = 1.0
+            theta.append(p_kj + p_kj.T)
+            beta.append(-1j * (p_kj - p_kj.T))
+    for r in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        for j in range(r):
+            m[j, j] = 1.0
+        m[r, r] = -r
+        eta.append(math.sqrt(2.0 / (r * (r + 1))) * m)
+    return GeneratorSet(d, tuple(theta), tuple(beta), tuple(eta))
+
+
 def qudit_chain_charges(n: int, d: int) -> list[np.ndarray]:
     """Conserved level charges I_n kron eta^{r,r} of the qudit chain."""
     return [np.kron(np.eye(n), e) for e in su_d_generators(d).eta]
+
+
+def effective_couplings(family: CommutingFamily) -> np.ndarray:
+    """Jt_l = sum_k J_k lambda_l^(k); reproduces H = V diag(Jt) V^T."""
+    jt = family.couplings @ family.eigen_table
+    h = hopping_hamiltonian(family)
+    recon = (family.basis * jt) @ family.basis.T
+    if np.max(np.abs(recon - h)) > 1e-9:
+        raise AssertionError("effective couplings do not reproduce the Hamiltonian")
+    return jt
+
+
+def hopping_hamiltonian(family: CommutingFamily) -> np.ndarray:
+    return sum(j * a for j, a in zip(family.couplings, family.matrices))
 
 
 # --- transmons ----------------------------------------------------------------------
@@ -149,6 +369,24 @@ def reference_parameters(omega_c: float = 5.0) -> CouplerConfig:
 
 
 # --- files --------------------------------------------------------------------------
+
+def serialize_graph(g: SignedWeightedGraph) -> str:
+    lines = [f"graph {g.vertex_count}"]
+    if g.labels is not None:
+        lines += [f"label {i} {lab}" for i, lab in enumerate(g.labels)]
+    if g.markings is not None:
+        lines += [f"mark {i} {'+' if m > 0 else '-'}" for i, m in enumerate(g.markings)]
+    u, v, sw = g.edge_arrays
+    lines += [f"edge {a} {b} {_weight_text(abs(x))} {'+' if x > 0 else '-'}"
+              for a, b, x in zip(u.tolist(), v.tolist(), sw.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _weight_text(w: float) -> str:
+    """`fmt(w)`, or the shortest text that reads back as w where that loses it."""
+    text = fmt(w)
+    return text if float(text) == w else repr(w)
+
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     """Read back an emitted CSV, skipping blank and comment lines."""

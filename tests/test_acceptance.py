@@ -12,18 +12,17 @@ from pstnet.chains import column_project, pst_chain, chain_pst_verify, \
     unmodulated_no_pst_scan
 from pstnet.corona_lab import (all_pairs_max_fidelity, corona_spectrum,
                                fidelity_vs_m)
-from pstnet.graphs import (SignedWeightedGraph, adjacency, complete_graph,
+from pstnet.graphs import (SignedWeightedGraph, complete_graph,
                            corona, cycle_graph, hypercube, laplacian,
                            make_graph, path_graph)
-from pstnet.qudit import (cycle_family, hopping_hamiltonian,
-                          transfer_amplitude_qudit, unitarity_audit)
+from pstnet.qudit import cycle_family, transfer_amplitude_qudit, unitarity_audit
 from pstnet.routing import (Hop, HopPlan, build_network, execute_route,
                             find_subhypercube, plan_route, swap_baseline)
-from pstnet.spectral import (check_pst_conditions, rationality_check,
-                             spin_oracle_check, transfer_amplitude)
+from pstnet.spectral import check_pst_conditions, rationality_check, transfer_amplitude
 from pstnet.transmon import coupling_report, find_cutoff, pst_time, three_body_oracle
 
-from oracles import reference_parameters, unmodulated_chain_spectrum
+from oracles import (adjacency, hopping_hamiltonian, reference_parameters,
+                     spin_oracle_check, unmodulated_chain_spectrum)
 
 RNG = np.random.default_rng(0xC0FFEE)
 

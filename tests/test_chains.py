@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from pstnet import chains, spectral
-from pstnet.chains import (ChainSpec, chain_matrix, chain_pst_verify,
-                           column_project, pst_chain, unmodulated_no_pst_scan)
-from pstnet.graphs import adjacency, hypercube, path_graph
-from pstnet.spectral import Spectrum, check_pst_conditions, evolve
+from pstnet import chains, graphs, spectral
+from pstnet.chains import (ChainSpec, chain_pst_verify, column_project, pst_chain,
+                           unmodulated_no_pst_scan)
+from pstnet.graphs import hypercube, path_graph
+from pstnet.spectral import Spectrum, check_pst_conditions
 from pstnet.graphs import make_graph
 
-from oracles import unmodulated_chain_spectrum
+from oracles import (adjacency, chain_matrix, evolve, graph_spectrum,
+                     unmodulated_chain_spectrum)
 
 
 def test_two_site_chain():
@@ -73,7 +74,7 @@ def test_column_projection_preserves_dynamics():
     for i in range(k + 1):
         vec = (weights == i).astype(float)
         cols.append(vec / np.linalg.norm(vec))
-    spec_cube = Spectrum.from_graph(g)
+    spec_cube = graph_spectrum(g)
     spec_chain = Spectrum.from_matrix(chain_matrix(pst_chain(k + 1)))
     for t in (0.37, 1.1, math.pi / 2):
         big = evolve(spec_cube, t, cols[0].astype(complex))
@@ -174,8 +175,7 @@ def test_uniform_scan_refuses_before_building_the_matrix(monkeypatch):
     def built(*args):
         pytest.fail("a dense chain matrix was built")
 
-    monkeypatch.setattr(spectral, "graph_matrix", built)
-    monkeypatch.setattr(chains, "chain_matrix", built)
+    monkeypatch.setattr(graphs, "graph_matrix", built)
     # the scan walks the sparse path from site 0, so the dense limit does not bind
     monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
     t_star, f_star = unmodulated_no_pst_scan(9, 10.0)

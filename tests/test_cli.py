@@ -12,11 +12,10 @@ import pytest
 import pstnet
 from pstnet import cli, spectral
 from pstnet.cli import run
-from pstnet.fileio import (GraphFormatError, emit_csv, fmt, parse_graph_text,
-                           serialize_graph)
+from pstnet.fileio import GraphFormatError, emit_csv, fmt, parse_graph_text
 from pstnet.graphs import make_graph
 
-from oracles import read_csv
+from oracles import read_csv, serialize_graph
 
 K2_TEXT = "graph 2\nedge 0 1 1 +\n"
 
@@ -633,6 +632,16 @@ def test_pst_csv_on_a_small_graph_refuses_a_time_past_two_to_the_53(tmp_path, ca
                                        "refused: past 2^53 its phase has no digit "
                                        "below a radian\n")
     assert not out.exists()
+
+
+def test_qudit_refuses_a_time_past_two_to_the_53(capsys):
+    # the all-ones family on 5 sites has eigenvalues 5 and 0; at t = 1e300
+    # it printed magnitude 0.5132, phase noise, and exited 0
+    assert run(["qudit", "--family", "cycle:5", "--target", "1", "--t", "1e300",
+                "--json"]) == 2
+    assert capsys.readouterr() == ("", "walk amplitude at |t| ||M||_1 = 5e+300 is "
+                                       "refused: past 2^53 its phase has no digit "
+                                       "below a radian\n")
 
 
 @pytest.mark.parametrize("args,line", [

@@ -19,15 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from pstnet import routing, spectral
 from pstnet.cli import run
-from pstnet.fileio import fmt, parse_graph_text, serialize_graph
-from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, add_isolated,
-                           cartesian, complete_graph, corona, cycle_graph,
-                           disjoint_union, graph_matrix, hypercube,
-                           induced_subgraph, is_balanced, make_graph, markings_under,
-                           path_graph)
+from pstnet.fileio import fmt, parse_graph_text
+from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, cartesian,
+                           complete_graph, corona, cycle_graph, graph_matrix, hypercube,
+                           is_balanced, make_graph, markings_under, path_graph)
 from pstnet.spectral import Spectrum, max_fidelity_scan, max_fidelity_scan_spectrum
 
-from oracles import degree_matrix, hamming
+from oracles import (add_isolated, degree_matrix, disjoint_union, hamming,
+                     induced_subgraph, serialize_graph)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 

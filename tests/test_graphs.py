@@ -6,15 +6,18 @@ import pytest
 from scipy.linalg import expm
 
 from pstnet.fileio import GraphFormatError, parse_graph_text
-from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, adjacency,
-                           add_isolated, canonical_marking,
+from pstnet.graphs import (Edge, MarkingScheme, SignedWeightedGraph, canonical_marking,
                            cartesian, complete_graph, corona, cycle_graph,
-                           disjoint_union, graph_matrix, hypercube,
-                           induced_subgraph, is_balanced, laplacian, make_graph,
-                           path_graph, plurality_marking, signless_laplacian,
-                           sparse_matrix)
+                           graph_matrix, hypercube, is_balanced, laplacian, make_graph,
+                           path_graph, plurality_marking, sparse_matrix)
 
-from oracles import degree_matrix
+from oracles import (adjacency, add_isolated, degree_matrix, disjoint_union,
+                     induced_subgraph)
+
+
+def signless_laplacian(g: SignedWeightedGraph) -> np.ndarray:
+    """L+ = D + A."""
+    return graph_matrix(g, "signless_laplacian")
 
 
 def test_k2_adjacency():

@@ -12,7 +12,9 @@ from pstnet.chains import chain_pst_verify, pst_chain
 from pstnet.graphs import graph_matrix, hypercube, make_graph, sparse_matrix
 from pstnet.qudit import (QuditState, cycle_family, qudit_transfer,
                           transfer_amplitude_qudit, unitarity_audit)
-from pstnet.spectral import DENSE_MAX_DIM, Spectrum, evolve, transfer_amplitude
+from pstnet.spectral import DENSE_MAX_DIM, transfer_amplitude
+
+from oracles import evolve, graph_spectrum
 
 RNG = np.random.default_rng(7207)
 KINDS = ("adjacency", "laplacian", "signless_laplacian")
@@ -143,7 +145,7 @@ def test_norm_drift_is_refused(monkeypatch):
     lambda g: transfer_amplitude_qudit(cycle_family(4), 1, math.inf),
     lambda g: qudit_transfer(cycle_family(4), QuditState((1.0, 0.0), 0), 2, math.nan),
     lambda g: unitarity_audit(cycle_family(4), [0.5, math.inf]),
-    lambda g: evolve(Spectrum.from_graph(g), math.inf, np.array([1.0, 0.0])),
+    lambda g: evolve(graph_spectrum(g), math.inf, np.array([1.0, 0.0])),
 ])
 def test_non_finite_times_are_refused(call):
     with pytest.raises(ValueError, match=r"time (nan|inf|-inf) is not finite"):

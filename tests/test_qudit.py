@@ -5,19 +5,34 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pstnet.chains import chain_matrix, pst_chain
+from pstnet.chains import pst_chain
 from pstnet.qudit import (MAX_FAMILY_ENTRIES, QuditState, check_family_size,
                           commuting_family, complete_family, cycle_family,
-                          effective_couplings, family_spectrum, hopping_hamiltonian,
-                          qudit_chain_hamiltonian, qudit_transfer,
-                          su_d_generators, transfer_amplitude_qudit,
+                          family_spectrum, qudit_transfer, transfer_amplitude_qudit,
                           unitarity_audit)
 
-from oracles import qudit_chain_charges
+from oracles import (chain_matrix, effective_couplings, hopping_hamiltonian,
+                     qudit_chain_charges, su_d_generators)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def qudit_chain_hamiltonian(n: int, d: int) -> np.ndarray:
+    """Single-particle Hamiltonian of the weighted qudit chain on n*d states.
+
+    Basis |site i, level m>; each internal level hops identically with
+    J_i = sqrt(i (n - i)) / 2, so the matrix is the half-strength transfer
+    chain tensored with the identity on levels.  Each internal-level charge
+    I_n kron eta^{r,r} commutes with it, the d-level analogue of total-spin
+    conservation (`oracles.qudit_chain_charges`).
+    """
+    if n < 2 or d < 2:
+        raise ValueError("need n >= 2 sites and d >= 2 levels")
+    if n * d > 1024:
+        raise ValueError("single-particle sector larger than 1024")
+    return np.kron(chain_matrix(pst_chain(n)) / 2, np.eye(d))
 
 
 # --- generators -----------------------------------------------------------------

@@ -5,19 +5,25 @@ import pytest
 from scipy.linalg import expm
 
 from pstnet import graphs
-from pstnet.graphs import SignedWeightedGraph, adjacency, hypercube
+from pstnet.graphs import SignedWeightedGraph, hypercube
 from pstnet.routing import (CapacityError, Hop, HopPlan, NetworkLabeling,
-                            antipodal, build_network, classify_neighborhood,
-                            execute_route, find_subhypercube, grow,
-                            hypercube_labeling, plan_route, swap_baseline,
+                            build_network, classify_neighborhood, execute_route,
+                            find_subhypercube, grow, plan_route, swap_baseline,
                             widen_labels)
 
-from oracles import hamming, network_edge_count, switch_off_count
+from oracles import adjacency, hamming, network_edge_count, switch_off_count
 
 RNG = np.random.default_rng(4812)
 
 
 # --- antipodal labels --------------------------------------------------------
+
+def antipodal(bits: str) -> str:
+    """Bitwise complement of a binary label."""
+    if not bits or any(c not in "01" for c in bits):
+        raise ValueError(f"not a binary label: {bits!r}")
+    return "".join("1" if c == "0" else "0" for c in bits)
+
 
 def test_antipodal():
     assert antipodal("000") == "111"
@@ -208,7 +214,7 @@ def test_single_hop_when_bridge_lands_on_target():
 
 def test_random_q8_pairs_single_hop():
     g = hypercube(8)
-    lab = hypercube_labeling(8)
+    lab = NetworkLabeling(g.labels, ((0, 256),))
     n = g.vertex_count
     for _ in range(20):
         u, w = map(int, RNG.choice(n, size=2, replace=False))
@@ -386,7 +392,7 @@ def test_routing_builds_no_matrix_and_solves_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense matrix or eigensolve on the routing path")
 
-    monkeypatch.setattr(graphs, "adjacency", refuse)
+    monkeypatch.setattr(graphs, "graph_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     for n in range(2, 21):
         g, lab = build_network(n)

@@ -10,16 +10,17 @@ from scipy.linalg import expm
 from pstnet import spectral
 from pstnet.chains import unmodulated_no_pst_scan
 from pstnet.corona_lab import all_pairs_max_fidelity
-from pstnet.graphs import (adjacency, cartesian, complete_graph, corona, cycle_graph,
+from pstnet.graphs import (cartesian, complete_graph, corona, cycle_graph,
                            graph_matrix, hypercube, laplacian, make_graph, path_graph)
-from pstnet.spectral import (Spectrum, check_pst_conditions,
-                             evolve, graph_distance, hypercube_apply,
-                             max_fidelity_scan, max_fidelity_scan_spectrum,
-                             periodicity_check, rationality_check,
-                             spin_oracle_check, symmetry_operator,
+from pstnet.spectral import (Spectrum, check_pst_conditions, graph_distance,
+                             hypercube_apply, max_fidelity_scan,
+                             max_fidelity_scan_spectrum, rationality_check,
                              transfer_amplitude)
 
-from oracles import balanced_equivalent_amplitude, bipartite_phase_audit
+import oracles
+from oracles import (adjacency, balanced_equivalent_amplitude, bipartite_phase_audit,
+                     evolve, graph_spectrum, periodicity_check, spin_oracle_check,
+                     symmetry_operator)
 
 RNG = np.random.default_rng(1851)
 
@@ -33,14 +34,14 @@ def random_symmetric(n):
 
 def test_evolve_identity_at_t0():
     g = cycle_graph(5)
-    spec = Spectrum.from_graph(g)
+    spec = graph_spectrum(g)
     state = RNG.normal(size=5) + 1j * RNG.normal(size=5)
     state /= np.linalg.norm(state)
     np.testing.assert_allclose(evolve(spec, 0.0, state), state, atol=1e-12)
 
 
 def test_k2_full_swap_at_half_pi():
-    spec = Spectrum.from_graph(complete_graph(2))
+    spec = graph_spectrum(complete_graph(2))
     out = evolve(spec, math.pi / 2, np.array([1.0, 0.0], dtype=complex))
     assert abs(abs(out[1]) - 1.0) < 1e-12
     # transfer phase is -i for the odd-distance pair
@@ -57,7 +58,7 @@ def test_hypercube_kernel_matches_spectrum(d):
         state = RNG.normal(size=n) + 1j * RNG.normal(size=n)
         state /= np.linalg.norm(state)
         np.testing.assert_allclose(hypercube_apply(d, w, t, state),
-                                   Spectrum.from_graph(weighted).apply(t, state),
+                                   graph_spectrum(weighted).apply(t, state),
                                    atol=1e-12, rtol=0)
 
 
@@ -72,7 +73,7 @@ def test_hypercube_kernel_antipodal_phase_and_shape_check():
 
 
 def test_p3_end_to_end_closed_form():
-    spec = Spectrum.from_graph(path_graph(3))
+    spec = graph_spectrum(path_graph(3))
     for t in (0.3, 1.0, 2.0, math.pi / math.sqrt(2)):
         out = evolve(spec, t, np.array([1.0, 0, 0], dtype=complex))
         np.testing.assert_allclose(out[2], -math.sin(t / math.sqrt(2)) ** 2,
@@ -80,26 +81,26 @@ def test_p3_end_to_end_closed_form():
 
 
 def test_evolve_requires_normalized_state():
-    spec = Spectrum.from_graph(complete_graph(2))
+    spec = graph_spectrum(complete_graph(2))
     with pytest.raises(ValueError):
         evolve(spec, 1.0, np.array([1.0, 1.0], dtype=complex))
 
 
 def test_evolve_rejects_dimension_mismatch():
-    spec = Spectrum.from_graph(complete_graph(2))
+    spec = graph_spectrum(complete_graph(2))
     with pytest.raises(ValueError):
         evolve(spec, 1.0, np.array([1.0, 0, 0], dtype=complex))
 
 
 def test_dense_limit_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 8)
-    assert Spectrum.from_graph(hypercube(3)).dimension == 8
+    assert graph_spectrum(hypercube(3)).dimension == 8
     with pytest.raises(ValueError, match="16 exceeds the limit of 8"):
         Spectrum.from_matrix(np.eye(16))
-    monkeypatch.setattr(spectral, "graph_matrix", lambda g, kind: pytest.fail(
+    monkeypatch.setattr(oracles, "graph_matrix", lambda g, kind: pytest.fail(
         "the graph matrix was built before the size check"))
     with pytest.raises(ValueError, match="16 exceeds the limit of 8"):
-        Spectrum.from_graph(hypercube(4))
+        graph_spectrum(hypercube(4))
 
 
 def test_spectrum_eigen_residual():
@@ -340,7 +341,7 @@ def test_scans_refuse_a_bad_grid(t_max, dt, message):
     # "arange: cannot compute length" or a reduction over an empty grid
     g = path_graph(3)
     for scan in (lambda: max_fidelity_scan(g, 0, 2, t_max, dt),
-                 lambda: max_fidelity_scan_spectrum(Spectrum.from_graph(g), 0, 2, t_max, dt),
+                 lambda: max_fidelity_scan_spectrum(graph_spectrum(g), 0, 2, t_max, dt),
                  lambda: all_pairs_max_fidelity(adjacency(g), t_max, dt)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scan()
@@ -365,7 +366,7 @@ def _kernel_spectra():
     yield Spectrum.from_matrix(random_symmetric(9))
     yield Spectrum.from_matrix(random_symmetric(23))
     # Q_4: eigenvalues 4, 2, 0, -2, -4 with multiplicities 1, 4, 6, 4, 1
-    yield Spectrum.from_graph(hypercube(4))
+    yield graph_spectrum(hypercube(4))
     yield Spectrum.from_matrix(laplacian(corona(cycle_graph(4), cycle_graph(4))))
 
 
@@ -439,7 +440,7 @@ def test_grid_kernel_drops_zero_rows_and_handles_no_terms():
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_uniform_chain_scan_equals_the_direct_grid(n, direct_grid_scan):
-    spec = Spectrum.from_graph(path_graph(n))
+    spec = graph_spectrum(path_graph(n))
     assert unmodulated_no_pst_scan(n, 200.0) == direct_grid_scan(spec, 0, n - 1, 200.0, 0.002)
 
 
@@ -600,7 +601,7 @@ def test_fidelity_trace_distance_sandwich():
     (hypercube(3), 0, 7, math.pi / 2),
 ])
 def test_no_routing_to_third_vertex_before_pst(g, u, v, t_uv):
-    spec = Spectrum.from_graph(g)
+    spec = graph_spectrum(g)
     ts = np.arange(0.0, t_uv, 0.001)
     for w in range(g.vertex_count):
         if w in (u, v):
@@ -643,7 +644,7 @@ def test_grid_amplitudes_are_the_same_in_time_blocks(monkeypatch):
     amps = walk.amplitude(ts)
     monkeypatch.undo()
     np.testing.assert_array_equal(amps, walk.amplitude(ts))
-    whole = np.abs(Spectrum.from_graph(cycle_graph(40)).amplitude(2, 5, ts))
+    whole = np.abs(graph_spectrum(cycle_graph(40)).amplitude(2, 5, ts))
     np.testing.assert_allclose(np.abs(amps), whole, rtol=0, atol=1e-13)
 
 

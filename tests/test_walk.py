@@ -2,7 +2,7 @@
 
 Verdicts are checked against eigenprojectors of a dense `eigh`, amplitudes
 against `scipy.linalg.expm`, time series and grid scans against the dense
-`Spectrum.from_graph`, and the hypercube against its closed form.
+`oracles.graph_spectrum`, and the hypercube against its closed form.
 """
 
 import json
@@ -16,16 +16,20 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import pstnet
-from pstnet import spectral
-from pstnet.chains import unmodulated_no_pst_scan
+from pstnet import graphs, spectral
+from pstnet.chains import ChainSpec, chain_pst_verify, pst_chain, unmodulated_no_pst_scan
 from pstnet.cli import run
-from pstnet.corona_lab import fidelity_vs_m, iterate_corona
+from pstnet.corona_lab import (all_pairs_max_fidelity, corona_seed_spectrum, fidelity_vs_m,
+                               iterate_corona)
 from pstnet.fileio import parse_graph_file
 from pstnet.graphs import (complete_graph, cycle_graph, graph_matrix, hypercube,
                            make_graph, path_graph)
+from pstnet.qudit import cycle_family, transfer_amplitude_qudit
 from pstnet.spectral import (WALK_AMPLITUDE_TOL, check_pst_conditions,
                              max_fidelity_scan, max_fidelity_scan_spectrum,
                              rationality_check, transfer_amplitude, walk_spectrum)
+
+from oracles import graph_spectrum
 
 KINDS = ("adjacency", "laplacian", "signless_laplacian")
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -167,8 +171,7 @@ def test_health_numbers_on_cubes():
 def test_verdicts_solve_no_n_by_n_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("n x n solve or matrix")
-    monkeypatch.setattr(spectral, "graph_matrix", refuse)
-    monkeypatch.setattr(spectral.Spectrum, "from_graph", refuse)
+    monkeypatch.setattr(graphs, "graph_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     for k in (8, 10, 11):
         n = 1 << k
@@ -289,6 +292,28 @@ def test_walk_amplitude_past_two_to_the_53_is_refused_at_every_size():
     assert abs(walk.amplitude(1e15)) <= 1.0
 
 
+@pytest.mark.parametrize("call,x", [
+    (lambda: walk_spectrum(path_graph(5), 0, 4, t=1e17), "2e+17"),
+    # ||T||_1 = 2 + 2 and about 2 * 150: the tridiagonal and the Krylov backend
+    (lambda: chain_pst_verify(ChainSpec((1.0, 2.0, 2.0, 1.0)), 1e17), "4e+17"),
+    (lambda: chain_pst_verify(pst_chain(300), 1e17), "3e+19"),
+    # cycle:5 with unit couplings is the all-ones matrix, eigenvalues 5 and 0
+    (lambda: transfer_amplitude_qudit(cycle_family(5), 1, 1e300), "5e+300"),
+    (lambda: max_fidelity_scan(path_graph(5), 0, 4, 1e300, 1e296), "2e+300"),
+    (lambda: fidelity_vs_m(complete_graph(2), (0, 1), 2, t_max=1e300, dt=1e296), "1e+300"),
+    (lambda: max_fidelity_scan_spectrum(corona_seed_spectrum(complete_graph(2), 2), 0, 1,
+                                        1e300, 1e296), "3.29e+300"),
+    (lambda: all_pairs_max_fidelity(graph_matrix(cycle_graph(5), "adjacency"),
+                                    1e300, 1e296), "2e+300"),
+], ids=["walk", "chain", "chain-krylov", "qudit", "scan", "corona", "recursion", "all-pairs"])
+def test_every_amplitude_evaluator_refuses_a_phase_past_two_to_the_53(call, x):
+    # each used to answer with phase noise, or die in an OverflowError
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == (f"walk amplitude at |t| ||M||_1 = {x} is refused: "
+                               f"past 2^53 its phase has no digit below a radian")
+
+
 def test_walk_fits_up_to_the_dense_limit_at_any_time():
     # n min(n, m_tail) <= DENSE_MAX_DIM^2 whenever n <= DENSE_MAX_DIM
     for x in (0.0, 40.0, 1e6):
@@ -355,8 +380,7 @@ def _refuse(*args, **kwargs):
 
 
 def test_series_and_scans_solve_no_n_by_n_matrix(monkeypatch):
-    monkeypatch.setattr(spectral, "graph_matrix", _refuse)
-    monkeypatch.setattr(spectral.Spectrum, "from_graph", _refuse)
+    monkeypatch.setattr(graphs, "graph_matrix", _refuse)
     monkeypatch.setattr(np.linalg, "eigh", _refuse)
     ts = np.arange(13) * 0.25
     walk = check_pst_conditions(hypercube(10), 0, 1023).walk
@@ -414,7 +438,7 @@ def _assert_same_scan(got, want, dense, u, v):
 def test_series_and_scans_match_the_dense_oracle(kind):
     ts = np.arange(2001) * 0.01
     for g in ORACLE_GRAPHS:
-        dense = spectral.Spectrum.from_graph(g, kind)
+        dense = graph_spectrum(g, kind)
         for v in range(g.vertex_count):
             got = np.abs(check_pst_conditions(g, 0, v, kind).walk.amplitude(ts))
             want = np.abs(dense.amplitude(0, v, ts))
@@ -426,7 +450,7 @@ def test_series_and_scans_match_the_dense_oracle(kind):
 
 def test_chain_and_corona_scans_match_the_dense_oracle():
     for n in range(2, 17):
-        dense = spectral.Spectrum.from_graph(path_graph(n))
+        dense = graph_spectrum(path_graph(n))
         _assert_same_scan(unmodulated_no_pst_scan(n, 50.0),
                           max_fidelity_scan_spectrum(dense, 0, n - 1, 50.0, 0.0005),
                           dense, 0, n - 1)
@@ -442,7 +466,7 @@ def test_chain_and_corona_scans_match_the_dense_oracle():
                     if row.provenance != "direct":
                         continue
                     direct += row.m > 0
-                    dense = spectral.Spectrum.from_graph(iterate_corona(seed, row.m), kind)
+                    dense = graph_spectrum(iterate_corona(seed, row.m), kind)
                     want = max_fidelity_scan_spectrum(dense, 0, v, 10.0, 0.01)
                     if want[1] <= 1e-12:   # the rows' noise floor
                         want = (0.0, 0.0)
