@@ -124,10 +124,12 @@ def unmodulated_no_pst_scan(n: int, t_max: float,
     grows (the 4- and 5-site chains already pass 0.9998 before t = 60).
 
     The scan runs on the walk module of site 0 (`spectral.max_fidelity_scan`),
-    which refuses a chain whose Lanczos basis might pass the cap.
+    which refuses a chain whose Lanczos basis might pass the cap.  The
+    default dt is min(0.01, t_max / 1e5), or 0.01 where that is 0, so
+    t_max = 0 scans the single time 0.
     """
     if n < 2:
         raise ValueError("chain needs at least 2 sites")
     if dt is None:
-        dt = min(0.01, t_max / 1e5)
+        dt = min(0.01, t_max / 1e5) or 0.01
     return max_fidelity_scan(path_graph(n), 0, n - 1, t_max, dt)

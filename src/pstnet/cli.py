@@ -17,10 +17,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
 from .chains import chain_pst_verify, pst_chain, unmodulated_no_pst_scan
 from .corona_lab import fidelity_vs_m, net_regularity
-from .fileio import GraphFormatError, emit_csv, fmt, parse_graph_file
+from .fileio import (VERSION_COMMENT, GraphFormatError, emit_csv, fmt,
+                     parse_graph_file)
 from .graphs import (MAX_HYPERCUBE_DIM, MarkingScheme, SignedWeightedGraph,
                      complete_graph, cycle_graph, hypercube, is_balanced, path_graph)
 from .qudit import (check_family_size, commuting_family, complete_family,
@@ -29,8 +29,6 @@ from .routing import HopPlan, build_network, execute_route, plan_route
 from .spectral import check_pst_conditions, polar
 from .transmon import (coupling_report, find_cutoff, parse_coupler_config,
                        pst_time)
-
-VERSION_COMMENT = f"pstnet {__version__}"
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -113,7 +111,7 @@ def _cmd_pst(args) -> int:
     if args.csv:
         ts = [i * args.dt for i in range(int(args.tmax / args.dt) + 1)]
         rows = [(t, *polar(a)) for t, a in zip(ts, rep.walk.amplitude(np.array(ts)))]
-        emit_csv(rows, args.csv, ["t", "magnitude", "phase"], VERSION_COMMENT)
+        emit_csv(rows, args.csv, ["t", "magnitude", "phase"])
     _print_payload(payload, args.json)
     if not (rep.eigenvalue_condition and rep.vector_condition):
         print("PST impossible for this pair", file=sys.stderr)
@@ -158,8 +156,7 @@ def _cmd_route(args) -> int:
         rows = [(step, labeling.labels[v], *polar(snapshot[v]))
                 for step, snapshot in enumerate(snapshots)
                 for v in range(network.vertex_count)]
-        emit_csv(rows, args.csv, ["step", "vertex", "magnitude", "phase"],
-                 VERSION_COMMENT)
+        emit_csv(rows, args.csv, ["step", "vertex", "magnitude", "phase"])
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -187,7 +184,7 @@ def _cmd_chain(args) -> int:
         rows = [(args.n, report.time, report.magnitude)]
         header = ["n", "t", "magnitude"]
     if args.csv:
-        emit_csv(rows, args.csv, header, VERSION_COMMENT)
+        emit_csv(rows, args.csv, header)
     for row in rows:
         print(",".join(fmt(x) for x in row))
     return EXIT_OK
@@ -197,7 +194,10 @@ def _cmd_corona(args) -> int:
     seed = _load_graph(args.seed)
     pairs = []
     for chunk in args.pairs.split(";"):
-        u, v = (int(x) for x in chunk.split(","))
+        try:
+            u, v = map(int, chunk.split(","))
+        except ValueError:
+            raise ValueError(f"pair {chunk!r} must be two vertex indices u,v") from None
         pairs.append((u, v))
     scheme = MarkingScheme(args.scheme)
     rows = []
@@ -209,7 +209,7 @@ def _cmd_corona(args) -> int:
                          r.provenance))
     header = ["m", "u", "v", "t_star", "f_star", "provenance"]
     if args.csv:
-        emit_csv(rows, args.csv, header, VERSION_COMMENT)
+        emit_csv(rows, args.csv, header)
     for row in rows:
         print(",".join(fmt(x) for x in row))
     return EXIT_OK
@@ -288,7 +288,7 @@ def _cmd_qudit(args) -> int:
         start = np.eye(family.site_count)[0]
         rows = [(float(t), float(np.sum(np.abs(spec.apply(t, start)) ** 2)))
                 for t in np.linspace(0.0, args.tmax, args.samples)]
-        emit_csv(rows, args.csv, ["t", "total_probability"], VERSION_COMMENT)
+        emit_csv(rows, args.csv, ["t", "total_probability"])
     _print_payload(payload, args.json)
     return EXIT_OK
 
@@ -321,11 +321,11 @@ def _cmd_transmon(args) -> int:
         rows = []
         for wc in _sweep_points(lo, hi, step):
             rep = coupling_report(cfg.with_coupler_frequency(wc))
-            t = pst_time(rep.g_brwa, hops=1) if rep.g_brwa else math.inf
+            t = pst_time(rep.g_brwa) if rep.g_brwa else math.inf
             rows.append((wc, rep.delta_i, rep.g_rwa, rep.g_brwa, t))
         if args.csv:
             emit_csv(rows, args.csv, ["omega_c", "delta_i", "g_rwa", "g_brwa",
-                                      "t_pst_ns"], VERSION_COMMENT)
+                                      "t_pst_ns"])
         print(f"swept {len(rows)} points "
               "(angular-GHz convention: g in rad/ns, t in ns)")
         return EXIT_OK

@@ -49,7 +49,6 @@ from .spectral import (AMPLITUDE_BLOCK_ENTRIES, DENSE_MAX_DIM, Spectrum,
                        _check_dense_dim, _grid_magnitudes, _scan_points,
                        max_fidelity_scan, max_fidelity_scan_spectrum)
 
-CORONA_KINDS = ("adjacency", "laplacian")
 # largest product `iterate_corona` builds (vertices of G^(m)), so the
 # largest graph a direct row scans
 CORONA_SIZE_GUARD = 5000
@@ -114,12 +113,11 @@ def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingSche
     The adjacency form requires g2 net-regular with regularity d and its
     marking an eigenvector of A(g2) for d; the Laplacian form requires every
     g2 vertex to have the same negative degree d- and L(g2) mu2 = 2 d- mu2.
-    Unmet hypotheses raise TheoremHypothesisError; other kinds, ValueError.
-    The eigenvector test runs on the sparse matrix, so no dense one is built.
+    Unmet hypotheses raise TheoremHypothesisError.  The sparse matrix is
+    taken first, so an unknown kind raises its ValueError before any test,
+    and the eigenvector test runs on it: no dense matrix is built.
     """
-    if matrix_kind not in CORONA_KINDS:
-        raise ValueError(f"corona spectra cover 'adjacency' and 'laplacian', "
-                         f"not {matrix_kind!r}")
+    matrix = sparse_matrix(g2, matrix_kind)[0]
     lift = int(matrix_kind == "laplacian")
     if lift:
         dneg = set(sign_degrees(g2)[1].tolist())
@@ -132,7 +130,7 @@ def _g2_constants(g2: SignedWeightedGraph, matrix_kind: str, scheme: MarkingSche
             raise TheoremHypothesisError("g2 is not net-regular")
         target, eigen_of = float(d), "an adjacency eigenvector for the net-regularity"
     mu2 = np.array(markings_under(g2, scheme), dtype=float)
-    if np.max(np.abs(sparse_matrix(g2, matrix_kind)[0] @ mu2 - target * mu2)) > 1e-9:
+    if np.max(np.abs(matrix @ mu2 - target * mu2)) > 1e-9:
         raise TheoremHypothesisError(f"marking vector of g2 is not {eigen_of}")
     return lift, target + lift, mu2
 
@@ -294,10 +292,9 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
 
     Seed vertices keep their indices in every product, so the pair persists.
     Order 0 scans the seed itself.  The recursion applies exactly when the
-    matrix kind is one of CORONA_KINDS and the seed meets the hypotheses of
-    `_g2_constants`, decided once, on the seed alone.  Then the seed is
-    solved once and its rows u and v, advanced one level per order m >= 1
-    (`_seed_row_levels`), are scanned as those of
+    seed meets the hypotheses of `_g2_constants`, decided once, on the seed
+    alone.  Then the seed is solved once and its rows u and v, advanced one
+    level per order m >= 1 (`_seed_row_levels`), are scanned as those of
     corona_seed_spectrum(seed, m): 2 n 2^m entries and no product built,
     for a seed of at most DENSE_MAX_DIM vertices and n 2^m_max <=
     RECURSION_MAX_TERMS (ValueError otherwise, before any scan); those
@@ -315,7 +312,7 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     if m_max < 0:
         raise ValueError("order must be non-negative")
     levels = None
-    if m_max >= 1 and matrix_kind in CORONA_KINDS:
+    if m_max >= 1:
         levels = _seed_row_levels(seed, m_max, (u, v), matrix_kind, scheme)
         try:
             next(levels)   # order 0, scanned directly below: the checks and the solve

@@ -9,7 +9,8 @@ start with '#':
     edge <u> <v> <weight> <+|->
 
 All numeric CSV output uses 12 significant digits so repeated runs are
-byte identical; the only metadata is a version comment line.
+byte identical; the only metadata is a version comment line,
+`# pstnet <version>`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+from . import __version__
 from .graphs import SignedWeightedGraph
+
+VERSION_COMMENT = f"pstnet {__version__}"
 
 
 class GraphFormatError(ValueError):
@@ -145,12 +149,11 @@ def fmt(x) -> str:
     return str(x)
 
 
-def emit_csv(rows: Iterable[Sequence], path: str, header: Sequence[str],
-             version_comment: str | None = None) -> None:
-    """Write header plus fixed-format rows; output is deterministic."""
+def emit_csv(rows: Iterable[Sequence], path: str, header: Sequence[str]) -> None:
+    """Write the version comment, the header and fixed-format rows; output
+    is deterministic."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if version_comment:
-            fh.write(f"# {version_comment}\n")
+        fh.write(f"# {VERSION_COMMENT}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")

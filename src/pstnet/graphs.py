@@ -138,11 +138,10 @@ def edge_table(u, v, signed_weight=1.0) -> np.ndarray:
     return np.column_stack((u, v, np.abs(sw), np.sign(sw)))
 
 
-def make_graph(n: int, edges: Iterable[Sequence], labels=None, markings=None
-               ) -> SignedWeightedGraph:
+def make_graph(n: int, edges: Iterable[Sequence]) -> SignedWeightedGraph:
     """Build a graph from loose edge specs (u,v), (u,v,w) or (u,v,w,sign)."""
     rows = [(*spec, 1, 1)[:4] for spec in edges]    # weight and sign default to 1
-    return SignedWeightedGraph(n, rows, labels=labels, markings=markings)
+    return SignedWeightedGraph(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +167,17 @@ def graph_matrix(g: SignedWeightedGraph, kind: str) -> np.ndarray:
 
 
 def sparse_matrix(g: SignedWeightedGraph, kind: str):
-    """(A, D - A or D + A for `kind` "adjacency", "laplacian" or
-    "signless_laplacian", as a read-only scipy CSR array, its 1-norm).
+    """(A or D - A for `kind` "adjacency" or "laplacian", as a read-only
+    scipy CSR array, its 1-norm).
 
     Built from the edge arrays on first use and cached on g per kind, as
     `edge_arrays` is.  The 1-norm, the largest absolute column sum, is
-    d_max for A and 2 d_max for L and L+ (d the weighted degree); it bounds
-    the 2-norm of the symmetric matrix.
+    d_max for A and 2 d_max for L (d the weighted degree); it bounds the
+    2-norm of the symmetric matrix.
     """
     cache = g._sparse_matrices
     if kind not in cache:
-        if kind not in ("adjacency", "laplacian", "signless_laplacian"):
+        if kind not in ("adjacency", "laplacian"):
             raise ValueError(f"unknown matrix kind {kind!r}")
         # imported here: `import pstnet` loads no scipy
         from scipy.sparse import csr_array
@@ -187,7 +186,7 @@ def sparse_matrix(g: SignedWeightedGraph, kind: str):
         degrees = _weighted_degrees(g)
         off = -sw if kind == "laplacian" else sw
         rows, cols, data = [u, v], [v, u], [off, off]
-        if kind != "adjacency":
+        if kind == "laplacian":
             diag = np.arange(n)
             rows.append(diag)
             cols.append(diag)

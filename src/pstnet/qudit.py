@@ -194,7 +194,6 @@ class QuditState:
 class QuditTransferResult:
     state: Optional[QuditState]
     fidelity: float
-    base_phase: float
     condition_met: bool
 
 
@@ -208,10 +207,10 @@ def qudit_transfer(family: CommutingFamily, state: QuditState, m: int,
     achievable fidelity |sum_j |alpha_j|^2 f^j| is reported instead.
     """
     f = transfer_amplitude_qudit(family, m, t0, source=state.site)
-    phase = polar(f)[1]
     if abs(abs(f) - 1.0) <= 1e-8:
+        phase = polar(f)[1]
         amps = tuple(a * np.exp(1j * j * phase)
                      for j, a in enumerate(state.amplitudes))
-        return QuditTransferResult(QuditState(amps, m), 1.0, phase, True)
+        return QuditTransferResult(QuditState(amps, m), 1.0, True)
     fid = abs(sum(abs(a) ** 2 * f ** j for j, a in enumerate(state.amplitudes)))
-    return QuditTransferResult(None, float(fid), phase, False)
+    return QuditTransferResult(None, float(fid), False)

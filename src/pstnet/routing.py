@@ -29,7 +29,7 @@ import numpy as np
 
 from .graphs import (MAX_HYPERCUBE_DIM, Edge, SignedWeightedGraph, edge_table,
                      hamming_table, hypercube)
-from .spectral import TransferReport, hypercube_apply, polar
+from .spectral import TransferReport, _transfer_report, hypercube_apply, polar
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
 
@@ -67,12 +67,14 @@ class HopPlan:
 class NetworkLabeling:
     """Binary labels plus the residual-hypercube membership map.
 
-    `codes[v]` is the integer whose binary digits are label v (string
-    position j is integer bit width-1-j) and `vertex_of` inverts it.
+    `blocks` are the dyadic blocks of [0, n), largest first, one (start,
+    size) per constituent cube.  `codes[v]` is the integer whose binary
+    digits are label v (string position j is integer bit width-1-j) and
+    `vertex_of` inverts it.
     """
 
     labels: tuple[str, ...]
-    blocks: tuple[tuple[int, int], ...]   # (start, size) per constituent cube
+    blocks: tuple[tuple[int, int], ...] = field(init=False)
     codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     vertex_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
@@ -84,15 +86,9 @@ class NetworkLabeling:
         if any(set(lab) - {"0", "1"} for lab in self.labels):
             raise ValueError("labels must be binary strings")
         codes = tuple(int(lab, 2) if lab else 0 for lab in self.labels)
+        object.__setattr__(self, "blocks", _dyadic_blocks(len(codes)))
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "vertex_of", {c: v for v, c in enumerate(codes)})
-        covered = 0
-        for start, size in self.blocks:
-            if start != covered:
-                raise ValueError("blocks must partition the vertex range")
-            covered += size
-        if covered != len(self.labels):
-            raise ValueError("blocks must cover every vertex exactly once")
 
     @property
     def width(self) -> int:
@@ -137,7 +133,7 @@ def build_network(n: int) -> tuple[SignedWeightedGraph, NetworkLabeling]:
     width = n.bit_length()          # k+1 bits for 2^k <= n < 2^(k+1)
     labels = tuple(format(v, f"0{width}b") for v in range(n))
     graph = SignedWeightedGraph(n, hamming_table(n, width), labels=labels)
-    return graph, NetworkLabeling(labels, _dyadic_blocks(n))
+    return graph, NetworkLabeling(labels)
 
 
 def grow(network: SignedWeightedGraph, labeling: NetworkLabeling
@@ -152,7 +148,7 @@ def grow(network: SignedWeightedGraph, labeling: NetworkLabeling
     rows = np.vstack((edge_table(*network.edge_arrays), hamming_table(n + 1, width, start=n)))
     labels = labeling.labels + (format(n, f"0{width}b"),)
     graph = SignedWeightedGraph(n + 1, rows, labels=labels)
-    return graph, NetworkLabeling(labels, _dyadic_blocks(n + 1))
+    return graph, NetworkLabeling(labels)
 
 
 def widen_labels(network: SignedWeightedGraph, labeling: NetworkLabeling
@@ -161,7 +157,7 @@ def widen_labels(network: SignedWeightedGraph, labeling: NetworkLabeling
     labels = tuple("0" + lab for lab in labeling.labels)
     graph = SignedWeightedGraph(network.vertex_count, edge_table(*network.edge_arrays),
                                 labels=labels)
-    return graph, NetworkLabeling(labels, labeling.blocks)
+    return graph, NetworkLabeling(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def find_subhypercube(k: int, u: str, v: str) -> SwitchPlan:
     if u == v:
         raise ValueError("endpoints must differ")
     cube = hypercube(k)
-    labeling = NetworkLabeling(cube.labels, ((0, 1 << k),))
+    labeling = NetworkLabeling(cube.labels)
     return _subcube_plan(labeling, cube.edges, labeling.index_of(u), labeling.index_of(v))
 
 
@@ -279,8 +275,7 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
 
 
 def execute_route(network: SignedWeightedGraph, plan: HopPlan,
-                  input_state: np.ndarray, switch_lag: float = 0.0
-                  ) -> tuple[np.ndarray, TransferReport]:
+                  input_state: np.ndarray) -> tuple[np.ndarray, TransferReport]:
     """Run the step-function evolution exp(-i A_2 t_2) exp(-i A_1 t_1).
 
     Each hop's adjacency acts only on its kept sub-hypercube; switched-off
@@ -288,9 +283,7 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
     exactly a uniform Q_d on the positions of keep_vertices (see
     `_kept_cube_weight`, which raises ValueError otherwise), so the hop is
     the exact product evolution `hypercube_apply` for the hop's duration.
-    A positive switch_lag models the off-time between hops (all couplings
-    open, A = 0), which parks the state and only adds to the reported
-    transfer time.
+    The reported time is the sum of the hop durations.
     """
     state = np.asarray(input_state, dtype=complex).copy()
     if state.shape != (network.vertex_count,):
@@ -304,17 +297,13 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
     if abs(abs(state[source]) - 1.0) > 1e-9:
         raise ValueError("input state must be concentrated on the hop source")
     total = 0.0
-    for i, hop in enumerate(plan.hops):
+    for hop in plan.hops:
         weight = _kept_cube_weight(network, hop.plan)
         keep = list(hop.plan.keep_vertices)
         state[keep] = hypercube_apply(hop.plan.sub_dimension, weight,
                                       hop.duration, state[keep])
         total += hop.duration
-        if i < len(plan.hops) - 1:
-            total += switch_lag
-    target = plan.hops[-1].target
-    mag, phase = polar(state[target])
-    return state, TransferReport(mag, phase, total, mag >= 1.0 - 1e-9, "hypercube")
+    return state, _transfer_report(state[plan.hops[-1].target], total, "hypercube")
 
 
 def _kept_cube_weight(network: SignedWeightedGraph, plan: SwitchPlan) -> float:

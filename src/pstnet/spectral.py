@@ -436,20 +436,20 @@ class PSTConditionReport:
     walk: WalkSpectrum                  # the closed walk module of u decided on
 
 
-def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
-                       matrix_kind: str = "adjacency") -> TransferReport:
-    """Magnitude and phase of <v| exp(-i M t) |u> for the chosen graph matrix.
+def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float
+                       ) -> TransferReport:
+    """Magnitude and phase of <v| exp(-i A t) |u> for the adjacency matrix A.
 
     The walk module of u (`walk_spectrum` at time t, backend 'lanczos'),
     or one Krylov column (backend 'krylov') when its basis might not fit
     (`_walk_fits`); the choice is made before any work.  Either path
-    refuses X = |t| ||M||_1 >= 2^53 first (`_check_phase_resolution`).
+    refuses X = |t| ||A||_1 >= 2^53 first (`_check_phase_resolution`).
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
-    matrix, norm = sparse_matrix(g, matrix_kind)
+    matrix, norm = sparse_matrix(g, "adjacency")
     if _walk_fits(g.vertex_count, abs(t) * norm):
-        amp, backend = walk_spectrum(g, u, v, matrix_kind, t).amplitude(t), "lanczos"
+        amp, backend = walk_spectrum(g, u, v, "adjacency", t).amplitude(t), "lanczos"
     else:
         amp, backend = _krylov_entry(matrix, u, v, t), "krylov"
     return _transfer_report(amp, t, backend)
@@ -494,8 +494,6 @@ def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[
     closer to x (the convergent on a tie).  A Fraction is made only for an
     accepted p/q.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator should be at least 1")
     num, den = x.as_integer_ratio()
     if den <= max_denominator:
         p, q = num, den
@@ -519,22 +517,22 @@ def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[
     return Fraction(p, q) if abs(x - p / q) <= max(tol / q ** 2, 1e-13) else None
 
 
-def rationality_check(eigs: Sequence[float], tol: float = DEFAULT_PST_TOL,
-                      max_denominator: int = DEFAULT_MAX_DENOMINATOR
-                      ) -> tuple[bool, list]:
+def rationality_check(eigs: Sequence[float]) -> tuple[bool, list]:
     """Check that all ratios of eigenvalue differences are rational.
 
     Ratios are taken from the lowest distinct value e_0 over the spread
     e_max - e_0; any difference e_j - e_l is the difference of two such
     gaps, so every ratio of differences is rational exactly when these
-    are.  Returns (flag, witness) where the witness lists
-    (ratio, Fraction-or-None) per value above e_0, in ascending order.
+    are.  Each ratio is recognised by `_recognize_rational` with tolerance
+    DEFAULT_PST_TOL and denominators up to DEFAULT_MAX_DENOMINATOR.
+    Returns (flag, witness) where the witness lists (ratio, Fraction-or-None)
+    per value above e_0, in ascending order.
     """
     vals = np.unique(np.asarray(eigs, dtype=float))
     if len(vals) < 2:
         return True, []
     ref = vals[-1] - vals[0]
-    witness = [(r, _recognize_rational(r, tol, max_denominator))
+    witness = [(r, _recognize_rational(r, DEFAULT_PST_TOL, DEFAULT_MAX_DENOMINATOR))
                for r in ((vals[1:] - vals[0]) / ref).tolist()]
     return all(frac is not None for _, frac in witness), witness
 

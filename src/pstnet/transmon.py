@@ -9,8 +9,7 @@ counter-rotating terms.
 
 Frequency convention: every omega and g is an angular frequency expressed
 in GHz (equivalently rad/ns), exactly as the effective-coupling formulas
-use them.  Helpers convert to ordinary (cyclic) frequency where a lab
-readout wants it; transfer times are in nanoseconds.
+use them; transfer times are in nanoseconds.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ class CouplingReport:
     delta_ij: float
     g_rwa: float
     g_brwa: float
-    omega_i_shifted: float
-    omega_j_shifted: float
     dispersive: bool
     rwa_singular: bool
 
@@ -100,8 +97,6 @@ def coupling_report(cfg: CouplerConfig) -> CouplingReport:
         g_i=g_i, g_j=g_j, g_ij=g_ij, eta_ij=eta,
         delta_i=d_i, delta_j=d_j, sigma_i=s_i, sigma_j=s_j,
         delta_ij=delta_ij, g_rwa=g_rwa, g_brwa=g_brwa,
-        omega_i_shifted=cfg.omega_i + g_i ** 2 / d_i,
-        omega_j_shifted=cfg.omega_j + g_j ** 2 / d_j,
         dispersive=g_i < abs(d_i) and g_j < abs(d_j), rwa_singular=singular)
 
 
@@ -156,26 +151,16 @@ def find_cutoff(cfg: CouplerConfig, omega_c_range: tuple[float, float] = (4.5, 9
     return CutoffResult(mid, cfg.omega_i - mid, cfg.omega_j - mid, residual)
 
 
-def pst_time(g_tilde: float, hops: int = 1, convention: str = "angular") -> float:
-    """Transfer time in ns: t = hops * pi / (2 |g|).
+def pst_time(g_tilde: float) -> float:
+    """One hop's transfer time in ns: t = pi / (2 |g|), g in rad/ns.
 
     The effective Hamiltonian carries g (s+ s- + s- s+), so g is the
     uniform single-excitation edge weight and one hop on a unit network
-    takes pi/(2 g).  convention='angular' reads g in rad/ns (angular GHz);
-    convention='cyclic' reads g as an ordinary frequency in GHz and
-    multiplies by 2 pi first.
+    takes pi/(2 g).
     """
-    if hops not in (1, 2):
-        raise ValueError("hops must be 1 or 2")
     if g_tilde == 0:
         raise ValueError("zero coupling never transfers")
-    if convention == "angular":
-        g = abs(g_tilde)
-    elif convention == "cyclic":
-        g = 2.0 * math.pi * abs(g_tilde)
-    else:
-        raise ValueError("convention must be 'angular' or 'cyclic'")
-    return hops * math.pi / (2.0 * g)
+    return math.pi / (2.0 * abs(g_tilde))
 
 
 @dataclass(frozen=True)

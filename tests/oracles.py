@@ -140,10 +140,10 @@ def evolve(spectrum: Spectrum, t: float, state: np.ndarray) -> np.ndarray:
     return spectrum.apply(t, state)
 
 
-def periodicity_check(g: SignedWeightedGraph, u: int, t0: float,
-                      matrix_kind: str = "adjacency") -> bool:
-    """True iff the walk revives at u after 2*t0 (mirror-symmetry periodicity)."""
-    rep = transfer_amplitude(g, u, u, 2.0 * t0, matrix_kind)
+def periodicity_check(g: SignedWeightedGraph, u: int, t0: float) -> bool:
+    """True iff the adjacency walk revives at u after 2*t0 (mirror-symmetry
+    periodicity)."""
+    rep = transfer_amplitude(g, u, u, 2.0 * t0)
     return rep.magnitude >= 1.0 - 1e-8
 
 
@@ -255,8 +255,8 @@ class BipartitePhaseReport:
     phase: float
 
 
-def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float,
-                          matrix_kind: str = "adjacency") -> BipartitePhaseReport:
+def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float
+                          ) -> BipartitePhaseReport:
     """Classify the transfer phase of a bipartite PST pair.
 
     Real Hamiltonians on bipartite graphs transfer with phase +/-1 at even
@@ -267,7 +267,7 @@ def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float,
     all_negative = SignedWeightedGraph(g.vertex_count, edge_table(*g.edge_arrays[:2], -1.0))
     if not is_balanced(all_negative)[0]:
         raise ValueError("graph is not bipartite")
-    rep = transfer_amplitude(g, u, v, t0, matrix_kind)
+    rep = transfer_amplitude(g, u, v, t0)
     if rep.magnitude < 1.0 - 1e-6:
         raise ValueError(f"no PST at t0={t0}: magnitude {rep.magnitude}")
     d = graph_distance(g, u, v)

@@ -232,7 +232,7 @@ def test_criterion_9_transmon():
     assert oracle.dispersive
     assert oracle.relative_error <= 0.15
     g = 2.0944
-    assert abs(pst_time(2 * g, 1) - pst_time(g, 1) / 2) <= 1e-12
+    assert abs(pst_time(2 * g) - pst_time(g) / 2) <= 1e-12
     _report(9, f"eta=0.84; cutoff Delta_i={cut.delta_i:.4f} GHz; three-body "
                f"relative error {oracle.relative_error:.4f}; t(2g)=t(g)/2")
 

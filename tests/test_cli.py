@@ -11,9 +11,11 @@ import pytest
 
 import pstnet
 from pstnet import cli, spectral
+from pstnet.chains import unmodulated_no_pst_scan
 from pstnet.cli import run
-from pstnet.fileio import GraphFormatError, emit_csv, fmt, parse_graph_text
-from pstnet.graphs import make_graph
+from pstnet.fileio import (VERSION_COMMENT, GraphFormatError, emit_csv, fmt,
+                           parse_graph_text)
+from pstnet.graphs import SignedWeightedGraph
 
 from oracles import read_csv, serialize_graph
 
@@ -70,8 +72,8 @@ def test_index_out_of_range():
 
 
 def test_serialize_round_trip():
-    g = make_graph(3, [(0, 1, 1.5, -1), (1, 2, 0.25, 1)],
-                   labels=("00", "01", "10"), markings=(1, -1, 1))
+    g = SignedWeightedGraph(3, [(0, 1, 1.5, -1), (1, 2, 0.25, 1)],
+                            labels=("00", "01", "10"), markings=(1, -1, 1))
     back = parse_graph_text(serialize_graph(g))
     assert back == g
 
@@ -87,7 +89,7 @@ def test_fmt_significant_digits():
 def test_emit_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     rows = [(0.0, 0.5, -1.25), (1.5, 1.0, 0.0)]
-    emit_csv(rows, str(path), ["t", "magnitude", "phase"], "pstnet test")
+    emit_csv(rows, str(path), ["t", "magnitude", "phase"])
     header, data = read_csv(str(path))
     assert header == ["t", "magnitude", "phase"]
     got = [[float(x) for x in row] for row in data]
@@ -97,14 +99,14 @@ def test_emit_csv_round_trip(tmp_path):
 def test_emit_csv_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], str(path), ["a", "b"])
-    assert path.read_text() == "a,b\n"
+    assert path.read_text() == f"# {VERSION_COMMENT}\na,b\n"
 
 
 def test_emit_csv_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rows = [(i * 0.1, math.sin(i)) for i in range(20)]
-    emit_csv(rows, str(p1), ["t", "x"], "v")
-    emit_csv(rows, str(p2), ["t", "x"], "v")
+    emit_csv(rows, str(p1), ["t", "x"])
+    emit_csv(rows, str(p2), ["t", "x"])
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -326,6 +328,13 @@ def test_unmodulated_chain_refuses_a_bad_horizon(capsys, tmax):
                                        f"got {float(tmax)}\n")
 
 
+def test_unmodulated_chain_at_horizon_zero_scans_time_zero(capsys):
+    # the default dt, min(0.01, t_max / 1e5), is 0 here; the scan takes 0.01
+    assert run(["chain", "--n", "5", "--unmodulated", "--tmax", "0"]) == 0
+    assert capsys.readouterr() == ("5,0,0\n", "")
+    assert unmodulated_no_pst_scan(5, 0.0) == (0.0, 0.0)
+
+
 def test_corona_command(tmp_path, capsys):
     seed = tmp_path / "seed.graph"
     seed.write_text(SQUARE_TEXT, encoding="utf-8")
@@ -393,6 +402,13 @@ def test_corona_refuses_a_negative_order(capsys):
     seed = Path(pstnet.__file__).parent / "data" / "corona_examples" / "example01.graph"
     assert run(["corona", "--seed", str(seed), "--pairs", "0,2", "--m", "-1"]) == 2
     assert capsys.readouterr() == ("", "order must be non-negative\n")
+
+
+@pytest.mark.parametrize("pairs,chunk", [("0,1,2", "0,1,2"), ("0,1;", ""),
+                                         ("0,x", "0,x"), ("0,1;2", "2")])
+def test_corona_refuses_a_malformed_pair(pairs, chunk, capsys):
+    assert run(["corona", "--seed", "k2", "--pairs", pairs, "--m", "1"]) == 2
+    assert capsys.readouterr() == ("", f"pair {chunk!r} must be two vertex indices u,v\n")
 
 
 def test_qudit_command(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import pstnet
 from pstnet import corona_lab, spectral
-from pstnet.corona_lab import (CORONA_KINDS, CORONA_SIZE_GUARD,
+from pstnet.corona_lab import (CORONA_SIZE_GUARD,
                                RECURSION_MAX_TERMS, TheoremHypothesisError,
                                all_pairs_max_fidelity,
                                corona_seed_spectrum, corona_spectrum,
@@ -23,6 +23,7 @@ from oracles import adjacency, corona_edge_count, expm_amplitude, graph_spectrum
 EXAMPLES = Path(pstnet.__file__).resolve().parent / "data" / "corona_examples"
 
 GOLDEN = math.sqrt(5.0)
+KINDS = ("adjacency", "laplacian")
 
 
 def test_net_regularity_unsigned_regular():
@@ -149,8 +150,8 @@ def test_non_uniform_marking_gives_the_full_spectrum():
     # mu2 = (+, +, -, -) on two disjoint K2s is an eigenvector of A(g2) for
     # d = 1 and of L(g2) for 2 d- = 0 without being uniform; the lifted
     # eigenvectors need only be orthogonal to mu2
-    g1 = make_graph(2, [(0, 1)], markings=(1, -1))
-    g2 = make_graph(4, [(0, 1), (2, 3)], markings=(1, 1, -1, -1))
+    g1 = SignedWeightedGraph(2, [(0, 1, 1, 1)], markings=(1, -1))
+    g2 = SignedWeightedGraph(4, [(0, 1, 1, 1), (2, 3, 1, 1)], markings=(1, 1, -1, -1))
     product = corona(g1, g2, MarkingScheme.EXPLICIT)
     for kind, matrix in (("adjacency", adjacency), ("laplacian", laplacian)):
         spec = corona_spectrum(g1, g2, kind, MarkingScheme.EXPLICIT)
@@ -452,7 +453,7 @@ def _decision_cases():
     return seeds
 
 
-@pytest.mark.parametrize("kind", CORONA_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("scheme", [MarkingScheme.CANONICAL, MarkingScheme.PLURALITY])
 def test_recursion_is_chosen_exactly_where_the_one_level_theorem_holds(
         kind, scheme, monkeypatch):
@@ -477,7 +478,7 @@ def test_recursion_is_chosen_exactly_where_the_one_level_theorem_holds(
         assert table.rows[1].provenance == want
 
 
-@pytest.mark.parametrize("kind", CORONA_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_recursion_past_the_dense_reach_matches_krylov(kind):
     """C_100's one-level product has 10100 vertices, past DENSE_MAX_DIM."""
     seed = cycle_graph(100)
@@ -493,7 +494,7 @@ def test_recursion_past_the_dense_reach_matches_krylov(kind):
 
 @pytest.mark.parametrize("seed_fn", [lambda: complete_graph(1), lambda: complete_graph(2),
                                      lambda: cycle_graph(4), SEEDS["example01"]])
-@pytest.mark.parametrize("kind", CORONA_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_self_pairs_peak_at_time_zero(seed_fn, kind):
     """|<u|U(t)|u>| <= 1 = |<u|U(0)|u>|; the bounded peak search never returns
     its endpoint t = 0, so the scan keeps it whenever the search finds no more."""

@@ -138,7 +138,7 @@ def marked_graphs(draw):
         labels = tuple(format(p, "03b") for p in order)
     if draw(st.booleans()):
         markings = tuple(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
-    return make_graph(n, edges, labels=labels, markings=markings)
+    return SignedWeightedGraph(n, edges, labels=labels, markings=markings)
 
 
 # --- builders against their references -----------------------------------------
@@ -224,7 +224,7 @@ def test_an_array_and_edge_tuples_build_the_same_graph():
 
 # --- balance and matrices against the code they replaced -------------------------
 
-KINDS = ("adjacency", "laplacian", "signless_laplacian")
+KINDS = ("adjacency", "laplacian")
 
 
 def bfs_balance(g):
@@ -254,16 +254,15 @@ def bfs_balance(g):
 
 
 def dense_formula(g, kind):
-    """A scattered into zeros, then D - A or D + A: the dense builders that
-    `graph_matrix` replaced (D +/- A written over A, to cut the peak on Q_12)."""
+    """A scattered into zeros, then D - A: the dense assembly that
+    `graph_matrix` replaced (D - A written over A, to cut the peak on Q_12)."""
     u, v, sw = g.edge_arrays
     a = np.zeros((g.vertex_count, g.vertex_count))
     a[u, v] = sw
     a[v, u] = sw
     if kind == "adjacency":
         return a
-    combine = np.subtract if kind == "laplacian" else np.add
-    return combine(degree_matrix(g), a, out=a)
+    return np.subtract(degree_matrix(g), a, out=a)
 
 
 def assert_same_as_replaced(g):
@@ -354,7 +353,7 @@ def labelled_graphs(draw):
         labels = tuple(format(c, "04b") for c in codes)
     if draw(st.booleans()):
         markings = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    return make_graph(n, edges, labels=labels, markings=markings)
+    return SignedWeightedGraph(n, edges, labels=labels, markings=markings)
 
 
 @SETTINGS

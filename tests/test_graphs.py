@@ -15,11 +15,6 @@ from oracles import (adjacency, add_isolated, degree_matrix, disjoint_union,
                      induced_subgraph)
 
 
-def signless_laplacian(g: SignedWeightedGraph) -> np.ndarray:
-    """L+ = D + A."""
-    return graph_matrix(g, "signless_laplacian")
-
-
 def test_k2_adjacency():
     np.testing.assert_allclose(adjacency(complete_graph(2)), [[0, 1], [1, 0]])
 
@@ -54,12 +49,6 @@ def test_unsigned_laplacian_annihilates_ones(g):
     ones = np.ones(g.vertex_count)
     np.testing.assert_allclose(laplacian(g) @ ones, 0.0, atol=1e-12)
     assert np.linalg.eigvalsh(laplacian(g)).min() >= -1e-10
-
-
-def test_signless_laplacian():
-    g = complete_graph(3)
-    np.testing.assert_allclose(signless_laplacian(g),
-                               laplacian(g) + 2 * adjacency(g))
 
 
 @pytest.mark.parametrize("g", [hypercube(4), corona(complete_graph(3), path_graph(2))])
@@ -304,8 +293,7 @@ def _loop_matrices(g):
         a[u, v] = a[v, u] = s * w
         d[u] += w
         d[v] += w
-    return {"adjacency": a, "laplacian": np.diag(d) - a,
-            "signless_laplacian": np.diag(d) + a}
+    return {"adjacency": a, "laplacian": np.diag(d) - a}
 
 
 def _assembly_inputs():

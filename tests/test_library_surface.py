@@ -12,9 +12,19 @@ The names `pstnet/__init__.py` exports are not roots: each of them must be
 reached from the roots as well, so the package exports nothing that only
 the tests call.  Oracles and builders that only tests call live in
 `tests/oracles.py` or in the test that uses them.
+
+Options follow the same rule.  Every defaulted parameter of a function of
+`src/pstnet`, methods and nested functions included, must be passed, by
+position or by keyword, in some call of the library or of the benchmark
+workloads, so no option exists for the tests alone.  Callees match by name,
+a class call counts for its `__init__`, both branches of a conditional
+callee count, and a call with *args or **kwargs counts for every parameter
+it may fill.  The PAPER_CLAIMS roots are exempt: their signatures are the
+claims' inputs.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pstnet
@@ -90,3 +100,63 @@ def test_every_export_is_reached_by_a_caller():
     unreached = sorted(exported - reached)
     assert not unreached, "exported but reached by no CLI command, benchmark call " \
         "or paper claim: " + ", ".join(unreached)
+
+
+def _callees(func: ast.expr) -> set[str]:
+    """Names a call may reach: the name called, or both branches of a
+    conditional callee."""
+    if isinstance(func, ast.IfExp):
+        return _callees(func.body) | _callees(func.orelse)
+    if isinstance(func, ast.Name):
+        return {func.id}
+    if isinstance(func, ast.Attribute):
+        return {func.attr}
+    return set()
+
+
+def _options(node: ast.AST, prefix: str, owner=None):
+    """Yield (qualified name, callee name, {parameter: call position or None})
+    for each function under node that has defaulted parameters, listing only
+    those; a method's positions skip self, and its `__init__` is called by
+    its class name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _options(child, f"{prefix}{child.name}.", child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            offset = int(owner is not None)
+            defaulted = {a.arg: i - offset for i, a in enumerate(positional) if i >= first}
+            defaulted |= {a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None}
+            if defaulted:
+                callee = owner if child.name == "__init__" else child.name
+                yield f"{prefix}{child.name}", callee, defaulted
+            yield from _options(child, f"{prefix}{child.name}.")
+
+
+def test_every_option_is_set_by_a_caller():
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    passed = {}    # callee name -> [(positional argument count, keywords)]
+    for tree in (*modules.values(), _parse(WORKLOADS)):
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                count = math.inf if starred else len(call.args)
+                keywords = {k.arg for k in call.keywords}   # None for **kwargs
+                for name in _callees(call.func):
+                    passed.setdefault(name, []).append((count, keywords))
+    unset = []
+    for stem, tree in modules.items():
+        for qualified, callee, defaulted in _options(tree, f"{stem}."):
+            if callee in PAPER_CLAIMS:
+                continue
+            calls = passed.get(callee, [])
+            missing = [name for name, position in defaulted.items()
+                       if not any(name in keywords or None in keywords
+                                  or (position is not None and position < count)
+                                  for count, keywords in calls)]
+            if missing:
+                unset.append(f"{qualified}({', '.join(missing)})")
+    assert not unset, "options no library or benchmark call sets: " + ", ".join(unset)

@@ -107,9 +107,9 @@ def test_labeling_codes_and_label_checks():
     assert lab.codes == tuple(range(11))
     assert lab.vertex_of[0b1010] == 10
     with pytest.raises(ValueError, match="equal length"):
-        NetworkLabeling(("0", "01"), ((0, 2),))
+        NetworkLabeling(("0", "01"))
     with pytest.raises(ValueError, match="binary"):
-        NetworkLabeling(("01", "0b"), ((0, 2),))
+        NetworkLabeling(("01", "0b"))
 
 
 def test_network_rejects_tiny_order():
@@ -214,7 +214,7 @@ def test_single_hop_when_bridge_lands_on_target():
 
 def test_random_q8_pairs_single_hop():
     g = hypercube(8)
-    lab = NetworkLabeling(g.labels, ((0, 256),))
+    lab = NetworkLabeling(g.labels)
     n = g.vertex_count
     for _ in range(20):
         u, w = map(int, RNG.choice(n, size=2, replace=False))
@@ -300,21 +300,9 @@ def _hop_matrix(g, keep):
     return a
 
 
-def test_switch_lag_only_adds_time():
-    g, lab = build_network(31)
-    u, w = lab.index_of("10100"), lab.index_of("01011")
-    plan = plan_route(g, lab, u, w)
-    state = np.zeros(31, dtype=complex)
-    state[u] = 1.0
-    final_a, rep_a = execute_route(g, plan, state)
-    final_b, rep_b = execute_route(g, plan, state, switch_lag=0.3)
-    np.testing.assert_allclose(final_a, final_b, atol=1e-12)
-    assert rep_b.time == pytest.approx(rep_a.time + 0.3)
-
-
 def test_execute_route_matches_expm_for_all_pairs():
     """Every ordered pair of the networks up to 16 vertices, with random
-    hop durations and switch lag, against expm of each hop's switched matrix."""
+    hop durations, against expm of each hop's switched matrix."""
     for n in range(2, 17):
         g, lab = build_network(n)
         for u in range(n):
@@ -324,18 +312,15 @@ def test_execute_route_matches_expm_for_all_pairs():
                 route = plan_route(g, lab, u, w)
                 hops = tuple(Hop(h.plan, h.source, h.target, RNG.uniform(0.0, 4.0))
                              for h in route.hops)
-                lag = RNG.uniform(0.0, 1.0)
                 state = np.zeros(n, dtype=complex)
                 state[u] = 1.0
-                final, rep = execute_route(g, HopPlan(hops, 0.0), state,
-                                           switch_lag=lag)
+                final, rep = execute_route(g, HopPlan(hops, 0.0), state)
                 expect = state
                 for h in hops:
                     expect = expm(-1j * h.duration
                                   * _hop_matrix(g, h.plan.keep_vertices)) @ expect
                 np.testing.assert_allclose(final, expect, atol=1e-12, rtol=0)
-                assert rep.time == pytest.approx(
-                    sum(h.duration for h in hops) + lag * (len(hops) - 1))
+                assert rep.time == pytest.approx(sum(h.duration for h in hops))
 
 
 def _with_edge(g, index, weight, sign):

@@ -229,7 +229,7 @@ def test_rationality_integer_spectrum():
 @pytest.mark.parametrize("n", range(4, 12))
 def test_rationality_rejects_surd_spectra(n):
     eigs = np.linalg.eigvalsh(adjacency(path_graph(n)))
-    flag, _ = rationality_check(eigs, tol=1e-9, max_denominator=10 ** 6)
+    flag, _ = rationality_check(eigs)
     assert not flag
 
 
@@ -295,8 +295,6 @@ def test_recognize_rational_breaks_an_exact_tie_toward_the_convergent():
     assert Fraction(0.5).limit_denominator(1) == 0
     assert spectral._recognize_rational(0.5, 0.5, 1) == 0
     assert spectral._recognize_rational(0.5, 1e-9, 1) is None
-    with pytest.raises(ValueError, match="at least 1"):
-        spectral._recognize_rational(0.5, 1e-9, 0)
 
 
 # --- scans ---------------------------------------------------------------------

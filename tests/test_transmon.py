@@ -101,22 +101,12 @@ def test_cutoff_moves_inward_as_direct_coupling_grows():
 # --- transfer time ------------------------------------------------------------
 
 def test_pst_time_formula():
-    g = math.pi / 3.0
-    assert pst_time(g, hops=1) == pytest.approx(1.5)
-    assert pst_time(g, hops=2) == pytest.approx(3.0)
+    assert pst_time(math.pi / 3.0) == pytest.approx(1.5)
 
 
 def test_pst_time_self_consistency():
     g = 2.0944
-    assert pst_time(2 * g, hops=1) == pytest.approx(pst_time(g, hops=1) / 2,
-                                                    abs=1e-12)
-    assert pst_time(g, hops=2) == pytest.approx(2 * pst_time(g, hops=1),
-                                                abs=1e-12)
-
-
-def test_pst_time_conventions_differ():
-    assert pst_time(0.002, convention="cyclic") == pytest.approx(
-        pst_time(0.002, convention="angular") / (2 * math.pi))
+    assert pst_time(2 * g) == pytest.approx(pst_time(g) / 2, abs=1e-12)
 
 
 def test_pst_time_rejects_zero_coupling():
