@@ -221,7 +221,11 @@ def _parse_family(spec: str):
         n = int(m.group(2))
         couplings = None
         if m.group(3):
-            couplings = [float(x) for x in m.group(3).split(",")]
+            try:
+                couplings = [float(x) for x in m.group(3).split(",")]
+            except ValueError:
+                raise ValueError(f"--family must look like {m.group(1)}:<n>[:J0,J1,..] "
+                                 f"with numbers J, got {spec!r}") from None
         return (cycle_family if m.group(1) == "cycle" else complete_family)(n, couplings)
     return _parse_family_file(spec)
 
@@ -314,9 +318,11 @@ def _sweep_points(lo: float, hi: float, step: float) -> list[float]:
 def _cmd_transmon(args) -> int:
     cfg = parse_coupler_config(args.config)
     if args.sweep:
-        m = re.fullmatch(r"wc:([\d.]+):([\d.]+):([\d.]+)", args.sweep)
+        number = r"(\d+\.?\d*|\.\d+)"
+        m = re.fullmatch(f"wc:{number}:{number}:{number}", args.sweep)
         if not m:
-            raise ValueError("sweep must look like wc:4.5:9:0.01")
+            raise ValueError(f"--sweep must look like wc:<lo>:<hi>:<step> with decimal "
+                             f"numbers, as in wc:4.5:9:0.01, got {args.sweep!r}")
         lo, hi, step = (float(x) for x in m.groups())
         rows = []
         for wc in _sweep_points(lo, hi, step):

@@ -128,7 +128,9 @@ class SignedWeightedGraph:
 
     @cached_property
     def _sparse_matrices(self) -> dict:
-        """(CSR matrix, 1-norm) per matrix kind, filled by `sparse_matrix`."""
+        """(CSR matrix, 1-norm) per matrix kind, filled by `sparse_matrix`,
+        and under (kind, "dense") the dense copy `spectral._walk_operator`
+        makes on small graphs."""
         return {}
 
 

@@ -13,12 +13,14 @@ W_u = span{M^k e_u}, whose dimension D is the number of eigenvalues in
 the support of u: d + 1 on the hypercube Q_d, whatever its 2^d vertices
 (Godsil, "State transfer on graphs", Discrete Math. 312, 2012).
 `walk_spectrum` runs Lanczos from q_1 = e_u with full
-reorthogonalisation on the cached sparse matrix and returns the two rows
+reorthogonalisation on the cached matrix, a dense copy of it on at most
+WALK_DENSE_MAX_DIM vertices, and returns the two rows
 e_u and e_v of U(t) in the eigenbasis of the D x D tridiagonal T.  Its
 basis is capped at WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM^2 entries
 (n D), the memory a dense solve at the limit already takes.  A verdict
 costs a few array calls per Lanczos step and per spectrum, none per
-eigenvalue: each step updates one work vector in place, T goes straight
+eigenvalue: each step is one matrix-vector product and two fixed
+Gram-Schmidt passes against the kept basis, T goes straight
 to LAPACK's ?stevd (`_tridiagonal_rows`), and one `np.add.reduceat` over
 the eigenspace starts gives every eigenspace's norms, overlap, sign and
 mean eigenvalue (`_eigenspaces`).
@@ -107,8 +109,11 @@ WALK_CLOSURE_MARGIN = 1e4
 WALK_AMPLITUDE_TOL = 1e-13
 # most entries n D of a Lanczos basis: 512 MiB, one dense matrix at the limit
 WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM ** 2
-# DGKS: a second reorthogonalisation pass when one keeps less of the norm
-DGKS_KEEP = 1.0 / math.sqrt(2.0)
+# walks on at most this many vertices multiply by a dense copy of M.  On
+# Q_6, Q_7 and Q_8 (one BLAS thread, 2-CPU Xeon, numpy 2.4, scipy 1.17)
+# ndarray.dot took 0.8-1.2, 2.0-2.7 and 8.6-9.0 us, the CSR product 3.3,
+# 3.7-3.9 and 4.6 us, most of it scipy.sparse dispatch: dense loses at 256
+WALK_DENSE_MAX_DIM = 128
 # eigenvalues closer than this times max(1, max |l|) share an eigenspace
 EIGENSPACE_REL_TOL = 1e-8
 
@@ -281,6 +286,27 @@ def _tridiagonal_rows(diagonal, couplings, row: np.ndarray) -> Spectrum:
     return Spectrum(theta, np.array([y[0], row @ y]))
 
 
+def _walk_operator(g: SignedWeightedGraph, kind: str):
+    """q -> M q for the Lanczos steps of `walk_spectrum`.
+
+    Up to WALK_DENSE_MAX_DIM vertices the product is `ndarray.dot` on a
+    dense copy of the CSR matrix, at most 128 KiB, made once per graph and
+    kind and cached with it; a CSR product there costs more in
+    `scipy.sparse` dispatch than in arithmetic.  Above, it is the CSR
+    product, and no n x n array is made.
+    """
+    matrix = sparse_matrix(g, kind)[0]
+    if g.vertex_count > WALK_DENSE_MAX_DIM:
+        return matrix.__matmul__
+    cache = g._sparse_matrices
+    key = (kind, "dense")
+    if key not in cache:
+        dense = matrix.toarray()
+        dense.flags.writeable = False
+        cache[key] = dense
+    return cache[key].dot
+
+
 def _basis_cap_error(u: int, n: int, steps: int) -> ValueError:
     return ValueError(f"walk module of vertex {u} needs more than {steps} Lanczos "
                       f"vectors of length {n}, above the basis cap of "
@@ -292,15 +318,18 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
                   t: Optional[float] = None) -> WalkSpectrum:
     """Lanczos from q_1 = e_u on the walk module W_u = span{M^k e_u}.
 
-    Each step takes w = M q_k - alpha_k q_k - beta_{k-1} q_{k-1}, then
-    removes its projection on q_1..q_k once more (full
-    reorthogonalisation), and a second time when that pass keeps less than
-    DGKS_KEEP of the norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp.
-    30, 1976); beta_k = ||w||.  With m vectors, M Q_m = Q_m T_m +
-    beta_m q_{m+1} e_m^T.  The result is `_tridiagonal_rows` of T_m with
-    the row Q[v] of the basis, so `amplitude(t)` is
-    <v| Q_m e^{-i t T_m} e_1 and `_eigenspaces(spectrum, 0, 1, tol)`
-    sees u's support and the signs sigma_r.
+    Each step takes w = M q_k (`_walk_operator`) and removes its projection
+    on the kept basis Q_k = [q_1..q_k] by classical Gram-Schmidt run twice,
+    h = Q_k^T w, w -= Q_k h, a fixed two passes whatever the loss of norm:
+    twice is enough to keep the basis orthogonal to working precision
+    while w is not numerically in its span (Giraud, Langou, Rozloznik & van
+    den Eshof, Numer. Math. 101, 2005).  This is full reorthogonalisation
+    and the three-term update at once: alpha_k = h_1[k] + h_2[k] and
+    beta_k = ||w||.  With m vectors, M Q_m = Q_m T_m + beta_m q_{m+1} e_m^T.
+    The result is `_tridiagonal_rows` of T_m with the row Q[v] of the
+    basis, so `amplitude(t)` is <v| Q_m e^{-i t T_m} e_1 and
+    `_eigenspaces(spectrum, 0, 1, tol)` sees u's support and the signs
+    sigma_r.
 
     Stopping rules:
 
@@ -344,7 +373,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     """
     n = g.vertex_count
     _check_vertices(n, u, v)
-    matrix, norm = sparse_matrix(g, matrix_kind)
+    norm = sparse_matrix(g, matrix_kind)[1]
     closure = WALK_CLOSURE_TOL * norm
     max_steps = min(n, WALK_BASIS_MAX_ENTRIES // n)
     if t is not None:
@@ -353,26 +382,20 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
         _check_phase_resolution(x)
     if max_steps == 0 or (t is not None and not _walk_fits(n, x)):
         raise _basis_cap_error(u, n, max_steps)
+    matvec = _walk_operator(g, matrix_kind)
     basis = np.zeros((min(max_steps, 32), n))
     basis[0, u] = 1.0
     scratch = np.empty(n)
     alphas, betas = [], []
-    beta = 0.0
     for k in range(max_steps):
-        q = basis[k]
-        w = matrix @ q
-        alpha = float(q.dot(w))
-        w -= np.multiply(q, alpha, out=scratch)
-        if k:
-            w -= np.multiply(basis[k - 1], beta, out=scratch)
         kept = basis[:k + 1]
+        w = matvec(basis[k])
+        first = kept.dot(w)
+        w -= first.dot(kept, out=scratch)
+        second = kept.dot(w)
+        w -= second.dot(kept, out=scratch)
+        alpha = float(first[k] + second[k])
         beta = math.sqrt(w.dot(w))
-        for _ in range(2):
-            before = beta
-            w -= kept.dot(w).dot(kept, out=scratch)
-            beta = math.sqrt(w.dot(w))
-            if beta > DGKS_KEEP * before:
-                break
         m = k + 1
         if not math.isfinite(alpha + beta):
             raise ValueError(f"walk module of vertex {u} overflows at Lanczos step "

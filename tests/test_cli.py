@@ -482,6 +482,14 @@ def test_qudit_vanishing_amplitude_reads_zero(capsys):
         '"t": 1.5707963267948966, "target": 1}\n')
 
 
+@pytest.mark.parametrize("spec", ["cycle:4:0.3,x", "complete:3:1,,2", "cycle:4:0.3;1"])
+def test_qudit_refuses_malformed_family_couplings(capsys, spec):
+    assert run(["qudit", "--family", spec, "--target", "1"]) == 2
+    kind = spec.split(":")[0]
+    assert capsys.readouterr() == ("", f"--family must look like {kind}:<n>[:J0,J1,..] "
+                                       f"with numbers J, got {spec!r}\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"),
                                          ("--tmax", "nan"), ("--tmax", "-inf")])
 def test_qudit_refuses_non_finite_times(tmp_path, capsys, flag, value):
@@ -551,6 +559,18 @@ def test_transmon_refuses_a_sweep_step_that_does_not_advance(tmp_path, sweep, st
     step = float(sweep.rsplit(":", 1)[1])
     assert done.stderr == (f"sweep step {step} does not advance omega_c past "
                            f"{stuck_at} at 12 decimals\n")
+
+
+@pytest.mark.parametrize("sweep", ["wc:4.5.5:9:0.5", "wc:.:9:0.5", "wc:4.5:9", "wc:-1:9:0.5"])
+def test_transmon_refuses_a_malformed_sweep(tmp_path, capsys, sweep):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\n", encoding="utf-8")
+    assert run(["transmon", "--config", str(cfg), "--sweep", sweep]) == 2
+    assert capsys.readouterr() == ("", "--sweep must look like wc:<lo>:<hi>:<step> with "
+                                       "decimal numbers, as in wc:4.5:9:0.01, "
+                                       f"got {sweep!r}\n")
 
 
 def test_transmon_refuses_a_sweep_of_too_many_points(tmp_path):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import pstnet
@@ -44,12 +45,12 @@ def cube_amplitude(k, u, v, t):
     return math.cos(t) ** (k - d) * (-1j * math.sin(t)) ** d
 
 
-def random_signed_graph(n, degree=6.0):
+def random_signed_graph(n, degree=6.0, rng=RNG):
     """Erdos-Renyi signed graph with weights in [0.2, 2] and mean degree `degree`."""
     iu, ju = np.triu_indices(n, 1)
-    keep = RNG.random(iu.size) < degree / (n - 1)
-    weights = RNG.uniform(0.2, 2.0, keep.sum())
-    signs = RNG.choice([-1, 1], keep.sum())
+    keep = rng.random(iu.size) < degree / (n - 1)
+    weights = rng.uniform(0.2, 2.0, keep.sum())
+    signs = rng.choice([-1, 1], keep.sum())
     return make_graph(n, zip(iu[keep].tolist(), ju[keep].tolist(),
                              weights.tolist(), signs.tolist()))
 
@@ -168,12 +169,58 @@ def test_health_numbers_on_cubes():
     assert (lone.walk.dimension, len(lone.walk.couplings)) == (1, 0)
 
 
+@pytest.mark.parametrize("k", range(1, 17))
+def test_cube_couplings_are_the_krawtchouk_chain(k):
+    # the walk module of 0 in Q_k is the weighted path of its k + 1 distance
+    # layers, with couplings sqrt(i (k + 1 - i)): every one, not only the
+    # smallest, must come out of the projection to rounding
+    couplings = check_pst_conditions(hypercube(k), 0, (1 << k) - 1).walk.couplings
+    i = np.arange(1, k + 1)
+    np.testing.assert_allclose(couplings, np.sqrt(i * (k + 1 - i)), rtol=1e-12, atol=0)
+
+
+def _walk_on(monkeypatch, g, kind, dense_max_dim):
+    monkeypatch.setattr(spectral, "WALK_DENSE_MAX_DIM", dense_max_dim)
+    return check_pst_conditions(g, 0, g.vertex_count - 1, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["Q7", "signed129", "pst_chain(40)"])
+def test_dense_and_csr_operators_agree(monkeypatch, name, kind):
+    if name == "Q7":
+        g = hypercube(7)
+    elif name == "signed129":
+        g = random_signed_graph(129, rng=np.random.default_rng(129))
+    else:
+        couplings = pst_chain(40).couplings
+        g = make_graph(40, [(i, i + 1, j) for i, j in enumerate(couplings)])
+    n = g.vertex_count
+    sparse = _walk_on(monkeypatch, g, kind, 0)
+    assert (kind, "dense") not in g._sparse_matrices
+    dense = _walk_on(monkeypatch, g, kind, n)
+    assert g._sparse_matrices[(kind, "dense")].shape == (n, n)
+    scale = 1e-13 * sparse.walk.norm
+    assert (dense.walk.dimension, dense.walk.closed) == (sparse.walk.dimension,
+                                                         sparse.walk.closed)
+    np.testing.assert_allclose(dense.support_eigenvalues, sparse.support_eigenvalues,
+                               rtol=0, atol=scale)
+    # the late couplings of a walk through all 129 vertices of the signed
+    # graph's Laplacian move with rounding: the two products put them about
+    # 4e-13 ||L||_1 apart, while T's eigenvalues stay within 3e-16 ||L||_1
+    slack = 1e2 if (name, kind) == ("signed129", "laplacian") else 1.0
+    np.testing.assert_allclose(dense.walk.couplings, sparse.walk.couplings,
+                               rtol=0, atol=slack * scale)
+
+
 def test_verdicts_solve_no_n_by_n_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("n x n solve or matrix")
     monkeypatch.setattr(graphs, "graph_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    for k in (8, 10, 11):
+    # above WALK_DENSE_MAX_DIM the Lanczos steps make no dense copy either
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
+    assert spectral.WALK_DENSE_MAX_DIM < 1 << 8
+    for k in (8, 9, 10, 11):
         n = 1 << k
         rep = check_pst_conditions(hypercube(k), 3, 3 ^ (n - 1))
         assert rep.best_time == pytest.approx(math.pi / 2, abs=1e-12)
