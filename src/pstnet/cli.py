@@ -27,8 +27,8 @@ from .qudit import (check_family_size, commuting_family, complete_family,
                     cycle_family, family_spectrum, transfer_amplitude_qudit)
 from .routing import HopPlan, build_network, execute_route, plan_route
 from .spectral import check_pst_conditions, polar
-from .transmon import (coupling_report, find_cutoff, parse_coupler_config,
-                       pst_time)
+from .transmon import (NoCutoffError, coupling_report, find_cutoff,
+                       parse_coupler_config, pst_time)
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -96,7 +96,9 @@ def _cmd_pst(args) -> int:
         raise ValueError(f"--tmax must be finite and >= 0, got {args.tmax}")
     if not (math.isfinite(args.dt) and args.dt > 0):
         raise ValueError(f"--dt must be finite and > 0, got {args.dt}")
-    if args.csv and args.tmax / args.dt >= MAX_GRID_POINTS:
+    # rows at k dt for the k with k dt <= tmax up to rounding: 0.7 / 0.1 < 7
+    last = math.floor(min(args.tmax / args.dt, MAX_GRID_POINTS) * (1 + 1e-12))
+    if args.csv and last >= MAX_GRID_POINTS:
         raise ValueError(f"--tmax {args.tmax} and --dt {args.dt} ask for more than "
                          f"{MAX_GRID_POINTS} time points")
     g = _load_graph(args.graph)
@@ -109,7 +111,7 @@ def _cmd_pst(args) -> int:
         "best_magnitude": rep.best_magnitude,
     }
     if args.csv:
-        ts = [i * args.dt for i in range(int(args.tmax / args.dt) + 1)]
+        ts = [i * args.dt for i in range(last + 1)]
         rows = [(t, *polar(a)) for t, a in zip(ts, rep.walk.amplitude(np.array(ts)))]
         emit_csv(rows, args.csv, ["t", "magnitude", "phase"])
     _print_payload(payload, args.json)
@@ -324,6 +326,8 @@ def _cmd_transmon(args) -> int:
             raise ValueError(f"--sweep must look like wc:<lo>:<hi>:<step> with decimal "
                              f"numbers, as in wc:4.5:9:0.01, got {args.sweep!r}")
         lo, hi, step = (float(x) for x in m.groups())
+        if lo > hi:
+            raise ValueError(f"--sweep {args.sweep!r} has lo {lo} above hi {hi}")
         rows = []
         for wc in _sweep_points(lo, hi, step):
             rep = coupling_report(cfg.with_coupler_frequency(wc))
@@ -337,9 +341,11 @@ def _cmd_transmon(args) -> int:
         return EXIT_OK
     try:
         cut = find_cutoff(cfg, (args.wc_min, args.wc_max))
-    except ValueError as exc:
+    except NoCutoffError as exc:
         print(exc, file=sys.stderr)
         return EXIT_REFUSED
+    except ValueError as exc:
+        raise ValueError(f"--wc-min/--wc-max: {exc}") from None
     payload = {
         "omega_c_off": cut.omega_c_off,
         "delta_i": cut.delta_i,

@@ -115,14 +115,11 @@ def parse_graph_text(text: str) -> SignedWeightedGraph:
             raise GraphFormatError(lineno, f"unknown directive {kind!r}")
     if n is None:
         raise GraphFormatError(1, "missing graph header")
-    label_tuple = None
-    if labels:
-        if len(labels) != n:
-            raise GraphFormatError(1, "labels must cover every vertex or none")
-        label_tuple = tuple(labels[i] for i in range(n))
-    mark_tuple = None
-    if marks:
-        mark_tuple = tuple(marks.get(i, 1) for i in range(n))
+    for name, given in (("labels", labels), ("marks", marks)):
+        if given and len(given) != n:
+            raise GraphFormatError(1, f"{name} must cover every vertex or none")
+    label_tuple = tuple(labels[i] for i in range(n)) if labels else None
+    mark_tuple = tuple(marks[i] for i in range(n)) if marks else None
     try:
         return SignedWeightedGraph(n, edges, labels=label_tuple,
                                    markings=mark_tuple)

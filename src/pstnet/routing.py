@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (MAX_HYPERCUBE_DIM, Edge, SignedWeightedGraph, edge_table,
-                     hamming_table, hypercube)
+                     hamming_table, hypercube, sparse_matrix)
 from .spectral import TransferReport, _transfer_report, hypercube_apply, polar
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
@@ -365,6 +365,9 @@ def classify_neighborhood(labeling: NetworkLabeling, u: int) -> NeighborhoodRepo
 
 
 def swap_baseline(network: SignedWeightedGraph, u: int, w: int) -> int:
-    """Minimum cascaded-SWAP count: the BFS shortest-path edge distance."""
-    from .spectral import graph_distance
-    return graph_distance(network, u, w)
+    """Minimum cascaded-SWAP count: the BFS edge distance, ignoring weights and signs."""
+    from scipy.sparse.csgraph import shortest_path
+    hops = shortest_path(sparse_matrix(network, "adjacency")[0], unweighted=True, indices=u)[w]
+    if math.isinf(hops):
+        raise ValueError(f"vertices {u} and {w} are disconnected")
+    return int(hops)

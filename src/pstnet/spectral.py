@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -502,7 +501,7 @@ def _transfer_report(amp: complex, t: float, backend: str) -> TransferReport:
 # ---------------------------------------------------------------------------
 # eigenvalue rationality
 
-def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[Fraction]:
+def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[tuple[int, int]]:
     """The best p/q with q <= max_denominator, if |x - p/q| <= max(tol/q^2, 1e-13).
 
     The tol/q^2 term accepts small denominators with room for noise; the
@@ -514,8 +513,8 @@ def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[
     p/q is `Fraction(x).limit_denominator(max_denominator)`, found by the
     same continued fraction of x's exact ratio, in Python ints: the last
     convergent within the bound or its best semiconvergent, whichever is
-    closer to x (the convergent on a tie).  A Fraction is made only for an
-    accepted p/q.
+    closer to x (the convergent on a tie).  It returns (p, q), in lowest
+    terms as `as_integer_ratio`, convergents and semiconvergents all are.
     """
     num, den = x.as_integer_ratio()
     if den <= max_denominator:
@@ -537,27 +536,30 @@ def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[
             p, q = p1, q1
         else:
             p, q = p0 + k * p1, q0 + k * q1
-    return Fraction(p, q) if abs(x - p / q) <= max(tol / q ** 2, 1e-13) else None
+    return (p, q) if abs(x - p / q) <= max(tol / q ** 2, 1e-13) else None
 
 
-def rationality_check(eigs: Sequence[float]) -> tuple[bool, list]:
-    """Check that all ratios of eigenvalue differences are rational.
+def rationality_check(eigs: Sequence[float]) -> Optional[list[int]]:
+    """Integer gap steps of the distinct values, or None if a ratio is irrational.
 
     Ratios are taken from the lowest distinct value e_0 over the spread
     e_max - e_0; any difference e_j - e_l is the difference of two such
     gaps, so every ratio of differences is rational exactly when these
-    are.  Each ratio is recognised by `_recognize_rational` with tolerance
-    DEFAULT_PST_TOL and denominators up to DEFAULT_MAX_DENOMINATOR.
-    Returns (flag, witness) where the witness lists (ratio, Fraction-or-None)
-    per value above e_0, in ascending order.
+    are.  Each is p_r/q_r in lowest terms by `_recognize_rational` (tol
+    DEFAULT_PST_TOL, q_r <= DEFAULT_MAX_DENOMINATOR).  The steps n_r =
+    p_r L/q_r, L = lcm(q_r), one per value above e_0, end at L (the last
+    ratio is 1/1) and have gcd 1: a prime power exactly dividing L exactly
+    divides some q_r, so its prime divides neither L/q_r nor p_r.
     """
     vals = np.unique(np.asarray(eigs, dtype=float))
     if len(vals) < 2:
-        return True, []
-    ref = vals[-1] - vals[0]
-    witness = [(r, _recognize_rational(r, DEFAULT_PST_TOL, DEFAULT_MAX_DENOMINATOR))
-               for r in ((vals[1:] - vals[0]) / ref).tolist()]
-    return all(frac is not None for _, frac in witness), witness
+        return []
+    fracs = [_recognize_rational(r, DEFAULT_PST_TOL, DEFAULT_MAX_DENOMINATOR)
+             for r in ((vals[1:] - vals[0]) / (vals[-1] - vals[0])).tolist()]
+    if None in fracs:
+        return None
+    scale = math.lcm(*(q for _, q in fracs))
+    return [p * (scale // q) for p, q in fracs]
 
 
 @dataclass
@@ -652,20 +654,14 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
     vec_ok = spaces.vector_condition and abs(walk.v_weight - 1.0) <= tol
     support = spaces.mean[spaces.support]
-    rational, witness = rationality_check(support)
+    steps = rationality_check(support)
+    rational = steps is not None
     if u == v:
         return PSTConditionReport(vec_ok, True, rational, support, 0.0, 1.0, walk)
     # u != v and the vector condition leave at least two support eigenvalues
-    eig_ok = vec_ok and rational
-    if eig_ok:
-        fracs = [frac for _, frac in witness]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        lattice = [f.numerator * (scale // f.denominator) for f in fracs]
-        common = math.gcd(*lattice)
-        steps = [k // common for k in lattice]
-        signs = spaces.sign[spaces.support].tolist()
-        eig_ok = all(n_r % 2 == (s_r != signs[0]) for n_r, s_r in zip(steps, signs[1:]))
-    if not eig_ok:
+    signs = spaces.sign[spaces.support].tolist()
+    if not (vec_ok and rational and all(n_r % 2 == (s_r != signs[0])
+                                        for n_r, s_r in zip(steps, signs[1:]))):
         return PSTConditionReport(vec_ok, False, rational, support, None, 0.0, walk)
     # Delta = (l_max - l_0) / n_max, the last fraction being exactly 1
     t0 = math.pi * steps[-1] / float(support[-1] - support[0])
@@ -830,15 +826,3 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
         if f_ref > best_f + 1e-12:
             best_t, best_f = t_ref, f_ref
     return best_t, best_f
-
-
-# ---------------------------------------------------------------------------
-# graph distance
-
-def graph_distance(g: SignedWeightedGraph, u: int, v: int) -> int:
-    """BFS edge distance, ignoring weights and signs."""
-    from scipy.sparse.csgraph import shortest_path
-    hops = shortest_path(sparse_matrix(g, "adjacency")[0], unweighted=True, indices=u)[v]
-    if math.isinf(hops):
-        raise ValueError(f"vertices {u} and {v} are disconnected")
-    return int(hops)

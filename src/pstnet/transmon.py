@@ -38,9 +38,9 @@ class CouplerConfig:
     omega_c: float
 
     def __post_init__(self):
-        for name in ("c_i", "c_j", "c_c", "c_ic", "c_jc", "c_ij"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("c_i", "c_j", "c_c", "c_ic", "c_jc", "c_ij", "omega_i", "omega_j"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def with_coupler_frequency(self, omega_c: float) -> "CouplerConfig":
         return replace(self, omega_c=omega_c)
@@ -117,26 +117,33 @@ class CutoffResult:
     residual: float
 
 
+class NoCutoffError(ValueError):
+    """`find_cutoff`'s coupling keeps one sign over a valid range."""
+
+
 def find_cutoff(cfg: CouplerConfig, omega_c_range: tuple[float, float] = (4.5, 9.0)
                 ) -> CutoffResult:
     """Coupler frequency where the net coupling vanishes (edge switched off).
 
     Bisects the beyond-RWA coupling g_brwa over the range until |g| <= 1e-12
-    GHz; raises when the coupling does not change sign on the range.
+    GHz.  ValueError, before any coupling, for a range that is not positive,
+    finite and increasing or holds a pole omega_i, omega_j of g_brwa;
+    NoCutoffError when g_brwa keeps one sign over the range.
     """
     def g_of(wc: float) -> float:
         return coupling_report(cfg.with_coupler_frequency(wc)).g_brwa
 
     lo, hi = omega_c_range
-    if lo >= hi:
-        raise ValueError("range must be increasing")
+    if not 0 < lo < hi < math.inf or lo <= cfg.omega_i <= hi or lo <= cfg.omega_j <= hi:
+        raise ValueError(f"coupler range [{lo}, {hi}] must be positive, finite, increasing and "
+                         f"clear of the poles omega_i = {cfg.omega_i}, omega_j = {cfg.omega_j}")
     f_lo, f_hi = g_of(lo), g_of(hi)
     if f_lo == 0.0:
         mid = lo
     elif f_hi == 0.0:
         mid = hi
     elif f_lo * f_hi > 0:
-        raise ValueError("no cutoff in range: coupling does not change sign")
+        raise NoCutoffError("no cutoff in range: coupling does not change sign")
     else:
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -8,9 +8,11 @@ imports it only through the tests that use it.
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 from scipy.sparse.linalg import expm_multiply
 
 from pstnet import graphs, spectral, transmon
@@ -19,7 +21,7 @@ from pstnet.fileio import fmt
 from pstnet.graphs import (SignedWeightedGraph, edge_table, graph_matrix, is_balanced,
                            sparse_matrix)
 from pstnet.qudit import CommutingFamily
-from pstnet.spectral import Spectrum, graph_distance, transfer_amplitude
+from pstnet.spectral import Spectrum, transfer_amplitude
 from pstnet.transmon import CouplerConfig
 
 SPIN_ORACLE_MAX_VERTICES = 12
@@ -228,6 +230,13 @@ def unmodulated_chain_spectrum(n: int) -> np.ndarray:
                              for k in range(1, n + 1)]))
 
 
+def limit_denominator_rule(x: float, tol: float, q: int) -> Fraction | None:
+    """The recognition rule on `Fraction.limit_denominator`: the best fraction
+    with denominator at most q, if it lies within max(tol/den^2, 1e-13) of x."""
+    frac = Fraction(x).limit_denominator(q)
+    return frac if abs(x - frac) <= max(tol / frac.denominator ** 2, 1e-13) else None
+
+
 def expm_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float,
                    matrix_kind: str = "adjacency") -> complex:
     """<v| exp(-i t M) |u> from scipy's `expm_multiply` on the sparse matrix."""
@@ -270,7 +279,7 @@ def bipartite_phase_audit(g: SignedWeightedGraph, u: int, v: int, t0: float
     rep = transfer_amplitude(g, u, v, t0)
     if rep.magnitude < 1.0 - 1e-6:
         raise ValueError(f"no PST at t0={t0}: magnitude {rep.magnitude}")
-    d = graph_distance(g, u, v)
+    d = shortest_path(sparse_matrix(g, "adjacency")[0], unweighted=True, indices=u)[v]
     parity = "even" if d % 2 == 0 else "odd"
     phase = rep.phase
     classes = {"+1": 0.0, "-1": math.pi, "+i": math.pi / 2, "-i": -math.pi / 2}

@@ -112,8 +112,7 @@ def test_criterion_5_unmodulated_impossibility(n):
     verdict = check_pst_conditions(path_graph(n), 0, n - 1)
     assert verdict.rationality is False
     assert verdict.eigenvalue_condition is False
-    rational, _ = rationality_check(unmodulated_chain_spectrum(n))
-    assert rational is False
+    assert rationality_check(unmodulated_chain_spectrum(n)) is None
 
     t_star, f_star = unmodulated_no_pst_scan(n, 200.0)
     assert f_star < 1.0 - 1e-6

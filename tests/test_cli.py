@@ -71,6 +71,17 @@ def test_index_out_of_range():
         parse_graph_text("graph 2\nedge 0 2 1 +\n")
 
 
+def test_partial_marks_are_refused(tmp_path, capsys):
+    # marks on some vertices used to mark the rest +1 without a word
+    text = "graph 3\nmark 0 -\nedge 0 1 1 +\nedge 1 2 1 +\n"
+    with pytest.raises(GraphFormatError, match="^line 1: marks must cover every vertex or none$"):
+        parse_graph_text(text)
+    path = tmp_path / "partial.graph"
+    path.write_text(text, encoding="utf-8")
+    assert run(["graph", str(path)]) == 2
+    assert capsys.readouterr() == ("", "line 1: marks must cover every vertex or none\n")
+
+
 def test_serialize_round_trip():
     g = SignedWeightedGraph(3, [(0, 1, 1.5, -1), (1, 2, 0.25, 1)],
                             labels=("00", "01", "10"), markings=(1, -1, 1))
@@ -528,6 +539,50 @@ def test_transmon_cutoff(tmp_path, capsys):
     assert payload["delta_i"] == pytest.approx(-1.426, abs=0.05)
 
 
+@pytest.mark.parametrize("flags, bounds", [
+    (["--wc-min", "3.5", "--wc-max", "9"], "[3.5, 9.0]"),
+    (["--wc-min", "4"], "[4.0, 9.0]"),
+    (["--wc-min", "9", "--wc-max", "4.5"], "[9.0, 4.5]"),
+    (["--wc-min", "nan"], "[nan, 9.0]"),
+    (["--wc-max", "inf"], "[4.5, inf]"),
+], ids=["across-pole", "at-pole", "decreasing", "nan", "inf"])
+def test_transmon_refuses_a_coupler_range_it_cannot_bisect(tmp_path, capsys, flags, bounds):
+    # across the pole at omega_i = 4 the bisection missed the cutoff at
+    # 5.42586398654 (exit 1); nan and inf were printed as cutoffs (exit 0)
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\n", encoding="utf-8")
+    assert run(["transmon", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr() == ("", f"--wc-min/--wc-max: coupler range {bounds} must be "
+                                       "positive, finite, increasing and clear of the poles "
+                                       "omega_i = 4.0, omega_j = 4.0\n")
+
+
+def test_transmon_without_a_sign_change_is_a_domain_refusal(tmp_path, capsys):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\n", encoding="utf-8")
+    assert run(["transmon", "--config", str(cfg), "--wc-min", "6"]) == 1
+    assert capsys.readouterr() == ("", "no cutoff in range: coupling does not change sign\n")
+    assert run(["transmon", "--config", str(cfg)]) == 0
+    assert "omega_c_off: 5.42586398654\n" in capsys.readouterr().out
+
+
+def test_transmon_refuses_a_decreasing_sweep(tmp_path, capsys):
+    # it printed "swept 0 points" and wrote a header-only CSV
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "C_i = 70\nC_j = 72\nC_c = 200\nC_ic = 4\nC_jc = 4.2\nC_ij = 0.1\n"
+        "omega_i = 4\nomega_j = 4\nomega_c = 5\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert run(["transmon", "--config", str(cfg), "--sweep", "wc:9:4.5:0.5",
+                "--csv", str(out)]) == 2
+    assert capsys.readouterr() == ("", "--sweep 'wc:9:4.5:0.5' has lo 9.0 above hi 4.5\n")
+    assert not out.exists()
+
+
 def test_transmon_sweep(tmp_path, capsys):
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(
@@ -692,6 +747,17 @@ def test_sizes_past_q20_are_refused_before_allocation(args, line):
     # under a 1 GB cap these used to end in a MemoryError traceback
     done = _python_m_pstnet(*args, memory_limit=1_000_000_000, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("tmax, rows", [("0.7", 8), ("0.3", 4), ("0.65", 7), ("0", 1)])
+def test_pst_csv_keeps_the_row_at_tmax(tmp_path, capsys, tmax, rows):
+    # 0.7 / 0.1 is 6.999999999999999 in doubles: int() dropped the row at 0.7
+    out = tmp_path / "o.csv"
+    assert run(["pst", "--graph", "p4", "--from", "0", "--to", "3", "--tmax", tmax,
+                "--dt", "0.1", "--csv", str(out)]) == 1
+    times = [row[0] for row in read_csv(str(out))[1]]
+    assert times == [fmt(k * 0.1) for k in range(rows)]
+    assert float(times[-1]) <= float(tmax) + 1e-12
 
 
 def test_pst_csv_grid_at_the_cap_is_written(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pstnet.transmon import (CouplerConfig, coupling_report, find_cutoff,
+from pstnet import transmon
+from pstnet.transmon import (CouplerConfig, NoCutoffError, coupling_report, find_cutoff,
                              parse_coupler_config, pst_time,
                              three_body_hamiltonian, three_body_oracle)
 
@@ -82,8 +83,42 @@ def test_cutoff_location():
 
 
 def test_no_cutoff_when_range_excludes_root():
-    with pytest.raises(ValueError, match="no cutoff"):
+    with pytest.raises(NoCutoffError, match="no cutoff"):
         find_cutoff(reference_parameters(5.0), (6.0, 9.0))
+
+
+@pytest.mark.parametrize("bounds", [(3.5, 9.0), (4.0, 9.0), (2.0, 4.0), (4.5, 4.5), (9.0, 4.5),
+                                    (-1.0, 3.0), (math.nan, 9.0), (4.5, math.inf)])
+def test_cutoff_refuses_a_range_before_any_coupling(monkeypatch, bounds):
+    cfg = reference_parameters(5.0)
+
+    def refuse(cfg):
+        raise AssertionError("a coupling was evaluated")
+
+    monkeypatch.setattr(transmon, "coupling_report", refuse)
+    with pytest.raises(ValueError, match="must be positive, finite, increasing and clear "
+                                         "of the poles omega_i = 4.0, omega_j = 4.0$") as info:
+        find_cutoff(cfg, bounds)
+    assert not isinstance(info.value, NoCutoffError)
+
+
+@pytest.mark.parametrize("name", ["omega_i", "omega_j", "c_c"])
+@pytest.mark.parametrize("value", [-4.0, 0.0, math.nan, math.inf])
+def test_config_refuses_a_value_that_is_not_positive_and_finite(name, value):
+    # a negative omega_i failed in sqrt(omega_i omega_c) with "math domain
+    # error"; a nan one printed a cutoff at the range's end with exit 0
+    values = dict(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=4.0, c_jc=4.2, c_ij=0.1,
+                  omega_i=4.0, omega_j=4.0, omega_c=5.0)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        CouplerConfig(**{**values, name: value})
+
+
+def test_cutoff_refuses_the_second_qubit_pole():
+    cfg = CouplerConfig(c_i=70.0, c_j=72.0, c_c=200.0, c_ic=4.0, c_jc=4.2,
+                        c_ij=0.1, omega_i=4.0, omega_j=9.5, omega_c=5.0)
+    with pytest.raises(ValueError, match=r"^coupler range \[4.5, 10.0\] must be .* "
+                                         r"omega_j = 9.5$"):
+        find_cutoff(cfg, (4.5, 10.0))
 
 
 def test_cutoff_moves_inward_as_direct_coupling_grows():

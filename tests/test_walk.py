@@ -7,7 +7,6 @@ against `scipy.linalg.expm`, time series and grid scans against the dense
 
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from pstnet.spectral import (WALK_AMPLITUDE_TOL, check_pst_conditions,
                              max_fidelity_scan, max_fidelity_scan_spectrum,
                              rationality_check, transfer_amplitude, walk_spectrum)
 
-from oracles import graph_spectrum
+from oracles import graph_spectrum, limit_denominator_rule
 
 KINDS = ("adjacency", "laplacian")
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -79,10 +78,11 @@ def dense_verdict(g, u, v, kind, tol=1e-8):
     support = np.array(support)
     if not strongly or u == v:
         return strongly, support, (0.0 if strongly else None)
-    rational, witness = rationality_check(support)
-    if not rational:
+    ratios = (support[1:] - support[0]) / (support[-1] - support[0])
+    fracs = [limit_denominator_rule(float(r), spectral.DEFAULT_PST_TOL,
+                                    spectral.DEFAULT_MAX_DENOMINATOR) for r in ratios]
+    if None in fracs:
         return strongly, support, None
-    fracs = [Fraction(f) for _, f in witness]
     scale = math.lcm(*(f.denominator for f in fracs))
     steps = [int(f * scale) for f in fracs]
     common = math.gcd(*steps)
@@ -98,7 +98,7 @@ def _check_against_dense(g, u, v, kind):
     assert rep.vector_condition == strongly
     np.testing.assert_allclose(rep.support_eigenvalues, support, rtol=0, atol=1e-9)
     assert rep.walk.dimension == len(support)
-    assert rep.rationality == rationality_check(support)[0]
+    assert rep.rationality == (rationality_check(support) is not None)
     pst = rep.vector_condition and rep.eigenvalue_condition
     assert pst == (t0 is not None)
     if pst and u != v:
