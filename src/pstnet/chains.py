@@ -23,8 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import (TransferReport, _check_phase_resolution, _krylov_entry,
-                       _transfer_report, _tridiagonal_rows, max_fidelity_scan,
-                       walk_spectrum)
+                       _tridiagonal_rows, max_fidelity_scan, polar, walk_spectrum)
 from .graphs import hypercube, path_graph
 
 # the projected couplings must equal sqrt(i (k + 1 - i)) to this
@@ -88,12 +87,12 @@ def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
     """End-to-end transfer amplitude of the (XY) chain at time t.
 
     The chain matrix T is the walk-module matrix of site 0, so its
-    tridiagonal spectrum gives the amplitude directly (backend 'chain');
-    no graph is built.  That solve keeps all n x n eigenvectors, so a chain
-    of more than CHAIN_TRIDIAGONAL_MAX_SITES sites takes one Krylov column
-    of T instead (backend 'krylov'), whatever t is.  A time that is NaN or
+    tridiagonal spectrum gives the amplitude directly; no graph is built.
+    That solve keeps all n x n eigenvectors, so a chain of more than
+    CHAIN_TRIDIAGONAL_MAX_SITES sites takes one Krylov column of T instead
+    (`spectral._krylov_entry`), whatever t is.  A time that is NaN or
     infinite raises ValueError, and so does X = |t| ||T||_1 >= 2^53
-    (`spectral._check_phase_resolution`), before either backend.
+    (`spectral._check_phase_resolution`), before either path.
     """
     if not math.isfinite(t):
         raise ValueError(f"time {t} is not finite")
@@ -106,11 +105,11 @@ def chain_pst_verify(spec: ChainSpec, t: float) -> TransferReport:
         # imported here: `import pstnet` loads no scipy
         from scipy.sparse import diags_array
         matrix = diags_array([js, js], offsets=[1, -1], format="csr")
-        return _transfer_report(_krylov_entry(matrix, 0, n - 1, t), t, "krylov")
+        return TransferReport(*polar(_krylov_entry(matrix, 0, n - 1, t)))
     end = np.zeros(n)
     end[-1] = 1.0
     amp = _tridiagonal_rows(np.zeros(n), js, end).amplitude(0, 1, t)
-    return _transfer_report(amp, t, "chain")
+    return TransferReport(*polar(amp))
 
 
 def unmodulated_no_pst_scan(n: int, t_max: float,

@@ -26,7 +26,7 @@ from .graphs import (MAX_HYPERCUBE_DIM, MarkingScheme, SignedWeightedGraph,
 from .qudit import (check_family_size, commuting_family, complete_family,
                     cycle_family, family_spectrum, transfer_amplitude_qudit)
 from .routing import HopPlan, build_network, execute_route, plan_route
-from .spectral import check_pst_conditions, polar
+from .spectral import check_pst_conditions, grid_steps, polar
 from .transmon import (NoCutoffError, coupling_report, find_cutoff,
                        parse_coupler_config, pst_time)
 
@@ -96,8 +96,7 @@ def _cmd_pst(args) -> int:
         raise ValueError(f"--tmax must be finite and >= 0, got {args.tmax}")
     if not (math.isfinite(args.dt) and args.dt > 0):
         raise ValueError(f"--dt must be finite and > 0, got {args.dt}")
-    # rows at k dt for the k with k dt <= tmax up to rounding: 0.7 / 0.1 < 7
-    last = math.floor(min(args.tmax / args.dt, MAX_GRID_POINTS) * (1 + 1e-12))
+    last = grid_steps(args.tmax, args.dt, MAX_GRID_POINTS)
     if args.csv and last >= MAX_GRID_POINTS:
         raise ValueError(f"--tmax {args.tmax} and --dt {args.dt} ask for more than "
                          f"{MAX_GRID_POINTS} time points")
@@ -132,7 +131,12 @@ def _cmd_route(args) -> int:
     plan = plan_route(network, labeling, u, w)
     state = np.zeros(network.vertex_count, dtype=complex)
     state[u] = 1.0
-    final, report = execute_route(network, plan, state)
+    # the initial state, then the state after each hop, each hop evolved
+    # once; the report is that of no evolution until a hop replaces it
+    snapshots, report = [state], execute_route(network, HopPlan(()), state)[1]
+    for hop in plan.hops:
+        final, report = execute_route(network, HopPlan((hop,)), snapshots[-1])
+        snapshots.append(final)
     payload = {
         "hops": [
             {
@@ -149,12 +153,7 @@ def _cmd_route(args) -> int:
         "phase": report.phase,
     }
     if args.csv:
-        # one block of rows per evolution step: initial state, then the
-        # state after each hop
-        snapshots = [state]
-        for hop in plan.hops:
-            single = HopPlan((hop,), hop.duration)
-            snapshots.append(execute_route(network, single, snapshots[-1])[0])
+        # one block of rows per evolution step
         rows = [(step, labeling.labels[v], *polar(snapshot[v]))
                 for step, snapshot in enumerate(snapshots)
                 for v in range(network.vertex_count)]
@@ -181,9 +180,8 @@ def _cmd_chain(args) -> int:
         rows = [(args.n, t_star, f_star)]
         header = ["n", "t_star", "f_star"]
     else:
-        spec = pst_chain(args.n)
-        report = chain_pst_verify(spec, math.pi / 2.0)
-        rows = [(args.n, report.time, report.magnitude)]
+        t = math.pi / 2.0
+        rows = [(args.n, t, chain_pst_verify(pst_chain(args.n), t).magnitude)]
         header = ["n", "t", "magnitude"]
     if args.csv:
         emit_csv(rows, args.csv, header)
@@ -207,8 +205,7 @@ def _cmd_corona(args) -> int:
         table = fidelity_vs_m(seed, pair, args.m, matrix_kind=args.matrix,
                               scheme=scheme)
         for r in table.rows:
-            rows.append((r.m, r.pair[0], r.pair[1], r.t_star, r.f_star,
-                         r.provenance))
+            rows.append((r.m, *pair, r.t_star, r.f_star, r.provenance))
     header = ["m", "u", "v", "t_star", "f_star", "provenance"]
     if args.csv:
         emit_csv(rows, args.csv, header)

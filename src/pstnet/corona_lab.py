@@ -66,7 +66,6 @@ class TheoremHypothesisError(ValueError):
 @dataclass(frozen=True)
 class ScanRow:
     m: int
-    pair: tuple[int, int]
     t_star: float
     f_star: float
     provenance: str      # 'direct': G^(m) walked; 'recursion': seed rows mapped
@@ -326,7 +325,7 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
         else:
             product = iterate_corona(seed, m, scheme) if m else seed
             t_star, f_star = max_fidelity_scan(product, u, v, t_max, dt, matrix_kind)
-        rows.append(ScanRow(m, (u, v), t_star, f_star,
+        rows.append(ScanRow(m, t_star, f_star,
                             "recursion" if recursion and m else "direct"))
     return ScanTable(tuple(rows))
 

@@ -38,17 +38,17 @@ class CommutingFamily:
     """Matrices A_0..A_d (A_0 = I) with couplings, jointly diagonalized.
 
     basis columns are the common eigenvectors; eigen_table[k, l] is the
-    eigenvalue of A_k on column l.
+    eigenvalue of A_k on column l, so A_k = basis diag(eigen_table[k])
+    basis^T and the matrices themselves are not kept.
     """
 
-    matrices: list[np.ndarray]
     couplings: np.ndarray
     basis: np.ndarray
     eigen_table: np.ndarray
 
     @property
     def site_count(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.basis.shape[0]
 
 
 def check_family_size(n: int, d: int) -> None:
@@ -92,7 +92,7 @@ def commuting_family(matrices: Sequence[np.ndarray],
         if np.max(np.abs(diag - np.diag(np.diagonal(diag)))) > 1e-9:
             raise ValueError("joint diagonalization residual exceeds 1e-9")
         table[k] = np.diagonal(diag)
-    return CommutingFamily(mats, np.asarray(couplings, dtype=float), basis, table)
+    return CommutingFamily(np.asarray(couplings, dtype=float), basis, table)
 
 
 def cycle_family(n: int, couplings: Optional[Sequence[float]] = None

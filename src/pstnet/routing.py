@@ -29,7 +29,7 @@ import numpy as np
 
 from .graphs import (MAX_HYPERCUBE_DIM, Edge, SignedWeightedGraph, edge_table,
                      hamming_table, hypercube, sparse_matrix)
-from .spectral import TransferReport, _transfer_report, hypercube_apply, polar
+from .spectral import TransferReport, hypercube_apply, polar
 
 HOP_TIME_UNIT_WEIGHT = math.pi / 2.0
 
@@ -60,7 +60,10 @@ class Hop:
 @dataclass(frozen=True)
 class HopPlan:
     hops: tuple[Hop, ...]
-    total_time: float
+
+    @property
+    def total_time(self) -> float:
+        return sum((hop.duration for hop in self.hops), 0.0)
 
 
 @dataclass(frozen=True)
@@ -248,12 +251,12 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
     weight = weights.pop() if weights else 1.0
     t0 = HOP_TIME_UNIT_WEIGHT / weight
     if u == w:
-        return HopPlan((), 0.0)
+        return HopPlan(())
     edges = network.edges
     bu, bw = labeling.block_of(u), labeling.block_of(w)
     if bu == bw:
         plan = _subcube_plan(labeling, edges, u, w)
-        return HopPlan((Hop(plan, u, w, t0),), t0)
+        return HopPlan((Hop(plan, u, w, t0),))
     # smaller cube's endpoint crosses the bridge into the larger cube
     if labeling.blocks[bu][1] < labeling.blocks[bw][1]:
         small, big, big_block = u, w, bw
@@ -264,14 +267,13 @@ def plan_route(network: SignedWeightedGraph, labeling: NetworkLabeling,
     x = _bridge_partner(labeling, small, big_block)
     bridge = _subcube_plan(labeling, edges, small, x)
     if x == big:
-        hop = Hop(bridge, u, w, t0)
-        return HopPlan((hop,), t0)
+        return HopPlan((Hop(bridge, u, w, t0),))
     cube = _subcube_plan(labeling, edges, x, big)
     if source_in_small:
         hops = (Hop(bridge, u, x, t0), Hop(cube, x, w, t0))
     else:
         hops = (Hop(cube, u, x, t0), Hop(bridge, x, w, t0))
-    return HopPlan(hops, 2 * t0)
+    return HopPlan(hops)
 
 
 def execute_route(network: SignedWeightedGraph, plan: HopPlan,
@@ -283,7 +285,7 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
     exactly a uniform Q_d on the positions of keep_vertices (see
     `_kept_cube_weight`, which raises ValueError otherwise), so the hop is
     the exact product evolution `hypercube_apply` for the hop's duration.
-    The reported time is the sum of the hop durations.
+    The report is the amplitude at the last hop's target.
     """
     state = np.asarray(input_state, dtype=complex).copy()
     if state.shape != (network.vertex_count,):
@@ -292,18 +294,16 @@ def execute_route(network: SignedWeightedGraph, plan: HopPlan,
         raise ValueError("input state must be normalized")
     if not plan.hops:
         target = int(np.argmax(np.abs(state)))
-        return state, TransferReport(*polar(state[target]), 0.0, True, "hypercube")
+        return state, TransferReport(*polar(state[target]))
     source = plan.hops[0].source
     if abs(abs(state[source]) - 1.0) > 1e-9:
         raise ValueError("input state must be concentrated on the hop source")
-    total = 0.0
     for hop in plan.hops:
         weight = _kept_cube_weight(network, hop.plan)
         keep = list(hop.plan.keep_vertices)
         state[keep] = hypercube_apply(hop.plan.sub_dimension, weight,
                                       hop.duration, state[keep])
-        total += hop.duration
-    return state, _transfer_report(state[plan.hops[-1].target], total, "hypercube")
+    return state, TransferReport(*polar(state[plan.hops[-1].target]))
 
 
 def _kept_cube_weight(network: SignedWeightedGraph, plan: SwitchPlan) -> float:

@@ -22,8 +22,8 @@ costs a few array calls per Lanczos step and per spectrum, none per
 eigenvalue: each step is one matrix-vector product and two fixed
 Gram-Schmidt passes against the kept basis, T goes straight
 to LAPACK's ?stevd (`_tridiagonal_rows`), and one `np.add.reduceat` over
-the eigenspace starts gives every eigenspace's norms, overlap, sign and
-mean eigenvalue (`_eigenspaces`).
+the eigenspace starts gives every eigenspace's support, sign and mean
+eigenvalue and the vector condition (`_eigenspaces`).
 
 - `check_pst_conditions` stops Lanczos only at closure, where the answer
   is exact, so it decides PST on Q_12..Q_16 too and never solves n x n.
@@ -34,7 +34,7 @@ mean eigenvalue (`_eigenspaces`).
   (`_walk_fits`) is known before any work:
   `transfer_amplitude` then takes one `expm_multiply` column of the sparse
   matrix (`_krylov_entry`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-  2011), and its report names the backend; a scan is refused.
+  2011); a scan is refused.
 - X = |t| N >= 2^53, N a bound on every |l| such as ||M||_1, is refused
   before any work, since rounding l t moves an amplitude by about X 2^-52
   (`_check_phase_resolution`): by `walk_spectrum` and `transfer_amplitude`
@@ -54,7 +54,8 @@ no amplitude moves by more than 1e-12), and factors each phase over
 blocks of B times as e^{-i l (bB + s) dt} = e^{-i l s dt} e^{-i l bB dt}:
 (B + points/B) complex exponentials per term instead of one per time
 point, then two real products per block.  `_scan_points` checks the grid
-first: finite t_max >= 0, finite dt > 0, at most SCAN_MAX_POINTS points.
+first: finite t_max >= 0, finite dt > 0, at most SCAN_MAX_POINTS points
+k dt <= t_max (`grid_steps`).  Peak refinement stays inside [0, t_max].
 
 Transfer amplitudes, fidelities and spectral PST conditions live here.
 
@@ -217,7 +218,6 @@ class WalkSpectrum:
     spectrum: Spectrum       # rows e_u and P e_v in the eigenbasis of T
     v_weight: float          # ||Q[v]||^2 = ||P e_v||^2, 1 iff e_v lies in W_u
     couplings: np.ndarray    # the kept betas, T's off-diagonal (D - 1 of them)
-    closed: bool             # stopped at closure (or the basis spans R^n)
     norm: float              # ||M||_1, which bounds every |eigenvalue|
 
     @property
@@ -401,11 +401,9 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
                              f"{m}: alpha {alpha:.3g}, beta {beta:.3g}")
         alphas.append(alpha)
         if beta <= closure or m == n:
-            closed = True
             break
         if t is not None and (beta * span <= WALK_AMPLITUDE_TOL or
                               math.log(beta / norm) + _tail_log_factor(x, m) <= goal):
-            closed = False
             break
         if m == max_steps:
             raise _basis_cap_error(u, n, max_steps)
@@ -421,7 +419,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
             f"closure threshold {closure:.3g}")
     row = basis[:len(alphas), v]
     return WalkSpectrum(_tridiagonal_rows(alphas, couplings, row),
-                        float(row @ row), couplings, closed, norm)
+                        float(row @ row), couplings, norm)
 
 
 def _check_times(ts) -> None:
@@ -441,10 +439,7 @@ def _check_dense_dim(dim: int) -> None:
 @dataclass
 class TransferReport:
     magnitude: float
-    phase: float
-    time: float
-    passed: bool
-    backend: str    # 'lanczos', 'krylov', 'chain' or 'hypercube' (routing)
+    phase: float    # in (-pi, pi], as `polar` gives it
 
 
 @dataclass
@@ -462,19 +457,19 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float
                        ) -> TransferReport:
     """Magnitude and phase of <v| exp(-i A t) |u> for the adjacency matrix A.
 
-    The walk module of u (`walk_spectrum` at time t, backend 'lanczos'),
-    or one Krylov column (backend 'krylov') when its basis might not fit
-    (`_walk_fits`); the choice is made before any work.  Either path
-    refuses X = |t| ||A||_1 >= 2^53 first (`_check_phase_resolution`).
+    The walk module of u (`walk_spectrum` at time t), or one Krylov column
+    (`_krylov_entry`) when its basis might not fit (`_walk_fits`); the
+    choice is made before any work.  Either path refuses
+    X = |t| ||A||_1 >= 2^53 first (`_check_phase_resolution`).
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
     matrix, norm = sparse_matrix(g, "adjacency")
     if _walk_fits(g.vertex_count, abs(t) * norm):
-        amp, backend = walk_spectrum(g, u, v, "adjacency", t).amplitude(t), "lanczos"
+        amp = walk_spectrum(g, u, v, "adjacency", t).amplitude(t)
     else:
-        amp, backend = _krylov_entry(matrix, u, v, t), "krylov"
-    return _transfer_report(amp, t, backend)
+        amp = _krylov_entry(matrix, u, v, t)
+    return TransferReport(*polar(amp))
 
 
 def polar(amp: complex) -> tuple[float, float]:
@@ -491,11 +486,6 @@ def polar(amp: complex) -> tuple[float, float]:
     if amp.real < 0 and abs(amp.imag) <= FIDELITY_NOISE_FLOOR:
         return mag, math.pi
     return mag, float(np.arctan2(amp.imag, amp.real))
-
-
-def _transfer_report(amp: complex, t: float, backend: str) -> TransferReport:
-    mag, phase = polar(amp)
-    return TransferReport(mag, phase, t, mag >= 1.0 - DEFAULT_PST_TOL, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +556,7 @@ def rationality_check(eigs: Sequence[float]) -> Optional[list[int]]:
 class _Eigenspaces:
     """Per eigenspace E_r of a spectrum, for the rows u and v (`_eigenspaces`)."""
 
-    group: np.ndarray         # r for each eigenvalue, ascending from 0
     mean: np.ndarray          # mean eigenvalue of E_r
-    norm_u: np.ndarray        # ||E_r e_u||
-    norm_v: np.ndarray        # ||E_r e_v||
-    overlap: np.ndarray       # <u|E_r|v>
     support: np.ndarray       # E_r e_u != 0, to tol
     sign: np.ndarray          # sign of <u|E_r|v> in the support, else 1
     vector_condition: bool    # E_r e_u = sign_r E_r e_v for every r, to tol
@@ -581,10 +567,10 @@ def _eigenspaces(spec: Spectrum, u: int, v: int, tol: float) -> _Eigenspaces:
 
     An eigenspace is a run of ascending eigenvalues, each within
     EIGENSPACE_REL_TOL max(1, max |l|) of the one before; one `np.add.reduceat` over the run
-    starts sums u^2, v^2, u v and l per run.  The vector condition asks, in
-    every eigenspace, that the projections of |u> and |v> have equal norm
-    and are parallel, so that E e_u = sigma E e_v with sigma the sign
-    (degeneracy-safe via eigenprojectors).
+    starts sums u^2, v^2, u v and l per run: the squared norms of E_r e_u and
+    E_r e_v, <u|E_r|v> and the eigenvalue sum.  The vector condition asks
+    that the two projections have equal norm and are parallel, so that
+    E e_u = sigma E e_v with sigma the sign (degeneracy-safe).
     """
     values, vecs = spec.eigenvalues, spec.eigenvectors
     pu, pv = vecs[u], vecs[v]
@@ -600,9 +586,8 @@ def _eigenspaces(spec: Spectrum, u: int, v: int, tol: float) -> _Eigenspaces:
     both = norm_u * norm_v
     skew = abs(abs(overlap) - both) > tol * np.maximum(1.0, both)
     broken = (abs(norm_u - norm_v) > tol) | (support & (norm_v > tol) & skew)
-    return _Eigenspaces(group, sums[3] / np.bincount(group), norm_u, norm_v, overlap,
-                        support, np.where(support & (overlap < 0), -1, 1),
-                        not broken.any())
+    return _Eigenspaces(sums[3] / np.bincount(group), support,
+                        np.where(support & (overlap < 0), -1, 1), not broken.any())
 
 
 def _check_vertices(n: int, *vertices: int) -> None:
@@ -669,20 +654,28 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
                               abs(walk.amplitude(t0)), walk)
 
 
-def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float
-                 ) -> tuple[float, float]:
+def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float,
+                 t_max: float) -> tuple[float, float]:
     # imported here: scipy.optimize alone costs most of `import pstnet`
     from scipy.optimize import minimize_scalar
-    lo, hi = max(0.0, t0 - dt), t0 + dt
+    lo, hi = max(0.0, t0 - dt), min(t0 + dt, t_max)
     res = minimize_scalar(lambda t: -abs(spec.amplitude(u, v, t)),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
     return float(res.x), float(-res.fun)
 
 
+def grid_steps(t_max: float, dt: float, most: int) -> int:
+    """K <= most for the time grid k dt, k = 0..K, of scans and `pst --csv`:
+    the largest integer with K dt <= t_max up to rounding, as a quotient
+    t_max / dt within 1e-12 of an integer counts as one (0.7 / 0.1 < 7).
+    The caller checks that t_max >= 0 and dt > 0 are finite."""
+    return math.floor(min(t_max / dt, most) * (1 + 1e-12))
+
+
 def _scan_points(t_max: float, dt: float) -> int:
-    """Length of the grid np.arange(0, t_max + dt, dt), counted before any
-    allocation: the entry check of every grid scan.
+    """Number of points K + 1 of the grid k dt, k = 0..K (`grid_steps`),
+    counted before any allocation: the entry check of every grid scan.
 
     ValueError names a t_max that is not finite or is negative, a dt that
     is not finite or not positive, or a grid of more than SCAN_MAX_POINTS
@@ -693,12 +686,11 @@ def _scan_points(t_max: float, dt: float) -> int:
         raise ValueError(f"scan t_max must be finite and >= 0, got {t_max}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"scan dt must be finite and > 0, got {dt}")
-    # numpy's arange length, ceil((stop - start) / step), in the same doubles
-    points = (t_max + dt) / dt
-    if not points <= SCAN_MAX_POINTS:
+    steps = grid_steps(t_max, dt, SCAN_MAX_POINTS)
+    if steps >= SCAN_MAX_POINTS:
         raise ValueError(f"scan of [0, {t_max}] at dt = {dt} asks for more than "
                          f"{SCAN_MAX_POINTS} time points")
-    return math.ceil(points)
+    return steps + 1
 
 
 def _run_starts(values: np.ndarray, width: float) -> np.ndarray:
@@ -773,13 +765,12 @@ def max_fidelity_scan(g: SignedWeightedGraph, u: int, v: int, t_max: float,
 
     Returns (t*, F*) where F is the pure-state fidelity, i.e. the amplitude
     magnitude at the best time found.  The scan runs on the two rows of the
-    walk module of u (`walk_spectrum`) up to count dt, the last grid point
-    plus the one dt that `_refine_peak` may search past it.  A bad grid
-    (`_scan_points`), then a basis that might pass the cap, raise
-    ValueError before any work.
+    walk module of u (`walk_spectrum`) up to t_max, or to the last grid
+    point where rounding puts it past t_max.  A bad grid (`_scan_points`),
+    then a basis that might pass the cap, raise ValueError before any work.
     """
     count = _scan_points(t_max, dt)
-    walk = walk_spectrum(g, u, v, matrix_kind, count * float(dt))
+    walk = walk_spectrum(g, u, v, matrix_kind, max(float(t_max), (count - 1) * float(dt)))
     return max_fidelity_scan_spectrum(walk.spectrum, 0, 1, t_max, dt)
 
 
@@ -798,12 +789,18 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     whose term c_j = <v|j><j|u> is not zero: turning the amplitude by a
     phase centred in the support leaves a real part whose second derivative
     is at most sum |c_j| (S/2)^2 <= (S/2)^2, so no peak hides more than
-    (S dt/2)^2 / 2 below its nearest grid point.
+    (S dt/2)^2 / 2 below its nearest grid point.  A t_max past the last
+    grid point joins the grid as one more point, so no gap exceeds dt.
+    Refinement stays inside [0, t_max], and the two ends, where a maximum
+    need not be a peak, are compared directly.
     """
     count = _scan_points(t_max, dt)
-    ts = np.arange(0.0, t_max + dt, dt)
+    t_max, dt = float(t_max), float(dt)
     coeffs = spec.eigenvectors[v] * spec.eigenvectors[u]
     mags = _grid_magnitudes(spec.eigenvalues, coeffs[:, None], dt, count)[:, 0]
+    if (count - 1) * dt < t_max:
+        mags = np.append(mags, abs(spec.amplitude(u, v, t_max)))
+    last = len(mags) - 1
     top = float(np.max(mags))
     if top <= FIDELITY_NOISE_FLOOR:
         return 0.0, 0.0
@@ -817,12 +814,14 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     best_t, best_f = 0.0, -1.0
     for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
         k = int(run[np.argmax(mags[run])])
-        t_ref, f_ref = _refine_peak(spec, u, v, float(ts[k]), dt)
-        if run[0] == 0:
-            # the bounded search never returns its endpoint t = 0
-            f_zero = abs(spec.amplitude(u, v, 0.0))
-            if f_ref <= f_zero + 1e-12:
-                t_ref, f_ref = 0.0, f_zero
+        t_ref, f_ref = _refine_peak(spec, u, v, min(k * dt, t_max), dt, t_max)
+        # the bounded search never returns an end of [0, t_max]; t = 0 goes
+        # last, so that it wins a tie
+        for edge, t_edge in ((last, t_max), (0, 0.0)):
+            if edge in (run[0], run[-1]):
+                f_edge = abs(spec.amplitude(u, v, t_edge))
+                if f_ref <= f_edge + 1e-12:
+                    t_ref, f_ref = t_edge, f_edge
         if f_ref > best_f + 1e-12:
             best_t, best_f = t_ref, f_ref
     return best_t, best_f

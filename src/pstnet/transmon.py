@@ -113,7 +113,6 @@ def _check_detuned(cfg: CouplerConfig) -> None:
 class CutoffResult:
     omega_c_off: float
     delta_i: float
-    delta_j: float
     residual: float
 
 
@@ -155,7 +154,7 @@ def find_cutoff(cfg: CouplerConfig, omega_c_range: tuple[float, float] = (4.5, 9
             else:
                 lo, f_lo = mid, f_mid
     residual = abs(g_of(mid))
-    return CutoffResult(mid, cfg.omega_i - mid, cfg.omega_j - mid, residual)
+    return CutoffResult(mid, cfg.omega_i - mid, residual)
 
 
 def pst_time(g_tilde: float) -> float:

@@ -3,7 +3,7 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from pstnet import spectral
+from pstnet import chains, spectral
 from pstnet.fileio import parse_graph_text
 
 
@@ -26,8 +26,12 @@ def unbalanced_k4():
 
 def _direct_grid_scan(spec, u, v, t_max, dt):
     """`max_fidelity_scan_spectrum` with every grid magnitude from
-    `Spectrum.amplitude`, one complex exponential per time and term."""
-    ts = np.arange(0.0, t_max + dt, dt)
+    `Spectrum.amplitude`, one complex exponential per time and term, on the
+    times k dt <= t_max (up to rounding) and t_max itself."""
+    ts = np.arange(spectral._scan_points(t_max, dt)) * dt
+    if ts[-1] < t_max:
+        ts = np.append(ts, t_max)
+    ts = np.minimum(ts, t_max)
     mags = np.abs(spec.amplitude(u, v, ts))
     support = spec.eigenvalues[spec.eigenvectors[u] * spec.eigenvectors[v] != 0]
     spread = float(np.ptp(support)) if len(support) else 0.0   # v outside u's walk
@@ -36,10 +40,29 @@ def _direct_grid_scan(spec, u, v, t_max, dt):
     best_t, best_f = 0.0, -1.0
     for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
         k = int(run[np.argmax(mags[run])])
-        t_ref, f_ref = spectral._refine_peak(spec, u, v, float(ts[k]), dt)
+        t_ref, f_ref = spectral._refine_peak(spec, u, v, float(ts[k]), dt, t_max)
+        for end in (len(ts) - 1, 0):   # the search never returns an end
+            f_end = abs(spec.amplitude(u, v, float(ts[end])))
+            if end in (run[0], run[-1]) and f_ref <= f_end + 1e-12:
+                t_ref, f_ref = float(ts[end]), f_end
         if f_ref > best_f + 1e-12:
             best_t, best_f = t_ref, f_ref
     return best_t, best_f
+
+
+@pytest.fixture
+def krylov_columns(monkeypatch):
+    """Every call that takes a Krylov column (`_krylov_entry`, as `spectral`
+    and `chains` call it), recorded: it tells which path gave an amplitude."""
+    calls = []
+    real = spectral._krylov_entry
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(spectral, "_krylov_entry", recorded)
+    monkeypatch.setattr(chains, "_krylov_entry", recorded)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -149,6 +149,28 @@ def periodicity_check(g: SignedWeightedGraph, u: int, t0: float) -> bool:
     return rep.magnitude >= 1.0 - 1e-8
 
 
+def eigenspace_rows(spec: Spectrum, u: int, v: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(group, ||E_r e_u||, ||E_r e_v||, <u|E_r|v>) over the eigenspaces E_r
+    of spec, one eigenspace at a time.
+
+    group[j] = r names the eigenspace of eigenvalue j: an eigenvalue within
+    EIGENSPACE_REL_TOL max(1, max |l|) of the one before shares its
+    eigenspace, the rule of `spectral._eigenspaces`.
+    """
+    values = spec.eigenvalues.tolist()
+    width = spectral.EIGENSPACE_REL_TOL * max(1.0, max(map(abs, values)))
+    group = [0]
+    for low, high in zip(values, values[1:]):
+        group.append(group[-1] + int(high - low > width))
+    group = np.array(group)
+    pu, pv = spec.eigenvectors[u], spec.eigenvectors[v]
+    spaces = [group == r for r in range(group[-1] + 1)]
+    return (group, np.array([math.sqrt(pu[s] @ pu[s]) for s in spaces]),
+            np.array([math.sqrt(pv[s] @ pv[s]) for s in spaces]),
+            np.array([pu[s] @ pv[s] for s in spaces]))
+
+
 @dataclass
 class SymmetryReport:
     operator: np.ndarray
@@ -175,7 +197,8 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
             "no diagonal symmetry maps u to v and PST is impossible by this route")
     n = spec.dimension
     vecs = spec.eigenvectors
-    s = ((vecs * spaces.sign[spaces.group]) @ vecs.T).astype(complex)
+    group = eigenspace_rows(spec, u, v)[0]
+    s = ((vecs * spaces.sign[group]) @ vecs.T).astype(complex)
     eu, ev = np.eye(n)[u], np.eye(n)[v]
     commutes = np.max(np.abs(s @ m - m @ s)) <= 1e-8
     maps_pair = np.linalg.norm(s @ eu - ev) <= 1e-8
@@ -341,18 +364,31 @@ def qudit_chain_charges(n: int, d: int) -> list[np.ndarray]:
     return [np.kron(np.eye(n), e) for e in su_d_generators(d).eta]
 
 
-def effective_couplings(family: CommutingFamily) -> np.ndarray:
+def effective_couplings(family: CommutingFamily, matrices) -> np.ndarray:
     """Jt_l = sum_k J_k lambda_l^(k); reproduces H = V diag(Jt) V^T."""
     jt = family.couplings @ family.eigen_table
-    h = hopping_hamiltonian(family)
+    h = hopping_hamiltonian(family, matrices)
     recon = (family.basis * jt) @ family.basis.T
     if np.max(np.abs(recon - h)) > 1e-9:
         raise AssertionError("effective couplings do not reproduce the Hamiltonian")
     return jt
 
 
-def hopping_hamiltonian(family: CommutingFamily) -> np.ndarray:
-    return sum(j * a for j, a in zip(family.couplings, family.matrices))
+def hopping_hamiltonian(family: CommutingFamily, matrices) -> np.ndarray:
+    """H = sum_k J_k A_k from the family's couplings and its matrices A_k,
+    which the family does not keep (`cycle_matrices`, `complete_matrices`)."""
+    return sum(j * a for j, a in zip(family.couplings, matrices))
+
+
+def cycle_matrices(n: int) -> list[np.ndarray]:
+    """A_k[i, j] = 1 where the circular distance of i and j is k, k = 0..n // 2."""
+    return [np.array([[float(min((i - j) % n, (j - i) % n) == k) for j in range(n)]
+                      for i in range(n)]) for k in range(n // 2 + 1)]
+
+
+def complete_matrices(n: int) -> list[np.ndarray]:
+    """{I, J - I}: the distance classes of the complete graph K_n."""
+    return [np.eye(n), np.ones((n, n)) - np.eye(n)]
 
 
 # --- transmons ----------------------------------------------------------------------

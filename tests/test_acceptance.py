@@ -21,7 +21,7 @@ from pstnet.routing import (Hop, HopPlan, build_network, execute_route,
 from pstnet.spectral import check_pst_conditions, rationality_check, transfer_amplitude
 from pstnet.transmon import coupling_report, find_cutoff, pst_time, three_body_oracle
 
-from oracles import (adjacency, hopping_hamiltonian, reference_parameters,
+from oracles import (adjacency, cycle_matrices, hopping_hamiltonian, reference_parameters,
                      spin_oracle_check, unmodulated_chain_spectrum)
 
 RNG = np.random.default_rng(0xC0FFEE)
@@ -64,7 +64,7 @@ def test_criterion_3_algorithm_one_routing():
         hop = Hop(sub, u, v, math.pi / 2)
         state = np.zeros(n, dtype=complex)
         state[u] = 1.0
-        _, rep = execute_route(host, HopPlan((hop,), math.pi / 2), state)
+        _, rep = execute_route(host, HopPlan((hop,)), state)
         worst = min(worst, rep.magnitude)
         assert rep.magnitude >= 1 - 1e-8
     _report(3, f"worked Q8 plan exact; 100 random single hops, "
@@ -204,7 +204,7 @@ def test_criterion_8_qudit():
     }
     ts = np.linspace(0.0, 12.0, 50)
     for name, fam in families.items():
-        h = hopping_hamiltonian(fam)
+        h = hopping_hamiltonian(fam, cycle_matrices(fam.site_count))
         for t in (0.37, 1.9, 5.2):
             u = expm(-1j * h * t)
             for j in range(fam.site_count):

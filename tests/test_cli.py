@@ -16,6 +16,8 @@ from pstnet.cli import run
 from pstnet.fileio import (VERSION_COMMENT, GraphFormatError, emit_csv, fmt,
                            parse_graph_text)
 from pstnet.graphs import SignedWeightedGraph
+from pstnet.routing import build_network, execute_route, plan_route
+from pstnet.spectral import polar
 
 from oracles import read_csv, serialize_graph
 
@@ -227,6 +229,35 @@ def test_route_state_csv(tmp_path, capsys):
     assert final["0111"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n, src, dst", [
+    (2, "00", "01"), (3, "10", "00"), (31, "10100", "01011"), (31, "01011", "01011"),
+    (64, "0000000", "0111111"), (1000, "1111100111", "0000000001")])
+def test_route_evolves_each_hop_once(monkeypatch, tmp_path, capsys, n, src, dst):
+    network, labeling = build_network(n)
+    u = labeling.index_of(src)
+    plan = plan_route(network, labeling, u, labeling.index_of(dst))
+    state = np.zeros(n, dtype=complex)
+    state[u] = 1.0
+    final, report = execute_route(network, plan, state)
+    evolved = []
+    honest = cli.execute_route
+
+    def recorded(network, plan, state):
+        evolved.extend(plan.hops)
+        return honest(network, plan, state)
+    monkeypatch.setattr(cli, "execute_route", recorded)
+    out = tmp_path / "route.csv"
+    assert run(["route", "--n", str(n), "--from", src, "--to", dst, "--json",
+                "--csv", str(out)]) == 0
+    assert evolved == list(plan.hops)
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["magnitude"], payload["phase"]) == (report.magnitude, report.phase)
+    assert type(payload["total_time"]) is float   # 0.0, not 0, without hops
+    _, rows = read_csv(str(out))
+    assert [r[2:] for r in rows if r[0] == str(len(plan.hops))] == [
+        [fmt(x) for x in polar(a)] for a in final]
+
+
 def test_malformed_file_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("graph 2\nedge 0 1 1 *\n", encoding="utf-8")
@@ -293,6 +324,13 @@ def test_chain_unmodulated(capsys):
     assert run(["chain", "--n", "6", "--unmodulated", "--tmax", "50"]) == 0
     out = capsys.readouterr().out
     assert float(out.strip().split(",")[-1]) < 0.999
+
+
+def test_unmodulated_chain_scan_ends_at_its_horizon(capsys):
+    # P2's amplitude -i sin t rises on [0, 0.3]: the best time is 0.3 itself,
+    # where the scan used to print 2,0.300002992934,0.295523065919
+    assert run(["chain", "--n", "2", "--unmodulated", "--tmax", "0.3"]) == 0
+    assert capsys.readouterr() == (f"2,0.3,{fmt(math.sin(0.3))}\n", "")
 
 
 def test_unmodulated_chain_beyond_dense_reach_is_refused():

@@ -552,9 +552,9 @@ def test_all_pairs_scans_through_the_grid_kernel(monkeypatch):
 def test_fidelity_rows_equal_the_direct_grid(name, direct_grid_scan):
     seed = SEEDS[name]()
     n = seed.vertex_count
-    # the m = 0 row scans the walk module of vertex 0 up to count dt, the
-    # last grid point plus one dt of refinement; its rows are (0, 1)
-    span = spectral._scan_points(20.0, 0.005) * 0.005
+    # the m = 0 row scans the walk module of vertex 0 up to t_max = 20, the
+    # grid's last point 4000 dt; its rows are (0, 1)
+    span = 20.0
     for kind in ("adjacency", "laplacian"):
         spectra = [corona_seed_spectrum(seed, m, kind) for m in (1, 2, 3)]
         for v in range(1, n):

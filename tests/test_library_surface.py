@@ -21,6 +21,13 @@ a class call counts for its `__init__`, both branches of a conditional
 callee count, and a call with *args or **kwargs counts for every parameter
 it may fill.  The PAPER_CLAIMS roots are exempt: their signatures are the
 claims' inputs.
+
+Fields follow it too.  Every annotated field of a dataclass or NamedTuple
+of `src/pstnet`, and every property, must be read as an attribute, matched
+by name, somewhere in `src/pstnet` or in the benchmark's workloads and
+tracer, so no result carries a value for the tests alone.  The classes a
+PAPER_CLAIMS function returns are exempt: their fields are the claims'
+outputs.
 """
 
 import ast
@@ -31,6 +38,7 @@ import pstnet
 
 PACKAGE = Path(pstnet.__file__).resolve().parent
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+TRACING = WORKLOADS.parent / "tracing.py"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 PAPER_CLAIMS = (
     "find_subhypercube",        # the induced sub-hypercube for PST between any two vertices
@@ -41,6 +49,7 @@ PAPER_CLAIMS = (
     "corona_spectrum", "corona_seed_spectrum",   # signed-corona spectra
     "unitarity_audit", "qudit_transfer",         # the qudit unitarity error
     "three_body_oracle",        # transmon realizability
+    "coupling_report",          # the coupler-formula table, eta_ij among it
 )
 
 
@@ -160,3 +169,37 @@ def test_every_option_is_set_by_a_caller():
             if missing:
                 unset.append(f"{qualified}({', '.join(missing)})")
     assert not unset, "options no library or benchmark call sets: " + ", ".join(unset)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass (decorated, with or without arguments) or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return ("dataclass" in set().union(*map(_names, decorators))
+            or "NamedTuple" in set().union(*map(_names, node.bases)))
+
+
+def _fields(node: ast.ClassDef):
+    """The annotated fields of a record class and the properties of any class."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and _is_record(node):
+            yield item.target.id
+        elif isinstance(item, ast.FunctionDef) and \
+                {"property", "cached_property"} & set().union(*map(_names, item.decorator_list)):
+            yield item.name
+
+
+def test_every_field_is_read_by_a_caller():
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {node.attr for tree in (*modules.values(), _parse(WORKLOADS), _parse(TRACING))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    claimed = set()
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in PAPER_CLAIMS and node.returns:
+                claimed |= _names(node.returns)
+    unread = sorted(f"{node.name}.{name}" for tree in modules.values()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and node.name not in claimed
+                    for name in _fields(node) if name not in read)
+    assert not unread, "fields no library or benchmark code reads: " + ", ".join(unread)

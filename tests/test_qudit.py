@@ -11,8 +11,8 @@ from pstnet.qudit import (MAX_FAMILY_ENTRIES, QuditState, check_family_size,
                           family_spectrum, qudit_transfer, transfer_amplitude_qudit,
                           unitarity_audit)
 
-from oracles import (chain_matrix, effective_couplings, hopping_hamiltonian,
-                     qudit_chain_charges, su_d_generators)
+from oracles import (chain_matrix, complete_matrices, cycle_matrices, effective_couplings,
+                     hopping_hamiltonian, qudit_chain_charges, su_d_generators)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -106,8 +106,10 @@ def test_chain_sector_guard():
 
 def test_cycle_family_distance_classes():
     fam = cycle_family(4)
-    assert len(fam.matrices) - 1 == 2
-    np.testing.assert_allclose(sum(fam.matrices), np.ones((4, 4)), atol=1e-12)
+    assert len(fam.eigen_table) - 1 == 2
+    # sum_k A_k = V diag(sum_k eigen_table[k]) V^T
+    total = (fam.basis * fam.eigen_table.sum(axis=0)) @ fam.basis.T
+    np.testing.assert_allclose(total, np.ones((4, 4)), atol=1e-12)
 
 
 def test_family_rejects_noncommuting():
@@ -131,17 +133,20 @@ def test_family_requires_all_ones_sum():
 def test_simultaneous_diagonalization_residual():
     for n in range(3, 9):
         fam = cycle_family(n)
-        for k, a in enumerate(fam.matrices):
+        for k, a in enumerate(cycle_matrices(n)):
             recon = (fam.basis * fam.eigen_table[k]) @ fam.basis.T
             assert np.max(np.abs(recon - a)) <= 1e-9
 
 
 def test_cycle_family_classes_are_circular_distances():
     for n in range(2, 13):
-        for k, a in enumerate(cycle_family(n).matrices):
+        fam = cycle_family(n)
+        assert len(fam.eigen_table) == n // 2 + 1
+        for k, row in enumerate(fam.eigen_table):
             want = [[float(min((i - j) % n, (j - i) % n) == k) for j in range(n)]
                     for i in range(n)]
-            np.testing.assert_array_equal(a, want)
+            np.testing.assert_allclose((fam.basis * row) @ fam.basis.T, want,
+                                       rtol=0, atol=1e-12)
 
 
 def _scheme_family(points, relation):
@@ -160,8 +165,8 @@ def _johnson(v, k):
 
 
 JOINT_BASIS_CASES = (
-    [(f"cycle{n}", lambda n=n: cycle_family(n).matrices) for n in range(2, 65)]
-    + [(f"complete{n}", lambda n=n: complete_family(n).matrices) for n in range(2, 33)]
+    [(f"cycle{n}", lambda n=n: cycle_matrices(n)) for n in range(2, 65)]
+    + [(f"complete{n}", lambda n=n: complete_matrices(n)) for n in range(2, 33)]
     + [(f"H({k},2)", lambda k=k: _hamming(k)) for k in range(1, 8)]
     + [(f"J({v},{k})", lambda v=v, k=k: _johnson(v, k))
        for v, k in ((5, 2), (6, 2), (6, 3), (7, 3), (8, 2), (8, 3), (9, 4))])
@@ -173,10 +178,10 @@ def test_joint_basis_matches_the_matrix_exponential(name, build):
     mats = build()
     rng = np.random.default_rng(len(mats) * 1000 + mats[0].shape[0])
     fam = commuting_family(mats, rng.uniform(0.1, 1.5, len(mats)))
-    for k, a in enumerate(fam.matrices):
+    for k, a in enumerate(mats):
         recon = (fam.basis * fam.eigen_table[k]) @ fam.basis.T
         assert np.max(np.abs(recon - a)) <= 1e-9
-    spec, h = family_spectrum(fam), hopping_hamiltonian(fam)
+    spec, h = family_spectrum(fam), hopping_hamiltonian(fam, mats)
     start = np.eye(fam.site_count)[0]
     for t in (0.37, 1.9, 5.2):
         want = expm(-1j * h * t)[:, 0]
@@ -223,8 +228,7 @@ def test_family_size_bound_is_inclusive():
 
 def test_adjacency_reconstruction_from_pair_matrices():
     # A_k as a sum of elementary E_ij over its adjacent pairs
-    fam = cycle_family(6)
-    for a in fam.matrices[1:]:
+    for a in cycle_matrices(6)[1:]:
         recon = np.zeros_like(a)
         for i in range(6):
             for j in range(6):
@@ -246,20 +250,21 @@ def test_bogoliubov_round_trip():
 def test_identity_only_coupling():
     fam = complete_family(3, [2.5, 0.0])
     # J_0-only: every effective coupling equals J_0 plus nothing
-    h = hopping_hamiltonian(fam)
+    h = hopping_hamiltonian(fam, complete_matrices(3))
     np.testing.assert_allclose(h, 2.5 * np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(effective_couplings(fam), 2.5, atol=1e-12)
+    np.testing.assert_allclose(effective_couplings(fam, complete_matrices(3)), 2.5,
+                               atol=1e-12)
 
 
 def test_k2_effective_couplings():
     fam = cycle_family(2, [0.0, 1.0])
-    np.testing.assert_allclose(np.sort(effective_couplings(fam)), [-1.0, 1.0],
-                               atol=1e-12)
+    np.testing.assert_allclose(np.sort(effective_couplings(fam, cycle_matrices(2))),
+                               [-1.0, 1.0], atol=1e-12)
 
 
 def test_c4_circulant_couplings():
     fam = cycle_family(4, [0.0, 1.0, 0.0])
-    got = np.sort(effective_couplings(fam))
+    got = np.sort(effective_couplings(fam, cycle_matrices(4)))
     want = np.sort([2 * math.cos(2 * math.pi * l / 4) for l in range(4)])
     np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -270,7 +275,7 @@ def test_c4_circulant_couplings():
                                  cycle_family(4, [0.3, 1.0, 0.7]),
                                  cycle_family(6, [0.2, 1.0, 0.6, 0.4])])
 def test_amplitude_matches_matrix_exponential(fam):
-    h = hopping_hamiltonian(fam)
+    h = hopping_hamiltonian(fam, cycle_matrices(fam.site_count))
     for t in (0.0, 0.37, 1.9, 5.2):
         u = expm(-1j * h * t)
         for j in range(fam.site_count):

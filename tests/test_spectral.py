@@ -1,16 +1,18 @@
+import contextlib
 import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from pstnet import spectral
+from pstnet import corona_lab, spectral
 from pstnet.chains import unmodulated_no_pst_scan
-from pstnet.corona_lab import all_pairs_max_fidelity
+from pstnet.corona_lab import all_pairs_max_fidelity, fidelity_vs_m
 from pstnet.graphs import (cartesian, complete_graph, corona, cycle_graph,
                            graph_matrix, hypercube, laplacian, make_graph, path_graph)
 from pstnet.routing import swap_baseline
@@ -20,8 +22,8 @@ from pstnet.spectral import (Spectrum, check_pst_conditions, hypercube_apply, ma
 
 import oracles
 from oracles import (adjacency, balanced_equivalent_amplitude, bipartite_phase_audit,
-                     evolve, graph_spectrum, periodicity_check, spin_oracle_check,
-                     symmetry_operator)
+                     eigenspace_rows, evolve, graph_spectrum, periodicity_check,
+                     spin_oracle_check, symmetry_operator)
 
 RNG = np.random.default_rng(1851)
 
@@ -121,7 +123,7 @@ def test_amplitude_trivial_self_overlap():
     rep = transfer_amplitude(g, 2, 2, 0.0)
     assert rep.magnitude == pytest.approx(1.0, abs=1e-12)
     assert rep.phase == pytest.approx(0.0, abs=1e-12)
-    assert rep.passed
+    assert rep.magnitude >= 1 - spectral.DEFAULT_PST_TOL
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -373,17 +375,101 @@ def test_scans_refuse_a_bad_grid(t_max, dt, message):
             scan()
 
 
-def test_scan_points_count_the_arange_grid():
+def test_scan_points_count_the_grid_up_to_t_max():
+    """K + 1 points k dt, K the largest integer with K dt <= t_max up to
+    rounding: the row rule of `pstnet pst --csv`."""
     rng = np.random.default_rng(5)
     for _ in range(2000):
         dt = float(10.0 ** rng.uniform(-4, 1))
         t_max = float(rng.choice([0.0, rng.uniform(0, 50), round(rng.uniform(0, 50), 2)]))
-        assert spectral._scan_points(t_max, dt) == len(np.arange(0.0, t_max + dt, dt))
+        last = spectral._scan_points(t_max, dt) - 1
+        assert last * dt <= t_max * (1 + 1e-12)
+        assert (last + 1) * dt > t_max * (1 + 1e-13)
+    for t_max, dt, points in [(0.7, 0.1, 8), (0.3, 0.1, 4), (0.65, 0.1, 7), (0.0, 0.1, 1),
+                              (20.0, 0.01, 2001), (20.0, 0.005, 4001),
+                              (50.0, 0.005, 10001), (200.0, 0.002, 100001)]:
+        assert spectral._scan_points(t_max, dt) == points
     assert spectral._scan_points(spectral.SCAN_MAX_POINTS - 1.0, 1.0) == spectral.SCAN_MAX_POINTS
     with pytest.raises(ValueError, match="asks for more than"):
         spectral._scan_points(float(spectral.SCAN_MAX_POINTS), 1.0)
     with pytest.raises(ValueError, match="asks for more than"):
         spectral._scan_points(1e308, 1e-300)
+
+
+def test_p2_scans_end_at_t_max():
+    # <1|U(t)|0> = -i sin t on P2 rises on [0, pi/2], so over [0, t_max] the
+    # best time is t_max itself; the scans used to refine past it (1.5708 and
+    # f* = 1 for 1.5; 1.1 for 1.0; 0.300003 for 0.3)
+    p2 = path_graph(2)
+    assert max_fidelity_scan(p2, 0, 1, 1.5, 0.1) == (1.5, pytest.approx(math.sin(1.5),
+                                                                         abs=1e-12))
+    row = fidelity_vs_m(p2, (0, 1), 1, t_max=1.0, dt=0.1).rows[0]
+    assert (row.t_star, row.f_star) == (1.0, pytest.approx(math.sin(1.0), abs=1e-12))
+    assert unmodulated_no_pst_scan(2, 0.3) == (0.3, pytest.approx(math.sin(0.3), abs=1e-12))
+    # t_max between grid points, and below the first step
+    for t_max in (1.05, 0.05):
+        assert max_fidelity_scan(p2, 0, 1, t_max, 0.1) == (
+            t_max, pytest.approx(math.sin(t_max), abs=1e-12))
+
+
+@contextlib.contextmanager
+def latest_time_evaluated():
+    """Record the largest |t| at which `Spectrum.amplitude` or the grid kernel
+    (as `spectral` and `corona_lab` call it) evaluates an amplitude."""
+    latest = [0.0]
+    amplitude, kernel = Spectrum.amplitude, spectral._grid_magnitudes
+
+    def recorded_amplitude(self, u, v, t):
+        latest[0] = max(latest[0], float(np.max(np.abs(t), initial=0.0)))
+        return amplitude(self, u, v, t)
+
+    def recorded_kernel(eigenvalues, coeffs, dt, count, *args, **kwargs):
+        latest[0] = max(latest[0], (count - 1) * dt)
+        return kernel(eigenvalues, coeffs, dt, count, *args, **kwargs)
+
+    with mock.patch.object(Spectrum, "amplitude", recorded_amplitude), \
+            mock.patch.object(spectral, "_grid_magnitudes", recorded_kernel), \
+            mock.patch.object(corona_lab, "_grid_magnitudes", recorded_kernel):
+        yield latest
+
+
+def test_all_pairs_grid_ends_at_t_max():
+    # 20 / 0.01 used to count 2002 points, the last at 20.01
+    with latest_time_evaluated() as latest:
+        all_pairs_max_fidelity(adjacency(path_graph(3)), 20.0, 0.01)
+    assert latest[0] == 20.0
+
+
+HORIZON_GRAPHS = {"P2": path_graph(2), "P3": path_graph(3), "C4": cycle_graph(4),
+                  "K3": complete_graph(3)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(HORIZON_GRAPHS)),
+       t_max=st.one_of(st.floats(0.0, 4.0),
+                       st.integers(0, 40).map(lambda k: k / 10),
+                       st.sampled_from([0.3, 0.7, 1.5, math.pi / 2, math.pi])),
+       dt=st.one_of(st.floats(0.005, 1.0), st.sampled_from([0.1, 0.01, 0.3])))
+def test_scans_evaluate_no_time_past_t_max(name, t_max, dt):
+    """Every scan evaluates amplitudes only on [0, t_max], and its t* lies
+    there; the grid's last point K dt is t_max up to rounding (7 * 0.1 =
+    0.7000000000000001)."""
+    g = HORIZON_GRAPHS[name]
+    n = g.vertex_count
+    scans = [lambda: [max_fidelity_scan(g, 0, n - 1, t_max, dt)[0]],
+             lambda: [max_fidelity_scan(g, 0, n - 1, t_max, dt, "laplacian")[0]],
+             lambda: [unmodulated_no_pst_scan(n, t_max)[0]]]
+    scans += [lambda kind=kind: [row.t_star for row in fidelity_vs_m(
+                  g, (0, n - 1), 1, matrix_kind=kind, t_max=t_max, dt=dt).rows]
+              for kind in ("adjacency", "laplacian")]
+    for scan in scans:
+        with latest_time_evaluated() as latest:
+            t_stars = scan()
+        assert all(0.0 <= t_star <= t_max for t_star in t_stars)
+        assert latest[0] <= t_max * (1 + 1e-12)
+    with latest_time_evaluated() as latest:
+        all_pairs_max_fidelity(adjacency(g), t_max, dt)
+    assert latest[0] <= t_max * (1 + 1e-12)
 
 
 # --- the factored-phase grid kernel --------------------------------------------------
@@ -497,13 +583,14 @@ def test_symmetry_squares_to_identity_for_real_hamiltonians(g, u, v):
                                    (hypercube(3), 0, 7)], ids=["K5", "C8", "Q3"])
 def test_symmetry_operator_on_degenerate_eigenspaces(g, u, v, kind):
     m = graph_matrix(g, kind)
-    spaces = spectral._eigenspaces(Spectrum.from_matrix(m), u, v,
-                                   spectral.DEFAULT_CONDITION_TOL)
-    assert np.bincount(spaces.group).max() > 1
+    spec = Spectrum.from_matrix(m)
+    spaces = spectral._eigenspaces(spec, u, v, spectral.DEFAULT_CONDITION_TOL)
+    group, norm_u, norm_v, overlap = eigenspace_rows(spec, u, v)
+    assert np.bincount(group).max() > 1
     # E_r e_u = sign_r E_r e_v: equal norms, parallel, and u's weights sum to 1
-    np.testing.assert_allclose(spaces.norm_u, spaces.norm_v, atol=1e-12)
-    np.testing.assert_allclose(spaces.overlap, spaces.sign * spaces.norm_u ** 2, atol=1e-12)
-    assert np.sum(spaces.norm_u[spaces.support] ** 2) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(norm_u, norm_v, atol=1e-12)
+    np.testing.assert_allclose(overlap, spaces.sign * norm_u ** 2, atol=1e-12)
+    assert np.sum(norm_u[spaces.support] ** 2) == pytest.approx(1.0, abs=1e-12)
     rep = symmetry_operator(g, u, v, kind)
     assert rep.commutes and rep.maps_pair
     s = rep.operator
