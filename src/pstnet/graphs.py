@@ -62,8 +62,13 @@ def _canonical_edges(rows: np.ndarray, n: int
         num = lambda x: int(x) if float(x).is_integer() else float(x)
         raise ValueError(message.format(u=num(u[i]), v=num(v[i]), w=float(w[i]),
                                         s=num(s[i]), n=n))
-    order = np.lexsort((hi, lo))
-    lo, hi, sw = lo[order].astype(np.intp), hi[order].astype(np.intp), (s * w)[order]
+    sw = s * w
+    # builders such as `hamming_table` pass rows already in canonical order
+    ordered = (lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] >= hi[:-1]))
+    if not ordered.all():
+        order = np.lexsort((hi, lo))
+        lo, hi, sw = lo[order], hi[order], sw[order]
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
     repeated = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
     if repeated.any():
         i = int(np.argmax(repeated))

@@ -18,12 +18,13 @@ WALK_DENSE_MAX_DIM vertices, and returns the two rows
 e_u and e_v of U(t) in the eigenbasis of the D x D tridiagonal T.  Its
 basis is capped at WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM^2 entries
 (n D), the memory a dense solve at the limit already takes.  A verdict
-costs a few array calls per Lanczos step and per spectrum, none per
-eigenvalue: each step is one matrix-vector product and two fixed
-Gram-Schmidt passes against the kept basis, T goes straight
-to LAPACK's ?stevd (`_tridiagonal_rows`), and one `np.add.reduceat` over
-the eigenspace starts gives every eigenspace's support, sign and mean
-eigenvalue and the vector condition (`_eigenspaces`).
+costs a few array calls per Lanczos step and per spectrum: each step is
+one matrix-vector product and two fixed Gram-Schmidt passes against the
+kept basis, and T goes straight to LAPACK's ?stevd (`_tridiagonal_rows`).
+The two rows then become one pair table in Python floats
+(`_pair_table`), four numbers per eigenspace, from which the verdict
+reads the vector condition, support, signs and steps with no array call
+per eigenspace.
 
 - `check_pst_conditions` stops Lanczos only at closure, where the answer
   is exact, so it decides PST on Q_12..Q_16 too and never solves n x n.
@@ -327,8 +328,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     beta_k = ||w||.  With m vectors, M Q_m = Q_m T_m + beta_m q_{m+1} e_m^T.
     The result is `_tridiagonal_rows` of T_m with the row Q[v] of the
     basis, so `amplitude(t)` is <v| Q_m e^{-i t T_m} e_1 and
-    `_eigenspaces(spectrum, 0, 1, tol)` sees u's support and the signs
-    sigma_r.
+    `_pair_table(spectrum, 0, 1)` gives u's support and the signs sigma_r.
 
     Stopping rules:
 
@@ -526,68 +526,92 @@ def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[
             p, q = p1, q1
         else:
             p, q = p0 + k * p1, q0 + k * q1
+    return _accepted(x, p, q, tol)
+
+
+def _accepted(x: float, p: int, q: int, tol: float) -> Optional[tuple[int, int]]:
+    """(p, q) if |x - p/q| <= max(tol/q^2, 1e-13), else None."""
     return (p, q) if abs(x - p / q) <= max(tol / q ** 2, 1e-13) else None
 
 
 def rationality_check(eigs: Sequence[float]) -> Optional[list[int]]:
-    """Integer gap steps of the distinct values, or None if a ratio is irrational.
+    """Integer gap steps of ascending distinct values, or None at the first
+    ratio that is not recognised.
 
-    Ratios are taken from the lowest distinct value e_0 over the spread
-    e_max - e_0; any difference e_j - e_l is the difference of two such
-    gaps, so every ratio of differences is rational exactly when these
-    are.  Each is p_r/q_r in lowest terms by `_recognize_rational` (tol
-    DEFAULT_PST_TOL, q_r <= DEFAULT_MAX_DENOMINATOR).  The steps n_r =
-    p_r L/q_r, L = lcm(q_r), one per value above e_0, end at L (the last
-    ratio is 1/1) and have gcd 1: a prime power exactly dividing L exactly
-    divides some q_r, so its prime divides neither L/q_r nor p_r.
+    Ratios are taken from the lowest value e_0 over the spread e_max - e_0;
+    any difference e_j - e_l is the difference of two such gaps, so every
+    ratio of differences is rational exactly when these are.  Each is
+    p_r/q_r in lowest terms, q_r <= N = DEFAULT_MAX_DENOMINATOR, accepted
+    when |x - p_r/q_r| <= max(DEFAULT_PST_TOL/q_r^2, 1e-13) as in
+    `_recognize_rational`.  The steps n_r = p_r L/q_r, L = lcm(q_r), one per
+    value above e_0, end at L (the last ratio is 1/1) and have gcd 1: a
+    prime power exactly dividing L exactly divides some q_r, so its prime
+    divides neither L/q_r nor p_r.
+
+    Certificate.  Let Q <= N be the lcm of the denominators found so far
+    and p = round(x Q).  If |x - p/Q| < 1/(2QN), p/Q is the fraction that
+    `Fraction(x).limit_denominator(N)` returns, reduced, and no continued
+    fraction is run.  Proof: any other p'/q' with q' <= N lies at least
+    1/(Q q') >= 1/(QN) from p/Q, so at least 1/(QN) - 1/(2QN) = 1/(2QN)
+    from x, farther than p/Q; the closest fraction is then p/Q, with no
+    tie.  The test here is |x - p/Q| < 1/(4QN), which leaves room for the
+    rounding of p/Q and of the difference, below 1e-15 for x in [0, 1],
+    against 1/(4QN) >= 2.5e-13.  The acceptance test then runs unchanged on
+    p/Q reduced.  Every other ratio goes to `_recognize_rational`.  So a
+    ratio whose reduced denominator divides Q takes no continued fraction,
+    and a surd spectrum stops at its first ratio.
+
+    Values that are not ascending and distinct raise ValueError.
     """
-    vals = np.unique(np.asarray(eigs, dtype=float))
-    if len(vals) < 2:
+    if any(b <= a for a, b in zip(eigs, eigs[1:])):
+        raise ValueError("rationality_check needs ascending distinct values")
+    if len(eigs) < 2:
         return []
-    fracs = [_recognize_rational(r, DEFAULT_PST_TOL, DEFAULT_MAX_DENOMINATOR)
-             for r in ((vals[1:] - vals[0]) / (vals[-1] - vals[0])).tolist()]
-    if None in fracs:
-        return None
-    scale = math.lcm(*(q for _, q in fracs))
+    low, spread = eigs[0], eigs[-1] - eigs[0]
+    most = DEFAULT_MAX_DENOMINATOR
+    fracs, scale = [], 1
+    for e in eigs[1:]:
+        x = (e - low) / spread
+        p = round(x * scale) if scale <= most else None
+        if p is not None and abs(x - p / scale) < 0.25 / (scale * most):
+            common = math.gcd(p, scale)
+            frac = _accepted(x, p // common, scale // common, DEFAULT_PST_TOL)
+        else:
+            frac = _recognize_rational(x, DEFAULT_PST_TOL, most)
+        if frac is None:
+            return None
+        fracs.append(frac)
+        scale = math.lcm(scale, frac[1])
     return [p * (scale // q) for p, q in fracs]
 
 
-@dataclass
-class _Eigenspaces:
-    """Per eigenspace E_r of a spectrum, for the rows u and v (`_eigenspaces`)."""
-
-    mean: np.ndarray          # mean eigenvalue of E_r
-    support: np.ndarray       # E_r e_u != 0, to tol
-    sign: np.ndarray          # sign of <u|E_r|v> in the support, else 1
-    vector_condition: bool    # E_r e_u = sign_r E_r e_v for every r, to tol
-
-
-def _eigenspaces(spec: Spectrum, u: int, v: int, tol: float) -> _Eigenspaces:
-    """The eigenspace table of rows u and v of spec, a few array calls long.
+def _pair_table(spec: Spectrum, u: int, v: int) -> list[tuple[float, float, float, float]]:
+    """(l_r, a_r, b_r, c_r) per eigenspace E_r of rows u and v of spec:
+    the mean eigenvalue, a_r = ||E_r e_u||^2, b_r = <v|E_r|u> and
+    c_r = ||E_r e_v||^2, in Python floats.
 
     An eigenspace is a run of ascending eigenvalues, each within
-    EIGENSPACE_REL_TOL max(1, max |l|) of the one before; one `np.add.reduceat` over the run
-    starts sums u^2, v^2, u v and l per run: the squared norms of E_r e_u and
-    E_r e_v, <u|E_r|v> and the eigenvalue sum.  The vector condition asks
-    that the two projections have equal norm and are parallel, so that
-    E e_u = sigma E e_v with sigma the sign (degeneracy-safe).
+    EIGENSPACE_REL_TOL max(1, max |l|) of the one before.  Each sum is the
+    run's first term plus the sum of the rest from -0.0, the order of
+    `np.add.reduceat`, which sums pairwise only past 8 more terms.
     """
-    values, vecs = spec.eigenvalues, spec.eigenvectors
-    pu, pv = vecs[u], vecs[v]
-    scale = max(1.0, -float(values[0]), float(values[-1]))
-    first = np.empty(len(values), dtype=bool)
-    first[0] = True
-    np.greater(values[1:] - values[:-1], EIGENSPACE_REL_TOL * scale, out=first[1:])
-    group = first.cumsum() - 1
-    sums = np.add.reduceat(np.array([pu * pu, pv * pv, pu * pv, values]),
-                           first.nonzero()[0], axis=1)
-    norm_u, norm_v, overlap = np.sqrt(sums[0]), np.sqrt(sums[1]), sums[2]
-    support = norm_u > tol
-    both = norm_u * norm_v
-    skew = abs(abs(overlap) - both) > tol * np.maximum(1.0, both)
-    broken = (abs(norm_u - norm_v) > tol) | (support & (norm_v > tol) & skew)
-    return _Eigenspaces(sums[3] / np.bincount(group), support,
-                        np.where(support & (overlap < 0), -1, 1), not broken.any())
+    values = spec.eigenvalues.tolist()
+    pu, pv = spec.eigenvectors[u].tolist(), spec.eigenvectors[v].tolist()
+    width = EIGENSPACE_REL_TOL * max(1.0, -values[0], values[-1])
+    cuts = [j for j in range(1, len(values)) if values[j] - values[j - 1] > width]
+    table = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
+        lam, a, b, c = values[lo], pu[lo] * pu[lo], pu[lo] * pv[lo], pv[lo] * pv[lo]
+        if hi - lo > 1:
+            rl = ra = rb = rc = -0.0
+            for j in range(lo + 1, hi):
+                rl += values[j]
+                ra += pu[j] * pu[j]
+                rb += pu[j] * pv[j]
+                rc += pv[j] * pv[j]
+            lam, a, b, c = lam + rl, a + ra, b + rb, c + rc
+        table.append((lam / (hi - lo), a, b, c))
+    return table
 
 
 def _check_vertices(n: int, *vertices: int) -> None:
@@ -603,13 +627,18 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     Everything is read off the walk module W_u of u (`walk_spectrum`, run
     to closure), so no n x n matrix is built or solved: the eigenvalues of
     T are the support of u, and the two rows give E_r e_u and the
-    projection of e_v on each of its eigenspaces.
+    projection of e_v on each of its eigenspaces.  One pass over their pair
+    table (`_pair_table`: l_r, a_r = ||E_r e_u||^2, b_r = <v|E_r|u>,
+    c_r = ||E_r e_v||^2) gives everything below.
 
     vector_condition: E_r e_u = sigma_r E_r e_v with sigma_r = +-1 for every
-    eigenspace E_r, to DEFAULT_CONDITION_TOL.  Inside W_u that is the
-    eigenspace table (`_eigenspaces`) of the two rows; outside, it asks
-    ||Q[v]|| = 1, since the sum of the sigma_r E_r e_u lies in W_u, and any
-    part of e_v outside W_u sits in eigenspaces that annihilate e_u.
+    eigenspace E_r, to DEFAULT_CONDITION_TOL.  Inside W_u that asks
+    sqrt(a_r) = sqrt(c_r) and, where both are above the tolerance,
+    |b_r| = sqrt(a_r c_r), so that the projections are parallel, with
+    sigma_r the sign of b_r; outside, it asks ||Q[v]|| = 1, since the sum of
+    the sigma_r E_r e_u lies in W_u, and any part of e_v outside W_u sits in
+    eigenspaces that annihilate e_u.  The support is the l_r with
+    sqrt(a_r) above the tolerance, ascending and distinct.
     rationality: every support gap ratio (l_r - l_0)/(l_max - l_0) is
     recognised as a fraction, l_0 < ... < l_max being the eigenvalues
     whose eigenspaces do not annihilate e_u.
@@ -635,22 +664,34 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     """
     walk = walk_spectrum(g, u, v, matrix_kind)
     tol = DEFAULT_CONDITION_TOL
-    spaces = _eigenspaces(walk.spectrum, 0, 1, tol)
     # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
-    vec_ok = spaces.vector_condition and abs(walk.v_weight - 1.0) <= tol
-    support = spaces.mean[spaces.support]
+    vec_ok = abs(walk.v_weight - 1.0) <= tol
+    support, signs = [], []
+    for lam, a, b, c in _pair_table(walk.spectrum, 0, 1):
+        norm_u, norm_v = math.sqrt(a), math.sqrt(c)
+        # E_r e_u = sigma_r E_r e_v: equal norms and parallel projections
+        if abs(norm_u - norm_v) > tol:
+            vec_ok = False
+        if norm_u > tol:
+            support.append(lam)
+            signs.append(-1 if b < 0 else 1)
+            both = norm_u * norm_v
+            if norm_v > tol and abs(abs(b) - both) > tol * max(1.0, both):
+                vec_ok = False
     steps = rationality_check(support)
     rational = steps is not None
+    support_eigenvalues = np.array(support)
     if u == v:
-        return PSTConditionReport(vec_ok, True, rational, support, 0.0, 1.0, walk)
+        return PSTConditionReport(vec_ok, True, rational, support_eigenvalues, 0.0, 1.0,
+                                  walk)
     # u != v and the vector condition leave at least two support eigenvalues
-    signs = spaces.sign[spaces.support].tolist()
     if not (vec_ok and rational and all(n_r % 2 == (s_r != signs[0])
                                         for n_r, s_r in zip(steps, signs[1:]))):
-        return PSTConditionReport(vec_ok, False, rational, support, None, 0.0, walk)
+        return PSTConditionReport(vec_ok, False, rational, support_eigenvalues, None, 0.0,
+                                  walk)
     # Delta = (l_max - l_0) / n_max, the last fraction being exactly 1
-    t0 = math.pi * steps[-1] / float(support[-1] - support[0])
-    return PSTConditionReport(vec_ok, True, rational, support, t0,
+    t0 = math.pi * steps[-1] / (support[-1] - support[0])
+    return PSTConditionReport(vec_ok, True, rational, support_eigenvalues, t0,
                               abs(walk.amplitude(t0)), walk)
 
 

@@ -156,7 +156,7 @@ def eigenspace_rows(spec: Spectrum, u: int, v: int
 
     group[j] = r names the eigenspace of eigenvalue j: an eigenvalue within
     EIGENSPACE_REL_TOL max(1, max |l|) of the one before shares its
-    eigenspace, the rule of `spectral._eigenspaces`.
+    eigenspace, the rule of `spectral._pair_table`.
     """
     values = spec.eigenvalues.tolist()
     width = spectral.EIGENSPACE_REL_TOL * max(1.0, max(map(abs, values)))
@@ -190,15 +190,20 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
     spectral._check_vertices(g.vertex_count, u, v)
     m = graph_matrix(g, matrix_kind)
     spec = Spectrum.from_matrix(m)
-    spaces = spectral._eigenspaces(spec, u, v, spectral.DEFAULT_CONDITION_TOL)
-    if not spaces.vector_condition:
-        raise ValueError(
-            "eigenvector magnitude condition fails for this pair; "
-            "no diagonal symmetry maps u to v and PST is impossible by this route")
+    tol = spectral.DEFAULT_CONDITION_TOL
+    signs = []
+    for _, a, b, c in spectral._pair_table(spec, u, v):
+        norm_u, norm_v = math.sqrt(a), math.sqrt(c)
+        skew = abs(abs(b) - norm_u * norm_v) > tol * max(1.0, norm_u * norm_v)
+        if abs(norm_u - norm_v) > tol or (norm_u > tol and norm_v > tol and skew):
+            raise ValueError(
+                "eigenvector magnitude condition fails for this pair; "
+                "no diagonal symmetry maps u to v and PST is impossible by this route")
+        signs.append(-1 if norm_u > tol and b < 0 else 1)
     n = spec.dimension
     vecs = spec.eigenvectors
     group = eigenspace_rows(spec, u, v)[0]
-    s = ((vecs * spaces.sign[group]) @ vecs.T).astype(complex)
+    s = ((vecs * np.array(signs)[group]) @ vecs.T).astype(complex)
     eu, ev = np.eye(n)[u], np.eye(n)[v]
     commutes = np.max(np.abs(s @ m - m @ s)) <= 1e-8
     maps_pair = np.linalg.norm(s @ eu - ev) <= 1e-8

@@ -143,7 +143,7 @@ def marked_graphs(draw):
 
 # --- builders against their references -----------------------------------------
 
-@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("k", range(13))
 def test_hypercube_is_the_hamming_loop(k):
     labels = tuple(format(v, f"0{k}b") for v in range(1 << k))
     assert_same_graph(hypercube(k), 1 << k, ref_hamming(1 << k, k), labels)
@@ -403,6 +403,30 @@ def test_first_offending_edge_in_input_order_wins():
         make_graph(4, [(0, 1), (0, 9, -1.0, 3), (1, 1)])
     with pytest.raises(ValueError, match=r"^duplicate edge \(1,2\)$"):
         make_graph(4, [(2, 3), (2, 1), (3, 2), (1, 2)])
+
+
+@SETTINGS
+@given(data=st.data())
+def test_tables_in_any_order_sort_or_name_their_first_repeat(data):
+    # a table in canonical order is kept as it is, any other is sorted; a
+    # repeated pair, adjacent in a canonical table or not, is refused
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)))
+    rows = [(a, b, data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+             data.draw(st.sampled_from([-1, 1]))) for a, b in chosen]
+    repeats = data.draw(st.lists(st.sampled_from(rows), unique=True, max_size=2))
+    table = sorted(rows + repeats, key=lambda r: r[:2])
+    if data.draw(st.booleans()):
+        table = data.draw(st.permutations(table))
+        table = [(b, a, w, sg) if data.draw(st.booleans()) else (a, b, w, sg)
+                 for a, b, w, sg in table]
+    if repeats:
+        a, b = min(r[:2] for r in repeats)
+        with pytest.raises(ValueError, match=rf"^duplicate edge \({a},{b}\)$"):
+            SignedWeightedGraph(n, np.array(table, dtype=float))
+    else:
+        assert_same_graph(SignedWeightedGraph(n, np.array(table, dtype=float)), n, rows)
 
 
 def test_edges_must_be_rows_of_four():

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from pstnet import corona_lab, spectral
-from pstnet.chains import unmodulated_no_pst_scan
+from pstnet.chains import pst_chain, unmodulated_no_pst_scan
 from pstnet.corona_lab import all_pairs_max_fidelity, fidelity_vs_m
-from pstnet.graphs import (cartesian, complete_graph, corona, cycle_graph,
-                           graph_matrix, hypercube, laplacian, make_graph, path_graph)
+from pstnet.graphs import (SignedWeightedGraph, cartesian, complete_graph, corona,
+                           cycle_graph, edge_table, graph_matrix, hypercube, laplacian,
+                           make_graph, path_graph)
 from pstnet.routing import swap_baseline
 from pstnet.spectral import (Spectrum, check_pst_conditions, hypercube_apply, max_fidelity_scan,
                              max_fidelity_scan_spectrum, rationality_check,
@@ -238,6 +239,12 @@ def test_rationality_accepts_large_denominators(q):
     assert rationality_check([-1 - 1 / q, -1 + 1 / q, 1 - 1 / q, 1 + 1 / q]) == [1, q, q + 1]
 
 
+@pytest.mark.parametrize("eigs", [[1.0, 1.0], [0.0, 2.0, 1.0], [3.0, -3.0]])
+def test_rationality_refuses_values_out_of_order(eigs):
+    with pytest.raises(ValueError, match="ascending distinct"):
+        rationality_check(eigs)
+
+
 def test_rationality_accepts_noisy_rationals():
     # ratios 1/4, 5/8 and 1 over L = 8
     assert rationality_check([0.0, 1.0 + 3e-13, 2.5, 4.0 - 2e-13]) == [2, 5, 8]
@@ -259,6 +266,57 @@ def test_rationality_steps_are_coprime_over_the_lcm(ratios):
     steps = rationality_check([0.0, *(float(f) for f in fracs)])
     assert steps == [int(f * scale) for f in fracs]
     assert math.gcd(*steps) == 1 and steps[-1] == scale
+
+
+def oracle_steps(eigs):
+    """The steps of ascending distinct values with each ratio recognised by
+    `Fraction.limit_denominator` (`oracles.limit_denominator_rule`)."""
+    low, spread = eigs[0], eigs[-1] - eigs[0]
+    fracs = [oracles.limit_denominator_rule((e - low) / spread, spectral.DEFAULT_PST_TOL,
+                                            spectral.DEFAULT_MAX_DENOMINATOR)
+             for e in eigs[1:]]
+    if None in fracs:
+        return None
+    scale = math.lcm(*(f.denominator for f in fracs))
+    return [int(f * scale) for f in fracs]
+
+
+# p/q with q <= 1000 on an offset and a spread, each value moved by a relative
+# noise of at most 1e-13; or the same with surds sqrt(k) among the values
+NOISY_RATIONALS = st.builds(
+    lambda fracs, noise, low, spread: [low + spread * float(f) * (1 + e)
+                                       for f, e in zip(sorted({0, 1, *fracs}), noise)],
+    st.lists(st.builds(lambda p, q: Fraction(p % q + 1, q + 1), st.integers(0, 10 ** 4),
+                       st.integers(1, 999)), min_size=0, max_size=8),
+    st.lists(st.floats(-1e-13, 1e-13), min_size=10, max_size=10),
+    st.sampled_from([0.0, -3.0, 2.5]), st.sampled_from([1.0, 0.3, 7.0]))
+SURD_SPECTRA = st.builds(
+    lambda values, surds: sorted({*values, *(math.sqrt(k) for k in surds)}),
+    st.lists(st.integers(-6, 6).map(float), min_size=1, max_size=5),
+    st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=3))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(eigs=st.one_of(NOISY_RATIONALS, SURD_SPECTRA))
+@example(eigs=[-1 - 1 / 9999, -1 + 1 / 9999, 1 - 1 / 9999, 1 + 1 / 9999])
+@example(eigs=[-1 - 1 / 99999, -1 + 1 / 99999, 1 - 1 / 99999, 1 + 1 / 99999])
+def test_certified_ratios_give_the_limit_denominator_steps(eigs):
+    assert rationality_check(eigs) == oracle_steps(eigs)
+
+
+@pytest.mark.parametrize("g,u,v", [
+    (path_graph(8), 0, 7),
+    (make_graph(40, [(i, i + 1, j) for i, j in enumerate(pst_chain(40).couplings)]), 0, 39),
+], ids=["P8", "pst_chain(40)"])
+def test_one_continued_fraction_per_verdict(g, u, v, monkeypatch):
+    # P8 stops at its first surd ratio; pst_chain(40)'s ratios k/39 are
+    # certified against the 39 of the first
+    calls = []
+    recognize = spectral._recognize_rational
+    monkeypatch.setattr(spectral, "_recognize_rational",
+                        lambda *args: calls.append(args) or recognize(*args))
+    check_pst_conditions(g, u, v)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -556,6 +614,42 @@ def test_uniform_chain_scan_equals_the_direct_grid(n, direct_grid_scan):
     assert unmodulated_no_pst_scan(n, 200.0) == direct_grid_scan(spec, 0, n - 1, 200.0, 0.002)
 
 
+# --- pair table ------------------------------------------------------------------
+
+def switched(g, flip):
+    """g with the sign of every edge (a, b) for which flip(a, b) holds negated."""
+    a, b, sw = g.edge_arrays
+    signs = np.array([-1.0 if flip(x, y) else 1.0 for x, y in zip(a.tolist(), b.tolist())])
+    return SignedWeightedGraph(g.vertex_count, edge_table(a, b, sw * signs))
+
+
+DEGENERATE_SIGNED = {
+    # a switching by the vertices x = 0 (mod 3) keeps the spectrum; one
+    # negative edge makes the graph unbalanced, with eigenvalues that still repeat
+    "C8-switched": switched(cycle_graph(8), lambda x, y: (x % 3 == 0) != (y % 3 == 0)),
+    "C7-one-negative": switched(cycle_graph(7), lambda x, y: (x, y) == (0, 1)),
+    "K6-switched": switched(complete_graph(6), lambda x, y: (x % 3 == 0) != (y % 3 == 0)),
+    "K6-one-negative": switched(complete_graph(6), lambda x, y: (x, y) == (0, 1)),
+    "Q4-switched": switched(hypercube(4), lambda x, y: (x % 3 == 0) != (y % 3 == 0)),
+    "Q4-one-negative": switched(hypercube(4), lambda x, y: (x, y) == (0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SIGNED))
+def test_pair_table_matches_the_eigenspace_oracle(name, kind):
+    g = DEGENERATE_SIGNED[name]
+    spec = Spectrum.from_matrix(graph_matrix(g, kind))
+    for u in range(g.vertex_count):
+        for v in range(g.vertex_count):
+            group, norm_u, norm_v, overlap = eigenspace_rows(spec, u, v)
+            assert np.bincount(group).max() > 1
+            lam, a, b, c = np.array(spectral._pair_table(spec, u, v)).T
+            means = np.bincount(group, weights=spec.eigenvalues) / np.bincount(group)
+            for got, want in ((lam, means), (a, norm_u ** 2), (b, overlap), (c, norm_v ** 2)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # --- symmetry --------------------------------------------------------------------
 
 def test_k2_symmetry_is_swap():
@@ -584,13 +678,16 @@ def test_symmetry_squares_to_identity_for_real_hamiltonians(g, u, v):
 def test_symmetry_operator_on_degenerate_eigenspaces(g, u, v, kind):
     m = graph_matrix(g, kind)
     spec = Spectrum.from_matrix(m)
-    spaces = spectral._eigenspaces(spec, u, v, spectral.DEFAULT_CONDITION_TOL)
-    group, norm_u, norm_v, overlap = eigenspace_rows(spec, u, v)
+    _, a, b, _ = np.array(spectral._pair_table(spec, u, v)).T
+    norm_u = np.sqrt(a)
+    support = norm_u > spectral.DEFAULT_CONDITION_TOL
+    sign = np.where(support & (b < 0), -1, 1)
+    group, oracle_u, norm_v, overlap = eigenspace_rows(spec, u, v)
     assert np.bincount(group).max() > 1
     # E_r e_u = sign_r E_r e_v: equal norms, parallel, and u's weights sum to 1
-    np.testing.assert_allclose(norm_u, norm_v, atol=1e-12)
-    np.testing.assert_allclose(overlap, spaces.sign * norm_u ** 2, atol=1e-12)
-    assert np.sum(norm_u[spaces.support] ** 2) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(oracle_u, norm_v, atol=1e-12)
+    np.testing.assert_allclose(overlap, sign * oracle_u ** 2, atol=1e-12)
+    assert np.sum(norm_u[support] ** 2) == pytest.approx(1.0, abs=1e-12)
     rep = symmetry_operator(g, u, v, kind)
     assert rep.commutes and rep.maps_pair
     s = rep.operator
