@@ -9,9 +9,11 @@ four sites.
 
 A chain's tridiagonal matrix is the walk-module matrix T of its site 0
 (the Lanczos basis from e_0 is the site basis), so `chain_pst_verify`
-evaluates T itself, as `spectral.walk_spectrum` would after Lanczos (up
-to CHAIN_TRIDIAGONAL_MAX_SITES sites; a longer chain takes one Krylov
-column of T), and `column_project` is that Lanczos run on the hypercube.
+evaluates T itself (up to CHAIN_TRIDIAGONAL_MAX_SITES sites; a longer
+chain takes one Krylov column of T), as `spectral.walk_spectrum` does
+on a path graph walked from an end: it reads T off the matrix and runs
+no Lanczos step.  `column_project` is the Lanczos run on the hypercube
+that finds the chain.
 """
 
 from __future__ import annotations

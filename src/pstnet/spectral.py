@@ -26,6 +26,15 @@ The two rows then become one pair table in Python floats
 reads the vector condition, support, signs and steps with no array call
 per eigenspace.
 
+A path 0 - 1 - ... - (n-1) walked from one of its ends runs no Lanczos
+step: its Lanczos basis is the signed site basis, so T is read off the
+matrix, alpha_k the diagonal entry at the k-th site and beta_k =
+sqrt(x x) for the edge entry x onwards (`_path_walk`).  Every projection
+Lanczos would make there is exact and sqrt(fl(x^2)) = |x| in binary
+floating point, so T, the rows, the stops and the refusals are Lanczos's
+to the bit, at O(1) work per step; a beta that is not |x| (x^2
+subnormal) hands the walk back to Lanczos.
+
 - `check_pst_conditions` stops Lanczos only at closure, where the answer
   is exact, so it decides PST on Q_12..Q_16 too and never solves n x n.
   Its report keeps that module, which gives the `pstnet pst --csv` rows.
@@ -81,7 +90,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import SignedWeightedGraph, sparse_matrix
+from .graphs import SignedWeightedGraph, _weighted_degrees, sparse_matrix
 
 DEFAULT_PST_TOL = 1e-9
 DEFAULT_CONDITION_TOL = 1e-8
@@ -313,6 +322,98 @@ def _basis_cap_error(u: int, n: int, steps: int) -> ValueError:
                       f"{WALK_BASIS_MAX_ENTRIES} entries")
 
 
+def _path_entries(g: SignedWeightedGraph, kind: str, u: int):
+    """(diagonal, off-diagonal) of M along the path from u, as lists in walk
+    order, or None unless g is the path 0 - 1 - ... - (n-1) and u one of its
+    ends.
+
+    The test reads only the edge arrays: n - 1 canonical edges, sorted and
+    distinct, that all join some i to i + 1 are exactly the pairs
+    (0, 1), ..., (n-2, n-1).  A path whose vertices are numbered in any
+    other order is not recognised and takes Lanczos.
+    """
+    n = g.vertex_count
+    lo, hi, sw = g.edge_arrays
+    if u not in (0, n - 1) or len(lo) != n - 1 or not np.all(hi - lo == 1):
+        return None
+    if kind == "laplacian":
+        diagonal, off = _weighted_degrees(g), -sw
+    else:
+        diagonal, off = np.zeros(n), sw
+    if u:
+        diagonal, off = diagonal[::-1], off[::-1]
+    return diagonal.tolist(), off.tolist()
+
+
+def _path_walk(diagonal: list, off: list, position: int, ends):
+    """The Lanczos entries of a path walked from one end, read off M.
+
+    Lanczos from e_u on a path keeps a signed site basis: q_k = s_k e_{p_k},
+    p_k the k-th site from u.  Then M q_k = s_k (x_{k-1} e_{p_{k-1}} +
+    M[p_k, p_k] e_{p_k} + x_k e_{p_{k+1}}), x_k the entry joining p_k to
+    p_{k+1}, and each Gram-Schmidt coefficient is one exact product of
+    signs and one entry: alpha_k = M[p_k, p_k] and the projections take
+    away the first two terms exactly, leaving w = s_k x_k e_{p_{k+1}}, whose
+    norm is beta_k = sqrt(x_k x_k).  Rounded, sqrt(fl(x^2)) = |x| unless
+    x^2 overflows (beta inf, refused by `ends`) or underflows.  Where it is
+    |x|, q_{k+1} = w / beta_k is the signed unit vector with
+    s_{k+1} = s_k sign(x_k), and the run goes on exactly as Lanczos does.
+    A beta off |x| that does not end the walk returns None, and the walk
+    takes Lanczos.
+
+    Returns (alphas, betas, row) as `_lanczos` does, the row of the vertex
+    at `position` along the path holding s_position there.
+    """
+    alphas, betas = [], []
+    for k, alpha in enumerate(diagonal):
+        x = off[k] if k < len(off) else 0.0
+        beta = math.sqrt(x * x)
+        alphas.append(alpha)
+        if ends(k + 1, alpha, beta):
+            break
+        if beta != abs(x):
+            return None
+        betas.append(beta)
+    row = np.zeros(len(alphas))
+    if position < len(row):
+        row[position] = math.prod(math.copysign(1.0, e) for e in off[:position])
+    return alphas, betas, row
+
+
+def _lanczos(g: SignedWeightedGraph, kind: str, u: int, v: int, max_steps: int,
+             ends):
+    """Lanczos from e_u (see `walk_spectrum`): (alphas, kept betas, Q[v]).
+
+    Only row 0 of the basis is zeroed; every later row is written by its
+    normalisation before it is read.
+    """
+    n = g.vertex_count
+    matvec = _walk_operator(g, kind)
+    basis = np.empty((min(max_steps, 32), n))
+    basis[0] = 0.0
+    basis[0, u] = 1.0
+    scratch = np.empty(n)
+    alphas, betas = [], []
+    for k in range(max_steps):
+        kept = basis[:k + 1]
+        w = matvec(basis[k])
+        first = kept.dot(w)
+        w -= first.dot(kept, out=scratch)
+        second = kept.dot(w)
+        w -= second.dot(kept, out=scratch)
+        alpha = float(first[k] + second[k])
+        beta = math.sqrt(w.dot(w))
+        alphas.append(alpha)
+        m = k + 1
+        if ends(m, alpha, beta):
+            break
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty((min(m, max_steps - m), n))])
+        betas.append(beta)
+        np.divide(w, beta, out=basis[m])
+    return alphas, betas, basis[:len(alphas), v]
+
+
 def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
                   matrix_kind: str = "adjacency",
                   t: Optional[float] = None) -> WalkSpectrum:
@@ -330,7 +431,14 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     basis, so `amplitude(t)` is <v| Q_m e^{-i t T_m} e_1 and
     `_pair_table(spectrum, 0, 1)` gives u's support and the signs sigma_r.
 
-    Stopping rules:
+    On the path 0 - 1 - ... - (n-1) walked from an end (`_path_entries`)
+    no step is run: the basis is the signed site basis, T is read off M
+    (alpha_k the diagonal entry at the k-th site, beta_k = sqrt(x x) for
+    the edge entry x onwards), and Q[v] is +-1 at v's place along the
+    path.  The entries, stops, refusals and rows are bit for bit those of
+    Lanczos (`_path_walk` gives the argument), at O(1) work per step.
+
+    Stopping rules, applied by one function to either run:
 
     - Closure, beta_m <= WALK_CLOSURE_TOL ||M||_1 (or m = n): W_u is
       invariant and the answer exact; the remainder beta_m moves an
@@ -365,10 +473,11 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     up to |t|: a scan passes its largest |t|.
 
     The basis holds at most WALK_BASIS_MAX_ENTRIES entries, n m; a run
-    that needs more raises ValueError with one line.  With a time t, a run
-    whose tail bound might need more (`_walk_fits`, one evaluation at the
-    most vectors the cap allows) raises it before any Lanczos step, and so
-    does X = |t| ||M||_1 >= 2^53 (`_check_phase_resolution`), at any size.
+    that needs more raises ValueError with one line, a path walked from
+    its end too, though it keeps no basis.  With a time t, a run whose
+    tail bound might need more (`_walk_fits`, one evaluation at the most
+    vectors the cap allows) raises it before any Lanczos step, and so does
+    X = |t| ||M||_1 >= 2^53 (`_check_phase_resolution`), at any size.
     """
     n = g.vertex_count
     _check_vertices(n, u, v)
@@ -381,43 +490,34 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
         _check_phase_resolution(x)
     if max_steps == 0 or (t is not None and not _walk_fits(n, x)):
         raise _basis_cap_error(u, n, max_steps)
-    matvec = _walk_operator(g, matrix_kind)
-    basis = np.zeros((min(max_steps, 32), n))
-    basis[0, u] = 1.0
-    scratch = np.empty(n)
-    alphas, betas = [], []
-    for k in range(max_steps):
-        kept = basis[:k + 1]
-        w = matvec(basis[k])
-        first = kept.dot(w)
-        w -= first.dot(kept, out=scratch)
-        second = kept.dot(w)
-        w -= second.dot(kept, out=scratch)
-        alpha = float(first[k] + second[k])
-        beta = math.sqrt(w.dot(w))
-        m = k + 1
+
+    def ends(m: int, alpha: float, beta: float) -> bool:
+        """True where step m ends the walk, at closure or the tail bound;
+        ValueError where it overflows or the next step passes the cap."""
         if not math.isfinite(alpha + beta):
             raise ValueError(f"walk module of vertex {u} overflows at Lanczos step "
                              f"{m}: alpha {alpha:.3g}, beta {beta:.3g}")
-        alphas.append(alpha)
         if beta <= closure or m == n:
-            break
+            return True
         if t is not None and (beta * span <= WALK_AMPLITUDE_TOL or
                               math.log(beta / norm) + _tail_log_factor(x, m) <= goal):
-            break
+            return True
         if m == max_steps:
             raise _basis_cap_error(u, n, max_steps)
-        if m == len(basis):
-            basis = np.concatenate([basis, np.zeros((min(m, max_steps - m), n))])
-        betas.append(beta)
-        np.divide(w, beta, out=basis[m])
+        return False
+
+    walked, path = None, _path_entries(g, matrix_kind, u)
+    if path is not None:
+        walked = _path_walk(*path, v if u == 0 else n - 1 - v, ends)
+    if walked is None:
+        walked = _lanczos(g, matrix_kind, u, v, max_steps, ends)
+    alphas, betas, row = walked
     couplings = np.array(betas)
     if t is None and len(couplings) and couplings.min() <= WALK_CLOSURE_MARGIN * closure:
         raise ValueError(
             f"walk module of vertex {u} nearly closes: kept beta "
             f"{couplings.min():.3g} is within {WALK_CLOSURE_MARGIN:g}x of the "
             f"closure threshold {closure:.3g}")
-    row = basis[:len(alphas), v]
     return WalkSpectrum(_tridiagonal_rows(alphas, couplings, row),
                         float(row @ row), couplings, norm)
 

@@ -179,9 +179,9 @@ def test_cube_couplings_are_the_krawtchouk_chain(k):
     np.testing.assert_allclose(couplings, np.sqrt(i * (k + 1 - i)), rtol=1e-12, atol=0)
 
 
-def _walk_on(monkeypatch, g, kind, dense_max_dim):
+def _walk_on(monkeypatch, g, kind, dense_max_dim, u=0):
     monkeypatch.setattr(spectral, "WALK_DENSE_MAX_DIM", dense_max_dim)
-    return check_pst_conditions(g, 0, g.vertex_count - 1, kind)
+    return check_pst_conditions(g, u, g.vertex_count - 1, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -195,13 +195,18 @@ def test_dense_and_csr_operators_agree(monkeypatch, name, kind):
         couplings = pst_chain(40).couplings
         g = make_graph(40, [(i, i + 1, j) for i, j in enumerate(couplings)])
     n = g.vertex_count
-    sparse = _walk_on(monkeypatch, g, kind, 0)
+    # a chain walked from an end runs no operator (`spectral._path_walk`);
+    # from site 1 it runs Lanczos through all 40 sites
+    u = 1 if name == "pst_chain(40)" else 0
+    sparse = _walk_on(monkeypatch, g, kind, 0, u)
     assert (kind, "dense") not in g._sparse_matrices
-    dense = _walk_on(monkeypatch, g, kind, n)
+    dense = _walk_on(monkeypatch, g, kind, n, u)
     assert g._sparse_matrices[(kind, "dense")].shape == (n, n)
     scale = 1e-13 * sparse.walk.norm
     # verdict walks stop only at closure: equal dimensions are equal modules
     assert dense.walk.dimension == sparse.walk.dimension
+    if u:
+        assert dense.walk.dimension == n
     np.testing.assert_allclose(dense.support_eigenvalues, sparse.support_eigenvalues,
                                rtol=0, atol=scale)
     # the late couplings of a walk through all 129 vertices of the signed
@@ -405,6 +410,157 @@ def test_overflowing_walk_is_refused_at_its_first_step():
     scaled = make_graph(4, [(0, 1, 1e150), (1, 2, 1e150), (2, 3, 1e150)])
     assert check_pst_conditions(scaled, 0, 3).walk.dimension == \
         check_pst_conditions(g, 0, 3).walk.dimension == 4
+
+
+# --- paths walked from an end: T read off the matrix ----------------------------------
+
+def _chain_graph(n):
+    return make_graph(n, [(i, i + 1, j) for i, j in enumerate(pst_chain(n).couplings)])
+
+
+def _signed_path(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 48))
+    return make_graph(n, [(i, i + 1, float(rng.uniform(0.1, 3.0)), int(rng.choice([-1, 1])))
+                          for i in range(n - 1)])
+
+
+PATHS = {**{f"pst_chain({n})": (_chain_graph, n) for n in range(2, 41)},
+         **{f"P{n}": (path_graph, n) for n in range(2, 13)},
+         **{f"signed{seed}": (_signed_path, seed) for seed in range(6)}}
+
+
+def _walk_bits(g, u, v, kind, t):
+    """Every number a walk hands on, as bytes, or its one-line refusal."""
+    try:
+        walk = walk_spectrum(g, u, v, kind, t)
+    except ValueError as err:
+        return str(err)
+    spec = walk.spectrum
+    return (spec.eigenvalues.tobytes(), spec.eigenvectors.tobytes(),
+            walk.couplings.tobytes(), np.float64(walk.v_weight).tobytes(),
+            walk.dimension, walk.norm)
+
+
+def _path_and_lanczos_bits(monkeypatch, g, u, v, kind, t):
+    path = _walk_bits(g, u, v, kind, t)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_path_entries", lambda *args: None)
+        return path, _walk_bits(g, u, v, kind, t)
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_path_walks_are_lanczos_to_the_bit(monkeypatch, name):
+    build, arg = PATHS[name]
+    g = build(arg)
+    n = g.vertex_count
+    early = 0
+    for kind in KINDS:
+        norm = graphs.sparse_matrix(g, kind)[1]
+        # X = 0.1 and 2: the tail bound stops these before n on longer paths
+        for t in (None, 0.1 / norm, 2.0 / norm):
+            for u in (0, n - 1):
+                for v in range(n):
+                    path, lanczos = _path_and_lanczos_bits(monkeypatch, g, u, v, kind, t)
+                    assert path == lanczos
+                    early += t is not None and path[4] < n
+    assert early or n < 12
+
+
+@pytest.mark.parametrize("weights,kind,t", [
+    # the middle beta is under the closure threshold: D = 2, v outside
+    ((1.0, 1e-13, 1.0), "adjacency", None),
+    ((1.0, 1e-13, 1.0), "laplacian", 0.7),
+    # within the nearly-closes margin: the same refusal, and a timed answer
+    ((1.0, 1e-9, 1.0), "adjacency", None),
+    ((1.0, 1e-9, 1.0), "laplacian", None),
+    ((1.0, 1e-9, 1.0), "adjacency", 0.7),
+    # x^2 underflows to 0: closure
+    ((1.0, 1e-200, 1.0), "adjacency", None),
+    # x^2 is subnormal, so beta is off |x|: the walk hands over to Lanczos
+    ((1e-160, 1e-160, 1e-160), "adjacency", None),
+    ((1e-160, 1e-160, 1e-160), "laplacian", 1e150),
+    # x^2 overflows: the same one-line refusal at step 1
+    ((1e160, 1e160, 1e160), "adjacency", None),
+    ((1.0, 1e160, 1.0), "laplacian", 1e-200),
+])
+def test_path_walks_stop_and_refuse_as_lanczos_does(monkeypatch, weights, kind, t):
+    g = make_graph(4, [(i, i + 1, w, (-1) ** i) for i, w in enumerate(weights)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in (0, 3):
+            for v in range(4):
+                path, lanczos = _path_and_lanczos_bits(monkeypatch, g, u, v, kind, t)
+                assert path == lanczos
+
+
+def test_subnormal_beta_hands_the_path_walk_to_lanczos():
+    g = make_graph(3, [(0, 1, 1e-160), (1, 2, 1e-160)])
+    assert math.sqrt(1e-160 * 1e-160) != 1e-160
+    entries = spectral._path_entries(g, "adjacency", 0)
+    assert spectral._path_walk(*entries, 2, lambda m, alpha, beta: m == 3) is None
+
+
+def test_paths_past_the_basis_cap_refuse_before_any_lanczos_work(monkeypatch):
+    monkeypatch.setattr(spectral, "_walk_operator", _refuse)
+    # the cap allows 8192^2 // 20000 = 3355 vectors: the same line as Lanczos
+    with pytest.raises(ValueError) as info:
+        check_pst_conditions(path_graph(20000), 0, 19999)
+    assert str(info.value) == ("walk module of vertex 0 needs more than 3355 Lanczos "
+                               "vectors of length 20000, above the basis cap of 67108864 "
+                               "entries")
+    with pytest.raises(ValueError, match="needs more than 3355 Lanczos vectors"):
+        walk_spectrum(path_graph(20000), 19999, 0, t=1e6)
+    monkeypatch.undo()
+    # under a cap of 4 vectors the path and Lanczos refuse with the same
+    # line: a verdict at its fourth step, t = 3 before any step; t = 1e-9
+    # stops at the tail bound with 2 vectors
+    monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 16 * 4)
+    g = _chain_graph(16)
+    for kind in KINDS:
+        for t in (None, 1e-9, 3.0):
+            path, lanczos = _path_and_lanczos_bits(monkeypatch, g, 15, 0, kind, t)
+            assert path == lanczos
+            if t == 1e-9:
+                assert path[4] == 2
+            else:
+                assert path.endswith("needs more than 4 Lanczos vectors of length 16, "
+                                     "above the basis cap of 64 entries")
+
+
+def test_paths_walked_from_an_end_run_no_operator(monkeypatch):
+    monkeypatch.setattr(spectral, "_walk_operator", _refuse)
+    for g in (_chain_graph(40), path_graph(12), _signed_path(3)):
+        n = g.vertex_count
+        for kind in KINDS:
+            check_pst_conditions(g, 0, n - 1, kind)
+            check_pst_conditions(g, n - 1, 1, kind)
+        transfer_amplitude(g, n - 1, 0, 1.3)
+        max_fidelity_scan(g, 0, n - 1, 5.0, 0.01)
+    unmodulated_no_pst_scan(6, 5.0)
+    with pytest.raises(AssertionError, match="n x n solve or matrix"):
+        check_pst_conditions(path_graph(12), 1, 11)
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+def test_relabelled_paths_take_lanczos_to_the_same_verdict(monkeypatch, n):
+    g = _chain_graph(n)
+    perm = np.random.default_rng(n).permutation(n).tolist()
+    relabelled = make_graph(n, [(perm[i], perm[i + 1], j)
+                                for i, j in enumerate(pst_chain(n).couplings)])
+    calls = []
+    real = spectral._walk_operator
+    monkeypatch.setattr(spectral, "_walk_operator",
+                        lambda *args: calls.append(args) or real(*args))
+    for kind in KINDS:
+        want = check_pst_conditions(g, 0, n - 1, kind)
+        assert not calls
+        got = check_pst_conditions(relabelled, perm[0], perm[-1], kind)
+        assert len(calls) == 1
+        calls.clear()
+        for rep in (want, got):
+            rep.support_eigenvalues = rep.support_eigenvalues.tobytes()
+            rep.walk = (rep.walk.couplings.tobytes(), rep.walk.dimension)
+        assert got == want
 
 
 def test_pst_answers_q14_beyond_the_dense_limit(capsys):
