@@ -5,6 +5,13 @@ carried separately, so the signed adjacency entry is sign * weight.
 Optional per-vertex data: fixed-length bit-string labels (used by the
 hypercube machinery) and +/-1 markings (used by corona products).
 
+A Cartesian product records the graphs it was built from: `cartesian`
+and `hypercube` (k >= 2) set `factors`, the flattened tuple of factor
+graphs, the first the most significant mixed-radix digit of a vertex.
+Both matrices of a product are Kronecker sums of the factors' (L adds as
+A does, because degrees add), so `spectral.transfer_amplitude` answers a
+product from its factors.  Every other graph has `factors` None.
+
 A graph stores its edges only as three read-only arrays, `edge_arrays` =
 (u, v, sign * weight) in canonical order (u < v, sorted by (u, v)); `edges`
 is the same edges as `Edge` tuples, a view built on first read for routing,
@@ -83,7 +90,9 @@ class SignedWeightedGraph:
 
     `edges` is a sequence of (u, v, weight, sign) tuples or an (m, 4) array of
     such rows in any order (checked by `_canonical_edges`).  Immutable; `==`
-    compares vertex count, edges, labels and markings.
+    compares vertex count, edges, labels and markings.  `factors` is None
+    here; only `cartesian` and `hypercube` set it, and `==` and `hash`
+    ignore it.
     """
 
     def __init__(self, vertex_count: int, edges, labels=None, markings=None):
@@ -107,7 +116,7 @@ class SignedWeightedGraph:
             if len(markings) != n or any(m not in (-1, 1) for m in markings):
                 raise ValueError("markings must be one of +1/-1 per vertex")
         self.__dict__.update(vertex_count=n, edge_arrays=arrays, labels=labels,
-                             markings=markings)
+                             markings=markings, factors=None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -240,22 +249,30 @@ def hypercube(k: int) -> SignedWeightedGraph:
 
     Bit strings are read left to right, position 0 first, so vertex v has
     label format(v, '0kb') and flipping string position j toggles the
-    integer bit (k-1-j).
+    integer bit (k-1-j); Q_0's one vertex has the empty label.  For k >= 2,
+    `factors` is one K2, Q_1, at all k positions: string position j is
+    factor j's digit, as in the `cartesian` fold of k copies of Q_1.
     """
     if k < 0:
         raise ValueError("dimension must be non-negative")
     if k > MAX_HYPERCUBE_DIM:
         raise ValueError(f"hypercube dimension {k} exceeds guard {MAX_HYPERCUBE_DIM}")
     n = 1 << k
-    labels = tuple(format(v, f"0{k}b") for v in range(n))
-    return SignedWeightedGraph(n, hamming_table(n, k), labels=labels)
+    labels = tuple(format(v, f"0{k}b") for v in range(n)) if k else ("",)
+    cube = SignedWeightedGraph(n, hamming_table(n, k), labels=labels)
+    if k >= 2:
+        cube.__dict__["factors"] = (hypercube(1),) * k
+    return cube
 
 
 def cartesian(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedGraph:
     """Cartesian product; vertex (i,j) sits at index i*|V(h)| + j.
 
-    The adjacency satisfies A(G box H) = A(G) kron I + I kron A(H); labels
-    concatenate when both factors carry them.
+    The adjacency satisfies A(G box H) = A(G) kron I + I kron A(H), and so
+    does the Laplacian, since degrees add; labels concatenate when both
+    factors carry them.  `factors` records g's factors then h's, a graph
+    that records none counting as its own one factor, so a vertex is the
+    mixed-radix number of its factor digits, the first the most significant.
     """
     ng, nh = g.vertex_count, h.vertex_count
     a, b, sw = h.edge_arrays            # inside each copy i of h
@@ -270,7 +287,9 @@ def cartesian(g: SignedWeightedGraph, h: SignedWeightedGraph) -> SignedWeightedG
     markings = None
     if g.markings is not None and h.markings is not None:
         markings = np.outer(g.markings, h.markings).ravel().tolist()
-    return SignedWeightedGraph(ng * nh, rows, labels=labels, markings=markings)
+    product = SignedWeightedGraph(ng * nh, rows, labels=labels, markings=markings)
+    product.__dict__["factors"] = (g.factors or (g,)) + (h.factors or (h,))
+    return product
 
 
 # ---------------------------------------------------------------------------

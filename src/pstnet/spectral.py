@@ -45,6 +45,14 @@ subnormal) hands the walk back to Lanczos.
   `transfer_amplitude` then takes one `expm_multiply` column of the sparse
   matrix (`_krylov_entry`; Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
   2011); a scan is refused.
+- `transfer_amplitude` picks its backend in the order product, walk,
+  Krylov.  On a graph that records its Cartesian factors
+  (`graphs.cartesian`, `graphs.hypercube`), U(t) is the Kronecker product
+  of the factors' U_i(t), so the amplitude is the product of one walk or
+  Krylov amplitude per distinct factor digit pair, off by at most the sum
+  of their bounds, and ||A||_1 is the sum of the factors': Q_k takes at
+  most four K2 walks, not k + 1 Lanczos steps on 2^k vertices.  Verdicts
+  and scans still walk the built graph.
 - X = |t| N >= 2^53, N a bound on every |l| such as ||M||_1, is refused
   before any work, since rounding l t moves an amplitude by about X 2^-52
   (`_check_phase_resolution`): by `walk_spectrum` and `transfer_amplitude`
@@ -557,19 +565,46 @@ def transfer_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float
                        ) -> TransferReport:
     """Magnitude and phase of <v| exp(-i A t) |u> for the adjacency matrix A.
 
-    The walk module of u (`walk_spectrum` at time t), or one Krylov column
-    (`_krylov_entry`) when its basis might not fit (`_walk_fits`); the
-    choice is made before any work.  Either path refuses
-    X = |t| ||A||_1 >= 2^53 first (`_check_phase_resolution`).
+    Backends in order: product, walk, Krylov.  A graph that records its
+    Cartesian factors G_1..G_k (`graphs.cartesian`, `graphs.hypercube`)
+    has A = sum_i I kron A_i kron I, whose exponential is the Kronecker
+    product of the factors' (Christandl, Datta, Ekert & Landahl, PRL 92,
+    2004), so <v|U(t)|u> is the product of the factor amplitudes
+    <v_i|U_i(t)|u_i> of the mixed-radix digits of u and v.  Each distinct
+    (factor, u_i, v_i) amplitude is taken once (`_factor_amplitude`) and
+    the product sees no product-sized matrix or basis.  Any other graph is
+    its own one factor.  A factor amplitude is the walk module of u_i
+    (`walk_spectrum` at time t), or one Krylov column (`_krylov_entry`)
+    when its basis might not fit (`_walk_fits`); the choice is made before
+    any work.  As every |a_i| <= 1, |prod a_i - prod b_i| <= sum |a_i - b_i|:
+    a product amplitude is off by at most the sum of its factor bounds.
+
+    Vertex and time checks come first; then X = |t| ||A||_1 >= 2^53 is
+    refused (`_check_phase_resolution`) before any factor work, with
+    ||A||_1 = sum_i ||A_i||_1 read from the factors, as the 1-norm of a
+    Kronecker sum of matrices with zero diagonals is.
     """
     _check_vertices(g.vertex_count, u, v)
     _check_times(t)
+    parts = g.factors or (g,)
+    _check_phase_resolution(abs(t) * sum(sparse_matrix(f, "adjacency")[1] for f in parts))
+    amp, taken = None, {}
+    for f in reversed(parts):
+        (u, a), (v, b) = divmod(u, f.vertex_count), divmod(v, f.vertex_count)
+        key = (id(f), a, b)
+        if key not in taken:
+            taken[key] = _factor_amplitude(f, a, b, t)
+        amp = taken[key] if amp is None else amp * taken[key]
+    return TransferReport(*polar(amp))
+
+
+def _factor_amplitude(g: SignedWeightedGraph, u: int, v: int, t: float) -> complex:
+    """<v|exp(-i A t)|u> on one graph by its walk, or by one Krylov column
+    where the walk's basis might not fit (`_walk_fits`)."""
     matrix, norm = sparse_matrix(g, "adjacency")
     if _walk_fits(g.vertex_count, abs(t) * norm):
-        amp = walk_spectrum(g, u, v, "adjacency", t).amplitude(t)
-    else:
-        amp = _krylov_entry(matrix, u, v, t)
-    return TransferReport(*polar(amp))
+        return walk_spectrum(g, u, v, "adjacency", t).amplitude(t)
+    return _krylov_entry(matrix, u, v, t)
 
 
 def polar(amp: complex) -> tuple[float, float]:

@@ -86,6 +86,13 @@ def induced_subgraph(g: SignedWeightedGraph, vertices: Iterable[int]) -> SignedW
                                labels=sub(g.labels), markings=sub(g.markings))
 
 
+def factor_free_hypercube(k: int) -> SignedWeightedGraph:
+    """Q_k with the matrix of `graphs.hypercube(k)` and no recorded factors:
+    amplitudes on it take the walk or the Krylov column of all 2^k vertices."""
+    n = 1 << k
+    return SignedWeightedGraph(n, graphs.hamming_table(n, k))
+
+
 def corona_edge_count(n: int, k: int, m: int) -> int:
     """Edges of G^(m) for a seed with n vertices and k edges."""
     return k + (k + n) * ((n + 1) ** m - 1)

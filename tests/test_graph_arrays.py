@@ -145,7 +145,8 @@ def marked_graphs(draw):
 
 @pytest.mark.parametrize("k", range(13))
 def test_hypercube_is_the_hamming_loop(k):
-    labels = tuple(format(v, f"0{k}b") for v in range(1 << k))
+    # string position j is integer bit k-1-j; Q_0's one label is empty
+    labels = tuple("".join(str(v >> (k - 1 - j) & 1) for j in range(k)) for v in range(1 << k))
     assert_same_graph(hypercube(k), 1 << k, ref_hamming(1 << k, k), labels)
 
 

@@ -14,7 +14,7 @@ from pstnet.qudit import (QuditState, cycle_family, qudit_transfer,
                           transfer_amplitude_qudit, unitarity_audit)
 from pstnet.spectral import DENSE_MAX_DIM, transfer_amplitude
 
-from oracles import evolve, graph_spectrum
+from oracles import evolve, factor_free_hypercube, graph_spectrum
 
 RNG = np.random.default_rng(7207)
 
@@ -54,7 +54,7 @@ def test_krylov_matches_expm(n):
 
 def test_q14_beyond_the_dense_limit_matches_the_closed_form():
     k = 14
-    g = hypercube(k)
+    g = factor_free_hypercube(k)
     assert g.vertex_count > DENSE_MAX_DIM
     n = g.vertex_count
     pairs = [(0, n - 1, math.pi / 2)]
@@ -90,19 +90,19 @@ def test_krylov_column_only_past_the_basis_cap(monkeypatch, krylov_columns):
     for k in range(1, 7):
         n = 1 << k
         for t in (0.3, math.pi / 2, 30.0):
-            rep = transfer_amplitude(hypercube(k), 0, n - 1, t)
+            rep = transfer_amplitude(factor_free_hypercube(k), 0, n - 1, t)
             assert abs(rep.magnitude - abs(cube_amplitude(k, 0, n - 1, t))) <= 1e-10
     for n in range(2, 41):
         assert chain_pst_verify(pst_chain(n), math.pi / 2).magnitude >= unit
     # a long time no longer forces anything: Q_9 closes after 10 vectors
-    rep = transfer_amplitude(hypercube(9), 0, 511, 1000.0)
+    rep = transfer_amplitude(factor_free_hypercube(9), 0, 511, 1000.0)
     assert abs(rep.magnitude - abs(cube_amplitude(9, 0, 511, 1000.0))) <= 1e-9
     assert krylov_columns == []
     # under a cap of 6 n entries, n min(n, m_tail) passes it at these times
     monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 6 * 64)
     monkeypatch.setattr(spectral, "walk_spectrum", lambda *a, **k: pytest.fail("walk ran"))
     for i, t in enumerate((0.3, math.pi / 2), start=1):
-        rep = transfer_amplitude(hypercube(6), 0, 63, t)
+        rep = transfer_amplitude(factor_free_hypercube(6), 0, 63, t)
         assert len(krylov_columns) == i
         assert abs(rep.magnitude - abs(cube_amplitude(6, 0, 63, t))) <= 1e-10
     # a chain past its tridiagonal limit takes one Krylov column of T

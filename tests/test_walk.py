@@ -29,7 +29,7 @@ from pstnet.spectral import (WALK_AMPLITUDE_TOL, check_pst_conditions,
                              max_fidelity_scan, max_fidelity_scan_spectrum,
                              rationality_check, transfer_amplitude, walk_spectrum)
 
-from oracles import graph_spectrum, limit_denominator_rule
+from oracles import factor_free_hypercube, graph_spectrum, limit_denominator_rule
 
 KINDS = ("adjacency", "laplacian")
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -318,7 +318,7 @@ def test_walk_fits_is_the_tail_search_evaluated_once(n):
 
 
 def test_basis_cap_refuses_verdicts_and_routes_amplitudes(monkeypatch, krylov_columns):
-    g = hypercube(4)   # n = 16, D = 5
+    g = factor_free_hypercube(4)   # n = 16, D = 5
     monkeypatch.setattr(spectral, "WALK_BASIS_MAX_ENTRIES", 16 * 4)
     with pytest.raises(ValueError, match="needs more than 4 Lanczos vectors of "
                                          "length 16, above the basis cap of 64"):
