@@ -321,7 +321,7 @@ def fidelity_vs_m(seed: SignedWeightedGraph, pair: tuple[int, int], m_max: int,
     rows = []
     for m in range(m_max + 1):
         if recursion and m:
-            t_star, f_star = max_fidelity_scan_spectrum(next(levels), 0, 1, t_max, dt)
+            t_star, f_star = max_fidelity_scan_spectrum(next(levels), t_max=t_max, dt=dt)
         else:
             product = iterate_corona(seed, m, scheme) if m else seed
             t_star, f_star = max_fidelity_scan(product, u, v, t_max, dt, matrix_kind)

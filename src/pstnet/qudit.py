@@ -64,7 +64,8 @@ def commuting_family(matrices: Sequence[np.ndarray],
                      couplings: Sequence[float]) -> CommutingFamily:
     """Validate and diagonalize a family of commuting adjacency matrices.
 
-    Requires A_0 = I, symmetry and the all-ones completeness sum.  The
+    Requires finite couplings, A_0 = I, symmetry and the all-ones
+    completeness sum, each refused with its own line before the solve.  The
     joint basis is the eigenbasis of one combination sum_k phi^-k A_k, phi
     the golden ratio: a generic element of a commutative matrix algebra
     separates its joint eigenspaces (Bannai & Ito, Algebraic Combinatorics
@@ -77,6 +78,9 @@ def commuting_family(matrices: Sequence[np.ndarray],
     n = mats[0].shape[0]
     if len(couplings) != len(mats):
         raise ValueError("need one coupling per matrix")
+    for k, j in enumerate(couplings):
+        if not math.isfinite(j):
+            raise ValueError(f"coupling J_{k} is not finite: {j}")
     if not np.allclose(mats[0], np.eye(n), atol=1e-12):
         raise ValueError("A_0 must be the identity")
     for a in mats:
@@ -113,6 +117,8 @@ def cycle_family(n: int, couplings: Optional[Sequence[float]] = None
 def complete_family(n: int, couplings: Optional[Sequence[float]] = None
                     ) -> CommutingFamily:
     """{I, J - I} family of the complete graph."""
+    if n < 1:
+        raise ValueError("complete family needs at least 1 site")
     check_family_size(n, 1)
     mats = [np.eye(n), np.ones((n, n)) - np.eye(n)]
     if couplings is None:

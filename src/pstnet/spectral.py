@@ -123,6 +123,9 @@ WALK_CLOSURE_TOL = 1e-12
 # a verdict whose smallest kept beta is at most this many closure
 # thresholds is refused: the module nearly closed there
 WALK_CLOSURE_MARGIN = 1e4
+# smallest nonzero ||M||_1 a walk takes: from there up the closure threshold
+# WALK_CLOSURE_TOL ||M||_1 squares to at least 2^-1022, the least normal double
+WALK_MIN_NORM = 2.0 ** -511 / WALK_CLOSURE_TOL
 # error bound at which a tail-stopped walk amplitude ends
 WALK_AMPLITUDE_TOL = 1e-13
 # most entries n D of a Lanczos basis: 512 MiB, one dense matrix at the limit
@@ -132,7 +135,7 @@ WALK_BASIS_MAX_ENTRIES = DENSE_MAX_DIM ** 2
 # ndarray.dot took 0.8-1.2, 2.0-2.7 and 8.6-9.0 us, the CSR product 3.3,
 # 3.7-3.9 and 4.6 us, most of it scipy.sparse dispatch: dense loses at 256
 WALK_DENSE_MAX_DIM = 128
-# eigenvalues closer than this times max(1, max |l|) share an eigenspace
+# eigenvalues closer than this times max |l| share an eigenspace
 EIGENSPACE_REL_TOL = 1e-8
 
 
@@ -172,7 +175,7 @@ class Spectrum:
         """<v|U(t)|u>: a complex for a scalar t, an array for an array of times."""
         coeffs = self.eigenvectors[v] * self.eigenvectors[u]
         if np.ndim(t) == 0:
-            return complex(np.sum(coeffs * np.exp(-1j * t * self.eigenvalues)))
+            return _amplitude_at(self.eigenvalues, coeffs, t)
         times = np.asarray(t, dtype=float)
         out = np.empty(len(times), dtype=complex)
         # time blocks keep the phase matrix within AMPLITUDE_BLOCK_ENTRIES
@@ -181,6 +184,12 @@ class Spectrum:
             phases = np.exp(-1j * np.outer(times[c:c + step], self.eigenvalues))
             out[c:c + step] = phases @ coeffs
         return out
+
+
+def _amplitude_at(eigenvalues: np.ndarray, coeffs: np.ndarray, t) -> complex:
+    """sum_j C_j e^{-i l_j t} at one time t: the scalar kernel of
+    `Spectrum.amplitude`, and of the scan's refinement and end checks."""
+    return complex(np.sum(coeffs * np.exp(-1j * t * eigenvalues)))
 
 
 def hypercube_apply(dimension: int, weight: float, t: float,
@@ -234,7 +243,6 @@ class WalkSpectrum:
     """The walk module of u, tridiagonalised: see `walk_spectrum`."""
 
     spectrum: Spectrum       # rows e_u and P e_v in the eigenbasis of T
-    v_weight: float          # ||Q[v]||^2 = ||P e_v||^2, 1 iff e_v lies in W_u
     couplings: np.ndarray    # the kept betas, T's off-diagonal (D - 1 of them)
     norm: float              # ||M||_1, which bounds every |eigenvalue|
 
@@ -437,7 +445,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     beta_k = ||w||.  With m vectors, M Q_m = Q_m T_m + beta_m q_{m+1} e_m^T.
     The result is `_tridiagonal_rows` of T_m with the row Q[v] of the
     basis, so `amplitude(t)` is <v| Q_m e^{-i t T_m} e_1 and
-    `_pair_table(spectrum, 0, 1)` gives u's support and the signs sigma_r.
+    `_pair_table(spectrum)` gives u's support and the signs sigma_r.
 
     On the path 0 - 1 - ... - (n-1) walked from an end (`_path_entries`)
     no step is run: the basis is the signed site basis, T is read off M
@@ -486,10 +494,20 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
     tail bound might need more (`_walk_fits`, one evaluation at the most
     vectors the cap allows) raises it before any Lanczos step, and so does
     X = |t| ||M||_1 >= 2^53 (`_check_phase_resolution`), at any size.
+    A matrix with 0 < ||M||_1 < WALK_MIN_NORM (about 1.5e-142) is refused
+    before any step: there the squares of small betas and of the closure
+    threshold are subnormal, so beta = sqrt(w w) loses its digits: K2 with
+    weight 1e-160 would read |f| = 1.0000056 at its PST time.  Every other rule
+    scales with ||M||_1, so at and above that norm a verdict does not
+    depend on the unit of the weights.
     """
     n = g.vertex_count
     _check_vertices(n, u, v)
     norm = sparse_matrix(g, matrix_kind)[1]
+    if 0.0 < norm < WALK_MIN_NORM:
+        raise ValueError(f"walk module of vertex {u} is refused: ||M||_1 = {norm:.3g} "
+                         f"is below {WALK_MIN_NORM:.3g}, where its betas square to "
+                         f"subnormals")
     closure = WALK_CLOSURE_TOL * norm
     max_steps = min(n, WALK_BASIS_MAX_ENTRIES // n)
     if t is not None:
@@ -526,8 +544,7 @@ def walk_spectrum(g: SignedWeightedGraph, u: int, v: int,
             f"walk module of vertex {u} nearly closes: kept beta "
             f"{couplings.min():.3g} is within {WALK_CLOSURE_MARGIN:g}x of the "
             f"closure threshold {closure:.3g}")
-    return WalkSpectrum(_tridiagonal_rows(alphas, couplings, row),
-                        float(row @ row), couplings, norm)
+    return WalkSpectrum(_tridiagonal_rows(alphas, couplings, row), couplings, norm)
 
 
 def _check_times(ts) -> None:
@@ -626,23 +643,25 @@ def polar(amp: complex) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # eigenvalue rationality
 
-def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[tuple[int, int]]:
-    """The best p/q with q <= max_denominator, if |x - p/q| <= max(tol/q^2, 1e-13).
+def _recognize_rational(x: float) -> Optional[tuple[int, int]]:
+    """The best p/q with q <= N = DEFAULT_MAX_DENOMINATOR, if |x - p/q| <=
+    max(DEFAULT_PST_TOL/q^2, 1e-13) (`_accepted`).
 
-    The tol/q^2 term accepts small denominators with room for noise; the
+    The tolerance term accepts small denominators with room for noise; the
     1e-13 floor, about a thousand ulps of a ratio in [0, 1], accepts the
     larger ones that float eigenvalues still pin down.  Quadratic surds
     stay outside both: their best approximations miss by about
     1/q^2 >= 1e-12.
 
-    p/q is `Fraction(x).limit_denominator(max_denominator)`, found by the
-    same continued fraction of x's exact ratio, in Python ints: the last
-    convergent within the bound or its best semiconvergent, whichever is
-    closer to x (the convergent on a tie).  It returns (p, q), in lowest
+    p/q is `Fraction(x).limit_denominator(N)`, found by the same continued
+    fraction of x's exact ratio, in Python ints: the last convergent within
+    the bound or its best semiconvergent, whichever is closer to x (the
+    convergent on a tie).  It returns (p, q), in lowest
     terms as `as_integer_ratio`, convergents and semiconvergents all are.
     """
+    most = DEFAULT_MAX_DENOMINATOR
     num, den = x.as_integer_ratio()
-    if den <= max_denominator:
+    if den <= most:
         p, q = num, den
     else:
         p0, q0, p1, q1 = 0, 1, 1, 0
@@ -650,23 +669,23 @@ def _recognize_rational(x: float, tol: float, max_denominator: int) -> Optional[
         while True:
             a = n // d
             q2 = q0 + a * q1
-            if q2 > max_denominator:
+            if q2 > most:
                 break
             p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
             n, d = d, n - a * d
-        k = (max_denominator - q0) // q1
+        k = (most - q0) // q1
         # p1/q1 is d/(q1 den) from x, and (p0 + k p1)/(q0 + k q1) lies
         # 1/(q1 (q0 + k q1)) from p1/q1 on x's other side
         if 2 * d * (q0 + k * q1) <= den:
             p, q = p1, q1
         else:
             p, q = p0 + k * p1, q0 + k * q1
-    return _accepted(x, p, q, tol)
+    return _accepted(x, p, q)
 
 
-def _accepted(x: float, p: int, q: int, tol: float) -> Optional[tuple[int, int]]:
-    """(p, q) if |x - p/q| <= max(tol/q^2, 1e-13), else None."""
-    return (p, q) if abs(x - p / q) <= max(tol / q ** 2, 1e-13) else None
+def _accepted(x: float, p: int, q: int) -> Optional[tuple[int, int]]:
+    """(p, q) if |x - p/q| <= max(DEFAULT_PST_TOL/q^2, 1e-13), else None."""
+    return (p, q) if abs(x - p / q) <= max(DEFAULT_PST_TOL / q ** 2, 1e-13) else None
 
 
 def rationality_check(eigs: Sequence[float]) -> Optional[list[int]]:
@@ -677,11 +696,11 @@ def rationality_check(eigs: Sequence[float]) -> Optional[list[int]]:
     any difference e_j - e_l is the difference of two such gaps, so every
     ratio of differences is rational exactly when these are.  Each is
     p_r/q_r in lowest terms, q_r <= N = DEFAULT_MAX_DENOMINATOR, accepted
-    when |x - p_r/q_r| <= max(DEFAULT_PST_TOL/q_r^2, 1e-13) as in
-    `_recognize_rational`.  The steps n_r = p_r L/q_r, L = lcm(q_r), one per
-    value above e_0, end at L (the last ratio is 1/1) and have gcd 1: a
-    prime power exactly dividing L exactly divides some q_r, so its prime
-    divides neither L/q_r nor p_r.
+    when |x - p_r/q_r| <= max(DEFAULT_PST_TOL/q_r^2, 1e-13) (`_accepted`).
+    The steps n_r = p_r L/q_r, L = lcm(q_r), one per value above e_0, end
+    at L (the last ratio is 1/1) and have gcd 1: a prime power exactly
+    dividing L exactly divides some q_r, so its prime divides neither
+    L/q_r nor p_r.
 
     Certificate.  Let Q <= N be the lcm of the denominators found so far
     and p = round(x Q).  If |x - p/Q| < 1/(2QN), p/Q is the fraction that
@@ -710,9 +729,9 @@ def rationality_check(eigs: Sequence[float]) -> Optional[list[int]]:
         p = round(x * scale) if scale <= most else None
         if p is not None and abs(x - p / scale) < 0.25 / (scale * most):
             common = math.gcd(p, scale)
-            frac = _accepted(x, p // common, scale // common, DEFAULT_PST_TOL)
+            frac = _accepted(x, p // common, scale // common)
         else:
-            frac = _recognize_rational(x, DEFAULT_PST_TOL, most)
+            frac = _recognize_rational(x)
         if frac is None:
             return None
         fracs.append(frac)
@@ -720,19 +739,21 @@ def rationality_check(eigs: Sequence[float]) -> Optional[list[int]]:
     return [p * (scale // q) for p, q in fracs]
 
 
-def _pair_table(spec: Spectrum, u: int, v: int) -> list[tuple[float, float, float, float]]:
-    """(l_r, a_r, b_r, c_r) per eigenspace E_r of rows u and v of spec:
-    the mean eigenvalue, a_r = ||E_r e_u||^2, b_r = <v|E_r|u> and
-    c_r = ||E_r e_v||^2, in Python floats.
+def _pair_table(spec: Spectrum) -> list[tuple[float, float, float, float]]:
+    """(l_r, a_r, b_r, c_r) per eigenspace E_r of the two rows e_u (row 0)
+    and e_v (row 1) of spec: the mean eigenvalue, a_r = ||E_r e_u||^2,
+    b_r = <v|E_r|u> and c_r = ||E_r e_v||^2, in Python floats.
 
     An eigenspace is a run of ascending eigenvalues, each within
-    EIGENSPACE_REL_TOL max(1, max |l|) of the one before.  Each sum is the
-    run's first term plus the sum of the rest from -0.0, the order of
-    `np.add.reduceat`, which sums pairwise only past 8 more terms.
+    EIGENSPACE_REL_TOL max |l| of the one before: a rule with no absolute
+    floor, so scaling every weight by c > 0 scales the l_r by c and leaves
+    the runs as they are.  Each sum is the run's first term plus the sum of
+    the rest from -0.0, the order of `np.add.reduceat`, which sums pairwise
+    only past 8 more terms.
     """
     values = spec.eigenvalues.tolist()
-    pu, pv = spec.eigenvectors[u].tolist(), spec.eigenvectors[v].tolist()
-    width = EIGENSPACE_REL_TOL * max(1.0, -values[0], values[-1])
+    pu, pv = spec.eigenvectors[0].tolist(), spec.eigenvectors[1].tolist()
+    width = EIGENSPACE_REL_TOL * max(-values[0], values[-1])
     cuts = [j for j in range(1, len(values)) if values[j] - values[j - 1] > width]
     table = []
     for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
@@ -770,10 +791,11 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     eigenspace E_r, to DEFAULT_CONDITION_TOL.  Inside W_u that asks
     sqrt(a_r) = sqrt(c_r) and, where both are above the tolerance,
     |b_r| = sqrt(a_r c_r), so that the projections are parallel, with
-    sigma_r the sign of b_r; outside, it asks ||Q[v]|| = 1, since the sum of
-    the sigma_r E_r e_u lies in W_u, and any part of e_v outside W_u sits in
-    eigenspaces that annihilate e_u.  The support is the l_r with
-    sqrt(a_r) above the tolerance, ascending and distinct.
+    sigma_r the sign of b_r; outside, it asks sum_r c_r = ||P e_v||^2 = 1,
+    P the projection on W_u, since the sum of the sigma_r E_r e_u lies in
+    W_u, and any part of e_v outside W_u sits in eigenspaces that
+    annihilate e_u.  The support is the l_r with sqrt(a_r) above the
+    tolerance, ascending and distinct.
     rationality: every support gap ratio (l_r - l_0)/(l_max - l_0) is
     recognised as a fraction, l_0 < ... < l_max being the eigenvalues
     whose eigenspaces do not annihilate e_u.
@@ -799,10 +821,10 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
     """
     walk = walk_spectrum(g, u, v, matrix_kind)
     tol = DEFAULT_CONDITION_TOL
-    # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
-    vec_ok = abs(walk.v_weight - 1.0) <= tol
+    vec_ok, weight_v = True, 0.0
     support, signs = [], []
-    for lam, a, b, c in _pair_table(walk.spectrum, 0, 1):
+    for lam, a, b, c in _pair_table(walk.spectrum):
+        weight_v += c
         norm_u, norm_v = math.sqrt(a), math.sqrt(c)
         # E_r e_u = sigma_r E_r e_v: equal norms and parallel projections
         if abs(norm_u - norm_v) > tol:
@@ -813,6 +835,9 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
             both = norm_u * norm_v
             if norm_v > tol and abs(abs(b) - both) > tol * max(1.0, both):
                 vec_ok = False
+    # e_v outside W_u: some eigenspace holds part of e_v and none of e_u
+    if abs(weight_v - 1.0) > tol:
+        vec_ok = False
     steps = rationality_check(support)
     rational = steps is not None
     support_eigenvalues = np.array(support)
@@ -830,12 +855,14 @@ def check_pst_conditions(g: SignedWeightedGraph, u: int, v: int,
                               abs(walk.amplitude(t0)), walk)
 
 
-def _refine_peak(spec: Spectrum, u: int, v: int, t0: float, dt: float,
+def _refine_peak(eigenvalues: np.ndarray, coeffs: np.ndarray, t0: float, dt: float,
                  t_max: float) -> tuple[float, float]:
+    """(t, |a(t)|) at the bounded search's maximum of |a| on [t0 - dt, t0 + dt]
+    within [0, t_max], a(t) = sum_j C_j e^{-i l_j t} (`_amplitude_at`)."""
     # imported here: scipy.optimize alone costs most of `import pstnet`
     from scipy.optimize import minimize_scalar
     lo, hi = max(0.0, t0 - dt), min(t0 + dt, t_max)
-    res = minimize_scalar(lambda t: -abs(spec.amplitude(u, v, t)),
+    res = minimize_scalar(lambda t: -abs(_amplitude_at(eigenvalues, coeffs, t)),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
     return float(res.x), float(-res.fun)
@@ -947,19 +974,22 @@ def max_fidelity_scan(g: SignedWeightedGraph, u: int, v: int, t_max: float,
     """
     count = _scan_points(t_max, dt)
     walk = walk_spectrum(g, u, v, matrix_kind, max(float(t_max), (count - 1) * float(dt)))
-    return max_fidelity_scan_spectrum(walk.spectrum, 0, 1, t_max, dt)
+    return max_fidelity_scan_spectrum(walk.spectrum, t_max=t_max, dt=dt)
 
 
-def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
-                               dt: float) -> tuple[float, float]:
-    """Grid scan of |<v|U(t)|u>| on [0, t_max] at step dt, peaks refined.
+def max_fidelity_scan_spectrum(spec: Spectrum, t_max: float, dt: float
+                               ) -> tuple[float, float]:
+    """Grid scan of |<v|U(t)|u>| on [0, t_max] at step dt, peaks refined,
+    for the two rows e_u (row 0) and e_v (row 1) of spec.
 
-    The grid magnitudes come from the factored-phase kernel
-    `_grid_magnitudes` (off `Spectrum.amplitude` by its 1e-12 merge bound
-    plus rounding); every candidate peak is refined on `Spectrum.amplitude`
-    itself.  A bad grid (see `_scan_points`) raises ValueError before any
-    allocation.  A grid maximum at or below FIDELITY_NOISE_FLOOR (an amplitude
-    that vanishes identically) returns (0.0, 0.0), not a t* of rounding noise.
+    The coefficient column C = V[1] V[0] is formed once.  The grid
+    magnitudes come from the factored-phase kernel `_grid_magnitudes` (off
+    `Spectrum.amplitude` by its 1e-12 merge bound plus rounding); every
+    candidate peak is refined, and the ends compared, on `_amplitude_at`
+    of that column, the scalar kernel of `Spectrum.amplitude` itself.  A
+    bad grid (see `_scan_points`) raises ValueError before any allocation.
+    A grid maximum at or below FIDELITY_NOISE_FLOOR (an amplitude that
+    vanishes identically) returns (0.0, 0.0), not a t* of rounding noise.
 
     The grid error bound uses the spread S of the support, the eigenvalues
     whose term c_j = <v|j><j|u> is not zero: turning the amplitude by a
@@ -972,10 +1002,11 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     """
     count = _scan_points(t_max, dt)
     t_max, dt = float(t_max), float(dt)
-    coeffs = spec.eigenvectors[v] * spec.eigenvectors[u]
-    mags = _grid_magnitudes(spec.eigenvalues, coeffs[:, None], dt, count)[:, 0]
+    lam = spec.eigenvalues
+    coeffs = spec.eigenvectors[1] * spec.eigenvectors[0]
+    mags = _grid_magnitudes(lam, coeffs[:, None], dt, count)[:, 0]
     if (count - 1) * dt < t_max:
-        mags = np.append(mags, abs(spec.amplitude(u, v, t_max)))
+        mags = np.append(mags, abs(_amplitude_at(lam, coeffs, t_max)))
     last = len(mags) - 1
     top = float(np.max(mags))
     if top <= FIDELITY_NOISE_FLOOR:
@@ -983,19 +1014,19 @@ def max_fidelity_scan_spectrum(spec: Spectrum, u: int, v: int, t_max: float,
     # refine every peak the grid cannot distinguish from the best one, then
     # report the earliest among refined ties so periodic transfers give
     # their minimal time
-    support = spec.eigenvalues[coeffs != 0]
+    support = lam[coeffs != 0]
     spread = float(np.ptp(support)) if len(support) else 0.0
     grid_err = 0.5 * (0.5 * spread * dt) ** 2 + 1e-12
     candidates = np.flatnonzero(mags >= top - grid_err)
     best_t, best_f = 0.0, -1.0
     for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
         k = int(run[np.argmax(mags[run])])
-        t_ref, f_ref = _refine_peak(spec, u, v, min(k * dt, t_max), dt, t_max)
+        t_ref, f_ref = _refine_peak(lam, coeffs, min(k * dt, t_max), dt, t_max)
         # the bounded search never returns an end of [0, t_max]; t = 0 goes
         # last, so that it wins a tie
         for edge, t_edge in ((last, t_max), (0, 0.0)):
             if edge in (run[0], run[-1]):
-                f_edge = abs(spec.amplitude(u, v, t_edge))
+                f_edge = abs(_amplitude_at(lam, coeffs, t_edge))
                 if f_ref <= f_edge + 1e-12:
                     t_ref, f_ref = t_edge, f_edge
         if f_ref > best_f + 1e-12:

@@ -24,25 +24,27 @@ def unbalanced_k4():
     return parse_graph_text(_example("example04.graph"))
 
 
-def _direct_grid_scan(spec, u, v, t_max, dt):
-    """`max_fidelity_scan_spectrum` with every grid magnitude from
-    `Spectrum.amplitude`, one complex exponential per time and term, on the
-    times k dt <= t_max (up to rounding) and t_max itself."""
+def _direct_grid_scan(spec, t_max, dt):
+    """`max_fidelity_scan_spectrum` of the two rows of spec with every grid
+    magnitude from `Spectrum.amplitude`, one complex exponential per time
+    and term, on the times k dt <= t_max (up to rounding) and t_max itself."""
     ts = np.arange(spectral._scan_points(t_max, dt)) * dt
     if ts[-1] < t_max:
         ts = np.append(ts, t_max)
     ts = np.minimum(ts, t_max)
-    mags = np.abs(spec.amplitude(u, v, ts))
-    support = spec.eigenvalues[spec.eigenvectors[u] * spec.eigenvectors[v] != 0]
+    mags = np.abs(spec.amplitude(0, 1, ts))
+    coeffs = spec.eigenvectors[1] * spec.eigenvectors[0]
+    support = spec.eigenvalues[coeffs != 0]
     spread = float(np.ptp(support)) if len(support) else 0.0   # v outside u's walk
     grid_err = 0.5 * (0.5 * spread * dt) ** 2 + 1e-12
     candidates = np.flatnonzero(mags >= float(np.max(mags)) - grid_err)
     best_t, best_f = 0.0, -1.0
     for run in np.split(candidates, np.flatnonzero(np.diff(candidates) != 1) + 1):
         k = int(run[np.argmax(mags[run])])
-        t_ref, f_ref = spectral._refine_peak(spec, u, v, float(ts[k]), dt, t_max)
+        t_ref, f_ref = spectral._refine_peak(spec.eigenvalues, coeffs, float(ts[k]), dt,
+                                             t_max)
         for end in (len(ts) - 1, 0):   # the search never returns an end
-            f_end = abs(spec.amplitude(u, v, float(ts[end])))
+            f_end = abs(spec.amplitude(0, 1, float(ts[end])))
             if end in (run[0], run[-1]) and f_ref <= f_end + 1e-12:
                 t_ref, f_ref = float(ts[end]), f_end
         if f_ref > best_f + 1e-12:

@@ -156,17 +156,23 @@ def periodicity_check(g: SignedWeightedGraph, u: int, t0: float) -> bool:
     return rep.magnitude >= 1.0 - 1e-8
 
 
+def pair_rows(spec: Spectrum, u: int, v: int) -> Spectrum:
+    """Rows u and v of a spectrum as the two-row `Spectrum` (e_u first) that
+    the pair readers of `spectral` take."""
+    return Spectrum(spec.eigenvalues, spec.eigenvectors[[u, v]])
+
+
 def eigenspace_rows(spec: Spectrum, u: int, v: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(group, ||E_r e_u||, ||E_r e_v||, <u|E_r|v>) over the eigenspaces E_r
     of spec, one eigenspace at a time.
 
     group[j] = r names the eigenspace of eigenvalue j: an eigenvalue within
-    EIGENSPACE_REL_TOL max(1, max |l|) of the one before shares its
-    eigenspace, the rule of `spectral._pair_table`.
+    EIGENSPACE_REL_TOL max |l| of the one before shares its eigenspace, the
+    rule of `spectral._pair_table`.
     """
     values = spec.eigenvalues.tolist()
-    width = spectral.EIGENSPACE_REL_TOL * max(1.0, max(map(abs, values)))
+    width = spectral.EIGENSPACE_REL_TOL * max(map(abs, values))
     group = [0]
     for low, high in zip(values, values[1:]):
         group.append(group[-1] + int(high - low > width))
@@ -199,7 +205,7 @@ def symmetry_operator(g: SignedWeightedGraph, u: int, v: int,
     spec = Spectrum.from_matrix(m)
     tol = spectral.DEFAULT_CONDITION_TOL
     signs = []
-    for _, a, b, c in spectral._pair_table(spec, u, v):
+    for _, a, b, c in spectral._pair_table(pair_rows(spec, u, v)):
         norm_u, norm_v = math.sqrt(a), math.sqrt(c)
         skew = abs(abs(b) - norm_u * norm_v) > tol * max(1.0, norm_u * norm_v)
         if abs(norm_u - norm_v) > tol or (norm_u > tol and norm_v > tol and skew):

@@ -539,6 +539,16 @@ def test_qudit_refuses_malformed_family_couplings(capsys, spec):
                                        f"with numbers J, got {spec!r}\n")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("cycle:4:nan,1,1", "coupling J_0 is not finite: nan"),
+    ("complete:3:1,inf", "coupling J_1 is not finite: inf"),
+    ("complete:0", "complete family needs at least 1 site"),
+])
+def test_qudit_refuses_a_bad_family_with_its_own_line(capsys, spec, message):
+    assert run(["qudit", "--family", spec, "--target", "1"]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"),
                                          ("--tmax", "nan"), ("--tmax", "-inf")])
 def test_qudit_refuses_non_finite_times(tmp_path, capsys, flag, value):

@@ -18,7 +18,7 @@ from pstnet.graphs import (MarkingScheme, SignedWeightedGraph,
                            hypercube, laplacian, make_graph, path_graph)
 from pstnet.spectral import max_fidelity_scan_spectrum
 
-from oracles import adjacency, corona_edge_count, expm_amplitude, graph_spectrum
+from oracles import adjacency, corona_edge_count, expm_amplitude, graph_spectrum, pair_rows
 
 EXAMPLES = Path(pstnet.__file__).resolve().parent / "data" / "corona_examples"
 
@@ -284,7 +284,7 @@ def test_signed_square_scan(signed_square):
     # the paper's closed-form eigenpairs of the one-level product give the
     # same dynamics as the recursion's seed rows
     theorem = corona_spectrum(signed_square, signed_square)
-    t_star, f_star = max_fidelity_scan_spectrum(theorem, 0, 2, 20.0, 0.005)
+    t_star, f_star = max_fidelity_scan_spectrum(pair_rows(theorem, 0, 2), 20.0, 0.005)
     assert m1.f_star == pytest.approx(f_star, abs=1e-9)
     assert m1.t_star == pytest.approx(t_star, abs=1e-9)
 
@@ -357,7 +357,7 @@ def test_recursion_matches_the_direct_solve(name, kind):
         for v, table in tables.items():
             row = table[m]
             assert row.provenance == ("recursion" if m else "direct")
-            t_star, f_star = max_fidelity_scan_spectrum(direct, 0, v, 20.0, 0.005)
+            t_star, f_star = max_fidelity_scan_spectrum(pair_rows(direct, 0, v), 20.0, 0.005)
             assert abs(row.f_star - f_star) <= 1e-12
             if f_star > 1e-6:   # where the amplitude vanishes t* means nothing
                 assert abs(row.t_star - t_star) <= 1e-8
@@ -375,7 +375,7 @@ def test_recursion_rows_scan_the_seed_rows_of_the_spectrum(name, kind):
             assert [row.provenance for row in rows] == ["recursion"] * 3
             for row, spec in zip(rows, spectra):
                 assert (row.t_star, row.f_star) == max_fidelity_scan_spectrum(
-                    spec, u, v, 5.0, 0.005)
+                    pair_rows(spec, u, v), 5.0, 0.005)
 
 
 def test_recursion_builds_no_product_and_solves_only_the_seed(signed_square, monkeypatch):
@@ -561,9 +561,9 @@ def test_fidelity_rows_equal_the_direct_grid(name, direct_grid_scan):
             table = fidelity_vs_m(seed, (0, v), 3, kind)
             assert [row.provenance for row in table.rows] == ["direct"] + ["recursion"] * 3
             walk = spectral.walk_spectrum(seed, 0, v, kind, span).spectrum
-            for row, (spec, a, b) in zip(table.rows, [(walk, 0, 1)] + [
-                    (spec, 0, v) for spec in spectra]):
-                want = direct_grid_scan(spec, a, b, 20.0, 0.005)
+            for row, spec in zip(table.rows,
+                                 [walk] + [pair_rows(spec, 0, v) for spec in spectra]):
+                want = direct_grid_scan(spec, 20.0, 0.005)
                 if want[1] > 1e-12:
                     assert (row.t_star, row.f_star) == want
                 else:   # an amplitude that vanishes: its t* is rounding noise

@@ -453,7 +453,7 @@ def test_a_vanishing_amplitude_scans_to_zero_at_zero(monkeypatch):
                         lambda *a: pytest.fail("a zero amplitude was refined"))
     assert max_fidelity_scan(make_graph(4, [(0, 1), (2, 3)]), 0, 3, 5.0, 0.01) == (0.0, 0.0)
     apart = Spectrum(np.array([-1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert max_fidelity_scan_spectrum(apart, 0, 1, 5.0, 0.01) == (0.0, 0.0)
+    assert max_fidelity_scan_spectrum(apart, 5.0, 0.01) == (0.0, 0.0)
 
 
 def test_chain_beyond_the_walk_reports_zero_at_zero(capsys):

@@ -28,6 +28,14 @@ by name, somewhere in `src/pstnet` or in the benchmark's workloads and
 tracer, so no result carries a value for the tests alone.  The classes a
 PAPER_CLAIMS function returns are exempt: their fields are the claims'
 outputs.
+
+Required parameters follow it too.  No required parameter of a function of
+`src/pstnet` may get the same literal, or the same module-level constant of
+`src/pstnet`, at every call of the library and of the benchmark workloads:
+such a parameter is a constant its callers repeat, not an input.  Callees
+and positions match as for options; an argument that is any other
+expression, or a call whose *args or **kwargs may fill the parameter,
+counts as a value that varies.  The PAPER_CLAIMS roots are exempt.
 """
 
 import ast
@@ -123,26 +131,26 @@ def _callees(func: ast.expr) -> set[str]:
     return set()
 
 
-def _options(node: ast.AST, prefix: str, owner=None):
-    """Yield (qualified name, callee name, {parameter: call position or None})
-    for each function under node that has defaulted parameters, listing only
-    those; a method's positions skip self, and its `__init__` is called by
-    its class name."""
+def _parameters(node: ast.AST, prefix: str, owner=None):
+    """Yield (qualified name, callee name, {parameter: (call position or None,
+    defaulted)}) for each function under node; a method's positions skip
+    self, which it does not list, and its `__init__` is called by its class
+    name."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
-            yield from _options(child, f"{prefix}{child.name}.", child.name)
+            yield from _parameters(child, f"{prefix}{child.name}.", child.name)
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = child.args
             positional = [*args.posonlyargs, *args.args]
             first = len(positional) - len(args.defaults)
             offset = int(owner is not None)
-            defaulted = {a.arg: i - offset for i, a in enumerate(positional) if i >= first}
-            defaulted |= {a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                          if d is not None}
-            if defaulted:
-                callee = owner if child.name == "__init__" else child.name
-                yield f"{prefix}{child.name}", callee, defaulted
-            yield from _options(child, f"{prefix}{child.name}.")
+            params = {a.arg: (i - offset, i >= first)
+                      for i, a in enumerate(positional) if i >= offset}
+            params |= {a.arg: (None, d is not None)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults)}
+            callee = owner if child.name == "__init__" else child.name
+            yield f"{prefix}{child.name}", callee, params
+            yield from _parameters(child, f"{prefix}{child.name}.")
 
 
 def test_every_option_is_set_by_a_caller():
@@ -158,8 +166,10 @@ def test_every_option_is_set_by_a_caller():
                     passed.setdefault(name, []).append((count, keywords))
     unset = []
     for stem, tree in modules.items():
-        for qualified, callee, defaulted in _options(tree, f"{stem}."):
-            if callee in PAPER_CLAIMS:
+        for qualified, callee, params in _parameters(tree, f"{stem}."):
+            defaulted = {name: position for name, (position, has_default) in params.items()
+                         if has_default}
+            if not defaulted or callee in PAPER_CLAIMS:
                 continue
             calls = passed.get(callee, [])
             missing = [name for name, position in defaulted.items()
@@ -203,3 +213,62 @@ def test_every_field_is_read_by_a_caller():
                     if isinstance(node, ast.ClassDef) and node.name not in claimed
                     for name in _fields(node) if name not in read)
     assert not unread, "fields no library or benchmark code reads: " + ", ".join(unread)
+
+
+def _fixed_value(node: ast.expr, constants: set[str]):
+    """A key for an argument that is a literal or a library constant, else None."""
+    if isinstance(node, ast.Name) and node.id in constants:
+        return ("constant", node.id)
+    if isinstance(node, ast.Attribute) and node.attr in constants:
+        return ("constant", node.attr)
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ("literal", type(value).__name__, repr(value))
+
+
+def _argument(call: ast.Call, name: str, position):
+    """The argument a call passes for a parameter, or None where it passes
+    none that can be read: not given, or behind *args or **kwargs."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    if position is not None and position < len(call.args) and not any(
+            isinstance(a, ast.Starred) for a in call.args[:position + 1]):
+        return call.args[position]
+    return None
+
+
+def test_no_required_parameter_gets_one_fixed_value_at_every_call():
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    constants = {target.id for tree in modules.values() for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name)}
+    calls = {}    # callee name -> [ast.Call]
+    for tree in (*modules.values(), _parse(WORKLOADS)):
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                for name in _callees(call.func):
+                    calls.setdefault(name, []).append(call)
+    fixed = []
+    for stem, tree in modules.items():
+        for qualified, callee, params in _parameters(tree, f"{stem}."):
+            if callee in PAPER_CLAIMS or callee not in calls:
+                continue
+            same = []
+            for name, (position, has_default) in params.items():
+                if has_default:
+                    continue
+                values = set()
+                for call in calls[callee]:
+                    arg = _argument(call, name, position)
+                    values.add(None if arg is None else _fixed_value(arg, constants))
+                if len(values) == 1 and None not in values:
+                    same.append(name)
+            if same:
+                fixed.append(f"{qualified}({', '.join(same)})")
+    assert not fixed, "required parameters every library or benchmark call fixes: " + \
+        ", ".join(fixed)

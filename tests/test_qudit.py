@@ -130,6 +130,21 @@ def test_family_requires_all_ones_sum():
         commuting_family([np.eye(2), np.zeros((2, 2))], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_family_refuses_a_non_finite_coupling_before_the_solve(bad, monkeypatch):
+    # a NaN coupling used to reach the phase check as X = nan
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=f"^coupling J_1 is not finite: {bad}$"):
+        cycle_family(4, [1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_complete_family_refuses_no_sites(n):
+    # complete:0 used to leak numpy's zero-size reduction error
+    with pytest.raises(ValueError, match="^complete family needs at least 1 site$"):
+        complete_family(n)
+
+
 def test_simultaneous_diagonalization_residual():
     for n in range(3, 9):
         fam = cycle_family(n)

@@ -23,8 +23,8 @@ from pstnet.spectral import (Spectrum, check_pst_conditions, hypercube_apply, ma
 
 import oracles
 from oracles import (adjacency, balanced_equivalent_amplitude, bipartite_phase_audit,
-                     eigenspace_rows, evolve, graph_spectrum, periodicity_check,
-                     spin_oracle_check, symmetry_operator)
+                     eigenspace_rows, evolve, graph_spectrum, pair_rows,
+                     periodicity_check, spin_oracle_check, symmetry_operator)
 
 RNG = np.random.default_rng(1851)
 
@@ -371,7 +371,10 @@ RATIOS = st.one_of(st.floats(min_value=0.0, max_value=1.0), NEAR_TIES, NEAR_RATI
 @example(x=0.5, q=1, tol=0.5)
 @example(x=0.5, q=1, tol=1e-9)
 def test_recognize_rational_is_the_limit_denominator_rule(x, q, tol):
-    got = spectral._recognize_rational(x, tol, q)
+    # the rule reads its bound and tolerance from the module constants
+    with mock.patch.object(spectral, "DEFAULT_MAX_DENOMINATOR", q), \
+            mock.patch.object(spectral, "DEFAULT_PST_TOL", tol):
+        got = spectral._recognize_rational(x)
     want = oracles.limit_denominator_rule(x, tol, q)
     assert got == (None if want is None else (want.numerator, want.denominator))
     assert got is None or all(type(k) is int for k in got)
@@ -381,8 +384,10 @@ def test_recognize_rational_breaks_an_exact_tie_toward_the_convergent():
     # 1/2 lies halfway between 0/1 and 1/1; limit_denominator keeps the
     # convergent 0/1, and the surd floor then refuses it
     assert Fraction(0.5).limit_denominator(1) == 0
-    assert spectral._recognize_rational(0.5, 0.5, 1) == (0, 1)
-    assert spectral._recognize_rational(0.5, 1e-9, 1) is None
+    with mock.patch.object(spectral, "DEFAULT_MAX_DENOMINATOR", 1):
+        with mock.patch.object(spectral, "DEFAULT_PST_TOL", 0.5):
+            assert spectral._recognize_rational(0.5) == (0, 1)
+        assert spectral._recognize_rational(0.5) is None
 
 
 # --- scans ---------------------------------------------------------------------
@@ -427,7 +432,8 @@ def test_scans_refuse_a_bad_grid(t_max, dt, message):
     # "arange: cannot compute length" or a reduction over an empty grid
     g = path_graph(3)
     for scan in (lambda: max_fidelity_scan(g, 0, 2, t_max, dt),
-                 lambda: max_fidelity_scan_spectrum(graph_spectrum(g), 0, 2, t_max, dt),
+                 lambda: max_fidelity_scan_spectrum(pair_rows(graph_spectrum(g), 0, 2),
+                                                    t_max, dt),
                  lambda: all_pairs_max_fidelity(adjacency(g), t_max, dt)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scan()
@@ -611,7 +617,8 @@ def test_grid_kernel_drops_zero_rows_and_handles_no_terms():
 @pytest.mark.parametrize("n", range(4, 11))
 def test_uniform_chain_scan_equals_the_direct_grid(n, direct_grid_scan):
     spec = graph_spectrum(path_graph(n))
-    assert unmodulated_no_pst_scan(n, 200.0) == direct_grid_scan(spec, 0, n - 1, 200.0, 0.002)
+    assert unmodulated_no_pst_scan(n, 200.0) == direct_grid_scan(pair_rows(spec, 0, n - 1),
+                                                                 200.0, 0.002)
 
 
 # --- pair table ------------------------------------------------------------------
@@ -644,7 +651,7 @@ def test_pair_table_matches_the_eigenspace_oracle(name, kind):
         for v in range(g.vertex_count):
             group, norm_u, norm_v, overlap = eigenspace_rows(spec, u, v)
             assert np.bincount(group).max() > 1
-            lam, a, b, c = np.array(spectral._pair_table(spec, u, v)).T
+            lam, a, b, c = np.array(spectral._pair_table(pair_rows(spec, u, v))).T
             means = np.bincount(group, weights=spec.eigenvalues) / np.bincount(group)
             for got, want in ((lam, means), (a, norm_u ** 2), (b, overlap), (c, norm_v ** 2)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -678,7 +685,7 @@ def test_symmetry_squares_to_identity_for_real_hamiltonians(g, u, v):
 def test_symmetry_operator_on_degenerate_eigenspaces(g, u, v, kind):
     m = graph_matrix(g, kind)
     spec = Spectrum.from_matrix(m)
-    _, a, b, _ = np.array(spectral._pair_table(spec, u, v)).T
+    _, a, b, _ = np.array(spectral._pair_table(pair_rows(spec, u, v))).T
     norm_u = np.sqrt(a)
     support = norm_u > spectral.DEFAULT_CONDITION_TOL
     sign = np.where(support & (b < 0), -1, 1)

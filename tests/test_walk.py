@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pstnet
 from pstnet import graphs, spectral
@@ -29,7 +29,8 @@ from pstnet.spectral import (WALK_AMPLITUDE_TOL, check_pst_conditions,
                              max_fidelity_scan, max_fidelity_scan_spectrum,
                              rationality_check, transfer_amplitude, walk_spectrum)
 
-from oracles import factor_free_hypercube, graph_spectrum, limit_denominator_rule
+from oracles import (eigenspace_rows, factor_free_hypercube, graph_spectrum,
+                     limit_denominator_rule, pair_rows)
 
 KINDS = ("adjacency", "laplacian")
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -57,13 +58,13 @@ def random_signed_graph(n, degree=6.0, rng=RNG):
 def dense_verdict(g, u, v, kind, tol=1e-8):
     """(strongly cospectral, support, first PST time or None) from dense eigh.
 
-    Eigenvalues within 1e-8 (relative) form one eigenspace E; u and v are
+    Eigenvalues within 1e-8 max |l| form one eigenspace E; u and v are
     strongly cospectral iff E e_u = +-E e_v for every E.  PST needs the
     support gaps to be n_r Delta with gcd(n_r) = 1 and n_r odd exactly where
     the sign flips; the first time is then pi/Delta.
     """
     w, vecs = np.linalg.eigh(graph_matrix(g, kind))
-    cuts = np.flatnonzero(np.diff(w) > 1e-8 * max(1.0, float(np.abs(w).max()))) + 1
+    cuts = np.flatnonzero(np.diff(w) > 1e-8 * float(np.abs(w).max())) + 1
     strongly, support, signs = True, [], []
     for idx in np.split(np.arange(len(w)), cuts):
         block = vecs[:, idx]
@@ -147,6 +148,38 @@ def test_walk_verdict_matches_dense_eigh_on_signed_graphs(case, kind):
 @given(case=mirrored_graphs(), kind=st.sampled_from(KINDS))
 def test_walk_verdict_matches_dense_eigh_on_mirrored_graphs(case, kind):
     _check_against_dense(*case, kind)
+
+
+def projected_weight(g, u, v, kind, tol=spectral.DEFAULT_CONDITION_TOL):
+    """||P e_v||^2 = ||Q[v]||^2, P the projection on the walk module W_u, from
+    dense eigh: W_u is spanned by the E_r e_u with ||E_r e_u|| > tol, so
+    ||P e_v||^2 = sum_r <v|E_r|u>^2 / ||E_r e_u||^2 over them."""
+    _, norm_u, _, overlap = eigenspace_rows(graph_spectrum(g, kind), u, v)
+    kept = norm_u > tol
+    return float(np.sum(overlap[kept] ** 2 / norm_u[kept] ** 2))
+
+
+@SETTINGS
+@given(case=signed_graphs(), kind=st.sampled_from(KINDS))
+# e_v outside W_u: the reflection of C4 through 0 keeps W_0 and sends e_1
+# to e_3, and a vertex of another component
+@example(case=(cycle_graph(4), 0, 1), kind="adjacency")
+@example(case=(make_graph(4, [(0, 1), (2, 3, 2.0, -1)]), 0, 2), kind="laplacian")
+def test_summed_c_is_the_projected_weight_of_e_v(case, kind):
+    # the verdict reads e_v in W_u as sum_r c_r = 1 off its own pair table,
+    # where it used to take ||Q[v]||^2 of the Lanczos basis row
+    g, u, v = case
+    tol = spectral.DEFAULT_CONDITION_TOL
+    try:
+        rep = check_pst_conditions(g, u, v, kind)
+    except ValueError as err:   # a module that nearly closes gives no verdict
+        assert "nearly closes" in str(err)
+        return
+    summed = sum(c for *_, c in spectral._pair_table(rep.walk.spectrum))
+    inside = abs(projected_weight(g, u, v, kind) - 1.0) <= tol
+    assert (abs(summed - 1.0) <= tol) == inside
+    if not inside:
+        assert not rep.vector_condition
 
 
 def test_walk_verdict_matches_dense_eigh_on_cubes_and_paths():
@@ -355,7 +388,7 @@ def test_walk_amplitude_past_two_to_the_53_is_refused_at_every_size():
     (lambda: transfer_amplitude_qudit(cycle_family(5), 1, 1e300), "5e+300"),
     (lambda: max_fidelity_scan(path_graph(5), 0, 4, 1e300, 1e296), "2e+300"),
     (lambda: fidelity_vs_m(complete_graph(2), (0, 1), 2, t_max=1e300, dt=1e296), "1e+300"),
-    (lambda: max_fidelity_scan_spectrum(corona_seed_spectrum(complete_graph(2), 2), 0, 1,
+    (lambda: max_fidelity_scan_spectrum(corona_seed_spectrum(complete_graph(2), 2),
                                         1e300, 1e296), "3.29e+300"),
     (lambda: all_pairs_max_fidelity(graph_matrix(cycle_graph(5), "adjacency"),
                                     1e300, 1e296), "2e+300"),
@@ -438,8 +471,7 @@ def _walk_bits(g, u, v, kind, t):
         return str(err)
     spec = walk.spectrum
     return (spec.eigenvalues.tobytes(), spec.eigenvectors.tobytes(),
-            walk.couplings.tobytes(), np.float64(walk.v_weight).tobytes(),
-            walk.dimension, walk.norm)
+            walk.couplings.tobytes(), walk.dimension, walk.norm)
 
 
 def _path_and_lanczos_bits(monkeypatch, g, u, v, kind, t):
@@ -463,7 +495,7 @@ def test_path_walks_are_lanczos_to_the_bit(monkeypatch, name):
                 for v in range(n):
                     path, lanczos = _path_and_lanczos_bits(monkeypatch, g, u, v, kind, t)
                     assert path == lanczos
-                    early += t is not None and path[4] < n
+                    early += t is not None and path[3] < n
     assert early or n < 12
 
 
@@ -521,7 +553,7 @@ def test_paths_past_the_basis_cap_refuse_before_any_lanczos_work(monkeypatch):
             path, lanczos = _path_and_lanczos_bits(monkeypatch, g, 15, 0, kind, t)
             assert path == lanczos
             if t == 1e-9:
-                assert path[4] == 2
+                assert path[3] == 2
             else:
                 assert path.endswith("needs more than 4 Lanczos vectors of length 16, "
                                      "above the basis cap of 64 entries")
@@ -649,7 +681,7 @@ def test_series_and_scans_match_the_dense_oracle(kind):
             want = np.abs(dense.amplitude(0, v, ts))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             _assert_same_scan(max_fidelity_scan(g, 0, v, 20.0, 0.01, kind),
-                              max_fidelity_scan_spectrum(dense, 0, v, 20.0, 0.01),
+                              max_fidelity_scan_spectrum(pair_rows(dense, 0, v), 20.0, 0.01),
                               dense, 0, v)
 
 
@@ -657,7 +689,7 @@ def test_chain_and_corona_scans_match_the_dense_oracle():
     for n in range(2, 17):
         dense = graph_spectrum(path_graph(n))
         _assert_same_scan(unmodulated_no_pst_scan(n, 50.0),
-                          max_fidelity_scan_spectrum(dense, 0, n - 1, 50.0, 0.0005),
+                          max_fidelity_scan_spectrum(pair_rows(dense, 0, n - 1), 50.0, 0.0005),
                           dense, 0, n - 1)
     # seeds outside the corona theorem: every row builds G^(m) and walks it
     direct = 0
@@ -672,7 +704,7 @@ def test_chain_and_corona_scans_match_the_dense_oracle():
                         continue
                     direct += row.m > 0
                     dense = graph_spectrum(iterate_corona(seed, row.m), kind)
-                    want = max_fidelity_scan_spectrum(dense, 0, v, 10.0, 0.01)
+                    want = max_fidelity_scan_spectrum(pair_rows(dense, 0, v), 10.0, 0.01)
                     if want[1] <= 1e-12:   # the rows' noise floor
                         want = (0.0, 0.0)
                     _assert_same_scan((row.t_star, row.f_star), want, dense, 0, v)
